@@ -10,9 +10,9 @@ forms).
 
 The module computes the last ramification jump of a datum, reconstructs the
 discriminant exponent from last jumps of all subgroup quotients, and counts
-data exhaustively by last jump.  Quotient groups are re-expressed through a
-Smith normal form of the integer relation matrix, which keeps shapes
-canonical (exponents nonincreasing).
+data by last jump in closed form, with an exhaustive count as its oracle.
+Quotient groups are re-expressed through a Smith normal form of the integer
+relation matrix, which keeps shapes canonical (exponents nonincreasing).
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ from itertools import product
 from .errors import (
     BudgetExceededError,
     GroupTooLargeError,
+    InternalInconsistencyError,
     MixedRingsError,
     NotASubgroupError,
 )
-from .gf import FieldDescriptor, field_for_order
+from .gf import FieldDescriptor, field_for_order, prime_power
 from .witt import WittVector
 
 MAX_GROUP_ORDER = 1 << 12
@@ -485,7 +486,8 @@ def ramification_integral(group_order: int, image_sizes: list[int]) -> int:
     for s in image_sizes:
         total += 1 - Fraction(1, s)
     value = group_order * total
-    assert value.denominator == 1, "image sizes must divide the group order"
+    if value.denominator != 1:
+        raise InternalInconsistencyError("image sizes must divide the group order")
     return int(value)
 
 
@@ -538,26 +540,60 @@ def inertia_image(m: ReducedCocycle) -> frozenset[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive counting by last jump
+# counting by last jump
 # ---------------------------------------------------------------------------
 
 def _ramified_indices(p: int, v: int) -> list[int]:
     return [n for n in range(1, v + 1) if n % p]
 
 
-def count_by_last_jump(shape: GroupShape, q: int, v: int, mode: str,
-                       budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
+def _check_count_args(shape: GroupShape, q: int, v: int, mode: str) -> None:
+    if mode not in ("homomorphisms", "inertial_types"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if v < 0:
+        raise ValueError(f"last jump {v} must be nonnegative")
+    if v > MAX_JUMP:
+        raise ValueError(f"last jump {v} exceeds {MAX_JUMP}")
+    prime_power(q, p=shape.p)
+
+
+def _count_jump_at_most(shape: GroupShape, q: int, t: int) -> int:
+    """Ramified coefficient tuples on indices <= t with last jump <= t.
+
+    At index n the jump is n * p^(e - 1) for a coefficient of order p^e, so
+    jump <= t means order <= p^(e_n(t)) with e_n(t) = #{k >= 0 : n p^k <= t};
+    those coefficients form the p^(e_n(t))-torsion of G tensor W(F_q), which
+    has q^(sum_i min(n_i, e_n(t))) elements.
+    """
+    exponent = 0
+    for n in _ramified_indices(shape.p, t):
+        e = mu(t + 1, n, shape.p)
+        exponent += sum(min(n_i, e) for n_i in shape.exponents)
+    return q ** exponent
+
+
+def count_by_last_jump(shape: GroupShape, q: int, v: int, mode: str) -> int:
     """Exact number of data with support indices <= v and last jump v.
 
     mode "homomorphisms" lets the index-0 coefficient range over the fixed
     transversal (one representative per unramified twist class); mode
     "inertial_types" omits index 0 entirely.  The jump never depends on the
-    index-0 coefficient, so it enters as a plain multiplier.
+    index-0 coefficient, so it enters as a plain multiplier.  The last jump
+    is a max over indices, so the count is a difference of two products of
+    torsion sizes; no field is built.
     """
-    if mode not in ("homomorphisms", "inertial_types"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if v > MAX_JUMP:
-        raise ValueError(f"last jump {v} exceeds {MAX_JUMP}")
+    _check_count_args(shape, q, v, mode)
+    unram = shape.order if mode == "homomorphisms" else 1
+    if v == 0:
+        return unram  # exactly the unramified data
+    return unram * (_count_jump_at_most(shape, q, v)
+                    - _count_jump_at_most(shape, q, v - 1))
+
+
+def count_by_last_jump_enumerated(shape: GroupShape, q: int, v: int, mode: str,
+                                  budget: int = DEFAULT_BUDGET) -> int:
+    """The same count by exhausting all data: the oracle for the closed form."""
+    _check_count_args(shape, q, v, mode)
     field = field_for_order(q, p=shape.p)
     indices = _ramified_indices(shape.p, v)
     coeffs = list(iter_module_elements(shape, field))
@@ -565,44 +601,9 @@ def count_by_last_jump(shape: GroupShape, q: int, v: int, mode: str,
     total = unram * len(coeffs) ** len(indices)
     if total > budget:
         raise BudgetExceededError(f"enumeration size {total} exceeds {budget}")
-    if not indices:
-        return unram  # v = 0: exactly the unramified data
-    ramified = _count_ramified(shape, field, indices, coeffs, v, threads)
-    return unram * ramified
-
-
-def _jump_table(shape: GroupShape, indices, coeffs):
-    """Per index, the jump contributed by each coefficient (0 for the zero one)."""
-    p = shape.p
     orders = [coefficient_order(x) for x in coeffs]
-    return [[n * p ** (e - 1) if e else 0 for e in orders] for n in indices]
-
-
-def _count_ramified(shape, field, indices, coeffs, v, threads=1) -> int:
-    table = _jump_table(shape, indices, coeffs)
-    size = len(coeffs)
-    if threads > 1 and len(indices) >= 1:
-        from .shard import sum_over_shards
-        shards = [(table, size, v, first) for first in range(size)]
-        return sum_over_shards(_ramified_shard, shards, threads)
-    return sum(_ramified_shard((table, size, v, first)) for first in range(size))
-
-
-def _ramified_shard(args) -> int:
-    table, size, v, first = args
-    head = table[0][first]
-    if head > v:
-        return 0
-    rest = table[1:]
-    if not rest:
-        return 1 if head == v else 0
-    count = 0
-    for choice in product(range(size), repeat=len(rest)):
-        jump = head
-        for row, idx in zip(rest, choice):
-            t = row[idx]
-            if t > jump:
-                jump = t
-        if jump == v:
-            count += 1
-    return count
+    # per index, the jump each coefficient contributes (0 for the zero one)
+    jumps = [[n * shape.p ** (e - 1) if e else 0 for e in orders]
+             for n in indices]
+    count = sum(1 for choice in product(*jumps) if max(choice, default=0) == v)
+    return unram * count

@@ -101,8 +101,7 @@ def cmd_disc(args):
 
 def cmd_count_abelian(args):
     shape = parse_group(args.group, args.p)
-    count = asw.count_by_last_jump(shape, args.q, args.v, args.mode,
-                                   budget=args.budget, threads=args.threads)
+    count = asw.count_by_last_jump(shape, args.q, args.v, args.mode)
     return {"count": count, "mode": args.mode}, 0
 
 
@@ -141,8 +140,7 @@ def cmd_urtwist_check(args):
 
 
 def cmd_count_minlift(args):
-    count = d4.count_min_lift(args.q, args.v, args.mode,
-                              budget=args.budget, threads=args.threads)
+    count = d4.count_min_lift(args.q, args.v, args.mode, budget=args.budget)
     return {"count": count, "mode": args.mode}, 0
 
 
@@ -163,8 +161,7 @@ def cmd_census(args):
 def cmd_global_series(args):
     if args.group:
         shape = parse_group(args.group, args.p)
-        series = euler.abelian_global_series(shape, args.q, args.x_max,
-                                             budget=args.budget)
+        series = euler.abelian_global_series(shape, args.q, args.x_max)
     else:
         series = euler.d4_global_series(args.q, args.x_max)
     rows = [{"x": x, "coefficient": c}
@@ -246,16 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "ramification invariants.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, q=True, prime=False, budget=False, threads=False):
+    def common(p, *, q=True, prime=False):
         if prime:
             p.add_argument("--p", type=int, required=True, help="characteristic")
         if q:
             p.add_argument("--q", type=int, required=True,
                            help="field cardinality (a prime power)")
-        if budget:
-            p.add_argument("--budget", type=int, default=asw.DEFAULT_BUDGET)
-        if threads:
-            p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", choices=("json", "tsv"), default="json")
         p.add_argument("--out", help="also write the report to this file")
 
@@ -272,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_disc)
 
     p = sub.add_parser("count-abelian", help="count abelian data by last jump")
-    common(p, prime=True, budget=True, threads=True)
+    common(p, prime=True)
     p.add_argument("--group", required=True)
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--mode", choices=("homomorphisms", "inertial_types"),
@@ -302,10 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count-minlift",
                        help="quarter-count of reductions by smallest lift jump")
-    common(p, budget=True, threads=True)
+    common(p)
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--mode", choices=("closed_form", "enumeration"),
                    default="closed_form")
+    p.add_argument("--budget", type=int, default=d4.DEFAULT_BUDGET,
+                   help="largest support pool the enumeration mode builds")
     p.set_defaults(handler=cmd_count_minlift)
 
     p = sub.add_parser("count-d4",
@@ -327,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("global-series",
                        help="Euler-product coefficients of the global count")
-    common(p, budget=True)
+    common(p)
     p.add_argument("--x-max", type=int, required=True)
     p.add_argument("--group", default=None,
                    help="abelian exponent list; omit for the dihedral series")

@@ -399,11 +399,12 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
 # ---------------------------------------------------------------------------
 
 def count_min_lift(q: int, v: int, mode: str = "closed_form",
-                   budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
+                   budget: int = DEFAULT_BUDGET) -> int:
     """Quarter-count of Klein reductions with minimal lift jump exactly v.
 
-    closed_form evaluates the three-case formula; enumeration counts pairs
-    of ramified supports directly.  The two must agree.
+    closed_form evaluates the three-case formula; enumeration builds the
+    pole orders of all ramified supports over F_q and counts the pairs
+    whose pole orders sum to v.  The two must agree.
     """
     if v < 0:
         raise ValueError("jump must be nonnegative")
@@ -418,22 +419,13 @@ def count_min_lift(q: int, v: int, mode: str = "closed_form",
     field = field_for_order(q, p=2)
     odd = [e for e in range(1, v + 1) if e % 2]
     size = q ** len(odd)
-    if size * size > budget:
-        raise BudgetExceededError(f"{size * size} pairs exceed {budget}")
-    pool = []
+    if size > budget:
+        raise BudgetExceededError(f"{size} candidates exceed {budget}")
+    hist = [0] * (v + 1)
     for chosen in product(field.elements(), repeat=len(odd)):
         terms = {e: c for e, c in zip(odd, chosen) if c}
-        pool.append(max(terms, default=0))
-    if threads > 1:
-        from .shard import sum_over_shards
-        shards = [(tuple(pool), v, wa) for wa in pool]
-        return sum_over_shards(_min_lift_shard, shards, threads)
-    return sum(1 for wa in pool for wc in pool if wa + wc == v)
-
-
-def _min_lift_shard(args) -> int:
-    pool, v, wa = args
-    return sum(1 for wc in pool if wa + wc == v)
+        hist[max(terms, default=0)] += 1
+    return sum(hist[w] * hist[v - w] for w in range(v + 1))
 
 
 def count_d4_le(q: int, v: int) -> int:

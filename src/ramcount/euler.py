@@ -14,7 +14,11 @@ from functools import lru_cache
 from typing import Callable
 
 from . import asw, d4
-from .errors import BudgetExceededError, TruncationTooLargeError
+from .errors import (
+    BudgetExceededError,
+    InternalInconsistencyError,
+    TruncationTooLargeError,
+)
 
 MAX_CENSUS_DEGREE = 32
 MAX_TRUNCATION = 24
@@ -55,16 +59,19 @@ def place_census(q: int, max_degree: int) -> PlaceCensus:
     counts = {}
     for d in range(1, max_degree + 1):
         total = sum(mobius(d // e) * q ** e for e in range(1, d + 1) if d % e == 0)
-        assert total % d == 0
-        pi = total // d
+        pi, rest = divmod(total, d)
         if d == 1:
             pi += 1  # the infinite place has degree 1
-        assert pi > 0
+        if rest or pi <= 0:
+            raise InternalInconsistencyError(
+                f"place census has no positive integral count at degree {d}")
         counts[d] = pi
     # zeta self-check: sum over divisors of d * pi(d) recovers q^m + 1
     for m in range(1, max_degree + 1):
         acc = sum(d * counts[d] for d in counts if m % d == 0)
-        assert acc == q ** m + 1, "place census failed its zeta identity"
+        if acc != q ** m + 1:
+            raise InternalInconsistencyError(
+                "place census failed its zeta identity")
     return PlaceCensus(q, max_degree, tuple(sorted(counts.items())))
 
 
@@ -125,6 +132,8 @@ def local_factor(q: int, d: int, truncation: int,
 def global_series(q: int, truncation: int,
                   coefficient: LocalCoefficient = d4.count_d4_exact) -> CountSeries:
     """Product over places of local factors, truncated exactly."""
+    if truncation < 0:
+        raise ValueError(f"truncation {truncation} must be nonnegative")
     if truncation > MAX_TRUNCATION:
         raise TruncationTooLargeError(
             f"truncation {truncation} exceeds {MAX_TRUNCATION}")
@@ -135,8 +144,9 @@ def global_series(q: int, truncation: int,
             break
         factor = local_factor(q, d, truncation, coefficient)
         result = result * factor ** pi
-    assert result.coefficient(0) == 1
-    assert all(c >= 0 for c in result.coefficients)
+    if result.coefficient(0) != 1 or any(c < 0 for c in result.coefficients):
+        raise InternalInconsistencyError(
+            "Euler product needs constant term 1 and nonnegative coefficients")
     return result
 
 
@@ -144,17 +154,12 @@ def d4_global_series(q: int, truncation: int) -> CountSeries:
     return global_series(q, truncation)
 
 
-def abelian_global_series(shape: asw.GroupShape, q: int, truncation: int,
-                          budget: int = asw.DEFAULT_BUDGET) -> CountSeries:
-    """Euler product with local counts from exhaustive abelian enumeration."""
-    cache: dict[tuple[int, int], int] = {}
+def abelian_global_series(shape: asw.GroupShape, q: int,
+                          truncation: int) -> CountSeries:
+    """Euler product with the closed-form abelian local counts."""
 
     def coefficient(residue_order: int, v: int) -> int:
-        key = (residue_order, v)
-        if key not in cache:
-            cache[key] = asw.count_by_last_jump(
-                shape, residue_order, v, "inertial_types", budget=budget)
-        return cache[key]
+        return asw.count_by_last_jump(shape, residue_order, v, "inertial_types")
 
     return global_series(q, truncation, coefficient)
 

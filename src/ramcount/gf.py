@@ -127,8 +127,8 @@ def make_field(p: int, n: int) -> "FieldDescriptor":
     return field
 
 
-def field_for_order(q: int, p: int | None = None) -> "FieldDescriptor":
-    """Return GF(q) for a prime power q, optionally checking the characteristic."""
+def prime_power(q: int, p: int | None = None) -> tuple[int, int]:
+    """(p, n) with q = p^n, optionally checking the characteristic."""
     if q < 2:
         raise NonPrimeError(f"{q} is not a prime power")
     base = q
@@ -147,7 +147,12 @@ def field_for_order(q: int, p: int | None = None) -> "FieldDescriptor":
         raise NonPrimeError(f"{q} is not a prime power")
     if p is not None and base != p:
         raise MixedFieldsError(f"{q} is not a power of {p}")
-    return make_field(base, n)
+    return base, n
+
+
+def field_for_order(q: int, p: int | None = None) -> "FieldDescriptor":
+    """Return GF(q) for a prime power q, optionally checking the characteristic."""
+    return make_field(*prime_power(q, p))
 
 
 class FieldDescriptor:

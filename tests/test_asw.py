@@ -1,5 +1,10 @@
 """Reduced data, last jumps, subgroup quotients, discriminant exponents, counts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +12,10 @@ from ramcount import asw, gf
 from ramcount.errors import (
     BudgetExceededError,
     GroupTooLargeError,
+    InternalInconsistencyError,
+    MixedFieldsError,
     MixedRingsError,
+    NonPrimeError,
     NotASubgroupError,
 )
 from ramcount.witt import WittVector
@@ -266,8 +274,22 @@ def test_discriminant_of_z4_datum():
 
 
 def test_ramification_integral_rejects_bad_sizes():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InternalInconsistencyError):
         asw.ramification_integral(4, [3])
+
+
+def test_ramification_integral_rejects_bad_sizes_under_optimisation():
+    src = Path(asw.__file__).resolve().parents[1]
+    code = ("from ramcount import asw\n"
+            "from ramcount.errors import InternalInconsistencyError\n"
+            "try:\n"
+            "    asw.ramification_integral(4, [3])\n"
+            "except InternalInconsistencyError:\n"
+            "    print('raised')\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "raised", done.stderr
 
 
 def test_discriminant_needs_scannable_group():
@@ -287,7 +309,7 @@ def test_inertia_image():
 
 
 # ---------------------------------------------------------------------------
-# exhaustive counting
+# counting by last jump
 # ---------------------------------------------------------------------------
 
 def test_count_unramified_homomorphisms_is_group_order():
@@ -327,13 +349,62 @@ def test_count_z4_small_jumps():
 
 def test_count_budget():
     with pytest.raises(BudgetExceededError):
-        asw.count_by_last_jump(Z2xZ2, 4, 9, "inertial_types", budget=1000)
+        asw.count_by_last_jump_enumerated(Z2xZ2, 4, 9, "inertial_types",
+                                          budget=1000)
 
 
-def test_count_sharded_matches_serial():
-    serial = asw.count_by_last_jump(Z2xZ2, 4, 3, "inertial_types")
-    sharded = asw.count_by_last_jump(Z2xZ2, 4, 3, "inertial_types", threads=2)
-    assert serial == sharded
+def test_count_rejects_bad_input():
+    for q, v, mode, error in [(2, -1, "inertial_types", ValueError),
+                              (2, 65, "inertial_types", ValueError),
+                              (2, 1, "types", ValueError),
+                              (6, 1, "inertial_types", NonPrimeError),
+                              (9, 1, "inertial_types", MixedFieldsError)]:
+        with pytest.raises(error):
+            asw.count_by_last_jump(Z2, q, v, mode)
+
+
+def test_count_needs_no_residue_field():
+    # GF(2^30) is past the field degree cap, and GF(3^12) refuses to list
+    # its elements; the closed form builds neither
+    assert asw.count_by_last_jump(Z2, 2 ** 30, 1, "inertial_types") == 2 ** 30 - 1
+    assert asw.count_by_last_jump(Z3, 3 ** 12, 1, "inertial_types") == 3 ** 12 - 1
+
+
+def _shapes_up_to(p, max_order):
+    def partitions(total, top):
+        if total == 0:
+            yield ()
+        for e in range(min(total, top), 0, -1):
+            for tail in partitions(total - e, e):
+                yield (e,) + tail
+
+    k = 0
+    while p ** k <= max_order:
+        yield from (asw.GroupShape(p, exps) for exps in partitions(k, k))
+        k += 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_count_closed_form_matches_enumeration_oracle(p):
+    # every shape of order <= 64 over F_p, and over F_(p^2) while the
+    # module G tensor W(F_q) has at most 64 elements; all v whose
+    # enumeration stays within 1024 data
+    cases = 0
+    for q in (p, p * p):
+        for shape in _shapes_up_to(p, 64):
+            module = q ** sum(shape.exponents)
+            if module > 64:
+                continue
+            for v in range(14):
+                indices = len([n for n in range(1, v + 1) if n % p])
+                if module ** indices > 1024:
+                    continue
+                for mode in ("homomorphisms", "inertial_types"):
+                    cases += 1
+                    assert (asw.count_by_last_jump(shape, q, v, mode)
+                            == asw.count_by_last_jump_enumerated(shape, q, v, mode)
+                            ), (shape, q, v, mode)
+    assert cases >= 40
 
 
 # ---------------------------------------------------------------------------

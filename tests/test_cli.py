@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ramcount import asw, euler
 from ramcount.cli import main
 
 
@@ -143,10 +144,48 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["result"]["count_le"] == 6
 
 
-def test_threads_flag_changes_nothing(capsys):
-    doc1 = run_json(capsys, "count-abelian", "--p", "2", "--q", "4",
-                    "--group", "1,1", "--v", "3", "--mode", "inertial_types")
-    doc2 = run_json(capsys, "count-abelian", "--p", "2", "--q", "4",
-                    "--group", "1,1", "--v", "3", "--mode", "inertial_types",
-                    "--threads", "2")
-    assert doc1["result"] == doc2["result"]
+def assert_one_line_error(capsys, *argv):
+    status, out, err = run(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_negative_jump_is_rejected(capsys):
+    assert_one_line_error(capsys, "count-abelian", "--p", "2", "--q", "2",
+                          "--group", "1", "--v", "-1")
+
+
+def test_negative_truncation_is_rejected(capsys):
+    assert_one_line_error(capsys, "global-series", "--q", "2", "--x-max", "-1")
+    assert_one_line_error(capsys, "global-series", "--q", "2", "--x-max", "-1",
+                          "--group", "1", "--p", "2")
+
+
+def test_count_abelian_rejects_bad_field_orders(capsys):
+    assert_one_line_error(capsys, "count-abelian", "--p", "2", "--q", "6",
+                          "--group", "1", "--v", "1")
+    assert_one_line_error(capsys, "count-abelian", "--p", "6", "--q", "36",
+                          "--group", "1", "--v", "1")
+
+
+def test_removed_enumeration_flags_are_usage_errors(capsys):
+    for flag in ("--threads", "--budget"):
+        with pytest.raises(SystemExit) as exc:
+            main(["count-abelian", "--p", "2", "--q", "2", "--group", "1",
+                  "--v", "1", flag, "2"])
+        assert exc.value.code == 2
+
+
+def test_abelian_series_reaches_max_truncation(capsys):
+    doc = run_json(capsys, "global-series", "--q", "2", "--x-max", "24",
+                   "--group", "1,1", "--p", "2")
+    coeffs = [row["coefficient"] for row in doc["result"]["rows"]]
+    assert len(coeffs) == euler.MAX_TRUNCATION + 1
+    shape = asw.GroupShape(2, (1, 1))
+
+    def local(residue_order, v):
+        return asw.count_by_last_jump(shape, residue_order, v, "inertial_types")
+
+    for x in range(euler.MAX_ORACLE_TRUNCATION + 1):
+        assert coeffs[x] == euler.convolution_oracle(2, x, local)

@@ -6,7 +6,11 @@ import pytest
 
 from ramcount import asw, d4, gf
 from ramcount.d4 import SparseTPoly
-from ramcount.errors import NotTotallyRamifiedError, UnsupportedShapeError
+from ramcount.errors import (
+    BudgetExceededError,
+    NotTotallyRamifiedError,
+    UnsupportedShapeError,
+)
 from ramcount.witt import WittVector
 
 F2 = gf.make_field(2, 1)
@@ -284,9 +288,12 @@ def test_count_min_lift_enumeration_matches_closed_form(q):
         assert closed == enum
 
 
-def test_count_min_lift_sharded():
-    assert (d4.count_min_lift(4, 5, mode="enumeration", threads=2)
+def test_count_min_lift_budget_caps_the_pool():
+    # q = 4, v = 5: a pool of 4^3 = 64 supports, i.e. 4096 pairs
+    assert (d4.count_min_lift(4, 5, mode="enumeration", budget=64)
             == d4.count_min_lift(4, 5))
+    with pytest.raises(BudgetExceededError):
+        d4.count_min_lift(4, 5, mode="enumeration", budget=63)
 
 
 def test_count_d4_le_values():

@@ -112,7 +112,7 @@ def test_abelian_series_matches_oracle():
     def coefficient(residue_order, v):
         key = (residue_order, v)
         if key not in cache:
-            cache[key] = asw.count_by_last_jump(
+            cache[key] = asw.count_by_last_jump_enumerated(
                 Z2, residue_order, v, "inertial_types")
         return cache[key]
 

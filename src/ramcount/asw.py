@@ -8,11 +8,11 @@ image, and W_n(F_p) is the fixed transversal for it (the operator vanishes
 there and its kernel has exactly p^n elements, so cosets get unique normal
 forms).
 
-The module computes the last ramification jump of a datum, reconstructs the
-discriminant exponent from last jumps of all subgroup quotients, and counts
-data by last jump in closed form, with an exhaustive count as its oracle.
-Quotient groups are re-expressed through a Smith normal form of the integer
-relation matrix, which keeps shapes canonical (exponents nonincreasing).
+The module computes the last ramification jump of a datum, the discriminant
+exponent by the conductor-discriminant formula over the characters of G,
+the inertia image as the common kernel of the characters that stay
+unramified, and counts data by last jump in closed form, with an exhaustive
+count as its oracle.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ from .errors import (
     GroupTooLargeError,
     InternalInconsistencyError,
     MixedRingsError,
-    NotASubgroupError,
 )
 from .gf import FieldDescriptor, field_for_order, prime_power
 from .witt import WittVector
 
 MAX_GROUP_ORDER = 1 << 12
-MAX_SUBGROUP_SCAN_ORDER = 1 << 10
+MAX_CHARACTER_SUM_ORDER = 1 << 10
 MAX_JUMP = 64
 DEFAULT_BUDGET = 5_000_000
 
@@ -42,8 +41,7 @@ DEFAULT_BUDGET = 5_000_000
 class GroupShape:
     """G = prod Z/p^(n_i) with nonincreasing positive exponents.
 
-    The empty shape is allowed and denotes the trivial group, which shows up
-    as the quotient of a group by itself.
+    The empty shape is allowed and denotes the trivial group.
     """
 
     p: int
@@ -245,239 +243,7 @@ def last_jump(m: ReducedCocycle) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subgroups
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SubgroupWitness:
-    shape: GroupShape
-    generators: tuple[tuple[int, ...], ...]
-    elements: tuple[tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-def _group_add(moduli, x, y):
-    return tuple((a + b) % m for a, b, m in zip(x, y, moduli))
-
-
-def _closure(moduli, gens) -> frozenset:
-    zero = tuple(0 for _ in moduli)
-    elems = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = _group_add(moduli, x, g)
-                if y not in elems:
-                    elems.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(elems)
-
-
-@lru_cache(maxsize=None)
-def enumerate_subgroups(shape: GroupShape) -> tuple[SubgroupWitness, ...]:
-    """Every subgroup exactly once, sorted by (order, element list).
-
-    Found by closing generator sets one element at a time: starting from the
-    trivial subgroup, each known subgroup is extended by every outside
-    element, with deduplication on the full element set.
-    """
-    if shape.order > MAX_SUBGROUP_SCAN_ORDER:
-        raise GroupTooLargeError(
-            f"subgroup scan needs order <= {MAX_SUBGROUP_SCAN_ORDER}")
-    moduli = shape.moduli()
-    zero = tuple(0 for _ in moduli)
-    all_elements = sorted(product(*(range(m) for m in moduli)))
-    trivial = frozenset([zero])
-    found: dict[frozenset, tuple] = {trivial: ()}
-    frontier = [(trivial, ())]
-    while frontier:
-        nxt = []
-        for elems, gens in frontier:
-            for g in all_elements:
-                if g in elems:
-                    continue
-                bigger = _closure(moduli, gens + (g,))
-                if bigger not in found:
-                    new_gens = gens + (g,)
-                    found[bigger] = new_gens
-                    nxt.append((bigger, new_gens))
-        frontier = nxt
-    witnesses = [
-        SubgroupWitness(shape, gens, tuple(sorted(elems)))
-        for elems, gens in found.items()
-    ]
-    witnesses.sort(key=lambda w: (w.order, w.elements))
-    return tuple(witnesses)
-
-
-# ---------------------------------------------------------------------------
-# quotients via Smith normal form
-# ---------------------------------------------------------------------------
-
-def _smith_normal_form(rows: list[list[int]], r: int):
-    """Diagonalise the row lattice: returns (diag, V) with U*A*V diagonal,
-    d_1 | d_2 | ... | d_r, V unimodular (only V is needed downstream)."""
-    a = [list(row) for row in rows]
-    k = len(a)
-    v = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        for j in range(r):
-            a[dst][j] += c * a[src][j]
-
-    def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    t = 0
-    while t < min(k, r):
-        # locate a pivot of minimal absolute value in the remaining block
-        pivot = None
-        for i in range(t, k):
-            for j in range(t, r):
-                if a[i][j] and (pivot is None
-                                or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            done = True
-            for i in range(t + 1, k):
-                if a[i][t]:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, r):
-                if a[t][j]:
-                    add_col(t, j, -(a[t][j] // a[t][t]))
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        done = False
-            if done:
-                break
-        # enforce the divisibility chain
-        offender = None
-        for i in range(t + 1, k):
-            for j in range(t + 1, r):
-                if a[i][j] % a[t][t]:
-                    offender = (i, j)
-                    break
-            if offender:
-                break
-        if offender:
-            add_row(offender[0], t, 1)
-            continue
-        if a[t][t] < 0:
-            # negating a column is unimodular; mirror it in v
-            for row in a:
-                row[t] = -row[t]
-            for row in v:
-                row[t] = -row[t]
-        t += 1
-    diag = [a[i][i] if i < min(k, r) else 0 for i in range(r)]
-    return diag, v
-
-
-class QuotientMap:
-    """The induced map on data for G -> G/H, in a canonical shape for G/H."""
-
-    __slots__ = ("source", "target", "columns")
-
-    def __init__(self, source: GroupShape, target: GroupShape,
-                 columns: tuple[tuple[int, tuple[int, ...]], ...]):
-        self.source = source
-        self.target = target
-        self.columns = columns  # per target factor: (exponent, V column)
-
-    def apply(self, x: GroupWittElement) -> GroupWittElement:
-        field = x.field
-        parts = []
-        for exp, col in self.columns:
-            acc = WittVector.zeros(field, exp)
-            for i, coeff in enumerate(col):
-                if coeff % self.target.p ** exp == 0:
-                    continue
-                part = x.parts[i]
-                if part.length >= exp:
-                    part = part.truncate(exp)
-                else:
-                    # padding is only unambiguous once multiplied by a
-                    # coefficient divisible by p^(exp - length)
-                    gap = exp - part.length
-                    assert coeff % self.target.p ** gap == 0
-                    part = part.zero_extend(exp)
-                acc = acc + part.scale(coeff)
-            parts.append(acc)
-        return GroupWittElement(self.target, field, tuple(parts))
-
-
-@lru_cache(maxsize=None)
-def _quotient_map(shape: GroupShape,
-                  subgroup_elements: tuple[tuple[int, ...], ...]) -> QuotientMap:
-    moduli = shape.moduli()
-    elems = frozenset(subgroup_elements)
-    zero = tuple(0 for _ in moduli)
-    if zero not in elems or _closure(moduli, tuple(elems)) != elems:
-        raise NotASubgroupError("element set is not closed")
-    r = shape.rank
-    if r == 0:
-        return QuotientMap(shape, shape, ())
-    rows = [[moduli[i] if j == i else 0 for j in range(r)] for i in range(r)]
-    for g in sorted(elems):
-        rows.append(list(g))
-    diag, v = _smith_normal_form(rows, r)
-    factors = []  # (exponent, column), for diag entries > 1
-    p = shape.p
-    for j, d in enumerate(diag):
-        if d == 1:
-            continue
-        exp = 0
-        dd = d
-        while dd % p == 0:
-            dd //= p
-            exp += 1
-        assert dd == 1 and exp > 0, "quotient of a p-group must be a p-group"
-        factors.append((exp, tuple(v[i][j] for i in range(r))))
-    factors.sort(key=lambda f: -f[0])
-    target = GroupShape(p, tuple(exp for exp, _ in factors))
-    return QuotientMap(shape, target, tuple(factors))
-
-
-def quotient_datum(m: ReducedCocycle, h: SubgroupWitness) -> ReducedCocycle:
-    """The datum of the composite map through G -> G/H."""
-    if h.shape != m.shape:
-        raise NotASubgroupError("subgroup belongs to a different group")
-    qmap = _quotient_map(m.shape, h.elements)
-    entries = {}
-    for n, value in m.support.items():
-        image = qmap.apply(value)
-        if image:
-            entries[n] = image
-    return ReducedCocycle(qmap.target, m.field, entries)
-
-
-# ---------------------------------------------------------------------------
-# discriminant exponent
+# characters: discriminant exponent and inertia image
 # ---------------------------------------------------------------------------
 
 def ramification_integral(group_order: int, image_sizes: list[int]) -> int:
@@ -491,52 +257,110 @@ def ramification_integral(group_order: int, image_sizes: list[int]) -> int:
     return int(value)
 
 
-def _quotient_jumps(m: ReducedCocycle):
-    jumps = []
-    for h in enumerate_subgroups(m.shape):
-        t = last_jump(quotient_datum(m, h))
-        # upper breaks of abelian data are integers; assert, never round
-        assert isinstance(t, int) and t >= 0
-        jumps.append((h, t))
+def _order_exponent(k: int, n: int, p: int) -> int:
+    """e with p^e the additive order of k in Z/p^n."""
+    e = 0
+    while k * p ** e % p ** n:
+        e += 1
+    return e
+
+
+@lru_cache(maxsize=None)
+def character_classes(shape: GroupShape) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """One character a per cyclic subgroup of the dual of G, with the number
+    phi(p^k) of characters generating that subgroup, p^k the order of a.
+
+    chi_a(x) = sum_i a_i p^(N - n_i) x_i in Z/p^N, N the largest exponent.
+    chi_a and chi_(ua), u a unit mod p^k, share kernel and image, so they
+    share the jump of any datum.  Scaling by u moves the unit part of the
+    first coordinate of order p^k freely, and the representative is the a
+    whose such coordinate is a power of p.
+    """
+    if shape.order > MAX_CHARACTER_SUM_ORDER:
+        raise GroupTooLargeError(
+            f"character sum needs group order <= {MAX_CHARACTER_SUM_ORDER}, "
+            f"not {shape.order}")
+    p = shape.p
+    classes = []
+    for a in product(*(range(mod) for mod in shape.moduli())):
+        orders = [_order_exponent(a_i, n_i, p)
+                  for a_i, n_i in zip(a, shape.exponents)]
+        k = max(orders, default=0)
+        if k == 0:
+            classes.append((a, 1))
+            continue
+        i = orders.index(k)
+        if a[i] == p ** (shape.exponents[i] - k):
+            classes.append((a, p ** k - p ** (k - 1)))
+    return tuple(classes)
+
+
+def _multiple(x: WittVector, k: int) -> WittVector:
+    """k * x, with the p-power part of k applied as shifts, which add nothing."""
+    p = x.field.p
+    while k and k % p == 0:
+        x, k = x.mul_by_p(), k // p
+    return x if k == 1 else x.scale(k)
+
+
+def character_jumps(m: ReducedCocycle) -> dict[tuple[int, ...], int]:
+    """The last jump of chi_a o m for each character a of `character_classes`.
+
+    chi_a sends the part x_i in W_(n_i) of a coefficient to a_i p^(N - n_i)
+    times a lift of x_i to W_N, which is well defined because p^(N - n_i)
+    kills the lifting ambiguity.  Certificate: the characters detect the
+    order of every coefficient, so the largest character jump is the last
+    jump of m.
+    """
+    shape, field = m.shape, m.field
+    target = GroupShape(shape.p, shape.exponents[:1])
+    top_exp = shape.exponents[0] if shape.rank else 0
+    ramified = m.ramified_indices()
+    jumps = {}
+    for a, _ in character_classes(shape):
+        support = {}
+        for n in ramified:
+            terms = [_multiple(part.zero_extend(top_exp),
+                               a_i * shape.p ** (top_exp - part.length))
+                     for a_i, part in zip(a, m.support[n].parts) if a_i]
+            image = sum(terms[1:], terms[0]) if terms else None
+            if image:
+                support[n] = GroupWittElement(target, field, (image,))
+        jumps[a] = last_jump(ReducedCocycle(target, field, support))
+    top = last_jump(m)
+    if max(jumps.values()) != top:
+        raise InternalInconsistencyError(
+            f"largest character jump {max(jumps.values())} differs from "
+            f"the last jump {top}")
     return jumps
 
 
 def discriminant_exponent(m: ReducedCocycle) -> int:
     """Valuation of the discriminant of the etale algebra attached to m.
 
-    The image of inertia just above level v is the intersection of all
-    subgroups H whose quotient datum has last jump <= v; on the tame
-    interval (-1, 0] the image agrees with the one just above 0 because a
-    p-group has no nontrivial tame quotient.
+    Conductor-discriminant formula (Serre, Local Fields, VI.3): the sum over
+    the |G| characters chi of the conductor of chi o m, which is its last
+    jump + 1 when chi o m is ramified and 0 otherwise.
     """
-    jumps = _quotient_jumps(m)
-    top = last_jump(m)
-
-    def image_size(v: int) -> int:
-        inter = None
-        for h, t in jumps:
-            if t <= v:
-                s = set(h.elements)
-                inter = s if inter is None else inter & s
-        assert inter is not None  # the full group always qualifies
-        return len(inter)
-
-    sizes = [image_size(0)]
-    sizes.extend(image_size(v) for v in range(top))
-    return ramification_integral(m.shape.order, sizes)
+    jumps = character_jumps(m)
+    return sum(count * (jumps[a] + 1)
+               for a, count in character_classes(m.shape) if jumps[a])
 
 
 def inertia_image(m: ReducedCocycle) -> frozenset[tuple[int, ...]]:
-    """Elements of the inertia image: the smallest H with unramified quotient."""
-    inter = None
-    for h in enumerate_subgroups(m.shape):
-        qmap = _quotient_map(m.shape, h.elements)
-        if all(not qmap.apply(value)
-               for n, value in m.support.items() if n >= 1):
-            s = set(h.elements)
-            inter = s if inter is None else inter & s
-    assert inter is not None
-    return frozenset(inter)
+    """Elements of the inertia image: the smallest H with unramified quotient.
+
+    By duality it is the common kernel of the characters chi_a for which
+    chi_a o m is unramified.
+    """
+    unramified = [a for a, t in character_jumps(m).items() if not t]
+    moduli = m.shape.moduli()
+    top = moduli[0] if moduli else 1
+    weights = [top // mod for mod in moduli]  # p^(N - n_i)
+    return frozenset(
+        x for x in product(*(range(mod) for mod in moduli))
+        if all(sum(a_i * w * x_i for a_i, w, x_i in zip(a, weights, x)) % top == 0
+               for a in unramified))
 
 
 # ---------------------------------------------------------------------------

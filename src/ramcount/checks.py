@@ -240,12 +240,14 @@ def asw_checks(rng: random.Random) -> list[CheckResult]:
     results.append(_result("asw.ultrametric_inequality", ok,
                            f"pairs={len(data) ** 2}"))
 
+    # one character per cyclic quotient: the three quotients of Z/4 are the
+    # images of the characters a = 0, 2, 1, whose kernels are Z/4, 2Z/4, 0
     ok, scans = True, 0
     for m in data:
         top = asw.last_jump(m)
-        for sub in asw.enumerate_subgroups(m.shape):
+        for jump in asw.character_jumps(m).values():
             scans += 1
-            if asw.last_jump(asw.quotient_datum(m, sub)) > top:
+            if jump > top:
                 ok = False
     results.append(_result("asw.quotient_jumps_are_monotone", ok,
                            f"quotients={scans}"))
@@ -289,8 +291,9 @@ def asw_checks(rng: random.Random) -> list[CheckResult]:
     results.append(_result("asw.cyclic_discriminants_match_break_formula", ok,
                            f"evaluations={evals}"))
 
-    # integrality of quotient jumps is asserted inside the evaluation; a batch
-    # of evaluations exercises the assertion across mixed-order coefficients
+    # every evaluation certifies that the largest character jump equals the
+    # last jump and raises InternalInconsistencyError otherwise; a batch of
+    # evaluations exercises the certificate across mixed-order coefficients
     count = 0
     for m in data:
         asw.discriminant_exponent(m)

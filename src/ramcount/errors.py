@@ -33,10 +33,6 @@ class GroupTooLargeError(RamcountError):
     """Group order exceeds the supported bound."""
 
 
-class NotASubgroupError(RamcountError):
-    """The provided element set is not a subgroup of the ambient group."""
-
-
 class BudgetExceededError(RamcountError):
     """An exhaustive enumeration would exceed the configured budget."""
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from . import asw, d4
+from . import asw, d4, gf
 from .errors import (
     BudgetExceededError,
     InternalInconsistencyError,
@@ -53,6 +53,7 @@ class PlaceCensus:
 
 
 def place_census(q: int, max_degree: int) -> PlaceCensus:
+    gf.prime_power(q)
     if max_degree > MAX_CENSUS_DEGREE:
         raise TruncationTooLargeError(
             f"census degree {max_degree} exceeds {MAX_CENSUS_DEGREE}")
@@ -83,7 +84,9 @@ class CountSeries:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.coefficients) == self.truncation + 1
+        if len(self.coefficients) != self.truncation + 1:
+            raise ValueError(f"a series truncated at {self.truncation} needs "
+                             f"{self.truncation + 1} coefficients")
 
     @classmethod
     def one(cls, truncation: int) -> "CountSeries":
@@ -93,7 +96,8 @@ class CountSeries:
         return self.coefficients[k]
 
     def __mul__(self, other: "CountSeries") -> "CountSeries":
-        assert self.truncation == other.truncation
+        if self.truncation != other.truncation:
+            raise ValueError("series truncated at different degrees")
         x = self.truncation
         out = [0] * (x + 1)
         for i, a in enumerate(self.coefficients):
@@ -235,7 +239,9 @@ def growth_table(q: int, x_max: int) -> GrowthTable:
     prev: Fraction | None = None
     for x in range(1, x_max + 1):
         count = 8 * series.coefficient(x)
-        assert count % 8 == 0 and count > 0
+        if count <= 0:
+            raise InternalInconsistencyError(
+                f"growth count at X = {x} is not positive")
         ratio = Fraction(count, q ** (3 * x) * x)
         change = None if prev is None else abs(ratio - prev) / ratio
         rows.append(GrowthRow(x, count, ratio, change))

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator
 
 from .errors import (
     DegreeTooLargeError,
+    InternalInconsistencyError,
     MixedFieldsError,
     NonPrimeError,
     NotASubfieldError,
@@ -226,7 +227,8 @@ class FieldDescriptor:
 
     def from_digits(self, text: str) -> "FieldElement":
         """Parse an element from its base-p digit string, constant digit first."""
-        if len(text) != self.n or not all(ch.isdigit() for ch in text):
+        if (len(text) != self.n
+                or not all(ch.isdigit() and int(ch) < self.p for ch in text)):
             raise ValueError(f"expected {self.n} base-{self.p} digits, got {text!r}")
         return self.element(int(ch) for ch in text)
 
@@ -392,7 +394,9 @@ def _generator_powers(src: FieldDescriptor, dst: FieldDescriptor):
             if not acc:
                 root = cand
                 break
-        assert root is not None, "target too small for the source modulus"
+        if root is None:
+            raise InternalInconsistencyError(
+                f"{dst} has no root of the modulus of {src}")
         cur = dst.one
         images = []
         for _ in range(src.n):

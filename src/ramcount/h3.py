@@ -198,7 +198,9 @@ def smallest_wild_discriminant(p: int, q: int | None = None) -> DiscriminantGate
         field_for_order(q, p=p)
     order = p ** 3
     value = asw.ramification_integral(order, [p, p])
-    assert value == 2 * p ** 2 * (p - 1)
+    if value != 2 * p ** 2 * (p - 1):
+        raise InternalInconsistencyError(
+            f"ramification integral gives {value}, expected 2 p^2 (p - 1)")
     smallest = True
     for jump in range(1, 4):
         for profile in _nonincreasing_profiles(p, jump + 1):

@@ -24,7 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import LengthTooLargeError, MixedRingsError
+from .errors import (
+    InternalInconsistencyError,
+    LengthTooLargeError,
+    MixedRingsError,
+)
 from .gf import FieldDescriptor, FieldElement
 
 MAX_LENGTH = 6
@@ -91,7 +95,9 @@ def _exact_div(a: dict, d: int) -> dict:
     out = {}
     for e, c in a.items():
         q, r = divmod(c, d)
-        assert r == 0, "ghost recursion produced a non-integral coefficient"
+        if r:
+            raise InternalInconsistencyError(
+                "ghost recursion produced a non-integral coefficient")
         out[e] = q
     return out
 
@@ -111,7 +117,8 @@ def _solve_laws(p: int, n: int, targets: list[dict], width: int) -> list[dict]:
             ghost_of_result = _pd_add(
                 ghost_of_result,
                 _pd_scale(_pd_pow(polys[i], p ** (k - i), width), p ** i))
-        assert ghost_of_result == targets[k], "ghost identity failed on re-check"
+        if ghost_of_result != targets[k]:
+            raise InternalInconsistencyError("ghost identity failed on re-check")
     return polys
 
 

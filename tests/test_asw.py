@@ -1,8 +1,11 @@
-"""Reduced data, last jumps, subgroup quotients, discriminant exponents, counts."""
+"""Reduced data, last jumps, character jumps, discriminant exponents, counts."""
 
+import itertools
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,9 +19,8 @@ from ramcount.errors import (
     MixedFieldsError,
     MixedRingsError,
     NonPrimeError,
-    NotASubgroupError,
 )
-from ramcount.witt import WittVector
+from ramcount.witt import WittVector, teichmueller
 
 F2 = gf.make_field(2, 1)
 F4 = gf.make_field(2, 2)
@@ -138,79 +140,184 @@ def test_ultrametric_inequality_exhaustive_z4():
 
 
 # ---------------------------------------------------------------------------
-# subgroups
+# oracle: the subgroup lattice and its quotient jumps
 # ---------------------------------------------------------------------------
 
+def _subgroups(shape):
+    """Every subgroup of G as (elements, generators), sorted by (order, elements).
+
+    Closure from the trivial subgroup: each subgroup found is extended by one
+    representative of every other coset, deduplicated on the element set.
+    """
+    moduli = shape.moduli()
+    group = list(itertools.product(*(range(m) for m in moduli)))
+
+    def add(x, y):
+        return tuple((a + b) % m for a, b, m in zip(x, y, moduli))
+
+    trivial = frozenset([(0,) * shape.rank])
+    found = {trivial: ()}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for elems in frontier:
+            seen = set(elems)
+            for g in group:
+                if g in seen:
+                    continue
+                seen.update(add(g, h) for h in elems)
+                bigger, step = set(elems), g
+                while step not in elems:
+                    bigger.update(add(step, h) for h in elems)
+                    step = add(step, g)
+                bigger = frozenset(bigger)
+                if bigger not in found:
+                    found[bigger] = found[elems] + (g,)
+                    nxt.append(bigger)
+        frontier = nxt
+    return sorted(found.items(), key=lambda item: (len(item[0]), sorted(item[0])))
+
+
+def _lattice(shape, field, subgroups):
+    """(H, H tensor W(F_q) inside G tensor W(F_q)) for every subgroup H.
+
+    W(F_q) is free over Z_p on the Teichmueller lifts [beta_k] of an
+    F_p-basis of F_q, so H tensor W(F_q) = {sum_k h_k tensor [beta_k]}.
+    """
+    group = list(itertools.product(*(range(m) for m in shape.moduli())))
+    tensors = []
+    for k in range(field.n):
+        beta = field.element(1 if j == k else 0 for j in range(field.n))
+        multiples = []  # per factor, j * [beta] for j < p^(n_i)
+        for e in shape.exponents:
+            row = [WittVector.zeros(field, e)]
+            while len(row) < shape.p ** e:
+                row.append(row[-1] + teichmueller(beta, e))
+            multiples.append(row)
+        tensors.append({h: asw.GroupWittElement(shape, field, tuple(
+            row[h_i] for row, h_i in zip(multiples, h))) for h in group})
+    lattice = []
+    for elems, _ in subgroups:
+        span = {tensors[0][h] for h in elems}
+        for tensor in tensors[1:]:
+            span = {s + tensor[h] for s in span for h in elems}
+        lattice.append((elems, span))
+    return lattice
+
+
+def _oracle(m, lattice):
+    """Discriminant exponent and inertia image by the paper's definition.
+
+    The quotient datum by H has a coefficient of order p^e at index n when e
+    is least with p^e m_n in H tensor W(F_q); the inertia image just above
+    level v is the intersection of the H whose quotient has last jump <= v.
+    """
+    p = m.shape.p
+    by_jump = {}
+    for elems, span in lattice:
+        jump = 0
+        for n in m.ramified_indices():
+            x, e = m.support[n], 0
+            while x not in span:
+                x, e = x.mul_by_p(), e + 1
+            if e:
+                jump = max(jump, n * p ** (e - 1))
+        by_jump.setdefault(jump, []).append(elems)
+    top = max(by_jump)  # the quotient by 0 is m itself
+    image = frozenset.intersection(*by_jump[0])
+    inertia, sizes = image, [len(image)]
+    for v in range(top):
+        sizes.append(len(image))
+        image = image.intersection(*by_jump.get(v + 1, ()))
+    return m.shape.order * sum(1 - Fraction(1, s) for s in sizes), inertia
+
+
 def test_subgroup_counts():
-    assert len(asw.enumerate_subgroups(Z2)) == 2
-    assert len(asw.enumerate_subgroups(Z2xZ2)) == 5
-    assert len(asw.enumerate_subgroups(Z4)) == 3
+    assert len(_subgroups(Z2)) == 2
+    assert len(_subgroups(Z2xZ2)) == 5
+    assert len(_subgroups(Z4)) == 3
 
 
 def test_subgroups_are_sorted_and_closed():
-    subs = asw.enumerate_subgroups(asw.GroupShape(2, (2, 1)))
-    orders = [s.order for s in subs]
+    shape = asw.GroupShape(2, (2, 1))
+    subs = _subgroups(shape)
+    orders = [len(elems) for elems, _ in subs]
     assert orders == sorted(orders)
     assert orders[0] == 1 and orders[-1] == 8
-    for s in subs:
-        elems = set(s.elements)
+    for elems, _ in subs:
         for x in elems:
             for y in elems:
                 assert tuple((a + b) % m for a, b, m
-                             in zip(x, y, s.shape.moduli())) in elems
+                             in zip(x, y, shape.moduli())) in elems
 
 
 def test_subgroup_count_of_z3_squared():
-    assert len(asw.enumerate_subgroups(asw.GroupShape(3, (1, 1)))) == 6
+    assert len(_subgroups(asw.GroupShape(3, (1, 1)))) == 6
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_discriminant_and_inertia_match_subgroup_oracle(p):
+    # every shape of order <= 64 over F_p, and over F_(p^2) while the module
+    # G tensor W(F_q) has at most 64 elements; the zero datum and five
+    # random data with one to three coefficients on each.  Z/64 is left
+    # out: the oracle adds in W_6, whose law table alone takes longer to
+    # build than all the other cases together
+    cases = 0
+    for q in (p, p * p):
+        field = gf.field_for_order(q)
+        for shape in _shapes_up_to(p, 64):
+            coeffs = list(asw.iter_module_elements(shape, field))
+            if len(coeffs) > 64 or shape.exponents[:1] == (6,):
+                continue
+            subgroups = _subgroups(shape)
+            classes = asw.character_classes(shape)
+            assert sum(count for _, count in classes) == shape.order
+            assert len(classes) == sum(1 for _, gens in subgroups if len(gens) <= 1)
+            lattice = _lattice(shape, field, subgroups)
+            rng = random.Random(f"{shape}/{q}")
+            indices = [n for n in range(8) if n % p or n == 0]
+            for size in (0, 1, 1, 2, 3, 3):
+                m = asw.ReducedCocycle(shape, field, {
+                    n: c for n in rng.sample(indices, size)
+                    if (c := rng.choice(coeffs))})
+                disc, inertia = _oracle(m, lattice)
+                assert asw.discriminant_exponent(m) == disc, m
+                assert asw.inertia_image(m) == inertia, m
+                cases += 1
+    assert cases >= 36
 
 
 # ---------------------------------------------------------------------------
-# quotients
+# characters
 # ---------------------------------------------------------------------------
 
-def _subgroup(shape, elements):
-    for s in asw.enumerate_subgroups(shape):
-        if set(s.elements) == set(elements):
-            return s
-    raise AssertionError("subgroup not found")
-
+# the image of the character chi_a is the quotient of G by its kernel
 
 def test_quotient_by_trivial_subgroup_is_identity():
     m = cocycle(Z4, F2, {1: [(1, 0)], 3: [(0, 1)]})
-    trivial = _subgroup(Z4, [(0,)])
-    assert asw.quotient_datum(m, trivial) == m
+    assert asw.character_jumps(m)[(1,)] == asw.last_jump(m) == 3
 
 
 def test_quotient_by_full_group_is_zero():
     m = cocycle(Z4, F2, {1: [(1, 0)]})
-    full = _subgroup(Z4, [(0,), (1,), (2,), (3,)])
-    q = asw.quotient_datum(m, full)
-    assert q.shape.rank == 0
-    assert not q.support
+    assert asw.character_jumps(m)[(0,)] == 0
 
 
 def test_quotient_by_diagonal_kills_diagonal_coefficient():
     m = cocycle(Z2xZ2, F2, {1: [(1,), (1,)]})
-    diag = _subgroup(Z2xZ2, [(0, 0), (1, 1)])
-    q = asw.quotient_datum(m, diag)
-    assert q.shape == asw.GroupShape(2, (1,))
-    assert not q.support
+    assert asw.character_jumps(m) == {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
 
 
 def test_quotient_of_z4_by_two_torsion():
     m = cocycle(Z4, F2, {1: [(1, 0)]})
-    half = _subgroup(Z4, [(0,), (2,)])
-    q = asw.quotient_datum(m, half)
-    assert q.shape == asw.GroupShape(2, (1,))
-    assert asw.last_jump(q) == 1
+    assert asw.character_jumps(m) == {(0,): 0, (1,): 2, (2,): 1}
 
 
 def test_quotient_monotonicity():
     for entries in ({1: [(1, 0)]}, {1: [(0, 1)], 3: [(1, 1)]}, {3: [(1, 0)]}):
         m = cocycle(Z4, F2, entries)
         top = asw.last_jump(m)
-        for h in asw.enumerate_subgroups(Z4):
-            assert asw.last_jump(asw.quotient_datum(m, h)) <= top
+        assert max(asw.character_jumps(m).values()) == top
 
 
 @pytest.mark.parametrize("shape", [
@@ -218,6 +325,8 @@ def test_quotient_monotonicity():
     asw.GroupShape(2, (2, 2)), asw.GroupShape(3, (1, 1)),
     asw.GroupShape(2, (3, 1))])
 def test_quotient_map_kernel_is_exactly_the_subgroup(shape):
+    # a datum whose ramified coefficients lift generators of H has inertia
+    # image H: the common kernel of the characters killing them is H
     field = gf.make_field(shape.p, 1)
 
     def lift(x):
@@ -225,26 +334,11 @@ def test_quotient_map_kernel_is_exactly_the_subgroup(shape):
                       for e, k in zip(shape.exponents, x))
         return asw.GroupWittElement(shape, field, parts)
 
-    group = [tuple(x) for x in
-             __import__("itertools").product(*(range(m) for m in shape.moduli()))]
-    for h in asw.enumerate_subgroups(shape):
-        qmap = asw._quotient_map(shape, h.elements)
-        kernel = {x for x in group if not qmap.apply(lift(x))}
-        assert kernel == set(h.elements)
-        images = {qmap.apply(lift(x)) for x in group}
-        assert len(images) == shape.order // h.order
-        # the map is additive
-        for x in group[:6]:
-            for y in group[:6]:
-                s = tuple((a + b) % m for a, b, m in zip(x, y, shape.moduli()))
-                assert qmap.apply(lift(s)) == qmap.apply(lift(x)) + qmap.apply(lift(y))
-
-
-def test_quotient_rejects_foreign_subgroup():
-    m = cocycle(Z4, F2, {1: [(1, 0)]})
-    other = asw.enumerate_subgroups(Z2)[0]
-    with pytest.raises(NotASubgroupError):
-        asw.quotient_datum(m, other)
+    indices = [n for n in range(1, 64) if n % shape.p]
+    for elems, gens in _subgroups(shape):
+        m = asw.make_cocycle(shape, field, {
+            n: lift(g) for n, g in zip(indices, gens)})
+        assert asw.inertia_image(m) == elems
 
 
 # ---------------------------------------------------------------------------
@@ -280,23 +374,35 @@ def test_ramification_integral_rejects_bad_sizes():
 
 def test_ramification_integral_rejects_bad_sizes_under_optimisation():
     src = Path(asw.__file__).resolve().parents[1]
-    code = ("from ramcount import asw\n"
+    # also the integrality certificate of the Witt law solver
+    code = ("from ramcount import asw, witt\n"
             "from ramcount.errors import InternalInconsistencyError\n"
-            "try:\n"
-            "    asw.ramification_integral(4, [3])\n"
-            "except InternalInconsistencyError:\n"
-            "    print('raised')\n")
+            "for check in (lambda: asw.ramification_integral(4, [3]),\n"
+            "              lambda: witt._exact_div({(1,): 3}, 2)):\n"
+            "    try:\n"
+            "        check()\n"
+            "    except InternalInconsistencyError:\n"
+            "        print('raised')\n")
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert done.stdout.strip() == "raised", done.stderr
+    assert done.stdout.split() == ["raised", "raised"], done.stderr
 
 
 def test_discriminant_needs_scannable_group():
-    shape = asw.GroupShape(2, (11,))  # order 2^11 exceeds the subgroup scan cap
+    shape = asw.GroupShape(2, (11,))  # order 2^11 exceeds the character sum cap
     m = asw.ReducedCocycle(shape, F2, {})
-    with pytest.raises(GroupTooLargeError):
+    with pytest.raises(GroupTooLargeError, match="group order"):
         asw.discriminant_exponent(m)
+
+
+def test_discriminant_of_rank_three_datum_over_f7():
+    # the conductor-discriminant sum over F_7^3: 294 characters see index 11
+    # and 42 more see only index 10, so 294 * 12 + 42 * 11
+    shape = asw.GroupShape(7, (1, 1, 1))
+    m = cocycle(shape, gf.make_field(7, 1),
+                {10: [(4,), (5,), (6,)], 11: [(2,), (1,), (6,)]})
+    assert asw.discriminant_exponent(m) == 3990
 
 
 def test_inertia_image():

@@ -189,3 +189,17 @@ def test_abelian_series_reaches_max_truncation(capsys):
 
     for x in range(euler.MAX_ORACLE_TRUNCATION + 1):
         assert coeffs[x] == euler.convolution_oracle(2, x, local)
+
+
+def test_census_rejects_bad_field_orders(capsys):
+    for q in ("6", "1"):
+        assert_one_line_error(capsys, "census", "--q", q, "--max-degree", "3")
+    assert_one_line_error(capsys, "global-series", "--q", "6", "--x-max", "2")
+    assert_one_line_error(capsys, "growth", "--q", "6", "--x-max", "2")
+
+
+def test_digits_past_the_characteristic_are_rejected(capsys):
+    for command in ("lj", "disc"):
+        assert_one_line_error(capsys, command, "--p", "2", "--q", "2",
+                              "--group", "1", "--terms", "3:2")
+

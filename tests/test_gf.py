@@ -211,3 +211,6 @@ def test_digit_round_trip():
     f9 = gf.make_field(3, 2)
     for a in f9.iter_elements():
         assert f9.from_digits(f9.digits(a)) == a
+    for text in ("3", "13", "1a", "0"):
+        with pytest.raises(ValueError):
+            f9.from_digits(text)

@@ -376,7 +376,7 @@ def d4_checks(rng: random.Random) -> list[CheckResult]:
                   SparseTPoly.from_terms(field2, {1: field2.one, 3: field2.one})),
                  (SparseTPoly.monomial(field2, 3), SparseTPoly.monomial(field2, 5))]:
         m = d4.min_lift_jump(a, c)
-        minimal_b = next(b for b, _ in d4._canonical_b_pool(field2, m)
+        minimal_b = next(b for b in _ramified_pool(field2, range(1, m + 1, 2))
                          if d4.d4_last_jump(a, c, b) == m)
         for e in twists:
             if e.pole_order() > 5:

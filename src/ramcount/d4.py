@@ -13,6 +13,10 @@ when (a, c) is totally ramified, which is where the brute-force oracle
 compares it against the closed-form answer w(a) + w(c) for the smallest
 lift jump.
 
+The oracle enumerates the lift space with each derivative b' packed into
+one integer, so that adding a*c' is an XOR, and keeps jumps as doubled
+integers; they become `Fraction`s only in the values it returns.
+
 The module also carries the finite-level commutator machinery for
 elementary abelian kernel and quotient: the alternating pairing
 (x, y) -> x1*y2 - x2*y1 and the induced bound on the jump of the
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from . import asw
@@ -222,45 +225,57 @@ def is_totally_ramified(a: SparseTPoly, c: SparseTPoly) -> bool:
     return bool(ra) and bool(rc) and ra != rc
 
 
-@lru_cache(maxsize=None)
-def _canonical_b_pool(field: FieldDescriptor, bound: int):
-    """Canonical third coordinates with pole order <= bound, with their
-    precomputed derivative terms (exponent: coefficient pairs)."""
-    odd = [e for e in range(1, bound + 1) if e % 2]
-    consts = wp_transversal(field)
-    nonzero = [c for c in field.elements() if c]
-    pool = []
-    for c0 in consts:
-        for chosen in product([None] + nonzero, repeat=len(odd)):
-            terms = {}
-            if c0:
-                terms[0] = c0
-            for e, c in zip(odd, chosen):
-                if c is not None:
-                    terms[e] = c
-            b = SparseTPoly(field, terms)
-            # odd exponents survive the derivative unchanged in char 2
-            deriv = {e: c for e, c in terms.items() if e}
-            pool.append((b, deriv))
-    return tuple(pool)
+def _refuse_over_budget(candidates: int, budget: int) -> None:
+    if candidates > budget:
+        raise BudgetExceededError(f"{candidates} candidates exceed {budget}")
 
 
-def _jump_against(deriv_terms: dict, ac_deriv: SparseTPoly, side: Fraction):
-    diff = dict(ac_deriv.terms)
-    for e, c in deriv_terms.items():
-        s = diff.get(e)
-        total = c if s is None else s + c
-        if total:
-            diff[e] = total
+def _require_lift_space(a: SparseTPoly, c: SparseTPoly) -> None:
+    _validate_datum_poly(a)
+    _validate_datum_poly(c)
+    if not is_totally_ramified(a, c):
+        raise NotTotallyRamifiedError(
+            "the lift parametrisation needs a full inertia image")
+
+
+def _lift_pool_size(field: FieldDescriptor, bound: int) -> int:
+    """Number of canonical b with w(b) <= bound: a transversal constant and
+    any coefficient at each odd exponent up to the bound."""
+    return len(wp_transversal(field)) * field.q ** ((bound + 1) // 2)
+
+
+def _doubled_jump_tally(a: SparseTPoly, c: SparseTPoly,
+                        bound: int) -> dict[int, int]:
+    """Tally of 2 * d4_last_jump(a, c, b) over the canonical b, w(b) <= bound.
+
+    In characteristic 2, b' keeps the odd coefficients of b and drops its
+    constant, so the derivatives of these b are exactly the integers in
+    range(q^k), k the number of odd exponents <= bound: exponent 2j+1 owns
+    bits [j*n, (j+1)*n), and bit i of a block is coefficient i of the field
+    element.  Each derivative stands for one b per transversal constant.
+    The odd exponents <= bound of a*c' pack the same way into one integer,
+    so adding b' is an XOR; the other exponents of a*c', which no b' can
+    reach, give a fixed floor under w(b' + a*c').
+    """
+    field = a.field
+    n = field.n
+    packed, floor = 0, 0
+    for e, coeff in (a * c.t_derivative()).terms.items():
+        if e % 2 and e <= bound:
+            block = sum(bit << i for i, bit in enumerate(coeff.coeffs))
+            packed |= block << (n * (e // 2))
         else:
-            diff.pop(e, None)
-    main = max(diff, default=0)
-    return max(Fraction(main), side)
-
-
-def _side_bound(a: SparseTPoly, c: SparseTPoly) -> Fraction:
+            floor = max(floor, e)
     wa, wc = a.pole_order(), c.pole_order()
-    return max(Fraction(wa, 2) + wc, Fraction(wc, 2) + wa)
+    floor2 = max(2 * floor, wa + 2 * wc, wc + 2 * wa)
+    per_derivative = len(wp_transversal(field))
+    tally: dict[int, int] = {}
+    for deriv in range(field.q ** ((bound + 1) // 2)):
+        # twice the top odd exponent of b' + a*c'; -2 when that part vanishes
+        main2 = 4 * (((deriv ^ packed).bit_length() - 1) // n) + 2
+        jump2 = main2 if main2 > floor2 else floor2
+        tally[jump2] = tally.get(jump2, 0) + per_derivative
+    return tally
 
 
 def min_lift_jump_bruteforce(a: SparseTPoly, c: SparseTPoly, b_bound: int,
@@ -271,17 +286,11 @@ def min_lift_jump_bruteforce(a: SparseTPoly, c: SparseTPoly, b_bound: int,
     parametrises all lifts; pole orders beyond the bound cannot shrink the
     minimum because they dominate the formula.
     """
-    if not is_totally_ramified(a, c):
-        raise NotTotallyRamifiedError(
-            "the lift parametrisation needs a full inertia image")
+    _require_lift_space(a, c)
     if b_bound < min_lift_jump(a, c):
         raise ValueError("bound must cover the expected minimum")
-    pool = _canonical_b_pool(a.field, b_bound)
-    if len(pool) > budget:
-        raise BudgetExceededError(f"{len(pool)} candidates exceed {budget}")
-    ac_deriv = a * c.t_derivative()
-    side = _side_bound(a, c)
-    return min(_jump_against(deriv, ac_deriv, side) for _, deriv in pool)
+    _refuse_over_budget(_lift_pool_size(a.field, b_bound), budget)
+    return Fraction(min(_doubled_jump_tally(a, c, b_bound)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +328,8 @@ def lift_jump_distribution(a: SparseTPoly, c: SparseTPoly,
     Zero below the minimal lift jump; all central twists of bounded jump at
     the minimum; twists of exact jump above it.
     """
+    if v_max < 0:
+        raise ValueError(f"v_max {v_max} must be nonnegative")
     if v_max > MAX_JUMP:
         raise ValueError(f"v_max {v_max} exceeds {MAX_JUMP}")
     q = a.field.q
@@ -337,18 +348,13 @@ def lift_jump_distribution(a: SparseTPoly, c: SparseTPoly,
 def enumerated_lift_distribution(a: SparseTPoly, c: SparseTPoly,
                                  v_max: int) -> dict[Fraction, int]:
     """Jump tallies over the explicit b-parametrisation (totally ramified only)."""
-    if not is_totally_ramified(a, c):
-        raise NotTotallyRamifiedError(
-            "the lift parametrisation needs a full inertia image")
-    pool = _canonical_b_pool(a.field, v_max)
-    ac_deriv = a * c.t_derivative()
-    side = _side_bound(a, c)
-    tally: dict[Fraction, int] = {}
-    for _, deriv in pool:
-        jump = _jump_against(deriv, ac_deriv, side)
-        if jump <= v_max:
-            tally[jump] = tally.get(jump, 0) + 1
-    return tally
+    _require_lift_space(a, c)
+    if v_max < 0:
+        raise ValueError(f"v_max {v_max} must be nonnegative")
+    _refuse_over_budget(_lift_pool_size(a.field, v_max), DEFAULT_BUDGET)
+    return {Fraction(jump2, 2): count
+            for jump2, count in _doubled_jump_tally(a, c, v_max).items()
+            if jump2 <= 2 * v_max}
 
 
 @dataclass(frozen=True)
@@ -373,12 +379,16 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
     Every (alpha, gamma) in F_q^2 shifts the reduction by an unramified
     character pair; the resulting distributions must coincide.  Where the
     reduction is totally ramified the explicitly enumerated distributions
-    are compared as well.
+    are compared as well; the base and every twist then enumerate the same
+    pool, and the whole job is refused up front when it exceeds the budget.
     """
     field = a.field
     base = lift_jump_distribution(a, c, v_max)
-    base_enum = (enumerated_lift_distribution(a, c, v_max)
-                 if is_totally_ramified(a, c) else None)
+    base_enum = None
+    if is_totally_ramified(a, c):
+        _refuse_over_budget(
+            _lift_pool_size(field, v_max) * (field.q ** 2 + 1), DEFAULT_BUDGET)
+        base_enum = enumerated_lift_distribution(a, c, v_max)
     comparisons = []
     all_equal = True
     for alpha in field.elements():
@@ -418,9 +428,7 @@ def count_min_lift(q: int, v: int, mode: str = "closed_form",
         raise ValueError(f"unknown mode {mode!r}")
     field = field_for_order(q, p=2)
     odd = [e for e in range(1, v + 1) if e % 2]
-    size = q ** len(odd)
-    if size > budget:
-        raise BudgetExceededError(f"{size} candidates exceed {budget}")
+    _refuse_over_budget(q ** len(odd), budget)
     hist = [0] * (v + 1)
     for chosen in product(field.elements(), repeat=len(odd)):
         terms = {e: c for e, c in zip(odd, chosen) if c}

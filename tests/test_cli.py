@@ -1,11 +1,14 @@
 """Command-line interface: parsing, output formats, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from ramcount import asw, euler
+from ramcount import asw, d4, euler
 from ramcount.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -64,6 +67,16 @@ def test_urtwist_check_reports_equality(capsys):
                    "--c", "3:1", "--v-max", "6")
     assert doc["result"]["all_equal"] is True
     assert len(doc["result"]["rows"]) == 4
+
+
+def test_heaviest_urtwist_check_output_is_pinned(capsys):
+    # the full stdout of the largest totally ramified twist report in the
+    # benchmark batches, pinned byte for byte
+    status, out, _ = run(capsys, "urtwist-check", "--q", "4",
+                         "--a", "0:11,1:11,3:10", "--c", "0:11,1:11,3:11",
+                         "--v-max", "11")
+    assert status == 0
+    assert out == (GOLDEN / "urtwist_q4_vmax11.json").read_text()
 
 
 def test_counterexample_numbers(capsys):
@@ -203,3 +216,27 @@ def test_digits_past_the_characteristic_are_rejected(capsys):
         assert_one_line_error(capsys, command, "--p", "2", "--q", "2",
                               "--group", "1", "--terms", "3:2")
 
+
+def test_negative_v_max_is_rejected(capsys):
+    pair = ("--q", "2", "--a", "1:1", "--c", "3:1", "--v-max", "-1")
+    assert_one_line_error(capsys, "lift-dist", *pair)
+    assert_one_line_error(capsys, "urtwist-check", *pair)
+
+
+def test_dihedral_input_outside_characteristic_two_is_rejected(capsys):
+    assert_one_line_error(capsys, "urtwist-check", "--q", "3", "--a", "1:1",
+                          "--c", "3:1", "--v-max", "4")
+    assert_one_line_error(capsys, "urtwist-check", "--q", "2", "--a", "1:1",
+                          "--c", "2:1", "--v-max", "4")
+
+
+def test_over_budget_twist_report_is_refused_up_front(capsys, monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before the budget check")
+
+    monkeypatch.setattr(d4, "_doubled_jump_tally", no_enumeration)
+    argv = ("urtwist-check", "--q", "16", "--a", "1:1000", "--c", "3:1000",
+            "--v-max", "9")
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err == "error: 538968064 candidates exceed 5000000\n"

@@ -1,6 +1,7 @@
 """Dihedral lift heights, distributions, twist invariance, local counts."""
 
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
@@ -20,6 +21,13 @@ F4 = gf.make_field(2, 2)
 def poly(field, *exponents):
     """Polynomial with coefficient 1 at each listed exponent."""
     return SparseTPoly.from_terms(field, {e: field.one for e in exponents})
+
+
+def ramified_pool(field, exponents):
+    """Every polynomial supported on the exponents, in product order."""
+    exponents = tuple(exponents)
+    return [SparseTPoly(field, {e: x for e, x in zip(exponents, chosen) if x})
+            for chosen in iproduct(field.elements(), repeat=len(exponents))]
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +131,7 @@ def test_bruteforce_matches_closed_minimum():
 
 @pytest.mark.parametrize("q,wmax", [(2, 6), (4, 4)])
 def test_bruteforce_equals_formula_on_all_totally_ramified_pairs(q, wmax):
-    field = gf.field_for_order(q)
-    odd = [1, 3, 5]
-    pool = []
-    from itertools import product as iproduct
-    for chosen in iproduct(field.elements(), repeat=len(odd)):
-        terms = {e: c for e, c in zip(odd, chosen) if c}
-        pool.append(SparseTPoly(field, terms))
+    pool = ramified_pool(gf.field_for_order(q), (1, 3, 5))
     seen = 0
     for a in pool:
         for c in pool:
@@ -177,6 +179,68 @@ def test_enumerated_distribution_confirms_four_minimal_lifts():
     assert tally[Fraction(4)] == 8  # 2 * q^(ceil(4/2)) at q = 2
 
 
+def canonical_lifts(field, bound):
+    """Every canonical third coordinate b with w(b) <= bound."""
+    return [b.add_constant(c0) for c0 in gf.wp_transversal(field)
+            for b in ramified_pool(field, range(1, bound + 1, 2))]
+
+
+# totally ramified reductions; twisting adds constants, so a*c' gets odd terms
+ORACLE_CORPUS = {
+    2: [(poly(F2, 1), poly(F2, 3)), (poly(F2, 1), poly(F2, 1, 3)),
+        (poly(F2, 3), poly(F2, 1, 3)), (poly(F2, 1), poly(F2, 5)),
+        (poly(F2, 1, 3), poly(F2, 3))],
+    4: [(poly(F4, 1), SparseTPoly.from_terms(F4, {1: F4.gen})),
+        (SparseTPoly.from_terms(F4, {1: F4.gen}),
+         SparseTPoly.from_terms(F4, {3: F4.gen + F4.one})),
+        (SparseTPoly.from_terms(F4, {1: F4.gen + F4.one, 3: F4.one}),
+         SparseTPoly.from_terms(F4, {1: F4.gen})),
+        (SparseTPoly.from_terms(F4, {1: F4.one, 3: F4.gen}), poly(F4, 3)),
+        (SparseTPoly.from_terms(F4, {1: F4.gen}), poly(F4, 5))],
+}
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_packed_enumeration_matches_explicit_lifts(q):
+    # the jump formula on every explicit canonical b is the oracle for the
+    # packed-integer enumeration, on each pair and each of its q^2 twists
+    field = gf.field_for_order(q)
+    lifts = canonical_lifts(field, 6)
+    for a, c in ORACLE_CORPUS[q]:
+        for alpha in field.elements():
+            for gamma in field.elements():
+                ta, tc = a.add_constant(alpha), c.add_constant(gamma)
+                jumps = [(b.pole_order(), d4.d4_last_jump(ta, tc, b))
+                         for b in lifts]
+                for v_max in range(7):
+                    tally = {}
+                    for w, jump in jumps:
+                        if w <= v_max and jump <= v_max:
+                            tally[jump] = tally.get(jump, 0) + 1
+                    assert d4.enumerated_lift_distribution(ta, tc, v_max) == tally
+                    if v_max >= d4.min_lift_jump(ta, tc):
+                        lowest = min(j for w, j in jumps if w <= v_max)
+                        assert d4.min_lift_jump_bruteforce(ta, tc, v_max) == lowest
+
+
+def test_enumeration_rejects_data_outside_characteristic_two():
+    f3 = gf.make_field(3, 1)
+    with pytest.raises(ValueError, match="characteristic 2"):
+        d4.enumerated_lift_distribution(poly(f3, 1), poly(f3, 3), 4)
+    with pytest.raises(ValueError, match="exponent 2"):
+        d4.enumerated_lift_distribution(poly(F2, 1), poly(F2, 2), 4)
+
+
+def test_negative_v_max_is_rejected():
+    a, c = poly(F2, 1), poly(F2, 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        d4.lift_jump_distribution(a, c, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        d4.enumerated_lift_distribution(a, c, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        d4.unramified_twist_report(a, c, -1)
+
+
 # ---------------------------------------------------------------------------
 # twist invariance
 # ---------------------------------------------------------------------------
@@ -203,19 +267,27 @@ def test_twist_invariance_over_f4():
     assert len(report.comparisons) == 16
 
 
+def test_twist_report_refuses_over_budget_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before the budget check")
+
+    monkeypatch.setattr(d4, "_doubled_jump_tally", no_enumeration)
+    f16 = gf.make_field(2, 4)
+    a = SparseTPoly.from_terms(f16, {1: f16.one})
+    c = SparseTPoly.from_terms(f16, {3: f16.one})
+    # 2 * 16^5 canonical b for the base and each of the 256 twists
+    with pytest.raises(BudgetExceededError,
+                       match="538968064 candidates exceed 5000000"):
+        d4.unramified_twist_report(a, c, 9)
+
+
 # ---------------------------------------------------------------------------
 # relations with minimal lifts
 # ---------------------------------------------------------------------------
 
 def test_minimal_lift_bound_by_reduction_jump():
     for q in (2, 4):
-        field = gf.field_for_order(q)
-        from itertools import product as iproduct
-        odd = [1, 3, 5]
-        pool = []
-        for chosen in iproduct(field.elements(), repeat=len(odd)):
-            terms = {e: c for e, c in zip(odd, chosen) if c}
-            pool.append(SparseTPoly(field, terms))
+        pool = ramified_pool(gf.field_for_order(q), (1, 3, 5))
         for a in pool:
             for c in pool:
                 reduction_jump = asw.last_jump(d4.pair_to_cocycle(a, c))
@@ -225,12 +297,7 @@ def test_minimal_lift_bound_by_reduction_jump():
 def test_nonintegral_or_even_jumps_are_minimal():
     # across totally ramified fibers, a lift whose jump is even or fractional
     # must attain the fiber minimum
-    from itertools import product as iproduct
-    odd = [1, 3, 5]
-    pool = []
-    for chosen in iproduct(F2.elements(), repeat=len(odd)):
-        terms = {e: c for e, c in zip(odd, chosen) if c}
-        pool.append(SparseTPoly(F2, terms))
+    pool = ramified_pool(F2, (1, 3, 5))
     for a in pool:
         for c in pool:
             if not d4.is_totally_ramified(a, c):
@@ -246,7 +313,6 @@ def test_nonintegral_or_even_jumps_are_minimal():
 
 def test_central_twist_jump_identity():
     # for a fiber-minimal b, twisting by e moves the jump to max(jump, w(e))
-    from itertools import product as iproduct
     pairs = [(poly(F2, 1), poly(F2, 3)), (poly(F2, 1), poly(F2, 1, 3)),
              (poly(F2, 1, 0), poly(F2, 3)), (poly(F2, 3), poly(F2, 5))]
     twists = []
@@ -258,12 +324,8 @@ def test_central_twist_jump_identity():
             twists.append(poly(F2, *exps) if exps else SparseTPoly.zero(F2))
     for a, c in pairs:
         m = d4.min_lift_jump(a, c)
-        minimal_b = None
-        for b, _ in d4._canonical_b_pool(F2, m):
-            if d4.d4_last_jump(a, c, b) == m:
-                minimal_b = b
-                break
-        assert minimal_b is not None
+        minimal_b = next(b for b in ramified_pool(F2, range(1, m + 1, 2))
+                         if d4.d4_last_jump(a, c, b) == m)
         for e in twists:
             twisted = minimal_b + e
             expected = max(Fraction(m), Fraction(e.pole_order()))

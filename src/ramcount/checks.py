@@ -319,6 +319,33 @@ def _twist_corpus(field, size) -> list[tuple[SparseTPoly, SparseTPoly]]:
     return corpus
 
 
+def _pairing_bound_holds() -> tuple[bool, int]:
+    """Exhaustive epsilon-bound check: every (Z/2)^2 cocycle over F_2 with
+    support in {1, 3} (16 sources) against every (g1, g2) in F_q'^2 for
+    q' = 2, 4, 16; returns (all bounded, checks made)."""
+    f2 = gf.make_field(2, 1)
+    shape = asw.GroupShape(2, (1, 1))
+    sources = []
+    for x1, x2, y1, y2 in product(f2.elements(), repeat=4):
+        entries = {}
+        if x1 or x2:
+            entries[1] = asw.GroupWittElement(shape, f2, (
+                WittVector(f2, (x1,)), WittVector(f2, (x2,))))
+        if y1 or y2:
+            entries[3] = asw.GroupWittElement(shape, f2, (
+                WittVector(f2, (y1,)), WittVector(f2, (y2,))))
+        sources.append(asw.ReducedCocycle(shape, f2, entries))
+    ok, checked = True, 0
+    for big_key in ((2, 1), (2, 2), (2, 4)):
+        big = gf.make_field(*big_key)
+        for m in sources:
+            for g1, g2 in product(big.elements(), repeat=2):
+                checked += 1
+                if not d4.epsilon_bound_report(m, (g1, g2)).bounded:
+                    ok = False
+    return ok, checked
+
+
 def d4_checks(rng: random.Random) -> list[CheckResult]:
     results = []
 
@@ -406,29 +433,7 @@ def d4_checks(rng: random.Random) -> list[CheckResult]:
     results.append(_result("d4.twist_invariance_on_regression_corpus", ok,
                            f"reports={reports}"))
 
-    ok, checked = True, 0
-    shape = asw.GroupShape(2, (1, 1))
-    sources = []
-    for x1 in field2.iter_elements():
-        for x2 in field2.iter_elements():
-            for y1 in field2.iter_elements():
-                for y2 in field2.iter_elements():
-                    entries = {}
-                    if x1 or x2:
-                        entries[1] = asw.GroupWittElement(shape, field2, (
-                            WittVector(field2, (x1,)), WittVector(field2, (x2,))))
-                    if y1 or y2:
-                        entries[3] = asw.GroupWittElement(shape, field2, (
-                            WittVector(field2, (y1,)), WittVector(field2, (y2,))))
-                    sources.append(asw.ReducedCocycle(shape, field2, entries))
-    for big_key in ((2, 1), (2, 2), (2, 4)):
-        big = gf.make_field(*big_key)
-        for m in sources:
-            for g1 in big.iter_elements():
-                for g2 in big.iter_elements():
-                    checked += 1
-                    if not d4.epsilon_bound_report(m, (g1, g2)).bounded:
-                        ok = False
+    ok, checked = _pairing_bound_holds()
     results.append(_result("d4.pairing_correction_respects_jump_bound", ok,
                            f"checks={checked}"))
 
@@ -598,29 +603,7 @@ def _acc_growth() -> CheckResult:
 def _acc_invariant_suites(seed: int = 0) -> CheckResult:
     rng = random.Random(seed)
     inner = witt_checks(rng) + asw_checks(rng)
-    f2 = gf.make_field(2, 1)
-    shape = asw.GroupShape(2, (1, 1))
-    eps_ok = True
-    sources = []
-    for x1 in f2.iter_elements():
-        for x2 in f2.iter_elements():
-            for y1 in f2.iter_elements():
-                for y2 in f2.iter_elements():
-                    entries = {}
-                    if x1 or x2:
-                        entries[1] = asw.GroupWittElement(shape, f2, (
-                            WittVector(f2, (x1,)), WittVector(f2, (x2,))))
-                    if y1 or y2:
-                        entries[3] = asw.GroupWittElement(shape, f2, (
-                            WittVector(f2, (y1,)), WittVector(f2, (y2,))))
-                    sources.append(asw.ReducedCocycle(shape, f2, entries))
-    for big_key in ((2, 1), (2, 2), (2, 4)):
-        big = gf.make_field(*big_key)
-        for m in sources:
-            for g1 in big.iter_elements():
-                for g2 in big.iter_elements():
-                    if not d4.epsilon_bound_report(m, (g1, g2)).bounded:
-                        eps_ok = False
+    eps_ok, _ = _pairing_bound_holds()
     ok = eps_ok and all(r.passed for r in inner)
     failing = [r.name for r in inner if not r.passed]
     detail = "witt+asw suites, pairing bound exhaustive q'<=16"

@@ -380,7 +380,9 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
     character pair; the resulting distributions must coincide.  Where the
     reduction is totally ramified the explicitly enumerated distributions
     are compared as well; the base and every twist then enumerate the same
-    pool, and the whole job is refused up front when it exceeds the budget.
+    pool.  The whole job is refused up front when it exceeds the budget:
+    the q^2 closed-form rows alone, or with enumeration the pool size times
+    q^2 + 1.
     """
     field = a.field
     base = lift_jump_distribution(a, c, v_max)
@@ -389,6 +391,8 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
         _refuse_over_budget(
             _lift_pool_size(field, v_max) * (field.q ** 2 + 1), DEFAULT_BUDGET)
         base_enum = enumerated_lift_distribution(a, c, v_max)
+    else:
+        _refuse_over_budget(field.q ** 2, DEFAULT_BUDGET)
     comparisons = []
     all_equal = True
     for alpha in field.elements():

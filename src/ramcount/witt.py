@@ -10,9 +10,12 @@ down S_k after an exact division by p^k; a nonzero remainder would mean a
 bookkeeping bug, so the division doubles as the integrality certificate,
 and the ghost identity is re-checked symbolically from the stored
 polynomials before anything is reduced mod p.  Product polynomials are
-produced the same way from w_k(P) = w_k(X) * w_k(Y).  The reduced tables
+produced the same way from w_k(P) = w_k(X) * w_k(Y), but only on the first
+multiplication at that (p, n): at n = 6 they cost about twice as much to
+solve as the sums, which addition alone never needs.  The reduced tables
 are cached for the process lifetime; everything downstream of the cache is
-pure and safe to use concurrently.
+pure and safe to use concurrently.  A law is evaluated monomial by
+monomial; each power of a component is one GF(q) lookup.
 
 Over a perfect coefficient field, multiplication by p coincides with
 (x_0, .., x_{n-1}) -> (0, x_0^p, .., x_{n-2}^p), which is how `mul_by_p`
@@ -134,13 +137,34 @@ def _reduce_mod_p(poly: dict, p: int) -> tuple[_Term, ...]:
     return tuple(terms)
 
 
+def _reduced_laws(p: int, n: int, combine) -> tuple[tuple[_Term, ...], ...]:
+    """Laws with ghost components combine(w_k(X), w_k(Y)), reduced mod p."""
+    width = 2 * n
+    targets = [combine(_ghost(p, k, 0, width), _ghost(p, k, n, width))
+               for k in range(n)]
+    return tuple(_reduce_mod_p(s, p) for s in _solve_laws(p, n, targets, width))
+
+
+@lru_cache(maxsize=None)
+def _product_laws(p: int, n: int) -> tuple[tuple[_Term, ...], ...]:
+    return _reduced_laws(p, n, _pd_mul)
+
+
 @dataclass(frozen=True)
 class WittLawTable:
-    """Universal addition/multiplication polynomials mod p for W_n."""
+    """Universal addition/multiplication polynomials mod p for W_n.
+
+    The sums are solved with the table; `prod_polys` is solved and
+    certified on first access and then shared by every table of that
+    (p, n).
+    """
     p: int
     length: int
     sum_polys: tuple[tuple[_Term, ...], ...]
-    prod_polys: tuple[tuple[_Term, ...], ...]
+
+    @property
+    def prod_polys(self) -> tuple[tuple[_Term, ...], ...]:
+        return _product_laws(self.p, self.length)
 
 
 @lru_cache(maxsize=None)
@@ -150,34 +174,20 @@ def witt_laws(p: int, n: int) -> WittLawTable:
         raise LengthTooLargeError(f"Witt length {n} exceeds {MAX_LENGTH}")
     if n < 1:
         raise ValueError("Witt length must be positive")
-    width = 2 * n
-    gx = [_ghost(p, k, 0, width) for k in range(n)]
-    gy = [_ghost(p, k, n, width) for k in range(n)]
-    sum_targets = [_pd_add(gx[k], gy[k]) for k in range(n)]
-    prod_targets = [_pd_mul(gx[k], gy[k]) for k in range(n)]
-    sums = _solve_laws(p, n, sum_targets, width)
-    prods = _solve_laws(p, n, prod_targets, width)
-    return WittLawTable(
-        p, n,
-        tuple(_reduce_mod_p(s, p) for s in sums),
-        tuple(_reduce_mod_p(s, p) for s in prods),
-    )
+    return WittLawTable(p, n, _reduced_laws(p, n, _pd_add))
 
 
 def _eval_terms(terms: tuple[_Term, ...], field: FieldDescriptor,
                 vals: tuple[FieldElement, ...]) -> FieldElement:
+    # the laws have no constant term, so every monomial has a variable
     total = field.zero
-    powers: dict[tuple[int, int], FieldElement] = {}
     for coeff, exps in terms:
-        acc = field.from_prime(coeff)
-        for idx, e in enumerate(exps):
+        acc = None
+        for v, e in zip(vals, exps):
             if e:
-                key = (idx, e)
-                v = powers.get(key)
-                if v is None:
-                    v = vals[idx] ** e
-                    powers[key] = v
-                acc = acc * v
+                acc = v ** e if acc is None else acc * v ** e
+        if coeff != 1:
+            acc = acc * field.from_prime(coeff)
         total = total + acc
     return total
 

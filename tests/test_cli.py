@@ -240,3 +240,12 @@ def test_over_budget_twist_report_is_refused_up_front(capsys, monkeypatch):
     status, out, err = run(capsys, *argv)
     assert (status, out) == (2, "")
     assert err == "error: 538968064 candidates exceed 5000000\n"
+
+
+def test_over_budget_unramified_twist_rows_are_refused_up_front(capsys):
+    digits = "1" + "0" * 11
+    status, out, err = run(capsys, "urtwist-check", "--q", "4096",
+                           "--a", f"1:{digits}", "--c", f"1:{digits}",
+                           "--v-max", "64")
+    assert (status, out) == (2, "")
+    assert err == "error: 16777216 candidates exceed 5000000\n"

@@ -281,6 +281,20 @@ def test_twist_report_refuses_over_budget_before_enumerating(monkeypatch):
         d4.unramified_twist_report(a, c, 9)
 
 
+def test_unramified_twist_report_refuses_too_many_rows(monkeypatch):
+    def no_twists(*args):
+        raise AssertionError("twisted before the budget check")
+
+    monkeypatch.setattr(SparseTPoly, "add_constant", no_twists)
+    f4096 = gf.make_field(2, 12)
+    a = c = SparseTPoly.from_terms(f4096, {1: f4096.one})
+    assert not d4.is_totally_ramified(a, c)
+    # one closed-form row per twist (alpha, gamma) in F_4096^2
+    with pytest.raises(BudgetExceededError,
+                       match="16777216 candidates exceed 5000000"):
+        d4.unramified_twist_report(a, c, 64)
+
+
 # ---------------------------------------------------------------------------
 # relations with minimal lifts
 # ---------------------------------------------------------------------------

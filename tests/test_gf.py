@@ -1,5 +1,7 @@
 """Finite field arithmetic, Frobenius, Artin-Schreier cosets, embeddings."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -214,3 +216,84 @@ def test_digit_round_trip():
     for text in ("3", "13", "1a", "0"):
         with pytest.raises(ValueError):
             f9.from_digits(text)
+
+
+# ---------------------------------------------------------------------------
+# log/antilog tables against the polynomial product
+# ---------------------------------------------------------------------------
+
+def _prime_powers(upto):
+    found = []
+    for q in range(2, upto + 1):
+        try:
+            gf.prime_power(q)
+        except NonPrimeError:
+            continue
+        found.append(q)
+    return found
+
+
+def _poly_pow(x, e):
+    """x^e by square-and-multiply with the polynomial product only."""
+    if e < 0:
+        x, e = _poly_pow(x, x.field.q - 2), -e
+    result, base = x.field.one, x
+    while e:
+        if e & 1:
+            result = result._poly_mul(base)
+        base = base._poly_mul(base)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("q", _prime_powers(64))
+def test_table_product_matches_polynomial_product(q):
+    field = gf.field_for_order(q)
+    elems = field.elements()
+    for a in elems:
+        for b in elems:
+            assert a * b == a._poly_mul(b)
+    assert field._logs is not None
+
+
+@pytest.mark.parametrize("q", _prime_powers(gf._LOG_TABLE_CAP))
+def test_table_power_inverse_and_division_match_polynomial_path(q):
+    field = gf.field_for_order(q)
+    elems = field.elements()
+    inverses = {b: _poly_pow(b, q - 2) for b in elems if b}
+    for b, inv in inverses.items():
+        assert b.inverse() == inv and b._poly_mul(inv) == field.one
+    sample = {field.zero, field.one, field.gen, elems[-1],
+              *random.Random(q).sample(elems, min(q, 4))}
+    for x in sample:
+        cur = field.one
+        for e in range(2 * q + 2):
+            assert x ** e == cur
+            cur = cur._poly_mul(x)
+        if not x:
+            for e in (-1, -(q + 1)):
+                with pytest.raises(ZeroDivisionError):
+                    x ** e
+            continue
+        cur = field.one
+        for e in range(1, q + 2):
+            cur = cur._poly_mul(inverses[x])
+            assert x ** -e == cur
+        for b, inv in inverses.items():
+            assert x / b == x._poly_mul(inv)
+    assert field._logs is not None
+
+
+@pytest.mark.parametrize("q", [257, 289])
+def test_fields_above_the_table_cap_multiply_polynomials(q):
+    field = gf.field_for_order(q)
+    assert field.q > gf._LOG_TABLE_CAP
+    rng = random.Random(q)
+    nonzero = field.elements()[1:]
+    for _ in range(20):
+        a, b, c = (rng.choice(nonzero) for _ in range(3))
+        assert (a * b) * c == a * (b * c) and a * (b + c) == a * b + a * c
+        assert a.inverse() * a == field.one
+        assert a ** 300 == _poly_pow(a, 300)
+        assert a / b == a._poly_mul(_poly_pow(b, -1))
+    assert field._logs is None

@@ -1,8 +1,13 @@
 """Witt vector ring laws, checked against ghost-component oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from ramcount import gf
+from ramcount import gf, witt
 from ramcount.errors import LengthTooLargeError, MixedRingsError
 from ramcount.witt import WittVector, iter_witt_vectors, teichmueller, witt_laws
 
@@ -39,6 +44,32 @@ def test_sum_poly_second_component_mod_3():
     assert set(table.sum_polys[1]) == {
         (1, (0, 1, 0, 0)), (1, (0, 0, 0, 1)),
         (2, (2, 0, 1, 0)), (2, (1, 0, 2, 0))}
+
+
+def test_addition_solves_only_the_sum_laws():
+    # a fresh process, so no earlier test has filled the law caches
+    src = Path(witt.__file__).resolve().parents[1]
+    code = ("from ramcount import gf, witt\n"
+            "f = gf.make_field(2, 2)\n"
+            "a = witt.WittVector(f, (f.gen, f.one, f.gen))\n"
+            "b = witt.WittVector(f, (f.one, f.gen, f.zero))\n"
+            "a + b\n"
+            "print(witt.witt_laws.cache_info().currsize,\n"
+            "      witt._product_laws.cache_info().currsize)\n"
+            "a * b\n"
+            "print(witt._product_laws.cache_info().currsize)\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.split() == ["1", "0", "1"], done.stderr
+
+
+def test_product_polys_mod_2():
+    table = witt_laws(2, 2)
+    # X0*Y0, then X1*Y0^2 + X0^2*Y1 + 2*X1*Y1, whose last term vanishes mod 2
+    assert set(table.prod_polys[0]) == {(1, (1, 0, 1, 0))}
+    assert set(table.prod_polys[1]) == {(1, (0, 1, 2, 0)), (1, (2, 0, 0, 1))}
+    assert table.prod_polys is witt_laws(2, 2).prod_polys
 
 
 def test_law_length_cap():

@@ -40,10 +40,12 @@ MAX_DEGREE = 24
 # are materialised eagerly instead of recomputed
 _TABLE_CAP = 1 << 16
 
-# field-order cap for the log/antilog tables; building them took about
-# 4 ms at q = 256 on a 2-vCPU Xeon VM and grows faster than q (12 ms at
-# 1024, 64 ms at 4096), more than a short query above this order earns back
-_LOG_TABLE_CAP = 256
+# field-order cap for the log/antilog tables: GF(64) is the largest field
+# that verify or a benchmark query multiplies in.  Building them took 0.3 ms
+# at q = 64 on a 2-vCPU Xeon VM, 1.3 ms at 128 and 4-5 ms at 256, and a
+# short cold query above 64 (lj on W_3, disc on Z/4 x Z/2) ran 0.5-4 ms
+# slower with the tables than without
+_LOG_TABLE_CAP = 64
 
 
 def is_prime(p: int) -> bool:
@@ -352,12 +354,7 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        f = self.field
-        tables = f._logs or f._log_tables()
-        if tables is None:
-            return self ** (f.q - 2)
-        log, antilog = tables
-        return antilog[f.q - 1 - log[self.coeffs]]
+        return self ** (self.field.q - 2)
 
     def frobenius(self) -> "FieldElement":
         """The absolute Frobenius x -> x^p."""

@@ -15,7 +15,9 @@ multiplication at that (p, n): at n = 6 they cost about twice as much to
 solve as the sums, which addition alone never needs.  The reduced tables
 are cached for the process lifetime; everything downstream of the cache is
 pure and safe to use concurrently.  A law is evaluated monomial by
-monomial; each power of a component is one GF(q) lookup.
+monomial.  In a field with log tables (q <= 64) each power of a component
+is one lookup; in a larger field a power is a square-and-multiply, so the
+powers are shared between the monomials of one law.
 
 Over a perfect coefficient field, multiplication by p coincides with
 (x_0, .., x_{n-1}) -> (0, x_0^p, .., x_{n-2}^p), which is how `mul_by_p`
@@ -181,11 +183,20 @@ def _eval_terms(terms: tuple[_Term, ...], field: FieldDescriptor,
                 vals: tuple[FieldElement, ...]) -> FieldElement:
     # the laws have no constant term, so every monomial has a variable
     total = field.zero
+    # without log tables a power costs several products: reuse each one
+    powers = None if field._log_tables() else {}
     for coeff, exps in terms:
         acc = None
-        for v, e in zip(vals, exps):
-            if e:
-                acc = v ** e if acc is None else acc * v ** e
+        for idx, e in enumerate(exps):
+            if not e:
+                continue
+            if powers is None:
+                v = vals[idx] ** e
+            else:
+                v = powers.get((idx, e))
+                if v is None:
+                    v = powers[idx, e] = vals[idx] ** e
+            acc = v if acc is None else acc * v
         if coeff != 1:
             acc = acc * field.from_prime(coeff)
         total = total + acc

@@ -1,6 +1,7 @@
 """Witt vector ring laws, checked against ghost-component oracles."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -253,3 +254,29 @@ def test_length_four_ring_is_z16():
     assert WittVector.from_int(F2, 4, 5) + WittVector.from_int(F2, 4, 11) \
         == WittVector.zeros(F2, 4)
     assert one.mul_by_p().mul_by_p().mul_by_p() == WittVector.from_int(F2, 4, 8)
+
+
+@pytest.mark.parametrize("p,n,length", [(2, 7, 3), (3, 4, 2)])
+def test_laws_above_the_table_cap_match_the_table_path(p, n, length):
+    # above the cap powers are square-and-multiply, shared within one law;
+    # the same field with tables built by hand takes every power by lookup
+    plain = gf.make_field(p, n)
+    assert plain.q > gf._LOG_TABLE_CAP
+    tabled = gf.FieldDescriptor(p, n, plain.modulus)
+    tabled._logs = gf._index_tables(tabled)
+    rng = random.Random(plain.q)
+
+    def pair():
+        digits = [[rng.randrange(p) for _ in range(n)] for _ in range(length)]
+        return (WittVector(plain, tuple(plain.element(d) for d in digits)),
+                WittVector(tabled, tuple(tabled.element(d) for d in digits)))
+
+    def coeffs(v):
+        return tuple(c.coeffs for c in v.components)
+
+    for _ in range(10):
+        (a, a_t), (b, b_t) = pair(), pair()
+        assert coeffs(a + b) == coeffs(a_t + b_t)
+        assert coeffs(a * b) == coeffs(a_t * b_t)
+        assert coeffs(-a) == coeffs(-a_t)
+    assert plain._logs is None

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd
 
 from .errors import (
     BudgetExceededError,
@@ -29,7 +30,7 @@ from .errors import (
     MixedRingsError,
 )
 from .gf import FieldDescriptor, field_for_order, prime_power
-from .witt import WittVector
+from .witt import WittVector, iter_witt_vectors
 
 MAX_GROUP_ORDER = 1 << 12
 MAX_CHARACTER_SUM_ORDER = 1 << 10
@@ -100,10 +101,6 @@ class GroupWittElement:
     def __sub__(self, other: "GroupWittElement") -> "GroupWittElement":
         return self + (-other)
 
-    def mul_by_p(self) -> "GroupWittElement":
-        return GroupWittElement(self.shape, self.field,
-                                tuple(a.mul_by_p() for a in self.parts))
-
     def __bool__(self) -> bool:
         return any(self.parts)
 
@@ -121,12 +118,9 @@ class GroupWittElement:
 
 def iter_module_elements(shape: GroupShape, field: FieldDescriptor):
     """All of G tensor W(F_q), in lexicographic component order."""
-    spaces = []
-    for e in shape.exponents:
-        spaces.append([comps for comps in product(field.elements(), repeat=e)])
+    spaces = [list(iter_witt_vectors(field, e)) for e in shape.exponents]
     for choice in product(*spaces):
-        yield GroupWittElement(shape, field, tuple(
-            WittVector(field, comps) for comps in choice))
+        yield GroupWittElement(shape, field, choice)
 
 
 def transversal_elements(shape: GroupShape, field: FieldDescriptor):
@@ -215,11 +209,18 @@ def mu(v: int, n: int, p: int) -> int:
 
 
 def coefficient_order(x: GroupWittElement) -> int:
-    """Smallest e >= 0 with p^e * x = 0."""
+    """Smallest e >= 0 with p^e * x = 0.
+
+    A part in W_L has order p^L / gcd(p^L, its Galois-ring coefficients),
+    which is p^(L - v) for v their least p-adic valuation.
+    """
+    order = 1
+    for part in x.parts:
+        mod = part.ring.mod
+        order = max(order, mod // gcd(mod, *part.coeffs))
     e = 0
-    cur = x
-    while cur:
-        cur = cur.mul_by_p()
+    while order > 1:
+        order //= x.shape.p
         e += 1
     return e
 
@@ -295,35 +296,30 @@ def character_classes(shape: GroupShape) -> tuple[tuple[tuple[int, ...], int], .
     return tuple(classes)
 
 
-def _multiple(x: WittVector, k: int) -> WittVector:
-    """k * x, with the p-power part of k applied as shifts, which add nothing."""
-    p = x.field.p
-    while k and k % p == 0:
-        x, k = x.mul_by_p(), k // p
-    return x if k == 1 else x.scale(k)
-
-
 def character_jumps(m: ReducedCocycle) -> dict[tuple[int, ...], int]:
     """The last jump of chi_a o m for each character a of `character_classes`.
 
     chi_a sends the part x_i in W_(n_i) of a coefficient to a_i p^(N - n_i)
     times a lift of x_i to W_N, which is well defined because p^(N - n_i)
-    kills the lifting ambiguity.  Certificate: the characters detect the
-    order of every coefficient, so the largest character jump is the last
-    jump of m.
+    kills the lifting ambiguity: on Galois-ring coefficients it is the
+    coefficients of x_i times a_i p^(N - n_i), mod p^N.  Certificate: the
+    characters detect the order of every coefficient, so the largest
+    character jump is the last jump of m.
     """
     shape, field = m.shape, m.field
     target = GroupShape(shape.p, shape.exponents[:1])
     top_exp = shape.exponents[0] if shape.rank else 0
+    weights = [shape.p ** (top_exp - e) for e in shape.exponents]
     ramified = m.ramified_indices()
     jumps = {}
     for a, _ in character_classes(shape):
         support = {}
         for n in ramified:
-            terms = [_multiple(part.zero_extend(top_exp),
-                               a_i * shape.p ** (top_exp - part.length))
-                     for a_i, part in zip(a, m.support[n].parts) if a_i]
-            image = sum(terms[1:], terms[0]) if terms else None
+            coeffs = [0] * field.n
+            for a_i, w, part in zip(a, weights, m.support[n].parts):
+                if a_i:
+                    coeffs = [s + a_i * w * c for s, c in zip(coeffs, part.coeffs)]
+            image = WittVector.from_coefficients(field, top_exp, coeffs)
             if image:
                 support[n] = GroupWittElement(target, field, (image,))
         jumps[a] = last_jump(ReducedCocycle(target, field, support))

@@ -39,7 +39,6 @@ from .errors import (
 from .gf import (
     FieldDescriptor,
     FieldElement,
-    coset_representative,
     embed,
     field_for_order,
     wp_transversal,
@@ -141,20 +140,6 @@ class SparseTPoly:
         return SparseTPoly(self.field,
                            {e: c for e, c in self.terms.items() if e >= 1})
 
-    def constant_term(self) -> FieldElement:
-        return self.terms.get(0, self.field.zero)
-
-    def canonicalized(self) -> "SparseTPoly":
-        """Replace the exponent-0 coefficient by its fixed coset representative."""
-        c0 = self.constant_term()
-        rep = coset_representative(c0)
-        if rep == c0:
-            return self
-        terms = {e: c for e, c in self.terms.items() if e != 0}
-        if rep:
-            terms[0] = rep
-        return SparseTPoly(self.field, terms)
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -184,32 +169,11 @@ def _validate_datum_poly(x: SparseTPoly) -> None:
             raise ValueError(f"support exponent {e} must be 0 or odd")
 
 
-@dataclass(frozen=True)
-class D4Datum:
-    """A lift datum (a, c, b); constants normalised to the fixed transversal."""
-
-    a: SparseTPoly
-    c: SparseTPoly
-    b: SparseTPoly
-
-    def __post_init__(self):
-        for x in (self.a, self.c, self.b):
-            _validate_datum_poly(x)
-        if not (self.a.field == self.c.field == self.b.field):
-            raise MixedFieldsError("datum components over different fields")
-        for name in ("a", "c", "b"):
-            object.__setattr__(self, name, getattr(self, name).canonicalized())
-
-
 def d4_last_jump(a: SparseTPoly, c: SparseTPoly, b: SparseTPoly) -> Fraction:
     """Exact rational value of the dihedral jump formula (halves possible)."""
     wa, wc = a.pole_order(), c.pole_order()
     main = (b.t_derivative() + a * c.t_derivative()).pole_order()
     return max(Fraction(main), Fraction(wa, 2) + wc, Fraction(wc, 2) + wa)
-
-
-def datum_last_jump(d: D4Datum) -> Fraction:
-    return d4_last_jump(d.a, d.c, d.b)
 
 
 def min_lift_jump(a: SparseTPoly, c: SparseTPoly) -> int:

@@ -180,8 +180,7 @@ class FieldDescriptor:
     """GF(p^n) presented as F_p[x] modulo the canonical irreducible modulus."""
 
     __slots__ = ("p", "n", "modulus", "q", "zero", "one", "gen",
-                 "_xpow", "_logs", "_elements", "_transversal", "_image",
-                 "_coset_rep")
+                 "_xpow", "_logs", "_elements", "_transversal", "_image")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
@@ -204,7 +203,6 @@ class FieldDescriptor:
         self._elements: tuple[FieldElement, ...] | None = None
         self._transversal: tuple[FieldElement, ...] | None = None
         self._image: frozenset[FieldElement] | None = None
-        self._coset_rep: dict[FieldElement, FieldElement] | None = None
 
     def __eq__(self, other):
         if self is other:
@@ -439,19 +437,6 @@ def wp_transversal(field: FieldDescriptor) -> tuple[FieldElement, ...]:
                 break
         field._transversal = tuple(reps)
     return field._transversal
-
-
-def coset_representative(a: FieldElement) -> FieldElement:
-    """The transversal element representing a's Artin-Schreier coset."""
-    field = a.field
-    if field._coset_rep is None:
-        image = artin_schreier_image(field)
-        rep_map = {}
-        for r in wp_transversal(field):
-            for b in image:
-                rep_map[r + b] = r
-        field._coset_rep = rep_map
-    return field._coset_rep[a]
 
 
 # ---------------------------------------------------------------------------

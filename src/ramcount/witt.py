@@ -1,33 +1,31 @@
-"""Truncated p-typical Witt vectors W_n(F_q).
+"""Truncated p-typical Witt vectors W_L(F_q), held as Galois-ring elements.
 
-The ring laws come from the universal sum and product polynomials, solved
-once per (p, n) from the ghost-component equations over the integers.  With
+With F_q = F_p[x]/(f), f the field's canonical modulus, W_L(F_q) is the
+Galois ring GR(p^L, n) = (Z/p^L)[x]/(F), where F is f read with integer
+coefficients (Serre, *Local Fields*, II 4-6; Wan, *Lectures on Finite Fields
+and Galois Rings*).  A vector is stored as its n coefficients mod p^L:
+addition is coefficientwise, a product is one polynomial product mod F, and
+an integer multiple scales every coefficient.
 
-    w_k(X) = X_0^(p^k) + p X_1^(p^(k-1)) + ... + p^k X_k,
+Components meet the ring only at the edges: the constructor, `components`,
+`repr`, `teichmueller` and `iter_witt_vectors`.  The Teichmueller lift is
+tau(b) = B^(q^(L-1)) for any lift B of b, and the vector (a_0, .., a_(L-1))
+is sum_i p^i tau(a_i^(p^-i)).  Going back, c = x mod p gives a_i = c^(p^i),
+then x <- (x - tau(c)) / p.  That division must be exact; a remainder raises
+InternalInconsistencyError, which makes it the integrality certificate of
+this module.  The Witt Frobenius, componentwise x -> x^p, is the ring
+automorphism sigma: sigma(x) is found once per ring by way of the components,
+and sigma of any element is sum_j c_j sigma(x)^j.
 
-the sum polynomials satisfy w_k(S_0..S_k) = w_k(X) + w_k(Y), which pins
-down S_k after an exact division by p^k; a nonzero remainder would mean a
-bookkeeping bug, so the division doubles as the integrality certificate,
-and the ghost identity is re-checked symbolically from the stored
-polynomials before anything is reduced mod p.  Product polynomials are
-produced the same way from w_k(P) = w_k(X) * w_k(Y), but only on the first
-multiplication at that (p, n): at n = 6 they cost about twice as much to
-solve as the sums, which addition alone never needs.  The reduced tables
-are cached for the process lifetime; everything downstream of the cache is
-pure and safe to use concurrently.  A law is evaluated monomial by
-monomial.  In a field with log tables (q <= 64) each power of a component
-is one lookup; in a larger field a power is a square-and-multiply, so the
-powers are shared between the monomials of one law.
-
-Over a perfect coefficient field, multiplication by p coincides with
-(x_0, .., x_{n-1}) -> (0, x_0^p, .., x_{n-2}^p), which is how `mul_by_p`
-is evaluated; tests compare it against repeated addition.
+Each ring is built once per (field, L) and cached for the process lifetime,
+with its Teichmueller lifts memoised per element.  Every cached value is a
+function of its key, so the module is safe to use concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .errors import (
     InternalInconsistencyError,
@@ -36,193 +34,156 @@ from .errors import (
 )
 from .gf import FieldDescriptor, FieldElement
 
-MAX_LENGTH = 6
-
-# ---------------------------------------------------------------------------
-# sparse integer polynomials: dict mapping exponent tuples to coefficients
-# ---------------------------------------------------------------------------
+MAX_LENGTH = 12
 
 
-def _pd_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
+class _GaloisRing:
+    """GR(p^L, n): coefficient tuples mod p^L, multiplied modulo F."""
 
+    __slots__ = ("field", "length", "mod", "one", "_xpow", "_lifts", "_sigma")
 
-def _pd_scale(a: dict, k: int) -> dict:
-    if k == 0:
-        return {}
-    return {e: c * k for e, c in a.items()}
+    def __init__(self, field: FieldDescriptor, length: int):
+        n = field.n
+        self.field = field
+        self.length = length
+        self.mod = mod = field.p ** length
+        self.one = (1,) + (0,) * (n - 1)
+        # x^k mod F for k in [n, 2n-2], used to fold products back
+        top = tuple(-c % mod for c in field.modulus[:n])
+        rows, cur = [], top
+        for _ in range(n, 2 * n - 1):
+            rows.append(cur)
+            lead = cur[-1]
+            cur = tuple((low + lead * t) % mod
+                        for low, t in zip((0,) + cur[:-1], top))
+        self._xpow = tuple(rows)
+        self._lifts: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._sigma: tuple[tuple[int, ...], ...] | None = None
 
+    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        mod = self.mod
+        conv = [0] * (2 * len(a) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    conv[i + j] += ai * bj
+        for k, row in enumerate(self._xpow, len(a)):
+            c = conv[k]
+            if c:
+                for i, r in enumerate(row):
+                    conv[i] += c * r
+        return tuple(c % mod for c in conv[:len(a)])
 
-def _pd_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(e, 0) + ca * cb
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
+    def lift(self, b: FieldElement) -> tuple[int, ...]:
+        """The Teichmueller lift tau(b), memoised; tau(0) = 0 needs no power."""
+        t = self._lifts.get(b.coeffs)
+        if t is None:
+            t = b.coeffs
+            if any(t):
+                e = self.field.q ** (self.length - 1)
+                base, t = t, self.one
+                while e:
+                    if e & 1:
+                        t = self.mul(t, base)
+                    e >>= 1
+                    if e:
+                        base = self.mul(base, base)
+            self._lifts[b.coeffs] = t
+        return t
 
+    def from_components(self, comps: tuple[FieldElement, ...]) -> tuple[int, ...]:
+        """sum_i p^i tau(a_i^(p^-i))."""
+        field, mod = self.field, self.mod
+        p, n = field.p, field.n
+        acc = (0,) * n
+        scale = 1
+        for i, a in enumerate(comps):
+            if a:
+                t = self.lift(a ** p ** (-i % n))
+                acc = tuple((x + scale * y) % mod for x, y in zip(acc, t))
+            scale *= p
+        return acc
 
-def _pd_pow(a: dict, e: int, width: int) -> dict:
-    result = {(0,) * width: 1}
-    base = a
-    while e:
-        if e & 1:
-            result = _pd_mul(result, base)
-        base = _pd_mul(base, base) if e > 1 else base
-        e >>= 1
-    return result
+    def components(self, x: tuple[int, ...]) -> tuple[FieldElement, ...]:
+        """a_i = c^(p^i) for c = x mod p, then x <- (x - tau(c)) / p."""
+        field = self.field
+        p, n = field.p, field.n
+        out = []
+        for i in range(self.length):
+            c = FieldElement(field, tuple(v % p for v in x))
+            out.append(c ** p ** (i % n))
+            if i + 1 < self.length:
+                shifted = []
+                for v, t in zip(x, self.lift(c)):
+                    quotient, rest = divmod(v - t, p)
+                    if rest:
+                        raise InternalInconsistencyError(
+                            f"Teichmueller digit {c} of W_{self.length}({field}) "
+                            "leaves a remainder mod p")
+                    shifted.append(quotient)
+                x = tuple(shifted)
+        return tuple(out)
 
-
-def _monomial(width: int, var: int, exp: int, coeff: int) -> dict:
-    key = tuple(exp if i == var else 0 for i in range(width))
-    return {key: coeff}
-
-
-def _ghost(p: int, k: int, offset: int, width: int) -> dict:
-    out: dict = {}
-    for i in range(k + 1):
-        out = _pd_add(out, _monomial(width, offset + i, p ** (k - i), p ** i))
-    return out
-
-
-def _exact_div(a: dict, d: int) -> dict:
-    out = {}
-    for e, c in a.items():
-        q, r = divmod(c, d)
-        if r:
-            raise InternalInconsistencyError(
-                "ghost recursion produced a non-integral coefficient")
-        out[e] = q
-    return out
-
-
-def _solve_laws(p: int, n: int, targets: list[dict], width: int) -> list[dict]:
-    polys: list[dict] = []
-    for k in range(n):
-        acc: dict = {}
-        for i in range(k):
-            acc = _pd_add(acc, _pd_scale(_pd_pow(polys[i], p ** (k - i), width), p ** i))
-        diff = _pd_add(targets[k], _pd_scale(acc, -1))
-        polys.append(_exact_div(diff, p ** k))
-    # independent symbolic re-check of the defining ghost identities
-    for k in range(n):
-        ghost_of_result: dict = {}
-        for i in range(k + 1):
-            ghost_of_result = _pd_add(
-                ghost_of_result,
-                _pd_scale(_pd_pow(polys[i], p ** (k - i), width), p ** i))
-        if ghost_of_result != targets[k]:
-            raise InternalInconsistencyError("ghost identity failed on re-check")
-    return polys
-
-
-_Term = tuple[int, tuple[int, ...]]
-
-
-def _reduce_mod_p(poly: dict, p: int) -> tuple[_Term, ...]:
-    terms = []
-    for e, c in sorted(poly.items()):
-        c %= p
-        if c:
-            terms.append((c, e))
-    return tuple(terms)
-
-
-def _reduced_laws(p: int, n: int, combine) -> tuple[tuple[_Term, ...], ...]:
-    """Laws with ghost components combine(w_k(X), w_k(Y)), reduced mod p."""
-    width = 2 * n
-    targets = [combine(_ghost(p, k, 0, width), _ghost(p, k, n, width))
-               for k in range(n)]
-    return tuple(_reduce_mod_p(s, p) for s in _solve_laws(p, n, targets, width))
-
-
-@lru_cache(maxsize=None)
-def _product_laws(p: int, n: int) -> tuple[tuple[_Term, ...], ...]:
-    return _reduced_laws(p, n, _pd_mul)
-
-
-@dataclass(frozen=True)
-class WittLawTable:
-    """Universal addition/multiplication polynomials mod p for W_n.
-
-    The sums are solved with the table; `prod_polys` is solved and
-    certified on first access and then shared by every table of that
-    (p, n).
-    """
-    p: int
-    length: int
-    sum_polys: tuple[tuple[_Term, ...], ...]
-
-    @property
-    def prod_polys(self) -> tuple[tuple[_Term, ...], ...]:
-        return _product_laws(self.p, self.length)
+    def frobenius(self, x: tuple[int, ...]) -> tuple[int, ...]:
+        n, mod = self.field.n, self.mod
+        if n == 1:
+            return x
+        rows = self._sigma
+        if rows is None:
+            gen = self.components((0, 1) + (0,) * (n - 2))
+            image = self.from_components(tuple(c.frobenius() for c in gen))
+            rows = [self.one]
+            for _ in range(1, n):
+                rows.append(self.mul(rows[-1], image))
+            self._sigma = rows = tuple(rows)
+        out = [0] * n
+        for c, row in zip(x, rows):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return tuple(v % mod for v in out)
 
 
 @lru_cache(maxsize=None)
-def witt_laws(p: int, n: int) -> WittLawTable:
-    """Memoised law table for W_n(characteristic-p rings)."""
-    if n > MAX_LENGTH:
-        raise LengthTooLargeError(f"Witt length {n} exceeds {MAX_LENGTH}")
-    if n < 1:
+def _galois_ring(field: FieldDescriptor, length: int) -> _GaloisRing:
+    if length > MAX_LENGTH:
+        raise LengthTooLargeError(f"Witt length {length} exceeds {MAX_LENGTH}")
+    if length < 1:
         raise ValueError("Witt length must be positive")
-    return WittLawTable(p, n, _reduced_laws(p, n, _pd_add))
+    return _GaloisRing(field, length)
 
 
-def _eval_terms(terms: tuple[_Term, ...], field: FieldDescriptor,
-                vals: tuple[FieldElement, ...]) -> FieldElement:
-    # the laws have no constant term, so every monomial has a variable
-    total = field.zero
-    # without log tables a power costs several products: reuse each one
-    powers = None if field._log_tables() else {}
-    for coeff, exps in terms:
-        acc = None
-        for idx, e in enumerate(exps):
-            if not e:
-                continue
-            if powers is None:
-                v = vals[idx] ** e
-            else:
-                v = powers.get((idx, e))
-                if v is None:
-                    v = powers[idx, e] = vals[idx] ** e
-            acc = v if acc is None else acc * v
-        if coeff != 1:
-            acc = acc * field.from_prime(coeff)
-        total = total + acc
-    return total
+def _vector(ring: _GaloisRing, coeffs: tuple[int, ...]) -> "WittVector":
+    v = object.__new__(WittVector)
+    v.ring = ring
+    v.coeffs = coeffs
+    return v
 
-
-# ---------------------------------------------------------------------------
-# vectors
-# ---------------------------------------------------------------------------
 
 class WittVector:
-    """An element of W_n(F_q); immutable, with ring operations."""
+    """An element of W_L(F_q); immutable, with ring operations."""
 
-    __slots__ = ("field", "components")
+    __slots__ = ("ring", "coeffs")
 
     def __init__(self, field: FieldDescriptor, components: tuple[FieldElement, ...]):
-        self.field = field
-        self.components = components
+        self.ring = ring = _galois_ring(field, len(components))
+        self.coeffs = ring.from_components(components)
+
+    @classmethod
+    def from_coefficients(cls, field: FieldDescriptor, length: int,
+                          coeffs) -> "WittVector":
+        """sum_j coeffs[j] x^j in GR(p^length, n), coefficients taken mod p^length."""
+        ring = _galois_ring(field, length)
+        return _vector(ring, tuple(c % ring.mod for c in coeffs))
 
     @classmethod
     def zeros(cls, field: FieldDescriptor, length: int) -> "WittVector":
-        return cls(field, (field.zero,) * length)
+        return _vector(_galois_ring(field, length), (0,) * field.n)
 
     @classmethod
     def one(cls, field: FieldDescriptor, length: int) -> "WittVector":
-        return cls(field, (field.one,) + (field.zero,) * (length - 1))
+        ring = _galois_ring(field, length)
+        return _vector(ring, ring.one)
 
     @classmethod
     def from_int(cls, field: FieldDescriptor, length: int, k: int) -> "WittVector":
@@ -230,95 +191,67 @@ class WittVector:
         return cls.one(field, length).scale(k)
 
     @property
+    def field(self) -> FieldDescriptor:
+        return self.ring.field
+
+    @property
     def length(self) -> int:
-        return len(self.components)
+        return self.ring.length
+
+    @property
+    def components(self) -> tuple[FieldElement, ...]:
+        return self.ring.components(self.coeffs)
 
     def _check(self, other: "WittVector") -> None:
-        if self.field != other.field or self.length != other.length:
+        if other.ring is not self.ring:
             raise MixedRingsError(
                 f"W_{self.length}({self.field}) vs W_{other.length}({other.field})")
 
     def __add__(self, other: "WittVector") -> "WittVector":
         self._check(other)
-        if self.length == 1:
-            return WittVector(self.field, (self.components[0] + other.components[0],))
-        table = witt_laws(self.field.p, self.length)
-        vals = self.components + other.components
-        return WittVector(self.field, tuple(
-            _eval_terms(terms, self.field, vals) for terms in table.sum_polys))
+        mod = self.ring.mod
+        return _vector(self.ring, tuple(
+            (a + b) % mod for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "WittVector":
-        if self.length == 1:
-            return WittVector(self.field, (-self.components[0],))
-        # S_k = X_k + Y_k + h(X_<k, Y_<k): solve S(x, y) = 0 triangularly
-        table = witt_laws(self.field.p, self.length)
-        ys: list[FieldElement] = []
-        pad = [self.field.zero] * self.length
-        for k in range(self.length):
-            vals = self.components + tuple(ys) + tuple(pad[k:])
-            ys.append(-_eval_terms(table.sum_polys[k], self.field, vals))
-        return WittVector(self.field, tuple(ys))
+        mod = self.ring.mod
+        return _vector(self.ring, tuple(-a % mod for a in self.coeffs))
 
     def __sub__(self, other: "WittVector") -> "WittVector":
-        return self + (-other)
+        self._check(other)
+        mod = self.ring.mod
+        return _vector(self.ring, tuple(
+            (a - b) % mod for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "WittVector") -> "WittVector":
         self._check(other)
-        if self.length == 1:
-            return WittVector(self.field, (self.components[0] * other.components[0],))
-        table = witt_laws(self.field.p, self.length)
-        vals = self.components + other.components
-        return WittVector(self.field, tuple(
-            _eval_terms(terms, self.field, vals) for terms in table.prod_polys))
+        return _vector(self.ring, self.ring.mul(self.coeffs, other.coeffs))
 
     def frobenius(self) -> "WittVector":
-        """Componentwise x -> x^p; a ring endomorphism since F_q is perfect."""
-        return WittVector(self.field, tuple(c.frobenius() for c in self.components))
+        """Componentwise x -> x^p; a ring automorphism since F_q is perfect."""
+        return _vector(self.ring, self.ring.frobenius(self.coeffs))
 
     def artin_schreier(self) -> "WittVector":
-        """frobenius(self) - self; additive, with kernel W_n(F_p)."""
+        """frobenius(self) - self; additive, with kernel W_L(F_p)."""
         return self.frobenius() - self
 
     def mul_by_p(self) -> "WittVector":
-        """p * self, via the shift-and-Frobenius form valid over perfect fields."""
-        comps = (self.field.zero,) + tuple(
-            c.frobenius() for c in self.components[:-1])
-        return WittVector(self.field, comps)
+        return self.scale(self.field.p)
 
     def scale(self, k: int) -> "WittVector":
-        """k * self for an integer k (reduced mod p^length automatically)."""
-        k %= self.field.p ** self.length
-        result = WittVector.zeros(self.field, self.length)
-        base = self
-        while k:
-            if k & 1:
-                result = result + base
-            base = base + base if k > 1 else base
-            k >>= 1
-        return result
-
-    def truncate(self, length: int) -> "WittVector":
-        if length > self.length:
-            raise ValueError("truncation cannot lengthen a Witt vector")
-        return WittVector(self.field, self.components[:length])
-
-    def zero_extend(self, length: int) -> "WittVector":
-        """Pad with zero components; only meaningful up to p^length ambiguity."""
-        if length < self.length:
-            raise ValueError("extension cannot shorten a Witt vector")
-        pad = (self.field.zero,) * (length - self.length)
-        return WittVector(self.field, self.components + pad)
+        """k * self for an integer k."""
+        mod = self.ring.mod
+        return _vector(self.ring, tuple(a * k % mod for a in self.coeffs))
 
     def __bool__(self) -> bool:
-        return any(self.components)
+        return any(self.coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, WittVector)
-                and self.components == other.components
-                and self.field == other.field)
+                and self.ring is other.ring and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.components, self.field.p, self.field.n))
+        return hash((self.coeffs, self.field.p, self.field.n, self.length))
 
     def __repr__(self):
         inner = ", ".join(repr(c.coeffs) for c in self.components)
@@ -327,12 +260,11 @@ class WittVector:
 
 def teichmueller(x: FieldElement, length: int) -> WittVector:
     """The multiplicative lift x -> (x, 0, ..., 0)."""
-    pad = (x.field.zero,) * (length - 1)
-    return WittVector(x.field, (x,) + pad)
+    ring = _galois_ring(x.field, length)
+    return _vector(ring, ring.lift(x))
 
 
 def iter_witt_vectors(field: FieldDescriptor, length: int):
     """All of W_length(field), components in lexicographic order."""
-    from itertools import product as _product
-    for comps in _product(field.elements(), repeat=length):
+    for comps in product(field.elements(), repeat=length):
         yield WittVector(field, comps)

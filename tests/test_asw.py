@@ -1,6 +1,7 @@
 """Reduced data, last jumps, character jumps, discriminant exponents, counts."""
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramcount import asw, gf
+from ramcount.cli import main, parse_cocycle
 from ramcount.errors import (
     BudgetExceededError,
     GroupTooLargeError,
@@ -219,7 +221,9 @@ def _oracle(m, lattice):
         for n in m.ramified_indices():
             x, e = m.support[n], 0
             while x not in span:
-                x, e = x.mul_by_p(), e + 1
+                x = asw.GroupWittElement(x.shape, x.field, tuple(
+                    part.mul_by_p() for part in x.parts))
+                e += 1
             if e:
                 jump = max(jump, n * p ** (e - 1))
         by_jump.setdefault(jump, []).append(elems)
@@ -259,15 +263,13 @@ def test_subgroup_count_of_z3_squared():
 def test_discriminant_and_inertia_match_subgroup_oracle(p):
     # every shape of order <= 64 over F_p, and over F_(p^2) while the module
     # G tensor W(F_q) has at most 64 elements; the zero datum and five
-    # random data with one to three coefficients on each.  Z/64 is left
-    # out: the oracle adds in W_6, whose law table alone takes longer to
-    # build than all the other cases together
+    # random data with one to three coefficients on each
     cases = 0
     for q in (p, p * p):
         field = gf.field_for_order(q)
         for shape in _shapes_up_to(p, 64):
             coeffs = list(asw.iter_module_elements(shape, field))
-            if len(coeffs) > 64 or shape.exponents[:1] == (6,):
+            if len(coeffs) > 64:
                 continue
             subgroups = _subgroups(shape)
             classes = asw.character_classes(shape)
@@ -285,6 +287,19 @@ def test_discriminant_and_inertia_match_subgroup_oracle(p):
                 assert asw.inertia_image(m) == inertia, m
                 cases += 1
     assert cases >= 36
+
+
+def test_cli_disc_in_w7_matches_subgroup_oracle(capsys):
+    # the characters of Z/128 x Z/2 add in W_7
+    terms = "1:1;0;0;0;0;0;0|1"
+    status = main(["disc", "--p", "2", "--q", "2", "--group", "7,1",
+                   "--terms", terms])
+    captured = capsys.readouterr()
+    assert status == 0, captured.err
+    shape = asw.GroupShape(2, (7, 1))
+    m = parse_cocycle(terms, shape, F2)
+    disc, _ = _oracle(m, _lattice(shape, F2, _subgroups(shape)))
+    assert json.loads(captured.out)["result"]["discriminant_exponent"] == disc
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +389,14 @@ def test_ramification_integral_rejects_bad_sizes():
 
 def test_ramification_integral_rejects_bad_sizes_under_optimisation():
     src = Path(asw.__file__).resolve().parents[1]
-    # also the integrality certificate of the Witt law solver
-    code = ("from ramcount import asw, witt\n"
+    # also the integrality certificate of the Witt vectors: a Teichmueller
+    # lift that is not congruent to its digit mod p leaves a remainder
+    code = ("from ramcount import asw, gf, witt\n"
             "from ramcount.errors import InternalInconsistencyError\n"
+            "f2 = gf.make_field(2, 1)\n"
+            "witt._galois_ring(f2, 2)._lifts[f2.one.coeffs] = (2,)\n"
             "for check in (lambda: asw.ramification_integral(4, [3]),\n"
-            "              lambda: witt._exact_div({(1,): 3}, 2)):\n"
+            "              lambda: witt.WittVector.one(f2, 2).components):\n"
             "    try:\n"
             "        check()\n"
             "    except InternalInconsistencyError:\n"

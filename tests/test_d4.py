@@ -86,21 +86,12 @@ def test_jump_formula_uses_exact_rationals():
                 assert value.denominator == 1
 
 
-def test_datum_normalises_constants_and_validates_support():
-    # over F_2 the map x -> x^2 - x has image {0}, so both constants are reps
-    d = d4.D4Datum(poly(F2, 1, 0), poly(F2, 3), poly(F2, 0))
-    assert d.a == poly(F2, 1, 0)
-    trans = gf.wp_transversal(F4)
-    shifted = SparseTPoly.from_terms(F4, {0: F4.one, 1: F4.one})
-    d = d4.D4Datum(shifted, poly(F4, 3), SparseTPoly.zero(F4))
-    assert d.a.constant_term() in trans
-    assert d4.datum_last_jump(d4.D4Datum(poly(F2, 1), poly(F2, 1),
-                                         SparseTPoly.zero(F2))) == 2
-    with pytest.raises(ValueError):
-        d4.D4Datum(poly(F2, 2), poly(F2, 1), SparseTPoly.zero(F2))
-    with pytest.raises(ValueError):
-        d4.D4Datum(poly(gf.make_field(3, 1), 1), poly(gf.make_field(3, 1), 1),
-                   SparseTPoly.zero(gf.make_field(3, 1)))
+def test_min_lift_jump_validates_datum_support():
+    with pytest.raises(ValueError, match="must be 0 or odd"):
+        d4.min_lift_jump(poly(F2, 2), poly(F2, 1))
+    f3 = gf.make_field(3, 1)
+    with pytest.raises(ValueError, match="characteristic 2"):
+        d4.min_lift_jump(poly(f3, 1), poly(f3, 1))
 
 
 def test_min_lift_jump_examples():

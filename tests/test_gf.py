@@ -157,10 +157,6 @@ def test_transversal_is_a_complete_set_of_coset_representatives(p, n):
     reps = gf.wp_transversal(field)
     cosets = {frozenset(r + b for b in image) for r in reps}
     assert len(cosets) == p
-    for a in field.iter_elements():
-        rep = gf.coset_representative(a)
-        assert rep in reps
-        assert (a - rep) in image
 
 
 def test_embedding_of_prime_field_is_unital():

@@ -1,16 +1,15 @@
-"""Witt vector ring laws, checked against ghost-component oracles."""
+"""Witt vectors in the Galois ring, checked against ghost-component oracles."""
 
-import os
+import itertools
+import math
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+import witt_oracle
 from ramcount import gf, witt
 from ramcount.errors import LengthTooLargeError, MixedRingsError
-from ramcount.witt import WittVector, iter_witt_vectors, teichmueller, witt_laws
+from ramcount.witt import WittVector, iter_witt_vectors, teichmueller
 
 F2 = gf.make_field(2, 1)
 F3 = gf.make_field(3, 1)
@@ -23,59 +22,78 @@ def w2(field, *comps):
 
 
 # ---------------------------------------------------------------------------
-# law polynomials
+# law polynomials of the oracle
 # ---------------------------------------------------------------------------
 
 def test_sum_poly_length_one_is_plain_addition():
     for p in (2, 3, 5):
-        table = witt_laws(p, 1)
-        assert set(table.sum_polys[0]) == {(1, (1, 0)), (1, (0, 1))}
+        assert set(witt_oracle.sum_laws(p, 1)[0]) == {(1, (1, 0)), (1, (0, 1))}
 
 
 def test_sum_poly_second_component_mod_2():
-    table = witt_laws(2, 2)
     # X1 + Y1 + X0*Y0
-    assert set(table.sum_polys[1]) == {
+    assert set(witt_oracle.sum_laws(2, 2)[1]) == {
         (1, (0, 1, 0, 0)), (1, (0, 0, 0, 1)), (1, (1, 0, 1, 0))}
 
 
 def test_sum_poly_second_component_mod_3():
-    table = witt_laws(3, 2)
     # X1 + Y1 - (X0^2*Y0 + X0*Y0^2)
-    assert set(table.sum_polys[1]) == {
+    assert set(witt_oracle.sum_laws(3, 2)[1]) == {
         (1, (0, 1, 0, 0)), (1, (0, 0, 0, 1)),
         (2, (2, 0, 1, 0)), (2, (1, 0, 2, 0))}
 
 
-def test_addition_solves_only_the_sum_laws():
-    # a fresh process, so no earlier test has filled the law caches
-    src = Path(witt.__file__).resolve().parents[1]
-    code = ("from ramcount import gf, witt\n"
-            "f = gf.make_field(2, 2)\n"
-            "a = witt.WittVector(f, (f.gen, f.one, f.gen))\n"
-            "b = witt.WittVector(f, (f.one, f.gen, f.zero))\n"
-            "a + b\n"
-            "print(witt.witt_laws.cache_info().currsize,\n"
-            "      witt._product_laws.cache_info().currsize)\n"
-            "a * b\n"
-            "print(witt._product_laws.cache_info().currsize)\n")
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.stdout.split() == ["1", "0", "1"], done.stderr
-
-
 def test_product_polys_mod_2():
-    table = witt_laws(2, 2)
+    laws = witt_oracle.product_laws(2, 2)
     # X0*Y0, then X1*Y0^2 + X0^2*Y1 + 2*X1*Y1, whose last term vanishes mod 2
-    assert set(table.prod_polys[0]) == {(1, (1, 0, 1, 0))}
-    assert set(table.prod_polys[1]) == {(1, (0, 1, 2, 0)), (1, (2, 0, 0, 1))}
-    assert table.prod_polys is witt_laws(2, 2).prod_polys
+    assert set(laws[0]) == {(1, (1, 0, 1, 0))}
+    assert set(laws[1]) == {(1, (0, 1, 2, 0)), (1, (2, 0, 0, 1))}
 
 
 def test_law_length_cap():
+    with pytest.raises(ValueError):
+        witt_oracle.sum_laws(2, witt_oracle.MAX_LENGTH + 1)
+    # W_12(F_2) = Z/4096 holds the longest cyclic factor of a group within
+    # asw.MAX_GROUP_ORDER
+    assert witt.MAX_LENGTH == 12
+    for k in (1, 2, 3, 1000, 2048, 4095):
+        v = WittVector.from_int(F2, 12, k)
+        assert WittVector(F2, v.components) == v
+        order = 4096 // math.gcd(k, 4096)
+        assert not v.scale(order) and v.scale(order // 2)
     with pytest.raises(LengthTooLargeError):
-        witt_laws(2, 7)
+        WittVector.zeros(F2, 13)
+    with pytest.raises(LengthTooLargeError):
+        WittVector(F2, (F2.one,) * 13)
+
+
+def _random_vector(rng, field, length):
+    return tuple(field.element(rng.randrange(field.p) for _ in range(field.n))
+                 for _ in range(length))
+
+
+# (p, n, L): every pair of W_2(F_4) and W_3(F_2), then 200 random pairs each;
+# (2, 7, 2) is over GF(128), above the table cap of gf
+@pytest.mark.parametrize("p,n,length", [
+    (2, 2, 2), (2, 1, 3), (2, 2, 3), (3, 1, 3), (3, 2, 2), (2, 3, 2), (5, 1, 2),
+    (2, 2, 4), (7, 1, 2), (2, 7, 2)])
+def test_galois_ring_matches_ghost_laws(p, n, length):
+    field = gf.make_field(p, n)
+    if (p, n, length) in ((2, 2, 2), (2, 1, 3)):
+        every = list(itertools.product(field.elements(), repeat=length))
+        pairs = list(itertools.product(every, repeat=2))
+    else:
+        rng = random.Random(f"{p}/{n}/{length}")
+        pairs = [(_random_vector(rng, field, length),
+                  _random_vector(rng, field, length)) for _ in range(200)]
+    for a, b in pairs:
+        va, vb = WittVector(field, a), WittVector(field, b)
+        assert va.components == a
+        assert (va + vb).components == witt_oracle.add(a, b)
+        assert (-vb).components == witt_oracle.neg(b)
+        assert (va - vb).components == witt_oracle.add(a, witt_oracle.neg(b))
+        assert (va * vb).components == witt_oracle.mul(a, b)
+        assert va.frobenius().components == witt_oracle.frobenius(a)
 
 
 # ---------------------------------------------------------------------------
@@ -254,29 +272,3 @@ def test_length_four_ring_is_z16():
     assert WittVector.from_int(F2, 4, 5) + WittVector.from_int(F2, 4, 11) \
         == WittVector.zeros(F2, 4)
     assert one.mul_by_p().mul_by_p().mul_by_p() == WittVector.from_int(F2, 4, 8)
-
-
-@pytest.mark.parametrize("p,n,length", [(2, 7, 3), (3, 4, 2)])
-def test_laws_above_the_table_cap_match_the_table_path(p, n, length):
-    # above the cap powers are square-and-multiply, shared within one law;
-    # the same field with tables built by hand takes every power by lookup
-    plain = gf.make_field(p, n)
-    assert plain.q > gf._LOG_TABLE_CAP
-    tabled = gf.FieldDescriptor(p, n, plain.modulus)
-    tabled._logs = gf._index_tables(tabled)
-    rng = random.Random(plain.q)
-
-    def pair():
-        digits = [[rng.randrange(p) for _ in range(n)] for _ in range(length)]
-        return (WittVector(plain, tuple(plain.element(d) for d in digits)),
-                WittVector(tabled, tuple(tabled.element(d) for d in digits)))
-
-    def coeffs(v):
-        return tuple(c.coeffs for c in v.components)
-
-    for _ in range(10):
-        (a, a_t), (b, b_t) = pair(), pair()
-        assert coeffs(a + b) == coeffs(a_t + b_t)
-        assert coeffs(a * b) == coeffs(a_t * b_t)
-        assert coeffs(-a) == coeffs(-a_t)
-    assert plain._logs is None

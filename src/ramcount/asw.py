@@ -208,21 +208,25 @@ def mu(v: int, n: int, p: int) -> int:
     return count
 
 
-def coefficient_order(x: GroupWittElement) -> int:
-    """Smallest e >= 0 with p^e * x = 0.
+def _order_exponent(p: int, mod: int, coeffs) -> int:
+    """e with p^e the additive order of coefficients taken mod the p-power mod.
 
-    A part in W_L has order p^L / gcd(p^L, its Galois-ring coefficients),
-    which is p^(L - v) for v their least p-adic valuation.
+    The order is mod / gcd(mod, coefficients), which is p^(L - v) for
+    mod = p^L and v their least p-adic valuation.
     """
-    order = 1
-    for part in x.parts:
-        mod = part.ring.mod
-        order = max(order, mod // gcd(mod, *part.coeffs))
+    order = mod // gcd(mod, *coeffs)
     e = 0
     while order > 1:
-        order //= x.shape.p
+        order //= p
         e += 1
     return e
+
+
+def coefficient_order(x: GroupWittElement) -> int:
+    """Smallest e >= 0 with p^e * x = 0: the largest order exponent of the
+    Galois-ring coefficients of its parts."""
+    return max((_order_exponent(x.shape.p, part.ring.mod, part.coeffs)
+                for part in x.parts), default=0)
 
 
 def last_jump(m: ReducedCocycle) -> int:
@@ -258,14 +262,6 @@ def ramification_integral(group_order: int, image_sizes: list[int]) -> int:
     return int(value)
 
 
-def _order_exponent(k: int, n: int, p: int) -> int:
-    """e with p^e the additive order of k in Z/p^n."""
-    e = 0
-    while k * p ** e % p ** n:
-        e += 1
-    return e
-
-
 @lru_cache(maxsize=None)
 def character_classes(shape: GroupShape) -> tuple[tuple[tuple[int, ...], int], ...]:
     """One character a per cyclic subgroup of the dual of G, with the number
@@ -284,8 +280,8 @@ def character_classes(shape: GroupShape) -> tuple[tuple[tuple[int, ...], int], .
     p = shape.p
     classes = []
     for a in product(*(range(mod) for mod in shape.moduli())):
-        orders = [_order_exponent(a_i, n_i, p)
-                  for a_i, n_i in zip(a, shape.exponents)]
+        orders = [_order_exponent(p, mod, (a_i,))
+                  for a_i, mod in zip(a, shape.moduli())]
         k = max(orders, default=0)
         if k == 0:
             classes.append((a, 1))
@@ -302,27 +298,29 @@ def character_jumps(m: ReducedCocycle) -> dict[tuple[int, ...], int]:
     chi_a sends the part x_i in W_(n_i) of a coefficient to a_i p^(N - n_i)
     times a lift of x_i to W_N, which is well defined because p^(N - n_i)
     kills the lifting ambiguity: on Galois-ring coefficients it is the
-    coefficients of x_i times a_i p^(N - n_i), mod p^N.  Certificate: the
-    characters detect the order of every coefficient, so the largest
-    character jump is the last jump of m.
+    coefficients of x_i times a_i p^(N - n_i), mod p^N.  An image of order
+    p^e at index n has jump n p^(e - 1), and the jump of chi_a o m is the
+    largest of these.  Certificate: the characters detect the order of every
+    coefficient, so the largest character jump is the last jump of m.
     """
-    shape, field = m.shape, m.field
-    target = GroupShape(shape.p, shape.exponents[:1])
-    top_exp = shape.exponents[0] if shape.rank else 0
-    weights = [shape.p ** (top_exp - e) for e in shape.exponents]
-    ramified = m.ramified_indices()
+    p = m.shape.p
+    exponents = m.shape.exponents
+    top_exp = exponents[0] if exponents else 0
+    mod = p ** top_exp
+    weights = [p ** (top_exp - e) for e in exponents]
+    ramified = [(n, m.support[n].parts) for n in m.ramified_indices()]
     jumps = {}
-    for a, _ in character_classes(shape):
-        support = {}
-        for n in ramified:
-            coeffs = [0] * field.n
-            for a_i, w, part in zip(a, weights, m.support[n].parts):
+    for a, _ in character_classes(m.shape):
+        best = 0
+        for n, parts in ramified:
+            coeffs = [0] * m.field.n
+            for a_i, w, part in zip(a, weights, parts):
                 if a_i:
                     coeffs = [s + a_i * w * c for s, c in zip(coeffs, part.coeffs)]
-            image = WittVector.from_coefficients(field, top_exp, coeffs)
-            if image:
-                support[n] = GroupWittElement(target, field, (image,))
-        jumps[a] = last_jump(ReducedCocycle(target, field, support))
+            e = _order_exponent(p, mod, coeffs)
+            if e:
+                best = max(best, n * p ** (e - 1))
+        jumps[a] = best
     top = last_jump(m)
     if max(jumps.values()) != top:
         raise InternalInconsistencyError(
@@ -414,13 +412,12 @@ def count_by_last_jump_enumerated(shape: GroupShape, q: int, v: int, mode: str,
                                   budget: int = DEFAULT_BUDGET) -> int:
     """The same count by exhausting all data: the oracle for the closed form."""
     _check_count_args(shape, q, v, mode)
-    field = field_for_order(q, p=shape.p)
     indices = _ramified_indices(shape.p, v)
-    coeffs = list(iter_module_elements(shape, field))
     unram = shape.order if mode == "homomorphisms" else 1
-    total = unram * len(coeffs) ** len(indices)
+    total = unram * (q ** sum(shape.exponents)) ** len(indices)
     if total > budget:
         raise BudgetExceededError(f"enumeration size {total} exceeds {budget}")
+    coeffs = list(iter_module_elements(shape, field_for_order(q, p=shape.p)))
     orders = [coefficient_order(x) for x in coeffs]
     # per index, the jump each coefficient contributes (0 for the zero one)
     jumps = [[n * shape.p ** (e - 1) if e else 0 for e in orders]

@@ -3,16 +3,20 @@
 Each check returns a CheckResult with a short detail string; the CLI `verify`
 subcommand aggregates them, and the acceptance test module runs the
 acceptance list one criterion per test.  Randomised samples draw from a
-seeded generator so identical configurations reproduce identical output.
+generator seeded per suite, so identical configurations reproduce identical
+output.  A computation that a suite row and an acceptance criterion share is
+one helper, memoised per process on its arguments, so one `verify` run does
+it once.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import asw, d4, euler, gf, h3
 from .d4 import SparseTPoly
@@ -52,7 +56,8 @@ def _pool_with_constants(field, exponents) -> list[SparseTPoly]:
 # gf
 # ---------------------------------------------------------------------------
 
-def gf_checks(rng: random.Random) -> list[CheckResult]:
+def gf_checks(seed: int) -> list[CheckResult]:
+    rng = random.Random(seed)
     results = []
 
     small = [(2, 1), (2, 2), (3, 1), (2, 3), (5, 1), (3, 2), (2, 4), (7, 1),
@@ -130,7 +135,9 @@ def _ring_axioms_hold(triples) -> bool:
     return True
 
 
-def witt_checks(rng: random.Random) -> list[CheckResult]:
+@functools.cache
+def witt_checks(seed: int) -> tuple[CheckResult, ...]:
+    rng = random.Random(seed)
     results = []
 
     exhaustive = [(2, gf.make_field(2, 1)), (2, gf.make_field(2, 2)),
@@ -188,7 +195,7 @@ def witt_checks(rng: random.Random) -> list[CheckResult]:
              for a in iter_witt_vectors(f4, 2) for b in iter_witt_vectors(f4, 2))
     results.append(_result("witt.frobenius_commutes_with_addition", ok,
                            "W_2(GF(4)) exhaustive"))
-    return results
+    return tuple(results)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +215,24 @@ def _z4_data_with_support_up_to_three():
     return data
 
 
-def asw_checks(rng: random.Random) -> list[CheckResult]:
+@functools.cache
+def _cyclic_discriminants_match() -> tuple[bool, int]:
+    ok, evals = True, 0
+    for p in (2, 3, 5):
+        field = gf.make_field(p, 1)
+        cyclic = asw.GroupShape(p, (1,))
+        for jump in [n for n in range(1, 8) if n % p]:
+            coeff = asw.GroupWittElement(cyclic, field,
+                                         (WittVector(field, (field.one,)),))
+            m = asw.make_cocycle(cyclic, field, {jump: coeff})
+            evals += 1
+            ok = ok and asw.discriminant_exponent(m) == (jump + 1) * (p - 1)
+    return ok, evals
+
+
+@functools.cache
+def asw_checks(seed: int) -> tuple[CheckResult, ...]:
+    rng = random.Random(seed)
     results = []
 
     ok, count = True, 0
@@ -278,16 +302,7 @@ def asw_checks(rng: random.Random) -> list[CheckResult]:
     results.append(_result("asw.rank_one_counts_match_closed_form", ok,
                            "q in {2,4}, v <= 7"))
 
-    ok, evals = True, 0
-    for p in (2, 3, 5):
-        field = gf.make_field(p, 1)
-        cyclic = asw.GroupShape(p, (1,))
-        for jump in [n for n in range(1, 8) if n % p]:
-            coeff = asw.GroupWittElement(cyclic, field,
-                                         (WittVector(field, (field.one,)),))
-            m = asw.make_cocycle(cyclic, field, {jump: coeff})
-            evals += 1
-            ok = ok and asw.discriminant_exponent(m) == (jump + 1) * (p - 1)
+    ok, evals = _cyclic_discriminants_match()
     results.append(_result("asw.cyclic_discriminants_match_break_formula", ok,
                            f"evaluations={evals}"))
 
@@ -300,7 +315,7 @@ def asw_checks(rng: random.Random) -> list[CheckResult]:
         count += 1
     results.append(_result("asw.quotient_jump_integrality_asserted", True,
                            f"evaluations={count}"))
-    return results
+    return tuple(results)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +334,7 @@ def _twist_corpus(field, size) -> list[tuple[SparseTPoly, SparseTPoly]]:
     return corpus
 
 
+@functools.cache
 def _pairing_bound_holds() -> tuple[bool, int]:
     """Exhaustive epsilon-bound check: every (Z/2)^2 cocycle over F_2 with
     support in {1, 3} (16 sources) against every (g1, g2) in F_q'^2 for
@@ -346,7 +362,30 @@ def _pairing_bound_holds() -> tuple[bool, int]:
     return ok, checked
 
 
-def d4_checks(rng: random.Random) -> list[CheckResult]:
+@functools.cache
+def _bruteforce_minimum_matches(q: int, bound: int) -> tuple[bool, int]:
+    """(all agree, fibers) over the totally ramified pairs, w(a) + w(c) <= bound."""
+    pool = _pool_with_constants(gf.field_for_order(q), (1, 3, 5))
+    ok, fibers = True, 0
+    for a in pool:
+        for c in pool:
+            if a.pole_order() + c.pole_order() > bound:
+                continue
+            if not d4.is_totally_ramified(a, c):
+                continue
+            fibers += 1
+            if d4.min_lift_jump_bruteforce(a, c, bound) != d4.min_lift_jump(a, c):
+                ok = False
+    return ok, fibers
+
+
+@functools.cache
+def _min_lift_counts_match() -> bool:
+    return all(d4.count_min_lift(q, v) == d4.count_min_lift(q, v, "enumeration")
+               for q in (2, 4) for v in range(6))
+
+
+def d4_checks(_seed: int) -> list[CheckResult]:
     results = []
 
     ok, pairs = True, 0
@@ -361,20 +400,9 @@ def d4_checks(rng: random.Random) -> list[CheckResult]:
     results.append(_result("d4.min_lift_dominates_reduction_jump", ok,
                            f"pairs={pairs}"))
 
-    ok, fibers = True, 0
-    for q, bound in ((2, 6), (4, 4)):
-        field = gf.field_for_order(q)
-        pool = _pool_with_constants(field, (1, 3, 5))
-        for a in pool:
-            for c in pool:
-                if a.pole_order() + c.pole_order() > bound:
-                    continue
-                if not d4.is_totally_ramified(a, c):
-                    continue
-                fibers += 1
-                if (d4.min_lift_jump_bruteforce(a, c, bound)
-                        != d4.min_lift_jump(a, c)):
-                    ok = False
+    (ok2, fibers2), (ok4, fibers4) = (_bruteforce_minimum_matches(2, 6),
+                                      _bruteforce_minimum_matches(4, 4))
+    ok, fibers = ok2 and ok4, fibers2 + fibers4
     results.append(_result("d4.bruteforce_minimum_matches_formula", ok,
                            f"fibers={fibers}"))
 
@@ -415,13 +443,8 @@ def d4_checks(rng: random.Random) -> list[CheckResult]:
     results.append(_result("d4.central_twists_move_jump_to_max", ok,
                            f"twists={checked}"))
 
-    ok = True
-    for q in (2, 4):
-        for v in range(6):
-            if d4.count_min_lift(q, v) != d4.count_min_lift(q, v, "enumeration"):
-                ok = False
     results.append(_result("d4.min_lift_count_closed_form_equals_enumeration",
-                           ok, "q in {2,4}, v <= 5"))
+                           _min_lift_counts_match(), "q in {2,4}, v <= 5"))
 
     ok, reports = True, 0
     for q, v_max in ((2, 6), (4, 4)):
@@ -450,11 +473,17 @@ def d4_checks(rng: random.Random) -> list[CheckResult]:
 # h3
 # ---------------------------------------------------------------------------
 
-def h3_checks(_rng: random.Random) -> list[CheckResult]:
+@functools.cache
+def _line_inertia_bruteforce() -> tuple[int, int]:
+    return (h3.count_line_inertia(3, 3, 1, "bruteforce"),
+            h3.count_line_inertia(3, 3, 2, "bruteforce"))
+
+
+def h3_checks(_seed: int) -> list[CheckResult]:
     results = []
 
-    ok = (h3.count_line_inertia(3, 3, 1, "bruteforce") == h3.count_line_inertia(3, 3, 1)
-          and h3.count_line_inertia(3, 3, 2, "bruteforce") == h3.count_line_inertia(3, 3, 2))
+    ok = _line_inertia_bruteforce() == (h3.count_line_inertia(3, 3, 1),
+                                        h3.count_line_inertia(3, 3, 2))
     results.append(_result("h3.line_inertia_bruteforce_matches_closed_form", ok,
                            "(p,q,r) in {(3,3,1),(3,3,2)}"))
 
@@ -478,7 +507,14 @@ def h3_checks(_rng: random.Random) -> list[CheckResult]:
 # euler
 # ---------------------------------------------------------------------------
 
-def euler_checks(_rng: random.Random) -> list[CheckResult]:
+@functools.cache
+def _d4_series_matches_oracle(q: int, x_max: int) -> bool:
+    series = euler.d4_global_series(q, x_max)
+    return all(series.coefficient(x) == euler.convolution_oracle(q, x)
+               for x in range(x_max + 1))
+
+
+def euler_checks(_seed: int) -> list[CheckResult]:
     results = []
 
     ok = True
@@ -490,22 +526,14 @@ def euler_checks(_rng: random.Random) -> list[CheckResult]:
                 ok = False
     results.append(_result("euler.census_zeta_identity", ok, "q in {2,3,4,5,9}"))
 
-    ok = True
-    for q, x_max in ((2, 6), (4, 4)):
-        series = euler.d4_global_series(q, x_max)
-        for x in range(x_max + 1):
-            if series.coefficient(x) != euler.convolution_oracle(q, x):
-                ok = False
+    ok = _d4_series_matches_oracle(2, 6) and _d4_series_matches_oracle(4, 4)
     z2 = asw.GroupShape(2, (1,))
     series = euler.abelian_global_series(z2, 2, 8)
-    cache: dict[tuple[int, int], int] = {}
 
+    @functools.cache
     def z2_coefficient(residue_order, v):
-        key = (residue_order, v)
-        if key not in cache:
-            cache[key] = asw.count_by_last_jump_enumerated(
-                z2, residue_order, v, "inertial_types")
-        return cache[key]
+        return asw.count_by_last_jump_enumerated(
+            z2, residue_order, v, "inertial_types")
 
     for x in range(9):
         if series.coefficient(x) != euler.convolution_oracle(2, x, z2_coefficient):
@@ -527,28 +555,13 @@ def euler_checks(_rng: random.Random) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def _acc_local_distribution() -> CheckResult:
-    ok = True
-    for q in (2, 4):
-        for v in range(6):
-            if d4.count_min_lift(q, v) != d4.count_min_lift(q, v, "enumeration"):
-                ok = False
-    return _result("acceptance.1.local_distribution_closed_forms", ok,
+    return _result("acceptance.1.local_distribution_closed_forms",
+                   _min_lift_counts_match(),
                    "q in {2,4}, v <= 5, exact")
 
 
 def _acc_min_lift_oracle() -> CheckResult:
-    field = gf.make_field(2, 1)
-    pool = _pool_with_constants(field, (1, 3, 5))
-    fibers, ok = 0, True
-    for a in pool:
-        for c in pool:
-            if a.pole_order() + c.pole_order() > 6:
-                continue
-            if not d4.is_totally_ramified(a, c):
-                continue
-            fibers += 1
-            if d4.min_lift_jump_bruteforce(a, c, 6) != d4.min_lift_jump(a, c):
-                ok = False
+    ok, fibers = _bruteforce_minimum_matches(2, 6)
     return _result("acceptance.2.min_lift_bruteforce_oracle", ok,
                    f"q=2, totally ramified fibers={fibers}, exact")
 
@@ -572,18 +585,15 @@ def _acc_heisenberg_numbers() -> CheckResult:
     ok = (report.local_count == 3510 and report.global_count == 9126
           and sum(v for _, v in report.local_breakdown) == 3510
           and sum(v for _, v in report.global_breakdown) == 9126
-          and h3.count_line_inertia(3, 3, 1, "bruteforce") == 78
-          and h3.count_line_inertia(3, 3, 2, "bruteforce") == 234)
+          and _line_inertia_bruteforce() == (78, 234))
     return _result("acceptance.4.heisenberg_counterexample_numbers", ok,
                    f"local={report.local_count} global={report.global_count} "
                    f"bruteforce=78,234")
 
 
 def _acc_pipeline_consistency() -> CheckResult:
-    series = euler.d4_global_series(2, 6)
-    ok = all(series.coefficient(x) == euler.convolution_oracle(2, x)
-             for x in range(7))
-    return _result("acceptance.5.euler_product_matches_oracle", ok,
+    return _result("acceptance.5.euler_product_matches_oracle",
+                   _d4_series_matches_oracle(2, 6),
                    "q=2, X <= 6, exact")
 
 
@@ -600,9 +610,8 @@ def _acc_growth() -> CheckResult:
                    f"observed relative changes [{observed}]")
 
 
-def _acc_invariant_suites(seed: int = 0) -> CheckResult:
-    rng = random.Random(seed)
-    inner = witt_checks(rng) + asw_checks(rng)
+def _acc_invariant_suites() -> CheckResult:
+    inner = witt_checks(0) + asw_checks(0)
     eps_ok, _ = _pairing_bound_holds()
     ok = eps_ok and all(r.passed for r in inner)
     failing = [r.name for r in inner if not r.passed]
@@ -613,16 +622,8 @@ def _acc_invariant_suites(seed: int = 0) -> CheckResult:
 
 
 def _acc_discriminant_gate() -> CheckResult:
-    ok = True
+    ok, _ = _cyclic_discriminants_match()
     for p in (2, 3, 5):
-        field = gf.make_field(p, 1)
-        cyclic = asw.GroupShape(p, (1,))
-        for jump in [n for n in range(1, 8) if n % p]:
-            coeff = asw.GroupWittElement(cyclic, field,
-                                         (WittVector(field, (field.one,)),))
-            m = asw.make_cocycle(cyclic, field, {jump: coeff})
-            if asw.discriminant_exponent(m) != (jump + 1) * (p - 1):
-                ok = False
         report = h3.smallest_wild_discriminant(p)
         if report.value != 2 * p ** 2 * (p - 1) or not report.is_smallest_positive:
             ok = False
@@ -643,7 +644,7 @@ def acceptance_criteria() -> list[tuple[str, Callable[[], CheckResult]]]:
     ]
 
 
-SUITES: dict[str, Callable[[random.Random], list[CheckResult]]] = {
+SUITES: dict[str, Callable[[int], Sequence[CheckResult]]] = {
     "gf": gf_checks,
     "witt": witt_checks,
     "asw": asw_checks,
@@ -660,8 +661,7 @@ def run_suites(names: Iterable[str], seed: int = 0) -> list[CheckResult]:
             for _, fn in acceptance_criteria():
                 results.append(fn())
         else:
-            rng = random.Random(seed)
-            results.extend(SUITES[name](rng))
+            results.extend(SUITES[name](seed))
     return results
 
 

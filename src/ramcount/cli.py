@@ -81,10 +81,6 @@ def _fraction_str(x) -> str:
 # handlers: each returns (result_dict, exit_code)
 # ---------------------------------------------------------------------------
 
-def _field(args) -> gf.FieldDescriptor:
-    return gf.field_for_order(args.q, p=getattr(args, "p", None))
-
-
 def cmd_lj(args):
     field = gf.field_for_order(args.q, p=args.p)
     shape = parse_group(args.group, args.p)

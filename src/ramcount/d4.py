@@ -36,13 +36,7 @@ from .errors import (
     NotTotallyRamifiedError,
     UnsupportedShapeError,
 )
-from .gf import (
-    FieldDescriptor,
-    FieldElement,
-    embed,
-    field_for_order,
-    wp_transversal,
-)
+from .gf import FieldDescriptor, FieldElement, embed, field_for_order
 from .witt import WittVector
 
 MAX_JUMP = 64
@@ -203,9 +197,10 @@ def _require_lift_space(a: SparseTPoly, c: SparseTPoly) -> None:
 
 
 def _lift_pool_size(field: FieldDescriptor, bound: int) -> int:
-    """Number of canonical b with w(b) <= bound: a transversal constant and
-    any coefficient at each odd exponent up to the bound."""
-    return len(wp_transversal(field)) * field.q ** ((bound + 1) // 2)
+    """Number of canonical b with w(b) <= bound: one of the p constants of the
+    Artin-Schreier transversal and any coefficient at each odd exponent up
+    to the bound."""
+    return field.p * field.q ** ((bound + 1) // 2)
 
 
 def _doubled_jump_tally(a: SparseTPoly, c: SparseTPoly,
@@ -216,7 +211,8 @@ def _doubled_jump_tally(a: SparseTPoly, c: SparseTPoly,
     constant, so the derivatives of these b are exactly the integers in
     range(q^k), k the number of odd exponents <= bound: exponent 2j+1 owns
     bits [j*n, (j+1)*n), and bit i of a block is coefficient i of the field
-    element.  Each derivative stands for one b per transversal constant.
+    element.  Each derivative stands for one b per transversal constant,
+    and the transversal has p elements.
     The odd exponents <= bound of a*c' pack the same way into one integer,
     so adding b' is an XOR; the other exponents of a*c', which no b' can
     reach, give a fixed floor under w(b' + a*c').
@@ -232,7 +228,7 @@ def _doubled_jump_tally(a: SparseTPoly, c: SparseTPoly,
             floor = max(floor, e)
     wa, wc = a.pole_order(), c.pole_order()
     floor2 = max(2 * floor, wa + 2 * wc, wc + 2 * wa)
-    per_derivative = len(wp_transversal(field))
+    per_derivative = field.p
     tally: dict[int, int] = {}
     for deriv in range(field.q ** ((bound + 1) // 2)):
         # twice the top odd exponent of b' + a*c'; -2 when that part vanishes
@@ -341,33 +337,36 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
     """Compare lift distributions of (a, c) against all constant twists.
 
     Every (alpha, gamma) in F_q^2 shifts the reduction by an unramified
-    character pair; the resulting distributions must coincide.  Where the
-    reduction is totally ramified the explicitly enumerated distributions
-    are compared as well; the base and every twist then enumerate the same
-    pool.  The whole job is refused up front when it exceeds the budget:
-    the q^2 closed-form rows alone, or with enumeration the pool size times
-    q^2 + 1.
+    character pair; the closed-form distribution of each twist is compared
+    with that of (a, c).  Where (a, c) is totally ramified, its lift space is
+    enumerated once and the tally compared with the nonzero rows of the
+    closed form; that one comparison is every twist's `enumerated_equal`.
+    It stands for every twist because a constant twist changes neither pole
+    order, so neither the floor of `_doubled_jump_tally`, and adds to a*c'
+    only alpha*c', whose exponents are odd and at most w(c).  When
+    w(c) <= v_max that XORs one fixed X < q^k into the packed a*c', and
+    b' -> b' ^ X permutes range(q^k), so the tally does not change; when
+    w(c) > v_max every jump exceeds v_max and both tallies are empty.
+    The job is refused up front when the larger of the pool and the q^2
+    closed-form rows exceeds the budget.
     """
     field = a.field
     base = lift_jump_distribution(a, c, v_max)
-    base_enum = None
+    enum_eq = None
     if is_totally_ramified(a, c):
-        _refuse_over_budget(
-            _lift_pool_size(field, v_max) * (field.q ** 2 + 1), DEFAULT_BUDGET)
-        base_enum = enumerated_lift_distribution(a, c, v_max)
+        _refuse_over_budget(max(_lift_pool_size(field, v_max), field.q ** 2),
+                            DEFAULT_BUDGET)
+        closed_rows = {v: n for v, n in base.counts if n}
+        enum_eq = enumerated_lift_distribution(a, c, v_max) == closed_rows
     else:
         _refuse_over_budget(field.q ** 2, DEFAULT_BUDGET)
     comparisons = []
-    all_equal = True
+    all_equal = enum_eq is not False
     for alpha in field.elements():
         for gamma in field.elements():
             ta, tc = a.add_constant(alpha), c.add_constant(gamma)
             closed_eq = lift_jump_distribution(ta, tc, v_max) == base
-            enum_eq = None
-            if base_enum is not None and is_totally_ramified(ta, tc):
-                enum_eq = enumerated_lift_distribution(ta, tc, v_max) == base_enum
-            ok = closed_eq and enum_eq is not False
-            all_equal = all_equal and ok
+            all_equal = all_equal and closed_eq
             comparisons.append(TwistComparison(alpha, gamma, closed_eq, enum_eq))
     return TwistInvarianceReport(base, tuple(comparisons), all_equal)
 

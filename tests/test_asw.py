@@ -471,10 +471,19 @@ def test_count_z4_small_jumps():
     assert asw.count_by_last_jump(Z4, 2, 2, "inertial_types") == 2
 
 
-def test_count_budget():
+def test_count_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         asw.count_by_last_jump_enumerated(Z2xZ2, 4, 9, "inertial_types",
                                           budget=1000)
+
+    def no_listing(*args):
+        raise AssertionError("listed the module before the budget check")
+
+    # (1024^2)^2 coefficient pairs at the indices 1 and 3
+    monkeypatch.setattr(asw, "iter_module_elements", no_listing)
+    with pytest.raises(BudgetExceededError,
+                       match="enumeration size 1099511627776 exceeds 5000000"):
+        asw.count_by_last_jump_enumerated(Z2xZ2, 1024, 3, "inertial_types")
 
 
 def test_count_rejects_bad_input():

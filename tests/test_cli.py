@@ -1,11 +1,14 @@
 """Command-line interface: parsing, output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from ramcount import asw, d4, euler
+from ramcount import asw, checks, d4, euler, h3
 from ramcount.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -137,6 +140,51 @@ def test_verify_output_is_deterministic(capsys):
     assert out1 == out2
 
 
+def test_verify_output_is_pinned_and_runs_shared_checks_once(capsys, monkeypatch):
+    # a suite row and an acceptance criterion that need the same computation
+    # share one memoised helper; start from cold memos and count the work
+    for helper in (checks.witt_checks, checks.asw_checks,
+                   checks._pairing_bound_holds, checks._line_inertia_bruteforce):
+        helper.cache_clear()
+    bruteforce, pairings = [], []
+    count_line_inertia = h3.count_line_inertia
+    epsilon_bound_report = d4.epsilon_bound_report
+
+    def counted_line_inertia(*args):
+        if "bruteforce" in args:
+            bruteforce.append(args)
+        return count_line_inertia(*args)
+
+    def counted_epsilon_bound_report(*args):
+        pairings.append(args)
+        return epsilon_bound_report(*args)
+
+    monkeypatch.setattr(h3, "count_line_inertia", counted_line_inertia)
+    monkeypatch.setattr(d4, "epsilon_bound_report", counted_epsilon_bound_report)
+    status, out, _ = run(capsys, "verify", "--seed", "0")
+    assert status == 0
+    assert out == (GOLDEN / "verify_seed0.json").read_text()
+    assert sorted(bruteforce) == [(3, 3, 1, "bruteforce"), (3, 3, 2, "bruteforce")]
+    # one exhaustive pairing-bound run: 16 sources against F_q'^2, q' = 2, 4, 16
+    assert len(pairings) == 16 * (2 ** 2 + 4 ** 2 + 16 ** 2)
+    assert checks.witt_checks.cache_info().misses == 1
+    assert checks.asw_checks.cache_info().misses == 1
+
+
+def test_acceptance_suite_alone_prints_the_golden_rows():
+    # a fresh process, so no suite has warmed the memos the criteria use
+    src = Path(checks.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "ramcount.cli", "verify", "--suite", "acceptance"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    golden = json.loads((GOLDEN / "verify_seed0.json").read_text())
+    expected = [row for row in golden["result"]["rows"]
+                if row["check"].startswith("acceptance.")]
+    assert json.loads(done.stdout)["result"]["rows"] == expected
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count-minlift", "--q", "2"])  # missing --v
@@ -234,12 +282,23 @@ def test_over_budget_twist_report_is_refused_up_front(capsys, monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumerated before the budget check")
 
+    pair = ("--q", "16", "--a", "1:1000", "--c", "3:1000")
+    doc = run_json(capsys, "urtwist-check", *pair, "--v-max", "9")
+    assert doc["result"]["all_equal"] is True
     monkeypatch.setattr(d4, "_doubled_jump_tally", no_enumeration)
-    argv = ("urtwist-check", "--q", "16", "--a", "1:1000", "--c", "3:1000",
-            "--v-max", "9")
-    status, out, err = run(capsys, *argv)
+    status, out, err = run(capsys, "urtwist-check", *pair, "--v-max", "11")
     assert (status, out) == (2, "")
-    assert err == "error: 538968064 candidates exceed 5000000\n"
+    assert err == "error: 33554432 candidates exceed 5000000\n"
+
+
+def test_urtwist_check_exits_one_on_a_wrong_closed_form(capsys, monkeypatch):
+    exactly = d4._kernel_homs_exactly
+    monkeypatch.setattr(d4, "_kernel_homs_exactly",
+                        lambda q, v: exactly(q, v) + 1)
+    status, out, _ = run(capsys, "urtwist-check", "--q", "2", "--a", "1:1",
+                         "--c", "3:1", "--v-max", "6")
+    assert status == 1
+    assert json.loads(out)["result"]["all_equal"] is False
 
 
 def test_over_budget_unramified_twist_rows_are_refused_up_front(capsys):

@@ -5,7 +5,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from ramcount import asw, d4, gf
+from ramcount import asw, checks, d4, gf
 from ramcount.d4 import SparseTPoly
 from ramcount.errors import (
     BudgetExceededError,
@@ -262,14 +262,60 @@ def test_twist_report_refuses_over_budget_before_enumerating(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumerated before the budget check")
 
-    monkeypatch.setattr(d4, "_doubled_jump_tally", no_enumeration)
     f16 = gf.make_field(2, 4)
     a = SparseTPoly.from_terms(f16, {1: f16.one})
     c = SparseTPoly.from_terms(f16, {3: f16.one})
-    # 2 * 16^5 canonical b for the base and each of the 256 twists
+    # one enumeration of 2 * 16^5 canonical b stands for all 256 twists
+    report = d4.unramified_twist_report(a, c, 9)
+    assert report.all_equal and len(report.comparisons) == 256
+    monkeypatch.setattr(d4, "_doubled_jump_tally", no_enumeration)
+    # 2 * 16^6 canonical b
     with pytest.raises(BudgetExceededError,
-                       match="538968064 candidates exceed 5000000"):
-        d4.unramified_twist_report(a, c, 9)
+                       match="33554432 candidates exceed 5000000"):
+        d4.unramified_twist_report(a, c, 11)
+
+
+def test_twist_report_sizes_the_pool_without_the_transversal(monkeypatch):
+    def no_image(*args):
+        raise AssertionError("built the Artin-Schreier image")
+
+    monkeypatch.setattr(gf, "artin_schreier_image", no_image)
+    big = gf.make_field(2, 16)
+    a = SparseTPoly.from_terms(big, {1: big.one})
+    c = SparseTPoly.from_terms(big, {3: big.one})
+    with pytest.raises(BudgetExceededError):
+        d4.unramified_twist_report(a, c, 64)
+
+
+def test_twist_report_enumerates_once(monkeypatch):
+    calls = []
+    tally = d4._doubled_jump_tally
+
+    def counted(*args):
+        calls.append(args)
+        return tally(*args)
+
+    monkeypatch.setattr(d4, "_doubled_jump_tally", counted)
+    a = poly(F4, 1)
+    c = SparseTPoly.from_terms(F4, {3: F4.gen})
+    assert d4.unramified_twist_report(a, c, 6).all_equal
+    assert len(calls) == 1
+    assert d4.unramified_twist_report(a, a, 6).all_equal
+    assert len(calls) == 1
+
+
+def test_twist_report_catches_a_wrong_closed_form(monkeypatch):
+    # the closed form of every twist uses the same count, so only the
+    # comparison with the enumerated tally can see the extra lift
+    exactly = d4._kernel_homs_exactly
+    monkeypatch.setattr(d4, "_kernel_homs_exactly",
+                        lambda q, v: exactly(q, v) + 1)
+    report = d4.unramified_twist_report(poly(F2, 1), poly(F2, 3), 6)
+    assert not report.all_equal
+    assert all(cmp.closed_form_equal for cmp in report.comparisons)
+    assert not any(cmp.enumerated_equal for cmp in report.comparisons)
+    criterion = dict(checks.acceptance_criteria())["criterion_3_twist_invariance"]
+    assert not criterion().passed
 
 
 def test_unramified_twist_report_refuses_too_many_rows(monkeypatch):

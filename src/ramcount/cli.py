@@ -4,6 +4,10 @@ Every counting and verification operation is exposed as a subcommand that
 writes a single JSON document (default) or a TSV table to stdout.
 Diagnostics go to stderr.  Exit status: 0 on success, 1 when a verification
 subcommand finds a failure, 2 on usage errors.
+
+Each query is one process, so start-up counts: at module level this file
+imports only what the abelian subcommands call.  A handler that needs `d4`,
+`euler`, `h3` or `checks` imports it itself.
 """
 
 from __future__ import annotations
@@ -12,13 +16,18 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import asw, checks, d4, euler, gf, h3
-from .d4 import SparseTPoly
+from . import asw, gf
 from .errors import RamcountError
 from .witt import WittVector
 
+if TYPE_CHECKING:
+    from .d4 import SparseTPoly
+
 SCHEMA_VERSION = 1
+# the `--suite` choices: checks.SUITES, then the acceptance criteria
+SUITE_NAMES = ("gf", "witt", "asw", "d4", "h3", "euler", "acceptance")
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +45,7 @@ def parse_group(text: str, p: int) -> asw.GroupShape:
     try:
         exponents = tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad group {text!r}")
+        raise ValueError(f"bad group {text!r}")
     return asw.GroupShape(p, exponents)
 
 
@@ -64,6 +73,7 @@ def parse_cocycle(text: str, shape: asw.GroupShape,
 
 
 def parse_tpoly(text: str, field: gf.FieldDescriptor) -> SparseTPoly:
+    from .d4 import SparseTPoly
     terms = {}
     if text.strip():
         for chunk in text.split(","):
@@ -102,6 +112,7 @@ def cmd_count_abelian(args):
 
 
 def cmd_minlift(args):
+    from . import d4
     field = gf.field_for_order(args.q, p=2)
     a = parse_tpoly(args.a, field)
     c = parse_tpoly(args.c, field)
@@ -109,6 +120,7 @@ def cmd_minlift(args):
 
 
 def cmd_lift_dist(args):
+    from . import d4
     field = gf.field_for_order(args.q, p=2)
     a = parse_tpoly(args.a, field)
     c = parse_tpoly(args.c, field)
@@ -118,6 +130,7 @@ def cmd_lift_dist(args):
 
 
 def cmd_urtwist_check(args):
+    from . import d4
     field = gf.field_for_order(args.q, p=2)
     a = parse_tpoly(args.a, field)
     c = parse_tpoly(args.c, field)
@@ -136,26 +149,31 @@ def cmd_urtwist_check(args):
 
 
 def cmd_count_minlift(args):
+    from . import d4
     count = d4.count_min_lift(args.q, args.v, args.mode, budget=args.budget)
     return {"count": count, "mode": args.mode}, 0
 
 
 def cmd_count_d4(args):
+    from . import d4
     return {"count_le": d4.count_d4_le(args.q, args.v)}, 0
 
 
 def cmd_local_a(args):
+    from . import d4
     return {"coefficient": d4.count_d4_exact(args.q, args.v)}, 0
 
 
 def cmd_census(args):
+    from . import euler
     census = euler.place_census(args.q, args.max_degree)
     rows = [{"degree": d, "places": n} for d, n in census.counts]
     return {"q": args.q, "rows": rows}, 0
 
 
 def cmd_global_series(args):
-    if args.group:
+    from . import euler
+    if args.group is not None:
         shape = parse_group(args.group, args.p)
         series = euler.abelian_global_series(shape, args.q, args.x_max)
     else:
@@ -166,6 +184,7 @@ def cmd_global_series(args):
 
 
 def cmd_growth(args):
+    from . import euler
     table = euler.growth_table(args.q, args.x_max)
     rows = []
     for row in table.rows:
@@ -180,6 +199,7 @@ def cmd_growth(args):
 
 
 def cmd_counterexample(args):
+    from . import h3
     report = h3.counterexample_report(args.p, args.q)
     return {
         "p": report.p,
@@ -193,7 +213,8 @@ def cmd_counterexample(args):
 
 
 def cmd_verify(args):
-    names = args.suite if args.suite else checks.all_suite_names()
+    from . import checks
+    names = args.suite if args.suite else SUITE_NAMES
     results = checks.run_suites(names, seed=args.seed)
     rows = [{"check": r.name, "status": "pass" if r.passed else "fail",
              "detail": r.detail} for r in results]
@@ -295,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--mode", choices=("closed_form", "enumeration"),
                    default="closed_form")
-    p.add_argument("--budget", type=int, default=d4.DEFAULT_BUDGET,
+    p.add_argument("--budget", type=int, default=asw.DEFAULT_BUDGET,
                    help="largest support pool the enumeration mode builds")
     p.set_defaults(handler=cmd_count_minlift)
 
@@ -339,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run invariant and acceptance suites")
     common(p, q=False)
     p.add_argument("--suite", action="append",
-                   choices=checks.all_suite_names(),
+                   choices=SUITE_NAMES,
                    help="restrict to a suite (repeatable); default: all")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_verify)
@@ -366,8 +387,13 @@ def main(argv=None) -> int:
     text = render_json(document) if args.format == "json" else render_tsv(document)
     print(text)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     return status
 
 

@@ -40,7 +40,6 @@ from .gf import FieldDescriptor, FieldElement, embed, field_for_order
 from .witt import WittVector
 
 MAX_JUMP = 64
-DEFAULT_BUDGET = 5_000_000
 
 
 class SparseTPoly:
@@ -239,7 +238,7 @@ def _doubled_jump_tally(a: SparseTPoly, c: SparseTPoly,
 
 
 def min_lift_jump_bruteforce(a: SparseTPoly, c: SparseTPoly, b_bound: int,
-                             budget: int = DEFAULT_BUDGET) -> Fraction:
+                             budget: int = asw.DEFAULT_BUDGET) -> Fraction:
     """Minimum of the jump formula over canonical b with w(b) <= b_bound.
 
     Only meaningful for totally ramified reductions, where the b-space
@@ -311,7 +310,7 @@ def enumerated_lift_distribution(a: SparseTPoly, c: SparseTPoly,
     _require_lift_space(a, c)
     if v_max < 0:
         raise ValueError(f"v_max {v_max} must be nonnegative")
-    _refuse_over_budget(_lift_pool_size(a.field, v_max), DEFAULT_BUDGET)
+    _refuse_over_budget(_lift_pool_size(a.field, v_max), asw.DEFAULT_BUDGET)
     return {Fraction(jump2, 2): count
             for jump2, count in _doubled_jump_tally(a, c, v_max).items()
             if jump2 <= 2 * v_max}
@@ -355,11 +354,11 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
     enum_eq = None
     if is_totally_ramified(a, c):
         _refuse_over_budget(max(_lift_pool_size(field, v_max), field.q ** 2),
-                            DEFAULT_BUDGET)
+                            asw.DEFAULT_BUDGET)
         closed_rows = {v: n for v, n in base.counts if n}
         enum_eq = enumerated_lift_distribution(a, c, v_max) == closed_rows
     else:
-        _refuse_over_budget(field.q ** 2, DEFAULT_BUDGET)
+        _refuse_over_budget(field.q ** 2, asw.DEFAULT_BUDGET)
     comparisons = []
     all_equal = enum_eq is not False
     for alpha in field.elements():
@@ -376,7 +375,7 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
 # ---------------------------------------------------------------------------
 
 def count_min_lift(q: int, v: int, mode: str = "closed_form",
-                   budget: int = DEFAULT_BUDGET) -> int:
+                   budget: int = asw.DEFAULT_BUDGET) -> int:
     """Quarter-count of Klein reductions with minimal lift jump exactly v.
 
     closed_form evaluates the three-case formula; enumeration builds the

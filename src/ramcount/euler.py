@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from . import asw, d4, gf
+from . import asw, gf
 from .errors import (
     BudgetExceededError,
     InternalInconsistencyError,
@@ -54,6 +54,8 @@ class PlaceCensus:
 
 def place_census(q: int, max_degree: int) -> PlaceCensus:
     gf.prime_power(q)
+    if max_degree < 0:
+        raise ValueError(f"census degree {max_degree} must be nonnegative")
     if max_degree > MAX_CENSUS_DEGREE:
         raise TruncationTooLargeError(
             f"census degree {max_degree} exceeds {MAX_CENSUS_DEGREE}")
@@ -123,7 +125,7 @@ LocalCoefficient = Callable[[int, int], int]
 
 
 def local_factor(q: int, d: int, truncation: int,
-                 coefficient: LocalCoefficient = d4.count_d4_exact) -> CountSeries:
+                 coefficient: LocalCoefficient) -> CountSeries:
     """Generating polynomial of one degree-d place, truncated."""
     coeffs = [0] * (truncation + 1)
     v = 0
@@ -134,7 +136,7 @@ def local_factor(q: int, d: int, truncation: int,
 
 
 def global_series(q: int, truncation: int,
-                  coefficient: LocalCoefficient = d4.count_d4_exact) -> CountSeries:
+                  coefficient: LocalCoefficient) -> CountSeries:
     """Product over places of local factors, truncated exactly."""
     if truncation < 0:
         raise ValueError(f"truncation {truncation} must be nonnegative")
@@ -155,7 +157,8 @@ def global_series(q: int, truncation: int,
 
 
 def d4_global_series(q: int, truncation: int) -> CountSeries:
-    return global_series(q, truncation)
+    from . import d4    # here, so that the abelian series never loads d4
+    return global_series(q, truncation, d4.count_d4_exact)
 
 
 def abelian_global_series(shape: asw.GroupShape, q: int,
@@ -168,8 +171,7 @@ def abelian_global_series(shape: asw.GroupShape, q: int,
     return global_series(q, truncation, coefficient)
 
 
-def convolution_oracle(q: int, total: int,
-                       coefficient: LocalCoefficient = d4.count_d4_exact) -> int:
+def convolution_oracle(q: int, total: int, coefficient: LocalCoefficient) -> int:
     """Independent evaluation of one global coefficient.
 
     Sums the product of local coefficients over all explicit jump

@@ -1,5 +1,8 @@
 """Command-line interface: parsing, output formats, exit codes, determinism."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,9 +12,10 @@ from pathlib import Path
 import pytest
 
 from ramcount import asw, checks, d4, euler, h3
-from ramcount.cli import main
+from ramcount.cli import SUITE_NAMES, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(checks.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -173,8 +177,7 @@ def test_verify_output_is_pinned_and_runs_shared_checks_once(capsys, monkeypatch
 
 def test_acceptance_suite_alone_prints_the_golden_rows():
     # a fresh process, so no suite has warmed the memos the criteria use
-    src = Path(checks.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
         [sys.executable, "-m", "ramcount.cli", "verify", "--suite", "acceptance"],
         env=env, capture_output=True, text=True, timeout=120)
@@ -308,3 +311,113 @@ def test_over_budget_unramified_twist_rows_are_refused_up_front(capsys):
                            "--v-max", "64")
     assert (status, out) == (2, "")
     assert err == "error: 16777216 candidates exceed 5000000\n"
+
+
+def test_suite_names_are_the_checks_suites_then_acceptance():
+    assert list(SUITE_NAMES) == list(checks.SUITES) + ["acceptance"]
+
+
+def test_count_minlift_budget_defaults_to_the_library_budget():
+    args = build_parser().parse_args(["count-minlift", "--q", "2", "--v", "1"])
+    assert args.budget == asw.DEFAULT_BUDGET == 5_000_000
+
+
+@pytest.mark.parametrize("argv", [
+    ("lj", "--p", "2", "--q", "2", "--terms", ""),
+    ("disc", "--p", "2", "--q", "2", "--terms", ""),
+    ("count-abelian", "--p", "2", "--q", "2", "--v", "3"),
+    ("global-series", "--p", "2", "--q", "2", "--x-max", "3"),
+])
+def test_malformed_group_is_a_one_line_error(capsys, argv):
+    for group in ("a", "", ",", "1,a"):
+        status, out, err = run(capsys, *argv, "--group", group)
+        assert (status, out) == (2, "")
+        assert err == f"error: bad group {group!r}\n"
+
+
+def test_unwritable_out_is_a_one_line_error(tmp_path, capsys):
+    argv = ("count-abelian", "--p", "2", "--q", "2", "--group", "1", "--v", "3")
+    _, report, _ = run(capsys, *argv)
+    target = tmp_path / "missing" / "report.json"
+    status, out, err = run(capsys, *argv, "--out", str(target))
+    assert (status, out) == (2, report)
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_negative_census_degree_is_rejected(capsys):
+    status, out, err = run(capsys, "census", "--q", "2", "--max-degree", "-1")
+    assert (status, out) == (2, "")
+    assert err == "error: census degree -1 must be nonnegative\n"
+    assert run_json(capsys, "census", "--q", "2", "--max-degree", "0")["result"] \
+        == {"q": 2, "rows": []}
+
+
+def help_pages() -> str:
+    """Top-level `--help`, then each subcommand's, as `main` prints them."""
+    subcommands = next(action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    pages = []
+    for argv in [[]] + [[name] for name in subcommands.choices]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            main([*argv, "--help"])
+        pages.append(f"$ ramcount {' '.join([*argv, '--help'])}\n{out.getvalue()}")
+    return "\n".join(pages)
+
+
+def test_help_pages_are_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert help_pages() == (GOLDEN / "help.txt").read_text()
+
+
+# run argv through `main` in a fresh interpreter; print the exit status and
+# the ramcount modules that were loaded
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import ramcount.cli
+argv = json.loads(sys.argv[1])
+status = None
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = ramcount.cli.main(argv)
+print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("ramcount."))]))
+"""
+LAZY = {"ramcount.checks", "ramcount.d4", "ramcount.euler", "ramcount.h3"}
+
+
+def modules_loaded_by(*argv):
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    status, modules = json.loads(done.stdout)
+    assert status in (None, 0)
+    return set(modules)
+
+
+def test_importing_the_cli_loads_only_the_abelian_modules():
+    assert modules_loaded_by() == {"ramcount.asw", "ramcount.cli",
+                                   "ramcount.errors", "ramcount.gf",
+                                   "ramcount.witt"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("lj", "--p", "2", "--q", "2", "--group", "1", "--terms", "1:1"),
+    ("disc", "--p", "2", "--q", "4", "--group", "1,1", "--terms", "3:01|10"),
+    ("count-abelian", "--p", "2", "--q", "2", "--group", "1", "--v", "3"),
+])
+def test_abelian_queries_load_no_other_library_module(argv):
+    assert not modules_loaded_by(*argv) & LAZY
+
+
+def test_abelian_series_loads_euler_but_not_d4():
+    loaded = modules_loaded_by("global-series", "--q", "2", "--x-max", "3",
+                               "--group", "1", "--p", "2")
+    assert loaded & LAZY == {"ramcount.euler"}
+
+
+def test_urtwist_check_loads_d4_but_not_checks_or_h3():
+    loaded = modules_loaded_by("urtwist-check", "--q", "2", "--a", "1:1",
+                               "--c", "3:1", "--v-max", "6")
+    assert loaded & LAZY == {"ramcount.d4"}

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ramcount import asw, euler
+from ramcount import asw, d4, euler
 from ramcount.errors import BudgetExceededError, TruncationTooLargeError
 
 Z2 = asw.GroupShape(2, (1,))
@@ -48,13 +48,13 @@ def test_series_multiplication_truncates():
 
 
 def test_local_factor_structure():
-    f = euler.local_factor(2, 1, 3)
+    f = euler.local_factor(2, 1, 3, d4.count_d4_exact)
     assert f.coefficient(0) == 1
     assert f.coefficient(1) == 5
-    g = euler.local_factor(2, 2, 3)
+    g = euler.local_factor(2, 2, 3, d4.count_d4_exact)
     assert g.coefficient(0) == 1
     assert g.coefficient(1) == 0
-    assert g.coefficient(2) == euler.d4.count_d4_exact(4, 1)
+    assert g.coefficient(2) == d4.count_d4_exact(4, 1)
 
 
 def test_global_series_first_coefficients():
@@ -66,21 +66,22 @@ def test_global_series_first_coefficients():
 
 
 def test_oracle_base_cases():
-    assert euler.convolution_oracle(2, 0) == 1
-    assert euler.convolution_oracle(2, 1) == 15
-    assert euler.convolution_oracle(2, 2) == 108
+    assert euler.convolution_oracle(2, 0, d4.count_d4_exact) == 1
+    assert euler.convolution_oracle(2, 1, d4.count_d4_exact) == 15
+    assert euler.convolution_oracle(2, 2, d4.count_d4_exact) == 108
 
 
 def test_oracle_truncation_cap():
     with pytest.raises(BudgetExceededError):
-        euler.convolution_oracle(2, 9)
+        euler.convolution_oracle(2, 9, d4.count_d4_exact)
 
 
 @pytest.mark.parametrize("q,x_max", [(2, 6), (4, 4)])
 def test_global_series_matches_oracle(q, x_max):
     series = euler.d4_global_series(q, x_max)
     for x in range(x_max + 1):
-        assert series.coefficient(x) == euler.convolution_oracle(q, x)
+        assert series.coefficient(x) == euler.convolution_oracle(
+            q, x, d4.count_d4_exact)
 
 
 def test_global_series_monotone_in_q():

@@ -86,7 +86,7 @@ class GroupWittElement:
             WittVector.zeros(field, e) for e in shape.exponents))
 
     def _check(self, other: "GroupWittElement") -> None:
-        if self.shape != other.shape or self.field != other.field:
+        if self.shape != other.shape or self.field is not other.field:
             raise MixedRingsError("group module mismatch")
 
     def __add__(self, other: "GroupWittElement") -> "GroupWittElement":
@@ -94,19 +94,12 @@ class GroupWittElement:
         return GroupWittElement(self.shape, self.field, tuple(
             a + b for a, b in zip(self.parts, other.parts)))
 
-    def __neg__(self) -> "GroupWittElement":
-        return GroupWittElement(self.shape, self.field,
-                                tuple(-a for a in self.parts))
-
-    def __sub__(self, other: "GroupWittElement") -> "GroupWittElement":
-        return self + (-other)
-
     def __bool__(self) -> bool:
         return any(self.parts)
 
     def __eq__(self, other):
         return (isinstance(other, GroupWittElement)
-                and self.shape == other.shape and self.field == other.field
+                and self.shape == other.shape and self.field is other.field
                 and self.parts == other.parts)
 
     def __hash__(self):
@@ -152,16 +145,6 @@ class ReducedCocycle:
     def is_unramified(self) -> bool:
         return not any(n >= 1 for n in self.support)
 
-    def _key(self):
-        return (self.shape, self.field, tuple(sorted(
-            (n, v) for n, v in self.support.items())))
-
-    def __eq__(self, other):
-        return isinstance(other, ReducedCocycle) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self):
         items = ", ".join(f"{n}: {v!r}" for n, v in sorted(self.support.items()))
         return f"Cocycle({{{items}}})"
@@ -173,7 +156,7 @@ def make_cocycle(shape: GroupShape, field: FieldDescriptor,
     for n, value in entries.items():
         if n < 0 or (n > 0 and n % shape.p == 0):
             raise ValueError(f"support index {n} must be 0 or coprime to {shape.p}")
-        if value.shape != shape or value.field != field:
+        if value.shape != shape or value.field is not field:
             raise MixedRingsError("coefficient does not match the datum module")
         if value:
             support[n] = value
@@ -181,7 +164,7 @@ def make_cocycle(shape: GroupShape, field: FieldDescriptor,
 
 
 def cocycle_add(m1: ReducedCocycle, m2: ReducedCocycle) -> ReducedCocycle:
-    if m1.shape != m2.shape or m1.field != m2.field:
+    if m1.shape != m2.shape or m1.field is not m2.field:
         raise MixedRingsError("cocycle module mismatch")
     support = dict(m1.support)
     for n, value in m2.support.items():

@@ -22,8 +22,6 @@ from . import asw, d4, euler, gf, h3
 from .d4 import SparseTPoly
 from .witt import WittVector, iter_witt_vectors, teichmueller
 
-GROWTH_THRESHOLD = Fraction(1, 10)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -600,14 +598,10 @@ def _acc_pipeline_consistency() -> CheckResult:
 
 def _acc_growth() -> CheckResult:
     table = euler.growth_table(2, 16)
-    window = [row for row in table.rows if 8 <= row.x <= 16]
-    changes = [row.relative_change for row in window]
-    tail_decreasing = all(a >= b for a, b in zip(changes[-3:], changes[-2:]))
-    final_ok = changes[-1] < GROWTH_THRESHOLD
     observed = ", ".join(f"X={row.x}: {float(row.relative_change):.4f}"
-                         for row in window)
+                         for row in table.rows if row.x >= 8)
     return _result("acceptance.6.growth_ratio_stabilises",
-                   tail_decreasing and final_ok,
+                   euler.growth_stabilises(table),
                    f"observed relative changes [{observed}]")
 
 

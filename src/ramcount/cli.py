@@ -56,6 +56,8 @@ def parse_cocycle(text: str, shape: asw.GroupShape,
         for chunk in text.split(","):
             index_text, _, coeff_text = chunk.partition(":")
             index = int(index_text)
+            if index in entries:
+                raise ValueError(f"index {index} appears twice")
             parts = coeff_text.split("|")
             if len(parts) != shape.rank:
                 raise ValueError(
@@ -77,8 +79,11 @@ def parse_tpoly(text: str, field: gf.FieldDescriptor) -> SparseTPoly:
     terms = {}
     if text.strip():
         for chunk in text.split(","):
-            exp_text, _, coeff_text = chunk.partition(":")
-            terms[int(exp_text)] = field.from_digits(coeff_text)
+            index_text, _, coeff_text = chunk.partition(":")
+            index = int(index_text)
+            if index in terms:
+                raise ValueError(f"index {index} appears twice")
+            terms[index] = field.from_digits(coeff_text)
     return SparseTPoly.from_terms(field, terms)
 
 
@@ -150,17 +155,20 @@ def cmd_urtwist_check(args):
 
 def cmd_count_minlift(args):
     from . import d4
+    gf.prime_power(args.q, p=2)
     count = d4.count_min_lift(args.q, args.v, args.mode, budget=args.budget)
     return {"count": count, "mode": args.mode}, 0
 
 
 def cmd_count_d4(args):
     from . import d4
+    gf.prime_power(args.q, p=2)
     return {"count_le": d4.count_d4_le(args.q, args.v)}, 0
 
 
 def cmd_local_a(args):
     from . import d4
+    gf.prime_power(args.q, p=2)
     return {"coefficient": d4.count_d4_exact(args.q, args.v)}, 0
 
 

@@ -157,6 +157,8 @@ def global_series(q: int, truncation: int,
 
 
 def d4_global_series(q: int, truncation: int) -> CountSeries:
+    """Euler product with the dihedral local counts; q must be a power of 2."""
+    gf.prime_power(q, p=2)
     from . import d4    # here, so that the abelian series never loads d4
     return global_series(q, truncation, d4.count_d4_exact)
 
@@ -251,12 +253,9 @@ def growth_table(q: int, x_max: int) -> GrowthTable:
     return GrowthTable(q, tuple(rows))
 
 
-def growth_stabilises(table: GrowthTable, threshold: Fraction = Fraction(1, 10),
-                      tail_length: int = 3) -> bool:
-    """Final relative change under the threshold and decreasing on the tail."""
-    changes = table.changes()
-    if len(changes) < tail_length:
-        return False
-    tail = changes[-tail_length:]
-    decreasing = all(a >= b for a, b in zip(tail, tail[1:]))
-    return decreasing and tail[-1] < threshold
+def growth_stabilises(table: GrowthTable) -> bool:
+    """The last three relative changes do not increase and the last is
+    under 1/10."""
+    tail = table.changes()[-3:]
+    return (len(tail) == 3 and tail[0] >= tail[1] >= tail[2]
+            and tail[2] < Fraction(1, 10))

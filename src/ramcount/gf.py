@@ -10,9 +10,11 @@ coefficient vector to exponent of a primitive element, and an antilog
 table from exponent back to element.  The tables are built on the first
 multiplication, power or inverse in the field and published in one
 attribute assignment.  Larger fields multiply polynomials modulo the
-modulus, which also serves the tests as the oracle for the tables.  Every
-value is immutable, so fields and elements can be shared freely across
-threads.
+modulus (`_mul_mod`, also the Galois-ring product of `ramcount.witt`),
+which serves the tests as the oracle for the tables.  `make_field` builds
+the only descriptor of each GF(p^n), so fields are equal when identical.
+Every value is immutable, so fields and elements can be shared freely
+across threads.
 
 Besides the four field operations the module provides the Frobenius map
 x -> x^p, the Artin-Schreier operator x -> x^p - x, a deterministic
@@ -81,6 +83,38 @@ def _poly_rem(a, b, p) -> tuple[int, ...]:
             for j in range(db):
                 r[i - db + j] = (r[i - db + j] - c * b[j]) % p
     return _trim(r)
+
+
+def _fold_rows(modulus, mod) -> tuple[tuple[int, ...], ...]:
+    """x^k modulo the monic degree-n modulus for k in [n, 2n-2], coefficients
+    mod `mod`: the rows that fold a product of two residues back below x^n."""
+    n = len(modulus) - 1
+    top = tuple(-c % mod for c in modulus[:n])
+    rows, cur = [], top
+    for _ in range(n, 2 * n - 1):
+        rows.append(cur)
+        lead = cur[-1]
+        cur = tuple((low + lead * t) % mod
+                    for low, t in zip((0,) + cur[:-1], top))
+    return tuple(rows)
+
+
+def _mul_mod(a, b, rows, mod) -> tuple[int, ...]:
+    """a * b modulo the modulus with these `_fold_rows`, coefficients mod
+    `mod`: p in GF(p^n), p^L in the Galois ring GR(p^L, n), of which GF(p^n)
+    is the length-1 case (Wan, *Lectures on Finite Fields and Galois Rings*)."""
+    n = len(a)
+    conv = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                conv[i + j] += ai * bj
+    for k, row in enumerate(rows, n):
+        c = conv[k]
+        if c:
+            for i, r in enumerate(row):
+                conv[i] += c * r
+    return tuple(c % mod for c in conv[:n])
 
 
 @lru_cache(maxsize=None)
@@ -192,30 +226,11 @@ class FieldDescriptor:
         self.one = FieldElement(self, one)
         gen = tuple(1 if i == 1 else 0 for i in range(n)) if n > 1 else one
         self.gen = FieldElement(self, gen)
-        # x^k mod modulus for k in [n, 2n-2], used to fold products back
-        rows = []
-        cur = _poly_rem(tuple(1 if i == n else 0 for i in range(n + 1)), modulus, p)
-        for _ in range(n, 2 * n - 1):
-            rows.append(tuple(cur[i] if i < len(cur) else 0 for i in range(n)))
-            cur = _poly_rem(tuple(0 for _ in range(1)) + cur, modulus, p)
-        self._xpow = tuple(rows)
+        self._xpow = _fold_rows(modulus, p)
         self._logs: tuple[dict, tuple] | None = None
         self._elements: tuple[FieldElement, ...] | None = None
         self._transversal: tuple[FieldElement, ...] | None = None
         self._image: frozenset[FieldElement] | None = None
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (isinstance(other, FieldDescriptor)
-                and self.p == other.p and self.n == other.n
-                and self.modulus == other.modulus)
-
-    def __hash__(self):
-        return hash((self.p, self.n))
-
-    def __reduce__(self):
-        return (make_field, (self.p, self.n))
 
     def __repr__(self):
         if self.n == 1:
@@ -272,7 +287,7 @@ class FieldElement:
         self.coeffs = coeffs
 
     def _check(self, other: "FieldElement") -> None:
-        if self.field is not other.field and self.field != other.field:
+        if self.field is not other.field:
             raise MixedFieldsError(f"{self.field} vs {other.field}")
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
@@ -304,24 +319,7 @@ class FieldElement:
     def _poly_mul(self, other: "FieldElement") -> "FieldElement":
         """The product as polynomials modulo the field's modulus."""
         f = self.field
-        p, n = f.p, f.n
-        a, b = self.coeffs, other.coeffs
-        if n == 1:
-            return FieldElement(f, ((a[0] * b[0]) % p,))
-        conv = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        for k in range(2 * n - 2, n - 1, -1):
-            c = conv[k]
-            if c:
-                row = f._xpow[k - n]
-                for i in range(n):
-                    if row[i]:
-                        conv[i] += c * row[i]
-        return FieldElement(f, tuple(conv[i] % p for i in range(n)))
+        return FieldElement(f, _mul_mod(self.coeffs, other.coeffs, f._xpow, f.p))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -367,7 +365,7 @@ class FieldElement:
 
     def __eq__(self, other):
         return (isinstance(other, FieldElement)
-                and self.coeffs == other.coeffs and self.field == other.field)
+                and self.coeffs == other.coeffs and self.field is other.field)
 
     def __hash__(self):
         return hash((self.coeffs, self.field.p, self.field.n))
@@ -480,7 +478,7 @@ def embed(a: FieldElement, target: FieldDescriptor) -> FieldElement:
     automatically commutes with Frobenius and with x -> x^p - x.
     """
     src = a.field
-    if src == target:
+    if src is target:
         return a
     if src.p != target.p or target.n % src.n != 0:
         raise NotASubfieldError(f"{src} does not embed into {target}")

@@ -28,8 +28,6 @@ from .errors import (
 from .gf import field_for_order, make_field
 from .witt import WittVector
 
-BRUTEFORCE_CAP = 10 ** 7
-
 
 def _check_setting(p: int, q: int) -> None:
     if p == 2:
@@ -38,7 +36,7 @@ def _check_setting(p: int, q: int) -> None:
 
 
 def count_line_inertia(p: int, q: int, r: int, mode: str = "closed_form",
-                       budget: int = BRUTEFORCE_CAP) -> int:
+                       budget: int = asw.DEFAULT_BUDGET) -> int:
     """Homomorphisms to F_p^r over the degree-p place with inertia exactly a
     fixed order-p subgroup and last jump 1.
 
@@ -54,8 +52,6 @@ def count_line_inertia(p: int, q: int, r: int, mode: str = "closed_form",
         return closed
     if mode != "bruteforce":
         raise ValueError(f"unknown mode {mode!r}")
-    if p ** r * q ** p > budget:
-        raise BudgetExceededError(f"p^r * q^p = {p ** r * q ** p} exceeds {budget}")
     residue_order = q ** p
     enumeration = residue_order ** r * p ** r
     if enumeration > budget:
@@ -91,33 +87,33 @@ class CaseCount:
         return dict(self.breakdown)
 
 
-def _line_labels(p: int) -> list[str]:
-    # fixed enumeration of the p+1 lines of F_p^2: [1:0], then [s:1]
-    labels = ["line(1:0)"]
-    labels.extend(f"line({s}:1)" for s in range(p))
-    return labels
-
-
-def local_heisenberg_count(p: int, q: int) -> CaseCount:
-    """Local homomorphism count at the smallest wild discriminant exponent.
-
-    Centre-valued inertia: p^2 unramified reductions, each with
+def _heisenberg_count(p: int, q: int, twists: int, factor: int,
+                      scope: str) -> CaseCount:
+    """Centre-valued inertia: p^2 unramified reductions, each with
     p (q^p - 1) central characters of jump 1.  Inertia over a line: p
-    order-p subgroups above each of the p+1 lines, and for each the
-    rank-2 count with that inertia.  Total must equal p^3 (p+2) (q^p - 1).
+    order-p subgroups above each of the p+1 lines, each with the rank-2
+    count with that inertia, times `twists` central twists per reduction.
+    The total must equal the caller's closed form p^3 * factor * (q^p - 1).
     """
     _check_setting(p, q)
     rank1 = count_line_inertia(p, q, 1)
     rank2 = count_line_inertia(p, q, 2)
+    # the p+1 lines of F_p^2 in a fixed order: [1:0], then [s:1]
+    lines = ["line(1:0)"] + [f"line({s}:1)" for s in range(p)]
     cases = [("center_inertia", p ** 2 * rank1)]
-    for label in _line_labels(p):
-        cases.append((label, p * rank2))
+    cases.extend((line, p * rank2 * twists) for line in lines)
     total = sum(v for _, v in cases)
-    closed = p ** 3 * (p + 2) * (q ** p - 1)
+    closed = p ** 3 * factor * (q ** p - 1)
     if total != closed:
         raise InternalInconsistencyError(
-            f"local cases sum to {total}, closed form gives {closed}")
+            f"{scope} cases sum to {total}, closed form gives {closed}")
     return CaseCount(total, tuple(cases))
+
+
+def local_heisenberg_count(p: int, q: int) -> CaseCount:
+    """Local homomorphism count at the smallest wild discriminant exponent:
+    one twist per reduction, p^3 (p+2) (q^p - 1) in all."""
+    return _heisenberg_count(p, q, 1, p + 2, "local")
 
 
 def global_heisenberg_count(p: int, q: int) -> CaseCount:
@@ -129,18 +125,7 @@ def global_heisenberg_count(p: int, q: int) -> CaseCount:
     on exponent-p groups, leaving a free choice; with p subgroups per line
     the total becomes p^3 (p^2 + p + 1) (q^p - 1).
     """
-    _check_setting(p, q)
-    rank1 = count_line_inertia(p, q, 1)
-    rank2 = count_line_inertia(p, q, 2)
-    cases = [("center_inertia", p ** 2 * rank1)]
-    for label in _line_labels(p):
-        cases.append((label, p * rank2 * p))
-    total = sum(v for _, v in cases)
-    closed = p ** 3 * (p ** 2 + p + 1) * (q ** p - 1)
-    if total != closed:
-        raise InternalInconsistencyError(
-            f"global cases sum to {total}, closed form gives {closed}")
-    return CaseCount(total, tuple(cases))
+    return _heisenberg_count(p, q, p, p ** 2 + p + 1, "global")
 
 
 @dataclass(frozen=True)
@@ -159,7 +144,7 @@ def counterexample_report(p: int, q: int) -> CounterexampleReport:
     local = local_heisenberg_count(p, q)
     glob = global_heisenberg_count(p, q)
     ratio = Fraction(glob.total, local.total)
-    expected = Fraction(p ** 2 + p + 1, p + 2)
+    expected = discrepancy_ratio_formula(p)
     if ratio != expected:
         raise InternalInconsistencyError(
             f"ratio {ratio} differs from (p^2+p+1)/(p+2) = {expected}")

@@ -4,8 +4,9 @@ With F_q = F_p[x]/(f), f the field's canonical modulus, W_L(F_q) is the
 Galois ring GR(p^L, n) = (Z/p^L)[x]/(F), where F is f read with integer
 coefficients (Serre, *Local Fields*, II 4-6; Wan, *Lectures on Finite Fields
 and Galois Rings*).  A vector is stored as its n coefficients mod p^L:
-addition is coefficientwise, a product is one polynomial product mod F, and
-an integer multiple scales every coefficient.
+addition is coefficientwise, a product is one polynomial product mod F
+(`gf._mul_mod`, the product GF(q) uses at length 1), and an integer
+multiple scales every coefficient.
 
 Components meet the ring only at the edges: the constructor, `components`,
 `repr`, `teichmueller` and `iter_witt_vectors`.  The Teichmueller lift is
@@ -32,7 +33,7 @@ from .errors import (
     LengthTooLargeError,
     MixedRingsError,
 )
-from .gf import FieldDescriptor, FieldElement
+from .gf import FieldDescriptor, FieldElement, _fold_rows, _mul_mod
 
 MAX_LENGTH = 12
 
@@ -48,31 +49,12 @@ class _GaloisRing:
         self.length = length
         self.mod = mod = field.p ** length
         self.one = (1,) + (0,) * (n - 1)
-        # x^k mod F for k in [n, 2n-2], used to fold products back
-        top = tuple(-c % mod for c in field.modulus[:n])
-        rows, cur = [], top
-        for _ in range(n, 2 * n - 1):
-            rows.append(cur)
-            lead = cur[-1]
-            cur = tuple((low + lead * t) % mod
-                        for low, t in zip((0,) + cur[:-1], top))
-        self._xpow = tuple(rows)
+        self._xpow = _fold_rows(field.modulus, mod)
         self._lifts: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._sigma: tuple[tuple[int, ...], ...] | None = None
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        mod = self.mod
-        conv = [0] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        for k, row in enumerate(self._xpow, len(a)):
-            c = conv[k]
-            if c:
-                for i, r in enumerate(row):
-                    conv[i] += c * r
-        return tuple(c % mod for c in conv[:len(a)])
+        return _mul_mod(a, b, self._xpow, self.mod)
 
     def lift(self, b: FieldElement) -> tuple[int, ...]:
         """The Teichmueller lift tau(b), memoised; tau(0) = 0 needs no power."""
@@ -168,13 +150,6 @@ class WittVector:
     def __init__(self, field: FieldDescriptor, components: tuple[FieldElement, ...]):
         self.ring = ring = _galois_ring(field, len(components))
         self.coeffs = ring.from_components(components)
-
-    @classmethod
-    def from_coefficients(cls, field: FieldDescriptor, length: int,
-                          coeffs) -> "WittVector":
-        """sum_j coeffs[j] x^j in GR(p^length, n), coefficients taken mod p^length."""
-        ring = _galois_ring(field, length)
-        return _vector(ring, tuple(c % ring.mod for c in coeffs))
 
     @classmethod
     def zeros(cls, field: FieldDescriptor, length: int) -> "WittVector":

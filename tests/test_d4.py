@@ -10,7 +10,6 @@ from ramcount.d4 import SparseTPoly
 from ramcount.errors import (
     BudgetExceededError,
     NotTotallyRamifiedError,
-    UnsupportedShapeError,
 )
 from ramcount.witt import WittVector
 
@@ -454,13 +453,6 @@ def test_pairing_is_bilinear_and_alternating():
                     rhs = (d4.commutator_pairing((x1, x2), (y1, y2))
                            + d4.commutator_pairing((y1, y2), (y1, y2)))
                     assert lhs == rhs
-
-
-def test_pairing_rejects_wrong_shape():
-    shape = asw.GroupShape(2, (2,))
-    bad = asw.GroupWittElement(shape, F2, (WittVector.one(F2, 2),))
-    with pytest.raises(UnsupportedShapeError):
-        d4.commutator_pairing(bad, bad)
 
 
 def _rank2_cocycle(field, entries):

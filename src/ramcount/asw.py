@@ -2,11 +2,12 @@
 
 A homomorphism to G = prod Z/p^(n_i) is recorded by its reduced datum: a
 finitely supported map from indices n (n = 0 or n coprime to p) to nonzero
-elements of G tensor W(F_q).  The ramified coefficients (n >= 1) determine
-the inertial type; the index-0 coefficient is free modulo the Artin-Schreier
-image, and W_n(F_p) is the fixed transversal for it (the operator vanishes
-there and its kernel has exactly p^n elements, so cosets get unique normal
-forms).
+elements of G tensor W(F_q).  Such a coefficient is a plain tuple with one
+Witt vector in W_(n_i)(F_q) per cyclic factor.  The ramified coefficients
+(n >= 1) determine the last jump, the discriminant and the inertia image.
+The index-0 coefficient matters only modulo the Artin-Schreier image, whose
+cokernel has |G| elements (the unramified homomorphisms); it enters none of
+those invariants, so the counts take it as a factor |G|.
 
 The module computes the last ramification jump of a datum, the discriminant
 exponent by the conductor-discriminant formula over the characters of G,
@@ -69,75 +70,36 @@ class GroupShape:
         return tuple(self.p ** e for e in self.exponents)
 
 
-class GroupWittElement:
-    """An element of G tensor W(F_q): one Witt vector of length n_i per factor."""
-
-    __slots__ = ("shape", "field", "parts")
-
-    def __init__(self, shape: GroupShape, field: FieldDescriptor,
-                 parts: tuple[WittVector, ...]):
-        self.shape = shape
-        self.field = field
-        self.parts = parts
-
-    @classmethod
-    def zero(cls, shape: GroupShape, field: FieldDescriptor) -> "GroupWittElement":
-        return cls(shape, field, tuple(
-            WittVector.zeros(field, e) for e in shape.exponents))
-
-    def _check(self, other: "GroupWittElement") -> None:
-        if self.shape != other.shape or self.field is not other.field:
-            raise MixedRingsError("group module mismatch")
-
-    def __add__(self, other: "GroupWittElement") -> "GroupWittElement":
-        self._check(other)
-        return GroupWittElement(self.shape, self.field, tuple(
-            a + b for a, b in zip(self.parts, other.parts)))
-
-    def __bool__(self) -> bool:
-        return any(self.parts)
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupWittElement)
-                and self.shape == other.shape and self.field is other.field
-                and self.parts == other.parts)
-
-    def __hash__(self):
-        return hash((self.shape, self.parts))
-
-    def __repr__(self):
-        return f"GW{self.parts!r}"
-
-
 def iter_module_elements(shape: GroupShape, field: FieldDescriptor):
-    """All of G tensor W(F_q), in lexicographic component order."""
-    spaces = [list(iter_witt_vectors(field, e)) for e in shape.exponents]
-    for choice in product(*spaces):
-        yield GroupWittElement(shape, field, choice)
-
-
-def transversal_elements(shape: GroupShape, field: FieldDescriptor):
-    """The fixed transversal of the Artin-Schreier image: prod W_(n_i)(F_p)."""
-    spaces = [[WittVector.from_int(field, e, k) for k in range(shape.p ** e)]
-              for e in shape.exponents]
-    return [GroupWittElement(shape, field, tuple(choice))
-            for choice in product(*spaces)]
+    """All of G tensor W(F_q) as coefficient tuples, in lexicographic order."""
+    yield from product(*(iter_witt_vectors(field, e) for e in shape.exponents))
 
 
 class ReducedCocycle:
-    """A finitely supported datum n -> nonzero coefficient, n = 0 or coprime to p."""
+    """A finitely supported datum n -> nonzero coefficient, n = 0 or coprime to p.
+
+    The constructor is the only way to build a datum: it rejects a bad
+    index (ValueError) and a coefficient outside G tensor W(F_q)
+    (MixedRingsError), and drops zero coefficients.
+    """
 
     __slots__ = ("shape", "field", "support")
 
     def __init__(self, shape: GroupShape, field: FieldDescriptor,
-                 support: dict[int, GroupWittElement]):
+                 entries: dict[int, tuple[WittVector, ...]]):
+        support = {}
+        for n, value in entries.items():
+            if n < 0 or (n > 0 and n % shape.p == 0):
+                raise ValueError(f"support index {n} must be 0 or coprime to {shape.p}")
+            if len(value) != shape.rank or any(
+                    part.field is not field or part.length != e
+                    for part, e in zip(value, shape.exponents)):
+                raise MixedRingsError("coefficient does not match the datum module")
+            if any(value):
+                support[n] = value
         self.shape = shape
         self.field = field
         self.support = support
-
-    def coefficient(self, n: int) -> GroupWittElement:
-        got = self.support.get(n)
-        return got if got is not None else GroupWittElement.zero(self.shape, self.field)
 
     def ramified_indices(self) -> list[int]:
         return sorted(n for n in self.support if n >= 1)
@@ -150,30 +112,14 @@ class ReducedCocycle:
         return f"Cocycle({{{items}}})"
 
 
-def make_cocycle(shape: GroupShape, field: FieldDescriptor,
-                 entries: dict[int, GroupWittElement]) -> ReducedCocycle:
-    support = {}
-    for n, value in entries.items():
-        if n < 0 or (n > 0 and n % shape.p == 0):
-            raise ValueError(f"support index {n} must be 0 or coprime to {shape.p}")
-        if value.shape != shape or value.field is not field:
-            raise MixedRingsError("coefficient does not match the datum module")
-        if value:
-            support[n] = value
-    return ReducedCocycle(shape, field, support)
-
-
 def cocycle_add(m1: ReducedCocycle, m2: ReducedCocycle) -> ReducedCocycle:
     if m1.shape != m2.shape or m1.field is not m2.field:
         raise MixedRingsError("cocycle module mismatch")
     support = dict(m1.support)
     for n, value in m2.support.items():
         s = support.get(n)
-        total = value if s is None else s + value
-        if total:
-            support[n] = total
-        else:
-            support.pop(n, None)
+        support[n] = value if s is None else tuple(
+            a + b for a, b in zip(s, value))
     return ReducedCocycle(m1.shape, m1.field, support)
 
 
@@ -205,11 +151,11 @@ def _order_exponent(p: int, mod: int, coeffs) -> int:
     return e
 
 
-def coefficient_order(x: GroupWittElement) -> int:
+def coefficient_order(x: tuple[WittVector, ...]) -> int:
     """Smallest e >= 0 with p^e * x = 0: the largest order exponent of the
     Galois-ring coefficients of its parts."""
-    return max((_order_exponent(x.shape.p, part.ring.mod, part.coeffs)
-                for part in x.parts), default=0)
+    return max((_order_exponent(part.field.p, part.ring.mod, part.coeffs)
+                for part in x), default=0)
 
 
 def last_jump(m: ReducedCocycle) -> int:
@@ -291,7 +237,7 @@ def character_jumps(m: ReducedCocycle) -> dict[tuple[int, ...], int]:
     top_exp = exponents[0] if exponents else 0
     mod = p ** top_exp
     weights = [p ** (top_exp - e) for e in exponents]
-    ramified = [(n, m.support[n].parts) for n in m.ramified_indices()]
+    ramified = [(n, m.support[n]) for n in m.ramified_indices()]
     jumps = {}
     for a, _ in character_classes(m.shape):
         best = 0
@@ -376,12 +322,11 @@ def _count_jump_at_most(shape: GroupShape, q: int, t: int) -> int:
 def count_by_last_jump(shape: GroupShape, q: int, v: int, mode: str) -> int:
     """Exact number of data with support indices <= v and last jump v.
 
-    mode "homomorphisms" lets the index-0 coefficient range over the fixed
-    transversal (one representative per unramified twist class); mode
-    "inertial_types" omits index 0 entirely.  The jump never depends on the
-    index-0 coefficient, so it enters as a plain multiplier.  The last jump
-    is a max over indices, so the count is a difference of two products of
-    torsion sizes; no field is built.
+    mode "homomorphisms" counts the |G| classes of the index-0 coefficient
+    (the unramified twists); mode "inertial_types" omits index 0 entirely.
+    The jump never depends on the index-0 coefficient, so it enters as a
+    plain multiplier.  The last jump is a max over indices, so the count is
+    a difference of two products of torsion sizes; no field is built.
     """
     _check_count_args(shape, q, v, mode)
     unram = shape.order if mode == "homomorphisms" else 1
@@ -391,15 +336,16 @@ def count_by_last_jump(shape: GroupShape, q: int, v: int, mode: str) -> int:
                     - _count_jump_at_most(shape, q, v - 1))
 
 
-def count_by_last_jump_enumerated(shape: GroupShape, q: int, v: int, mode: str,
-                                  budget: int = DEFAULT_BUDGET) -> int:
+def count_by_last_jump_enumerated(shape: GroupShape, q: int, v: int,
+                                  mode: str) -> int:
     """The same count by exhausting all data: the oracle for the closed form."""
     _check_count_args(shape, q, v, mode)
     indices = _ramified_indices(shape.p, v)
     unram = shape.order if mode == "homomorphisms" else 1
     total = unram * (q ** sum(shape.exponents)) ** len(indices)
-    if total > budget:
-        raise BudgetExceededError(f"enumeration size {total} exceeds {budget}")
+    if total > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"enumeration size {total} exceeds {DEFAULT_BUDGET}")
     coeffs = list(iter_module_elements(shape, field_for_order(q, p=shape.p)))
     orders = [coefficient_order(x) for x in coeffs]
     # per index, the jump each coefficient contributes (0 for the zero one)

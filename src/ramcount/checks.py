@@ -204,13 +204,8 @@ def _z4_data_with_support_up_to_three():
     field = gf.make_field(2, 1)
     shape = asw.GroupShape(2, (2,))
     coeffs = list(asw.iter_module_elements(shape, field))
-    data = []
-    for c0 in coeffs:
-        for c1 in coeffs:
-            for c3 in coeffs:
-                entries = {n: c for n, c in ((0, c0), (1, c1), (3, c3)) if c}
-                data.append(asw.ReducedCocycle(shape, field, entries))
-    return data
+    return [asw.ReducedCocycle(shape, field, {0: c0, 1: c1, 3: c3})
+            for c0, c1, c3 in product(coeffs, repeat=3)]
 
 
 @functools.cache
@@ -220,9 +215,8 @@ def _cyclic_discriminants_match() -> tuple[bool, int]:
         field = gf.make_field(p, 1)
         cyclic = asw.GroupShape(p, (1,))
         for jump in [n for n in range(1, 8) if n % p]:
-            coeff = asw.GroupWittElement(cyclic, field,
-                                         (WittVector(field, (field.one,)),))
-            m = asw.make_cocycle(cyclic, field, {jump: coeff})
+            m = asw.ReducedCocycle(cyclic, field,
+                                   {jump: (WittVector(field, (field.one,)),)})
             evals += 1
             ok = ok and asw.discriminant_exponent(m) == (jump + 1) * (p - 1)
     return ok, evals
@@ -240,11 +234,9 @@ def asw_checks(seed: int) -> tuple[CheckResult, ...]:
         indices = [n for n in range(1, 6) if n % p]
         coeffs = list(asw.iter_module_elements(shape, field))
         for _ in range(150):
-            entries = {}
-            for n in rng.sample(indices, k=rng.randint(0, min(3, len(indices)))):
-                entries[n] = rng.choice(coeffs)
+            support = rng.sample(indices, k=rng.randint(0, min(3, len(indices))))
             m = asw.ReducedCocycle(shape, field,
-                                   {n: c for n, c in entries.items() if c})
+                                   {n: rng.choice(coeffs) for n in support})
             jump = asw.last_jump(m)
             count += 1
             ok = ok and (jump == 0 or jump % p != 0)
@@ -341,14 +333,9 @@ def _pairing_bound_holds() -> tuple[bool, int]:
     shape = asw.GroupShape(2, (1, 1))
     sources = []
     for x1, x2, y1, y2 in product(f2.elements(), repeat=4):
-        entries = {}
-        if x1 or x2:
-            entries[1] = asw.GroupWittElement(shape, f2, (
-                WittVector(f2, (x1,)), WittVector(f2, (x2,))))
-        if y1 or y2:
-            entries[3] = asw.GroupWittElement(shape, f2, (
-                WittVector(f2, (y1,)), WittVector(f2, (y2,))))
-        sources.append(asw.ReducedCocycle(shape, f2, entries))
+        sources.append(asw.ReducedCocycle(shape, f2, {
+            1: (WittVector(f2, (x1,)), WittVector(f2, (x2,))),
+            3: (WittVector(f2, (y1,)), WittVector(f2, (y2,)))}))
     ok, checked = True, 0
     for big_key in ((2, 1), (2, 2), (2, 4)):
         big = gf.make_field(*big_key)

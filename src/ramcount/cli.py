@@ -51,7 +51,7 @@ def parse_group(text: str, p: int) -> asw.GroupShape:
 
 def parse_cocycle(text: str, shape: asw.GroupShape,
                   field: gf.FieldDescriptor) -> asw.ReducedCocycle:
-    entries: dict[int, asw.GroupWittElement] = {}
+    entries: dict[int, tuple[WittVector, ...]] = {}
     if text.strip():
         for chunk in text.split(","):
             index_text, _, coeff_text = chunk.partition(":")
@@ -70,8 +70,8 @@ def parse_cocycle(text: str, shape: asw.GroupShape,
                         f"part {part!r} needs {exponent} Witt component(s)")
                 vectors.append(WittVector(
                     field, tuple(field.from_digits(c) for c in comps)))
-            entries[index] = asw.GroupWittElement(shape, field, tuple(vectors))
-    return asw.make_cocycle(shape, field, entries)
+            entries[index] = tuple(vectors)
+    return asw.ReducedCocycle(shape, field, entries)
 
 
 def parse_tpoly(text: str, field: gf.FieldDescriptor) -> SparseTPoly:
@@ -377,6 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact counts can pass the int-to-str digit limit (Python 3.10.7 on)
+    set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_int_max_str_digits is not None:
+        set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

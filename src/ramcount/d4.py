@@ -225,8 +225,8 @@ def _doubled_jump_tally(a: SparseTPoly, c: SparseTPoly,
     return tally
 
 
-def min_lift_jump_bruteforce(a: SparseTPoly, c: SparseTPoly, b_bound: int,
-                             budget: int = asw.DEFAULT_BUDGET) -> Fraction:
+def min_lift_jump_bruteforce(a: SparseTPoly, c: SparseTPoly,
+                             b_bound: int) -> Fraction:
     """Minimum of the jump formula over canonical b with w(b) <= b_bound.
 
     Only meaningful for totally ramified reductions, where the b-space
@@ -236,7 +236,7 @@ def min_lift_jump_bruteforce(a: SparseTPoly, c: SparseTPoly, b_bound: int,
     _require_lift_space(a, c)
     if b_bound < min_lift_jump(a, c):
         raise ValueError("bound must cover the expected minimum")
-    _refuse_over_budget(_lift_pool_size(a.field, b_bound), budget)
+    _refuse_over_budget(_lift_pool_size(a.field, b_bound), asw.DEFAULT_BUDGET)
     return Fraction(min(_doubled_jump_tally(a, c, b_bound)), 2)
 
 
@@ -375,6 +375,8 @@ def count_min_lift(q: int, v: int, mode: str = "closed_form",
     """
     if v < 0:
         raise ValueError("jump must be nonnegative")
+    if v > asw.MAX_JUMP:
+        raise ValueError(f"jump {v} exceeds {asw.MAX_JUMP}")
     if mode == "closed_form":
         if v == 0:
             return 1
@@ -449,13 +451,9 @@ def epsilon_bound_report(m_rho: asw.ReducedCocycle,
         raise MixedFieldsError("pairing components over different fields")
     target_shape = asw.GroupShape(m_rho.shape.p, (1,))
     entries = {}
-    for n, value in m_rho.support.items():
-        lifted = (embed(value.parts[0].components[0], big),
-                  embed(value.parts[1].components[0], big))
-        paired = commutator_pairing(lifted, g_delta)
-        if paired:
-            entries[n] = asw.GroupWittElement(
-                target_shape, big, (WittVector(big, (paired,)),))
+    for n, (x1, x2) in m_rho.support.items():
+        lifted = (embed(x1.components[0], big), embed(x2.components[0], big))
+        entries[n] = (WittVector(big, (commutator_pairing(lifted, g_delta),)),)
     eps = asw.ReducedCocycle(target_shape, big, entries)
     source_jump = asw.last_jump(m_rho)
     eps_jump = asw.last_jump(eps)
@@ -475,7 +473,6 @@ def pair_to_cocycle(a: SparseTPoly, c: SparseTPoly) -> asw.ReducedCocycle:
     shape = asw.GroupShape(2, (1, 1))
     entries = {}
     for n in sorted(set(a.terms) | set(c.terms)):
-        entries[n] = asw.GroupWittElement(shape, field, (
-            WittVector(field, (a.terms.get(n, field.zero),)),
-            WittVector(field, (c.terms.get(n, field.zero),))))
-    return asw.make_cocycle(shape, field, entries)
+        entries[n] = (WittVector(field, (a.terms.get(n, field.zero),)),
+                      WittVector(field, (c.terms.get(n, field.zero),)))
+    return asw.ReducedCocycle(shape, field, entries)

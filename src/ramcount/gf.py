@@ -38,8 +38,8 @@ from .errors import (
 
 MAX_DEGREE = 24
 
-# element-count cap below which per-field tables (element list, transversal)
-# are materialised eagerly instead of recomputed
+# element-count cap for `elements()`, which lists a field on its first call
+# and keeps the tuple; above the cap it refuses instead of listing
 _TABLE_CAP = 1 << 16
 
 # field-order cap for the log/antilog tables: GF(64) is the largest field

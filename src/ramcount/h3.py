@@ -35,14 +35,14 @@ def _check_setting(p: int, q: int) -> None:
     field_for_order(q, p=p)  # validates that q is a power of p
 
 
-def count_line_inertia(p: int, q: int, r: int, mode: str = "closed_form",
-                       budget: int = asw.DEFAULT_BUDGET) -> int:
+def count_line_inertia(p: int, q: int, r: int, mode: str = "closed_form") -> int:
     """Homomorphisms to F_p^r over the degree-p place with inertia exactly a
     fixed order-p subgroup and last jump 1.
 
     The residue field of the place has q^p elements.  closed_form returns
-    p^r (q^p - 1); bruteforce enumerates all data with support in {0, 1}
-    over that residue field and filters on jump and inertia image.
+    p^r (q^p - 1); bruteforce enumerates the index-1 coefficients over that
+    residue field, filters on jump and inertia image, and multiplies by the
+    p^r classes of the index-0 coefficient, which enters neither.
     """
     _check_setting(p, q)
     if r < 1:
@@ -53,29 +53,21 @@ def count_line_inertia(p: int, q: int, r: int, mode: str = "closed_form",
     if mode != "bruteforce":
         raise ValueError(f"unknown mode {mode!r}")
     residue_order = q ** p
-    enumeration = residue_order ** r * p ** r
-    if enumeration > budget:
+    enumeration = residue_order ** r
+    if enumeration > asw.DEFAULT_BUDGET:
         raise BudgetExceededError(
-            f"enumeration over {enumeration} data exceeds {budget}")
+            f"enumeration over {enumeration} data exceeds {asw.DEFAULT_BUDGET}")
     shape = asw.GroupShape(p, (1,) * r)
     residue = field_for_order(residue_order, p=p)
     # fix the subgroup spanned by the first coordinate axis
     axis = frozenset(tuple(k if i == 0 else 0 for i in range(r))
                      for k in range(p))
     count = 0
-    for m0 in asw.transversal_elements(shape, residue):
-        for m1 in asw.iter_module_elements(shape, residue):
-            entries = {}
-            if m0:
-                entries[0] = m0
-            if m1:
-                entries[1] = m1
-            datum = asw.ReducedCocycle(shape, residue, entries)
-            if asw.last_jump(datum) != 1:
-                continue
-            if asw.inertia_image(datum) == axis:
-                count += 1
-    return count
+    for m1 in asw.iter_module_elements(shape, residue):
+        datum = asw.ReducedCocycle(shape, residue, {1: m1})
+        if asw.last_jump(datum) == 1 and asw.inertia_image(datum) == axis:
+            count += 1
+    return shape.order * count
 
 
 @dataclass(frozen=True)
@@ -218,11 +210,10 @@ def _cross_check_via_abelian_datum(p: int, expected: int) -> None:
     realises the same filtration sizes, so its discriminant must agree."""
     field = make_field(p, 1)
     shape = asw.GroupShape(p, (1, 1, 1))
-    coeff = asw.GroupWittElement(shape, field, (
+    datum = asw.ReducedCocycle(shape, field, {1: (
         WittVector(field, (field.one,)),
         WittVector(field, (field.zero,)),
-        WittVector(field, (field.zero,))))
-    datum = asw.make_cocycle(shape, field, {1: coeff})
+        WittVector(field, (field.zero,)))})
     got = asw.discriminant_exponent(datum)
     if got != expected:
         raise InternalInconsistencyError(

@@ -94,6 +94,19 @@ def test_counterexample_numbers(capsys):
     assert doc["result"]["discrepancy_ratio"] == "13/5"
 
 
+def test_counterexample_tsv_flattens_the_breakdowns(capsys):
+    status, out, _ = run(capsys, "counterexample", "--p", "3", "--q", "3",
+                         "--format", "tsv")
+    assert status == 0
+    expected = ["p\t3", "q\t3", "local_count\t3510", "global_count\t9126",
+                "discrepancy_ratio\t13/5"]
+    for scope, per_line in (("local", 702), ("global", 2106)):
+        expected.append(f"{scope}_breakdown.center_inertia\t702")
+        expected += [f"{scope}_breakdown.line({line})\t{per_line}"
+                     for line in ("1:0", "0:1", "1:1", "2:1")]
+    assert out == "\n".join(expected) + "\n"
+
+
 def test_census_and_series(capsys):
     doc = run_json(capsys, "census", "--q", "2", "--max-degree", "3")
     rows = {row["degree"]: row["places"] for row in doc["result"]["rows"]}
@@ -380,6 +393,57 @@ def test_negative_dihedral_jump_is_rejected(capsys, command):
     status, out, err = run(capsys, command, "--q", "2", "--v", "-3")
     assert (status, out) == (2, "")
     assert err == "error: jump must be nonnegative\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("lj", "--p", "2", "--q", "2", "--group", "1,1", "--terms", "1:1"),
+     "term '1:1' needs 2 factor part(s)"),
+    (("lj", "--p", "2", "--q", "2", "--group", "2", "--terms", "1:1"),
+     "part '1' needs 2 Witt component(s)"),
+    (("lift-dist", "--q", "2", "--a", "1:1", "--c", "3:1", "--v-max", "65"),
+     "v_max 65 exceeds 64"),
+    (("count-d4", "--q", "2", "--v", "65"), "jump 65 exceeds 64"),
+    (("count-minlift", "--q", "2", "--v", "-1"), "jump must be nonnegative"),
+    (("count-minlift", "--q", "2", "--v", "30000"), "jump 30000 exceeds 64"),
+    (("count-minlift", "--q", "131072", "--v", "1", "--mode", "enumeration"),
+     "refusing to materialise all 131072 elements"),
+    (("growth", "--q", "2", "--x-max", "25"), "x_max 25 exceeds 24"),
+])
+def test_out_of_range_input_is_a_one_line_error(capsys, argv, message):
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.fixture
+def default_int_digit_limit():
+    """Start from the interpreter's int-to-str digit limit, which `main`
+    lifts for the whole process, and restore the limit set before."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before Python 3.10.7
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+BIG_Q = 2 ** 1000
+
+
+@pytest.mark.parametrize("argv, key, expected", [
+    (("count-d4", "--v", "64"), "count_le", lambda: d4.count_d4_le(BIG_Q, 64)),
+    (("local-a", "--v", "64"), "coefficient", lambda: d4.count_d4_exact(BIG_Q, 64)),
+    (("count-abelian", "--p", "2", "--group", "12", "--v", "64"), "count",
+     lambda: asw.count_by_last_jump(asw.GroupShape(2, (12,)), BIG_Q, 64,
+                                    "homomorphisms")),
+], ids=("count-d4", "local-a", "count-abelian"))
+def test_counts_past_the_digit_limit_print_exactly(
+        capsys, default_int_digit_limit, argv, key, expected):
+    value = expected()
+    assert value.bit_length() > 4300 * 4  # over 4300 decimal digits
+    doc = run_json(capsys, *argv, "--q", str(BIG_Q))
+    assert doc["result"][key] == value
 
 
 def test_negative_census_degree_is_rejected(capsys):

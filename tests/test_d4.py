@@ -119,6 +119,18 @@ def test_bruteforce_matches_closed_minimum():
         d4.min_lift_jump_bruteforce(poly(F2, 1), poly(F2, 1), 6)
 
 
+def test_bruteforce_refuses_over_budget_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before the budget check")
+
+    monkeypatch.setattr(d4, "_doubled_jump_tally", no_enumeration)
+    f16 = gf.make_field(2, 4)
+    # 2 * 16^6 canonical b with w(b) <= 11
+    with pytest.raises(BudgetExceededError,
+                       match="33554432 candidates exceed 5000000"):
+        d4.min_lift_jump_bruteforce(poly(f16, 1), poly(f16, 3), 11)
+
+
 @pytest.mark.parametrize("q,wmax", [(2, 6), (4, 4)])
 def test_bruteforce_equals_formula_on_all_totally_ramified_pairs(q, wmax):
     pool = ramified_pool(gf.field_for_order(q), (1, 3, 5))
@@ -457,9 +469,8 @@ def test_pairing_is_bilinear_and_alternating():
 
 def _rank2_cocycle(field, entries):
     shape = asw.GroupShape(2, (1, 1))
-    return asw.make_cocycle(shape, field, {
-        n: asw.GroupWittElement(shape, field, (
-            WittVector(field, (x,)), WittVector(field, (y,))))
+    return asw.ReducedCocycle(shape, field, {
+        n: (WittVector(field, (x,)), WittVector(field, (y,)))
         for n, (x, y) in entries.items()})
 
 
@@ -475,8 +486,8 @@ def test_epsilon_report_example():
     report = d4.epsilon_bound_report(m, (F4.zero, F4.gen))
     assert report.source_jump == 1 and report.epsilon_jump == 1
     assert report.bounded
-    coeff = report.epsilon.coefficient(1)
-    assert coeff.parts[0].components[0] == F4.gen
+    (part,) = report.epsilon.support[1]
+    assert part.components[0] == F4.gen
 
 
 def test_epsilon_report_zero_pairing_vector():

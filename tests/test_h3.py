@@ -27,8 +27,10 @@ def test_even_characteristic_is_rejected():
 
 
 def test_bruteforce_budget():
-    with pytest.raises(BudgetExceededError):
-        h3.count_line_inertia(3, 3, 2, mode="bruteforce", budget=100)
+    # 27^6 index-1 coefficients over the residue field F_(27^3)
+    with pytest.raises(BudgetExceededError,
+                       match="enumeration over 387420489 data exceeds 5000000"):
+        h3.count_line_inertia(3, 27, 2, mode="bruteforce")
 
 
 def test_local_count_at_three():

@@ -18,8 +18,7 @@ count as its oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import gcd
@@ -39,24 +38,24 @@ MAX_JUMP = 64
 DEFAULT_BUDGET = 5_000_000
 
 
-@dataclass(frozen=True)
-class GroupShape:
+class GroupShape(namedtuple("GroupShape", "p exponents")):
     """G = prod Z/p^(n_i) with nonincreasing positive exponents.
 
     The empty shape is allowed and denotes the trivial group.
     """
 
-    p: int
-    exponents: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(e <= 0 for e in self.exponents):
+    def __new__(cls, p: int, exponents: tuple[int, ...]):
+        if any(e <= 0 for e in exponents):
             raise ValueError("exponents must be positive")
-        if any(a < b for a, b in zip(self.exponents, self.exponents[1:])):
+        if any(a < b for a, b in zip(exponents, exponents[1:])):
             raise ValueError("exponents must be nonincreasing")
+        self = super().__new__(cls, p, exponents)
         if self.order > MAX_GROUP_ORDER:
             raise GroupTooLargeError(
                 f"group order {self.order} exceeds {MAX_GROUP_ORDER}")
+        return self
 
     @property
     def rank(self) -> int:
@@ -181,14 +180,15 @@ def last_jump(m: ReducedCocycle) -> int:
 # ---------------------------------------------------------------------------
 
 def ramification_integral(group_order: int, image_sizes: list[int]) -> int:
-    """group_order * sum(1 - 1/s) over unit intervals with image size s."""
-    total = Fraction(0)
+    """group_order * sum(1 - 1/s) over unit intervals with image size s,
+    summed as sum(group_order - group_order / s)."""
+    total = 0
     for s in image_sizes:
-        total += 1 - Fraction(1, s)
-    value = group_order * total
-    if value.denominator != 1:
-        raise InternalInconsistencyError("image sizes must divide the group order")
-    return int(value)
+        index, rest = divmod(group_order, s)
+        if rest:
+            raise InternalInconsistencyError("image sizes must divide the group order")
+        total += group_order - index
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Sequence
@@ -23,11 +23,8 @@ from .d4 import SparseTPoly
 from .witt import WittVector, iter_witt_vectors, teichmueller
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name passed detail")):
+    __slots__ = ()
 
 
 def _result(name: str, passed: bool, detail: str) -> CheckResult:
@@ -583,9 +580,15 @@ def _acc_pipeline_consistency() -> CheckResult:
                    "q=2, X <= 6, exact")
 
 
+def _four_places(x: Fraction) -> str:
+    """x >= 0 rounded exactly to four decimal places, ties to even."""
+    whole, part = divmod(round(x * 10_000), 10_000)
+    return f"{whole}.{part:04d}"
+
+
 def _acc_growth() -> CheckResult:
     table = euler.growth_table(2, 16)
-    observed = ", ".join(f"X={row.x}: {float(row.relative_change):.4f}"
+    observed = ", ".join(f"X={row.x}: {_four_places(row.relative_change)}"
                          for row in table.rows if row.x >= 8)
     return _result("acceptance.6.growth_ratio_stabilises",
                    euler.growth_stabilises(table),

@@ -7,7 +7,11 @@ subcommand finds a failure, 2 on usage errors.
 
 Each query is one process, so start-up counts: at module level this file
 imports only what the abelian subcommands call.  A handler that needs `d4`,
-`euler`, `h3` or `checks` imports it itself.
+`euler`, `h3` or `checks` imports it itself.  The library's records are
+`collections.namedtuple` subclasses, so no query loads `dataclasses`, and
+`fractions` is imported only where a Fraction is made, so it loads only for
+`growth`, `counterexample`, `verify` and a totally ramified
+`urtwist-check`.  `tests/test_cli.py` pins both in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -15,14 +19,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import asw, gf
 from .errors import RamcountError
 from .witt import WittVector
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .d4 import SparseTPoly
 
 SCHEMA_VERSION = 1
@@ -87,9 +92,8 @@ def parse_tpoly(text: str, field: gf.FieldDescriptor) -> SparseTPoly:
     return SparseTPoly.from_terms(field, terms)
 
 
-def _fraction_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+def _fraction_str(x: int | Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ correction term built from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from itertools import product
 
 from . import asw
@@ -38,6 +37,10 @@ from .errors import (
 )
 from .gf import FieldDescriptor, FieldElement, embed, field_for_order
 from .witt import WittVector
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class SparseTPoly:
@@ -152,6 +155,7 @@ def _validate_datum_poly(x: SparseTPoly) -> None:
 
 def d4_last_jump(a: SparseTPoly, c: SparseTPoly, b: SparseTPoly) -> Fraction:
     """Exact rational value of the dihedral jump formula (halves possible)."""
+    from fractions import Fraction
     wa, wc = a.pole_order(), c.pole_order()
     main = (b.t_derivative() + a * c.t_derivative()).pole_order()
     return max(Fraction(main), Fraction(wa, 2) + wc, Fraction(wc, 2) + wa)
@@ -233,6 +237,7 @@ def min_lift_jump_bruteforce(a: SparseTPoly, c: SparseTPoly,
     parametrises all lifts; pole orders beyond the bound cannot shrink the
     minimum because they dominate the formula.
     """
+    from fractions import Fraction
     _require_lift_space(a, c)
     if b_bound < min_lift_jump(a, c):
         raise ValueError("bound must cover the expected minimum")
@@ -244,12 +249,13 @@ def min_lift_jump_bruteforce(a: SparseTPoly, c: SparseTPoly,
 # lift distributions and unramified-twist invariance
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LiftDistribution:
-    """Lift counts by last jump; no mass below the minimal lift jump."""
+class LiftDistribution(namedtuple("LiftDistribution", "minlift counts")):
+    """Lift counts by last jump; no mass below the minimal lift jump.
 
-    minlift: int
-    counts: tuple[tuple[int, int], ...]  # (jump, count), ascending
+    counts: ((jump, count), ...) in ascending jump.
+    """
+
+    __slots__ = ()
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.counts)
@@ -295,6 +301,7 @@ def lift_jump_distribution(a: SparseTPoly, c: SparseTPoly,
 def enumerated_lift_distribution(a: SparseTPoly, c: SparseTPoly,
                                  v_max: int) -> dict[Fraction, int]:
     """Jump tallies over the explicit b-parametrisation (totally ramified only)."""
+    from fractions import Fraction
     _require_lift_space(a, c)
     if v_max < 0:
         raise ValueError(f"v_max {v_max} must be nonnegative")
@@ -304,19 +311,17 @@ def enumerated_lift_distribution(a: SparseTPoly, c: SparseTPoly,
             if jump2 <= 2 * v_max}
 
 
-@dataclass(frozen=True)
-class TwistComparison:
-    alpha: FieldElement
-    gamma: FieldElement
-    closed_form_equal: bool
-    enumerated_equal: bool | None  # None when the b-parametrisation is unusable
+class TwistComparison(namedtuple(
+        "TwistComparison",
+        "alpha gamma closed_form_equal enumerated_equal")):
+    """enumerated_equal is None when the b-parametrisation is unusable."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TwistInvarianceReport:
-    base_distribution: LiftDistribution
-    comparisons: tuple[TwistComparison, ...]
-    all_equal: bool
+class TwistInvarianceReport(namedtuple(
+        "TwistInvarianceReport", "base_distribution comparisons all_equal")):
+    __slots__ = ()
 
 
 def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
@@ -427,12 +432,9 @@ def commutator_pairing(x: tuple[FieldElement, FieldElement],
     return x1 * y2 - x2 * y1
 
 
-@dataclass(frozen=True)
-class EpsilonBoundReport:
-    source_jump: int
-    epsilon_jump: int
-    bounded: bool
-    epsilon: asw.ReducedCocycle
+class EpsilonBoundReport(namedtuple(
+        "EpsilonBoundReport", "source_jump epsilon_jump bounded epsilon")):
+    __slots__ = ()
 
 
 def epsilon_bound_report(m_rho: asw.ReducedCocycle,

@@ -8,10 +8,8 @@ integers, growth ratios are Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
-from typing import Callable
 
 from . import asw, gf
 from .errors import (
@@ -19,6 +17,13 @@ from .errors import (
     InternalInconsistencyError,
     TruncationTooLargeError,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from typing import Callable
+
+    LocalCoefficient = Callable[[int, int], int]
 
 MAX_CENSUS_DEGREE = 32
 MAX_TRUNCATION = 24
@@ -40,13 +45,13 @@ def mobius(n: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class PlaceCensus:
-    """Number of places of F_q(T) by degree (monic irreducibles plus infinity)."""
+class PlaceCensus(namedtuple("PlaceCensus", "q max_degree counts")):
+    """Number of places of F_q(T) by degree (monic irreducibles plus infinity).
 
-    q: int
-    max_degree: int
-    counts: tuple[tuple[int, int], ...]
+    counts: ((degree, places), ...) in ascending degree.
+    """
+
+    __slots__ = ()
 
     def count(self, d: int) -> int:
         return dict(self.counts)[d]
@@ -78,17 +83,16 @@ def place_census(q: int, max_degree: int) -> PlaceCensus:
     return PlaceCensus(q, max_degree, tuple(sorted(counts.items())))
 
 
-@dataclass(frozen=True)
-class CountSeries:
+class CountSeries(namedtuple("CountSeries", "truncation coefficients")):
     """A power series truncated at degree `truncation`, integer coefficients."""
 
-    truncation: int
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coefficients) != self.truncation + 1:
-            raise ValueError(f"a series truncated at {self.truncation} needs "
-                             f"{self.truncation + 1} coefficients")
+    def __new__(cls, truncation: int, coefficients: tuple[int, ...]):
+        if len(coefficients) != truncation + 1:
+            raise ValueError(f"a series truncated at {truncation} needs "
+                             f"{truncation + 1} coefficients")
+        return super().__new__(cls, truncation, coefficients)
 
     @classmethod
     def one(cls, truncation: int) -> "CountSeries":
@@ -119,9 +123,6 @@ class CountSeries:
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-
-LocalCoefficient = Callable[[int, int], int]
 
 
 def local_factor(q: int, d: int, truncation: int,
@@ -213,18 +214,15 @@ def convolution_oracle(q: int, total: int, coefficient: LocalCoefficient) -> int
 # growth diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GrowthRow:
-    x: int
-    count: int                      # N(X), divisible by 8
-    ratio: Fraction                 # N(X) / (q^(3X) * X)
-    relative_change: Fraction | None
+class GrowthRow(namedtuple("GrowthRow", "x count ratio relative_change")):
+    """count: N(X), divisible by 8; ratio: the Fraction N(X) / (q^(3X) X);
+    relative_change: |ratio - previous ratio| / ratio, None at the first row."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GrowthTable:
-    q: int
-    rows: tuple[GrowthRow, ...]
+class GrowthTable(namedtuple("GrowthTable", "q rows")):
+    __slots__ = ()
 
     def ratios(self) -> list[Fraction]:
         return [row.ratio for row in self.rows]
@@ -236,6 +234,7 @@ class GrowthTable:
 
 def growth_table(q: int, x_max: int) -> GrowthTable:
     """Exact ratios N(X)/(q^(3X) X) and their successive relative changes."""
+    from fractions import Fraction
     if x_max > MAX_TRUNCATION:
         raise TruncationTooLargeError(f"x_max {x_max} exceeds {MAX_TRUNCATION}")
     series = d4_global_series(q, x_max)
@@ -258,4 +257,4 @@ def growth_stabilises(table: GrowthTable) -> bool:
     under 1/10."""
     tail = table.changes()[-3:]
     return (len(tail) == 3 and tail[0] >= tail[1] >= tail[2]
-            and tail[2] < Fraction(1, 10))
+            and tail[2] * 10 < 1)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator
 
 from .errors import (
     DegreeTooLargeError,
@@ -35,6 +34,10 @@ from .errors import (
     NonPrimeError,
     NotASubfieldError,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
 
 MAX_DEGREE = 24
 

@@ -16,8 +16,7 @@ mismatch raises instead of being patched over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from . import asw
 from .errors import (
@@ -27,6 +26,10 @@ from .errors import (
 )
 from .gf import field_for_order, make_field
 from .witt import WittVector
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _check_setting(p: int, q: int) -> None:
@@ -70,10 +73,10 @@ def count_line_inertia(p: int, q: int, r: int, mode: str = "closed_form") -> int
     return shape.order * count
 
 
-@dataclass(frozen=True)
-class CaseCount:
-    total: int
-    breakdown: tuple[tuple[str, int], ...]
+class CaseCount(namedtuple("CaseCount", "total breakdown")):
+    """breakdown: ((case name, count), ...)."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.breakdown)
@@ -120,19 +123,16 @@ def global_heisenberg_count(p: int, q: int) -> CaseCount:
     return _heisenberg_count(p, q, p, p ** 2 + p + 1, "global")
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
-    p: int
-    q: int
-    local_count: int
-    global_count: int
-    local_breakdown: tuple[tuple[str, int], ...]
-    global_breakdown: tuple[tuple[str, int], ...]
-    discrepancy_ratio: Fraction
+class CounterexampleReport(namedtuple(
+        "CounterexampleReport",
+        "p q local_count global_count local_breakdown global_breakdown "
+        "discrepancy_ratio")):
+    __slots__ = ()
 
 
 def counterexample_report(p: int, q: int) -> CounterexampleReport:
     """Local and global counts side by side; their ratio exceeds 1."""
+    from fractions import Fraction
     local = local_heisenberg_count(p, q)
     glob = global_heisenberg_count(p, q)
     ratio = Fraction(glob.total, local.total)
@@ -146,6 +146,7 @@ def counterexample_report(p: int, q: int) -> CounterexampleReport:
 
 def discrepancy_ratio_formula(p: int) -> Fraction:
     """(p^2 + p + 1)/(p + 2); greater than 1 for every p >= 2."""
+    from fractions import Fraction
     return Fraction(p ** 2 + p + 1, p + 2)
 
 
@@ -153,12 +154,10 @@ def discrepancy_ratio_formula(p: int) -> Fraction:
 # the discriminant gate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiscriminantGateReport:
-    p: int
-    value: int
-    is_smallest_positive: bool
-    out_of_setting: bool
+class DiscriminantGateReport(namedtuple(
+        "DiscriminantGateReport",
+        "p value is_smallest_positive out_of_setting")):
+    __slots__ = ()
 
 
 def smallest_wild_discriminant(p: int, q: int | None = None) -> DiscriminantGateReport:

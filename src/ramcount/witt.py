@@ -10,13 +10,13 @@ multiple scales every coefficient.
 
 Components meet the ring only at the edges: the constructor, `components`,
 `repr`, `teichmueller` and `iter_witt_vectors`.  The Teichmueller lift is
-tau(b) = B^(q^(L-1)) for any lift B of b, and the vector (a_0, .., a_(L-1))
-is sum_i p^i tau(a_i^(p^-i)).  Going back, c = x mod p gives a_i = c^(p^i),
-then x <- (x - tau(c)) / p.  That division must be exact; a remainder raises
-InternalInconsistencyError, which makes it the integrality certificate of
-this module.  The Witt Frobenius, componentwise x -> x^p, is the ring
-automorphism sigma: sigma(x) is found once per ring by way of the components,
-and sigma of any element is sum_j c_j sigma(x)^j.
+tau(b) = C^(p^(L-1)) for any lift C of b^(p^-(L-1)), and the vector
+(a_0, .., a_(L-1)) is sum_i p^i tau(a_i^(p^-i)).  Going back, c = x mod p
+gives a_i = c^(p^i), then x <- (x - tau(c)) / p.  That division must be
+exact; a remainder raises InternalInconsistencyError, which makes it the
+integrality certificate of this module.  The Witt Frobenius, componentwise
+x -> x^p, is the ring automorphism sigma: sigma(x) is found once per ring by
+way of the components, and sigma of any element is sum_j c_j sigma(x)^j.
 
 Each ring is built once per (field, L) and cached for the process lifetime,
 with its Teichmueller lifts memoised per element.  Every cached value is a
@@ -57,13 +57,21 @@ class _GaloisRing:
         return _mul_mod(a, b, self._xpow, self.mod)
 
     def lift(self, b: FieldElement) -> tuple[int, ...]:
-        """The Teichmueller lift tau(b), memoised; tau(0) = 0 needs no power."""
+        """The Teichmueller lift tau(b), memoised; tau(0) = 0 needs no power.
+
+        tau(b) = C^(p^(L-1)) for any lift C of c = b^(p^-(L-1)): C is
+        congruent to tau(c) mod p, so their p^(L-1)-th powers agree mod p^L,
+        and tau(c)^(p^(L-1)) = tau(b).  That is L - 1 p-th powers in the
+        ring, where B^(q^(L-1)) for a lift B of b would take n (L - 1).
+        """
         t = self._lifts.get(b.coeffs)
         if t is None:
             t = b.coeffs
             if any(t):
-                e = self.field.q ** (self.length - 1)
-                base, t = t, self.one
+                field = self.field
+                k = self.length - 1
+                e = field.p ** k
+                base, t = (b ** field.p ** (-k % field.n)).coeffs, self.one
                 while e:
                     if e & 1:
                         t = self.mul(t, base)

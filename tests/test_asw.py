@@ -50,13 +50,23 @@ def cocycle(shape, field, entries):
 # ---------------------------------------------------------------------------
 
 def test_shape_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exponents must be nonincreasing"):
         asw.GroupShape(2, (1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exponents must be positive"):
         asw.GroupShape(2, (0,))
-    with pytest.raises(GroupTooLargeError):
+    with pytest.raises(GroupTooLargeError, match="group order 8192 exceeds 4096"):
         asw.GroupShape(2, (13,))
     assert asw.GroupShape(2, ()).order == 1
+
+
+def test_shape_is_an_immutable_value():
+    shape = asw.GroupShape(2, (2, 1))
+    assert repr(shape) == "GroupShape(p=2, exponents=(2, 1))"
+    assert shape == asw.GroupShape(p=2, exponents=(2, 1))
+    assert hash(shape) == hash(asw.GroupShape(2, (2, 1)))
+    assert shape != asw.GroupShape(2, (2,))
+    with pytest.raises(AttributeError):
+        shape.p = 3
 
 
 def test_cocycle_rejects_bad_support_index():

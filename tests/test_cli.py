@@ -8,12 +8,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ramcount import asw, checks, d4, euler, h3
-from ramcount.cli import SUITE_NAMES, build_parser, main
+from ramcount.cli import SUITE_NAMES, _fraction_str, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(checks.__file__).resolve().parents[1]
@@ -454,12 +455,16 @@ def test_negative_census_degree_is_rejected(capsys):
         == {"q": 2, "rows": []}
 
 
-def help_pages() -> str:
-    """Top-level `--help`, then each subcommand's, as `main` prints them."""
+def subcommand_names() -> list[str]:
     subcommands = next(action for action in build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
+    return list(subcommands.choices)
+
+
+def help_pages() -> str:
+    """Top-level `--help`, then each subcommand's, as `main` prints them."""
     pages = []
-    for argv in [[]] + [[name] for name in subcommands.choices]:
+    for argv in [[]] + [[name] for name in subcommand_names()]:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
             main([*argv, "--help"])
@@ -485,54 +490,131 @@ def test_library_has_no_assert_statements():
         assert not found, f"{path.name}: assert at line(s) {found}"
 
 
-# run argv through `main` in a fresh interpreter; print the exit status and
-# the ramcount modules that were loaded
+def test_library_has_no_floats():
+    # counts, jumps and ratios are exact; a float would round them
+    for path in sorted((SRC / "ramcount").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree)
+                 if (isinstance(node, ast.Constant)
+                     and isinstance(node.value, (float, complex)))
+                 or (isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Name)
+                     and node.func.id == "float")]
+        assert not found, f"{path.name}: float at line(s) {found}"
+
+
+def test_records_are_slotted_namedtuples():
+    # a record compares, hashes and prints by its fields and has no
+    # per-instance dict, so assigning to it raises AttributeError
+    records = [cls for module in (asw, checks, d4, euler, h3)
+               for cls in vars(module).values()
+               if isinstance(cls, type) and issubclass(cls, tuple)
+               and cls.__module__ == module.__name__]
+    assert {"GroupShape", "CountSeries", "CheckResult"} <= {
+        cls.__name__ for cls in records}
+    for cls in records:
+        assert vars(cls).get("__slots__") == (), cls.__name__
+        assert hasattr(cls, "_fields"), cls.__name__
+
+
+@pytest.mark.parametrize("value, text", [
+    (7, "7"),
+    (Fraction(3, 2), "3/2"),
+    (Fraction(-5, 2), "-5/2"),
+    (Fraction(6, 4), "3/2"),
+    (Fraction(8, 4), "2"),
+])
+def test_fraction_str(value, text):
+    assert _fraction_str(value) == text
+
+
+# run each argv through `main`, one after another, in a fresh interpreter
+# started without `site`, so that only the probe and the library import
+# anything; print the exit statuses and every module that was loaded
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 import ramcount.cli
-argv = json.loads(sys.argv[1])
-status = None
-if argv:
+statuses = []
+for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        status = ramcount.cli.main(argv)
-print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("ramcount."))]))
+        statuses.append(ramcount.cli.main(argv))
+print(json.dumps([statuses, sorted(sys.modules)]))
 """
 LAZY = {"ramcount.checks", "ramcount.d4", "ramcount.euler", "ramcount.h3"}
+# one cheap query per subcommand
+QUERIES = {
+    "lj": ("--p", "2", "--q", "2", "--group", "1", "--terms", "1:1"),
+    "disc": ("--p", "2", "--q", "4", "--group", "1,1", "--terms", "3:01|10"),
+    "count-abelian": ("--p", "2", "--q", "2", "--group", "1", "--v", "3"),
+    "minlift": ("--q", "2", "--a", "1:1", "--c", "3:1"),
+    "lift-dist": ("--q", "2", "--a", "1:1", "--c", "3:1", "--v-max", "6"),
+    "urtwist-check": ("--q", "2", "--a", "1:1", "--c", "3:1", "--v-max", "6"),
+    "count-minlift": ("--q", "2", "--v", "3"),
+    "count-d4": ("--q", "2", "--v", "3"),
+    "local-a": ("--q", "2", "--v", "3"),
+    "census": ("--q", "2", "--max-degree", "3"),
+    "global-series": ("--q", "2", "--x-max", "3"),
+    "growth": ("--q", "2", "--x-max", "4"),
+    "counterexample": ("--p", "3", "--q", "3"),
+    "verify": ("--suite", "gf"),
+}
+ABELIAN_SERIES = ("global-series", "--q", "2", "--x-max", "3",
+                  "--group", "1", "--p", "2")
 
 
-def modules_loaded_by(*argv):
+def modules_loaded_by_all(*argvs):
     done = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
+        [sys.executable, "-S", "-c", IMPORT_PROBE, json.dumps(argvs)],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    status, modules = json.loads(done.stdout)
-    assert status in (None, 0)
+    statuses, modules = json.loads(done.stdout)
+    assert statuses == [0] * len(argvs)
     return set(modules)
 
 
+def modules_loaded_by(*argv):
+    return modules_loaded_by_all(*([argv] if argv else []))
+
+
 def test_importing_the_cli_loads_only_the_abelian_modules():
-    assert modules_loaded_by() == {"ramcount.asw", "ramcount.cli",
-                                   "ramcount.errors", "ramcount.gf",
-                                   "ramcount.witt"}
+    loaded = {m for m in modules_loaded_by() if m.startswith("ramcount.")}
+    assert loaded == {"ramcount.asw", "ramcount.cli", "ramcount.errors",
+                      "ramcount.gf", "ramcount.witt"}
 
 
-@pytest.mark.parametrize("argv", [
-    ("lj", "--p", "2", "--q", "2", "--group", "1", "--terms", "1:1"),
-    ("disc", "--p", "2", "--q", "4", "--group", "1,1", "--terms", "3:01|10"),
-    ("count-abelian", "--p", "2", "--q", "2", "--group", "1", "--v", "3"),
-])
+ABELIAN_QUERIES = [(name, *QUERIES[name])
+                   for name in ("lj", "disc", "count-abelian")]
+
+
+@pytest.mark.parametrize("argv", ABELIAN_QUERIES)
 def test_abelian_queries_load_no_other_library_module(argv):
     assert not modules_loaded_by(*argv) & LAZY
 
 
 def test_abelian_series_loads_euler_but_not_d4():
-    loaded = modules_loaded_by("global-series", "--q", "2", "--x-max", "3",
-                               "--group", "1", "--p", "2")
-    assert loaded & LAZY == {"ramcount.euler"}
+    assert modules_loaded_by(*ABELIAN_SERIES) & LAZY == {"ramcount.euler"}
+
+
+def test_the_import_probe_runs_every_subcommand():
+    assert sorted(QUERIES) == sorted(subcommand_names())
+
+
+def test_no_subcommand_loads_dataclasses():
+    # records are namedtuples; `dataclasses` would pull in `inspect`
+    loaded = modules_loaded_by_all(*((name, *args)
+                                     for name, args in QUERIES.items()))
+    assert "ramcount.checks" in loaded
+    assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("argv", [*ABELIAN_QUERIES, ABELIAN_SERIES])
+def test_integer_queries_load_neither_fractions_nor_typing(argv):
+    # `fractions` is imported where a Fraction is made, and `typing` only
+    # under TYPE_CHECKING
+    assert not modules_loaded_by(*argv) & {"fractions", "typing"}
 
 
 def test_urtwist_check_loads_d4_but_not_checks_or_h3():
-    loaded = modules_loaded_by("urtwist-check", "--q", "2", "--a", "1:1",
-                               "--c", "3:1", "--v-max", "6")
+    loaded = modules_loaded_by("urtwist-check", *QUERIES["urtwist-check"])
     assert loaded & LAZY == {"ramcount.d4"}

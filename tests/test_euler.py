@@ -47,6 +47,17 @@ def test_series_multiplication_truncates():
     assert (a ** 2).coefficients == (1, 4, 4, 0)
 
 
+def test_series_is_an_immutable_value_of_the_right_length():
+    a = euler.CountSeries(2, (1, 2, 0))
+    assert repr(a) == "CountSeries(truncation=2, coefficients=(1, 2, 0))"
+    assert a == euler.CountSeries.one(2) * euler.CountSeries(2, (1, 2, 0))
+    assert hash(a) == hash(euler.CountSeries(2, (1, 2, 0)))
+    with pytest.raises(AttributeError):
+        a.truncation = 3
+    with pytest.raises(ValueError, match="truncated at 3 needs 4 coefficients"):
+        euler.CountSeries(3, (1, 2, 0))
+
+
 def test_local_factor_structure():
     f = euler.local_factor(2, 1, 3, d4.count_d4_exact)
     assert f.coefficient(0) == 1
@@ -139,6 +150,15 @@ def test_growth_first_row():
 def test_growth_counts_divisible_by_eight():
     table = euler.growth_table(2, 8)
     assert all(row.count % 8 == 0 for row in table.rows)
+
+
+@pytest.mark.parametrize("last, stabilises", [
+    (Fraction(1, 11), True), (Fraction(1, 10), False), (Fraction(1, 9), False)])
+def test_growth_stabilises_needs_the_last_change_under_a_tenth(last, stabilises):
+    changes = [None, Fraction(1, 5), Fraction(1, 8), last]
+    rows = tuple(euler.GrowthRow(x, 8, Fraction(1), change)
+                 for x, change in enumerate(changes, 1))
+    assert euler.growth_stabilises(euler.GrowthTable(2, rows)) is stabilises
 
 
 def test_growth_stabilises_at_q2():

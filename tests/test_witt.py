@@ -184,6 +184,28 @@ def test_teichmueller_is_multiplicative(field):
                     == teichmueller(x * y, 2))
 
 
+def _ring_power(ring, x, e):
+    result = ring.one
+    for bit in bin(e)[2:]:
+        result = ring.mul(result, result)
+        if bit == "1":
+            result = ring.mul(result, x)
+    return result
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_teichmueller_lift_is_the_power_of_any_lift(q):
+    # the oracle is the definition tau(b) = B^(q^(L-1)), B the coefficients
+    # of b read in the Galois ring; the library powers a lift of
+    # b^(p^-(L-1)) instead
+    field = gf.field_for_order(q)
+    for length in range(1, 5):
+        ring = witt._galois_ring(field, length)
+        for b in field.iter_elements():
+            assert teichmueller(b, length).coeffs == _ring_power(
+                ring, b.coeffs, q ** (length - 1)), (b, length)
+
+
 def test_frobenius_fixes_prime_subring_and_is_additive():
     assert w2(F2, 0, 1).frobenius() == w2(F2, 0, 1)
     assert WittVector.one(F4, 2).frobenius() == WittVector.one(F4, 2)

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from ramcount import asw, checks, d4, euler, h3
+from ramcount import asw, checks, d4, euler, gf, h3, witt
 from ramcount.cli import SUITE_NAMES, _fraction_str, build_parser, main
+from ramcount.errors import InternalInconsistencyError
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(checks.__file__).resolve().parents[1]
@@ -159,12 +160,21 @@ def test_verify_output_is_deterministic(capsys):
     assert out1 == out2
 
 
+# the memoised helpers that take no seed, so one `verify` runs each once
+SEEDLESS_HELPERS = (checks._exhaustive_ring_axioms, checks._witt_fixed_rows,
+                    checks._asw_fixed_rows, checks._cyclic_discriminants_match,
+                    checks._pairing_bound_holds, checks._line_inertia_bruteforce)
+
+
+def clear_check_memos():
+    for helper in (checks.witt_checks, checks.asw_checks) + SEEDLESS_HELPERS:
+        helper.cache_clear()
+
+
 def test_verify_output_is_pinned_and_runs_shared_checks_once(capsys, monkeypatch):
     # a suite row and an acceptance criterion that need the same computation
     # share one memoised helper; start from cold memos and count the work
-    for helper in (checks.witt_checks, checks.asw_checks,
-                   checks._pairing_bound_holds, checks._line_inertia_bruteforce):
-        helper.cache_clear()
+    clear_check_memos()
     bruteforce, pairings = [], []
     count_line_inertia = h3.count_line_inertia
     epsilon_bound_report = d4.epsilon_bound_report
@@ -188,6 +198,63 @@ def test_verify_output_is_pinned_and_runs_shared_checks_once(capsys, monkeypatch
     assert len(pairings) == 16 * (2 ** 2 + 4 ** 2 + 16 ** 2)
     assert checks.witt_checks.cache_info().misses == 1
     assert checks.asw_checks.cache_info().misses == 1
+
+
+def test_verify_seed_one_is_pinned_and_runs_seedless_checks_once(capsys):
+    # the bench's seed: criterion 7 still reads the suites at seed 0, but
+    # only their sampled rows are computed again
+    clear_check_memos()
+    status, out, _ = run(capsys, "verify", "--seed", "1")
+    assert status == 0
+    assert out == (GOLDEN / "verify_seed1.json").read_text()
+    for helper in SEEDLESS_HELPERS:
+        assert helper.cache_info().misses == 1, helper.__name__
+    assert checks.witt_checks.cache_info().misses == 2
+    assert checks.asw_checks.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("fault", ["constant_plus_one", "unreduced"])
+def test_ring_axioms_read_fail_on_a_faulty_product(monkeypatch, fault):
+    # W_2(F_4) and the seedless witt rows are built with the true product
+    # first, so the fault reaches only the ring-axiom tables
+    list(witt.iter_witt_vectors(gf.make_field(2, 2), 2))
+    checks._witt_fixed_rows()
+    true_mul = witt._GaloisRing.mul
+
+    def faulty_mul(ring, a, b):
+        out = true_mul(ring, a, b)
+        if ring.field.q != 4 or not any(out):
+            return out
+        if fault == "constant_plus_one":
+            return ((out[0] + 1) % ring.mod,) + out[1:]
+        return (out[0] + ring.mod,) + out[1:]  # a coefficient outside Z/p^L
+
+    monkeypatch.setattr(witt._GaloisRing, "mul", faulty_mul)
+    memos = (checks.witt_checks, checks._exhaustive_ring_axioms)
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        row = checks.witt_checks(0)[0]
+    finally:
+        for memo in memos:
+            memo.cache_clear()
+    assert row == ("witt.ring_axioms", False, "triples=5609")
+
+
+def test_a_raising_certificate_fails_the_integrality_row(monkeypatch):
+    checks._cyclic_discriminants_match()  # warm, so only the guarded row runs
+
+    def raising(m):
+        raise InternalInconsistencyError("planted certificate failure")
+
+    monkeypatch.setattr(asw, "discriminant_exponent", raising)
+    checks._asw_fixed_rows.cache_clear()
+    try:
+        row = checks._asw_fixed_rows()[-1]
+    finally:
+        checks._asw_fixed_rows.cache_clear()
+    assert row == ("asw.quotient_jump_integrality_asserted", False,
+                   "planted certificate failure")
 
 
 def test_acceptance_suite_alone_prints_the_golden_rows():

@@ -86,15 +86,20 @@ class ReducedCocycle:
 
     def __init__(self, shape: GroupShape, field: FieldDescriptor,
                  entries: dict[int, tuple[WittVector, ...]]):
+        p, exponents = shape.p, shape.exponents
         support = {}
         for n, value in entries.items():
-            if n < 0 or (n > 0 and n % shape.p == 0):
-                raise ValueError(f"support index {n} must be 0 or coprime to {shape.p}")
-            if len(value) != shape.rank or any(
-                    part.field is not field or part.length != e
-                    for part, e in zip(value, shape.exponents)):
+            if n < 0 or (n > 0 and n % p == 0):
+                raise ValueError(f"support index {n} must be 0 or coprime to {p}")
+            if len(value) != len(exponents):
                 raise MixedRingsError("coefficient does not match the datum module")
-            if any(value):
+            nonzero = False
+            for part, e in zip(value, exponents):
+                ring = part.ring
+                if ring.field is not field or ring.length != e:
+                    raise MixedRingsError("coefficient does not match the datum module")
+                nonzero = nonzero or any(part.coeffs)
+            if nonzero:
                 support[n] = value
         self.shape = shape
         self.field = field
@@ -150,26 +155,35 @@ def _order_exponent(p: int, mod: int, coeffs) -> int:
     return e
 
 
-def coefficient_order(x: tuple[WittVector, ...]) -> int:
-    """Smallest e >= 0 with p^e * x = 0: the largest order exponent of the
-    Galois-ring coefficients of its parts."""
-    return max((_order_exponent(part.field.p, part.ring.mod, part.coeffs)
-                for part in x), default=0)
+def _additive_order(x: tuple[WittVector, ...]) -> int:
+    """The additive order p^e of a coefficient: the largest
+    mod / gcd(mod, Galois-ring coefficients) over its parts; 1 iff x = 0.
+
+    At index n the coefficient's jump is n * p^(e - 1) = n * (order // p),
+    which reads 0 for the zero coefficient.
+    """
+    order = 1
+    for part in x:
+        mod = part.ring.mod
+        o = mod // gcd(mod, *part.coeffs)
+        if o > order:
+            order = o
+    return order
 
 
 def last_jump(m: ReducedCocycle) -> int:
     """The largest upper ramification break of the datum; 0 iff unramified.
 
     The defining condition "p^(mu_{v+1}(n)) m_n = 0 for all n" holds exactly
-    when v >= n * p^(e_n - 1) for every ramified index, where e_n is the
-    additive order exponent of the coefficient, so the minimum is that max.
+    when v >= n * p^(e_n - 1) for every ramified index, where p^(e_n) is the
+    additive order of the coefficient, so the minimum is the largest
+    n * (order // p): one gcd per part, no exponent.
     """
     p = m.shape.p
     best = 0
     for n, value in m.support.items():
-        if n >= 1:
-            e = coefficient_order(value)
-            jump = n * p ** (e - 1)
+        if n:
+            jump = n * (_additive_order(value) // p)
             if jump > best:
                 best = jump
     return best
@@ -347,9 +361,8 @@ def count_by_last_jump_enumerated(shape: GroupShape, q: int, v: int,
         raise BudgetExceededError(
             f"enumeration size {total} exceeds {DEFAULT_BUDGET}")
     coeffs = list(iter_module_elements(shape, field_for_order(q, p=shape.p)))
-    orders = [coefficient_order(x) for x in coeffs]
+    orders = [_additive_order(x) // shape.p for x in coeffs]
     # per index, the jump each coefficient contributes (0 for the zero one)
-    jumps = [[n * shape.p ** (e - 1) if e else 0 for e in orders]
-             for n in indices]
+    jumps = [[n * order for order in orders] for n in indices]
     count = sum(1 for choice in product(*jumps) if max(choice, default=0) == v)
     return unram * count

@@ -35,12 +35,22 @@ from .errors import (
     NotTotallyRamifiedError,
     UnsupportedShapeError,
 )
-from .gf import FieldDescriptor, FieldElement, embed, field_for_order
+from .gf import (
+    FieldDescriptor,
+    FieldElement,
+    embed,
+    field_for_order,
+    require_subfield,
+)
 from .witt import WittVector
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
+
+# the Klein four-group (Z/2)^2 of a reduction, and the Z/2 of its correction
+_KLEIN = asw.GroupShape(2, (1, 1))
+_ORDER_TWO = asw.GroupShape(2, (1,))
 
 
 class SparseTPoly:
@@ -106,7 +116,17 @@ class SparseTPoly:
         return SparseTPoly(self.field, terms)
 
     def add_constant(self, c: FieldElement) -> "SparseTPoly":
-        return self + SparseTPoly.from_terms(self.field, {0: c})
+        """self + c, touching only the constant term."""
+        if c.field is not self.field:
+            raise MixedFieldsError("coefficient from a different field")
+        terms = dict(self.terms)
+        s = terms.get(0)
+        total = c if s is None else s + c
+        if total:
+            terms[0] = total
+        else:
+            terms.pop(0, None)
+        return SparseTPoly(self.field, terms)
 
     def pole_order(self) -> int:
         """w(x) = max(0, -v_T(x)): the largest exponent in the support."""
@@ -444,14 +464,18 @@ def epsilon_bound_report(m_rho: asw.ReducedCocycle,
     check its jump against the source jump.
 
     The source lives over F_q with elementary abelian rank-2 shape; g_delta
-    lives over an extension F_q', where the output datum is formed.
+    lives over an extension F_q', where the output datum is formed.  A
+    g_delta over a field that F_q does not embed into raises
+    NotASubfieldError, also when the source is zero.
     """
     if m_rho.shape.exponents != (1, 1):
         raise UnsupportedShapeError("source must be elementary abelian of rank 2")
     big = g_delta[0].field
     if g_delta[1].field is not big:
         raise MixedFieldsError("pairing components over different fields")
-    target_shape = asw.GroupShape(m_rho.shape.p, (1,))
+    require_subfield(m_rho.field, big)
+    p = m_rho.shape.p
+    target_shape = _ORDER_TWO if p == 2 else asw.GroupShape(p, (1,))
     entries = {}
     for n, (x1, x2) in m_rho.support.items():
         lifted = (embed(x1.components[0], big), embed(x2.components[0], big))
@@ -472,9 +496,8 @@ def pair_to_cocycle(a: SparseTPoly, c: SparseTPoly) -> asw.ReducedCocycle:
     _validate_datum_poly(a)
     _validate_datum_poly(c)
     field = a.field
-    shape = asw.GroupShape(2, (1, 1))
     entries = {}
     for n in sorted(set(a.terms) | set(c.terms)):
         entries[n] = (WittVector(field, (a.terms.get(n, field.zero),)),
                       WittVector(field, (c.terms.get(n, field.zero),)))
-    return asw.ReducedCocycle(shape, field, entries)
+    return asw.ReducedCocycle(_KLEIN, field, entries)

@@ -13,13 +13,16 @@ attribute assignment.  Larger fields multiply polynomials modulo the
 modulus (`_mul_mod`, also the Galois-ring product of `ramcount.witt`),
 which serves the tests as the oracle for the tables.  `make_field` builds
 the only descriptor of each GF(p^n), so fields are equal when identical.
-Every value is immutable, so fields and elements can be shared freely
-across threads.
+Every value is immutable, and every memo (tables, element lists,
+embeddings) only ever stores the one value its key determines, so fields
+and elements can be shared freely across threads.
 
 Besides the four field operations the module provides the Frobenius map
 x -> x^p, the Artin-Schreier operator x -> x^p - x, a deterministic
 transversal of its image (always containing 0), and deterministic ring
-embeddings between compatible fields.
+embeddings between compatible fields.  An embedding keeps the images of
+the source generator's powers and memoises each element's image, so it
+costs a dictionary lookup once an element has been embedded.
 """
 
 from __future__ import annotations
@@ -444,14 +447,24 @@ def wp_transversal(field: FieldDescriptor) -> tuple[FieldElement, ...]:
 # embeddings
 # ---------------------------------------------------------------------------
 
-_EMBEDDINGS: dict[tuple[tuple[int, int], tuple[int, int]],
-                  tuple[FieldElement, ...]] = {}
+# (source, target) -> (powers of the source generator's image, memo of the
+# images by source coefficients, at most q_source of them)
+_EMBEDDINGS: dict[tuple[FieldDescriptor, FieldDescriptor],
+                  tuple[tuple[FieldElement, ...],
+                        dict[tuple[int, ...], FieldElement]]] = {}
 
 
-def _generator_powers(src: FieldDescriptor, dst: FieldDescriptor):
-    key = ((src.p, src.n), (dst.p, dst.n))
-    pows = _EMBEDDINGS.get(key)
-    if pows is None:
+def require_subfield(src: FieldDescriptor, target: FieldDescriptor) -> None:
+    """Raise NotASubfieldError unless GF(p^m) = src embeds into target."""
+    if src.p != target.p or target.n % src.n != 0:
+        raise NotASubfieldError(f"{src} does not embed into {target}")
+
+
+def _embedding(src: FieldDescriptor, dst: FieldDescriptor):
+    key = (src, dst)
+    entry = _EMBEDDINGS.get(key)
+    if entry is None:
+        require_subfield(src, dst)
         root = None
         for cand in dst.iter_elements():
             acc = dst.zero
@@ -464,30 +477,32 @@ def _generator_powers(src: FieldDescriptor, dst: FieldDescriptor):
             raise InternalInconsistencyError(
                 f"{dst} has no root of the modulus of {src}")
         cur = dst.one
-        images = []
+        powers = []
         for _ in range(src.n):
-            images.append(cur)
+            powers.append(cur)
             cur = cur * root
-        pows = tuple(images)
-        _EMBEDDINGS[key] = pows
-    return pows
+        entry = _EMBEDDINGS[key] = (tuple(powers), {})
+    return entry
 
 
 def embed(a: FieldElement, target: FieldDescriptor) -> FieldElement:
     """Deterministic ring embedding GF(p^m) -> GF(p^(md)) fixing F_p.
 
     The source generator is sent to the lexicographically first root of the
-    source modulus in the target.  Being a ring homomorphism, the embedding
-    automatically commutes with Frobenius and with x -> x^p - x.
+    source modulus in the target, and a is sent to the combination of that
+    root's powers with a's coefficients.  Each image is computed once and
+    memoised per (source, target) pair.  Being a ring homomorphism, the
+    embedding automatically commutes with Frobenius and with x -> x^p - x.
     """
     src = a.field
     if src is target:
         return a
-    if src.p != target.p or target.n % src.n != 0:
-        raise NotASubfieldError(f"{src} does not embed into {target}")
-    pows = _generator_powers(src, target)
-    acc = target.zero
-    for c, img in zip(a.coeffs, pows):
-        if c:
-            acc = acc + target.from_prime(c) * img
-    return acc
+    pows, memo = _embedding(src, target)
+    b = memo.get(a.coeffs)
+    if b is None:
+        b = target.zero
+        for c, img in zip(a.coeffs, pows):
+            if c:
+                b = b + target.from_prime(c) * img
+        memo[a.coeffs] = b
+    return b

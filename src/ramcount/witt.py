@@ -31,6 +31,7 @@ from itertools import product
 from .errors import (
     InternalInconsistencyError,
     LengthTooLargeError,
+    MixedFieldsError,
     MixedRingsError,
 )
 from .gf import FieldDescriptor, FieldElement, _fold_rows, _mul_mod
@@ -82,26 +83,35 @@ class _GaloisRing:
         return t
 
     def from_components(self, comps: tuple[FieldElement, ...]) -> tuple[int, ...]:
-        """sum_i p^i tau(a_i^(p^-i))."""
+        """sum_i p^i tau(a_i^(p^-i)), starting from tau(a_0) and skipping
+        the identity powers: a length-1 vector is one memoised lift."""
         field, mod = self.field, self.mod
         p, n = field.p, field.n
-        acc = (0,) * n
+        acc = self.lift(comps[0])
         scale = 1
-        for i, a in enumerate(comps):
-            if a:
-                t = self.lift(a ** p ** (-i % n))
-                acc = tuple((x + scale * y) % mod for x, y in zip(acc, t))
+        for i in range(1, len(comps)):
             scale *= p
+            a = comps[i]
+            if a:
+                k = -i % n
+                t = self.lift(a ** p ** k if k else a)
+                acc = tuple((x + scale * y) % mod for x, y in zip(acc, t))
         return acc
 
     def components(self, x: tuple[int, ...]) -> tuple[FieldElement, ...]:
-        """a_i = c^(p^i) for c = x mod p, then x <- (x - tau(c)) / p."""
+        """a_i = c^(p^i) for c = x mod p, then x <- (x - tau(c)) / p.
+
+        At length 1 the ring is the field and x is already reduced mod p.
+        """
         field = self.field
+        if self.length == 1:
+            return (FieldElement(field, x),)
         p, n = field.p, field.n
         out = []
         for i in range(self.length):
             c = FieldElement(field, tuple(v % p for v in x))
-            out.append(c ** p ** (i % n))
+            k = i % n
+            out.append(c ** p ** k if k else c)
             if i + 1 < self.length:
                 shifted = []
                 for v, t in zip(x, self.lift(c)):
@@ -157,6 +167,9 @@ class WittVector:
 
     def __init__(self, field: FieldDescriptor, components: tuple[FieldElement, ...]):
         self.ring = ring = _galois_ring(field, len(components))
+        for a in components:
+            if a.field is not field:
+                raise MixedFieldsError(f"component over {a.field}, not {field}")
         self.coeffs = ring.from_components(components)
 
     @classmethod

@@ -90,6 +90,23 @@ def test_cocycle_rejects_coefficients_outside_the_module():
             asw.ReducedCocycle(Z2, F2, {1: elem(field, *parts)})
 
 
+def test_cocycle_checks_every_part_before_dropping_zeros():
+    nonzero = WittVector(F2, (F2.one,))
+    zero = WittVector.zeros(F2, 1)
+    message = "coefficient does not match the datum module"
+    for entry in [(nonzero, WittVector(F4, (F4.one,))),  # second part over F_4
+                  (nonzero, WittVector.zeros(F2, 2)),    # second part too long
+                  (zero, WittVector.zeros(F4, 1))]:      # zero, wrong ring
+        with pytest.raises(MixedRingsError, match=message):
+            asw.ReducedCocycle(Z2xZ2, F2, {1: entry})
+    for entry in [(WittVector.zeros(F2, 2),),  # zero part of the wrong length
+                  (zero, zero)]:               # zero with one part too many
+        with pytest.raises(MixedRingsError, match=message):
+            asw.ReducedCocycle(Z2, F2, {1: entry})
+    with pytest.raises(ValueError, match="support index 4 must be 0 or coprime to 2"):
+        asw.ReducedCocycle(Z2, F2, {4: (zero,)})
+
+
 def test_module_element_count():
     assert len(list(asw.iter_module_elements(Z4, F2))) == 4
     assert len(list(asw.iter_module_elements(Z2xZ2, F4))) == 16
@@ -123,6 +140,45 @@ def test_last_jump_sees_coefficient_order():
     assert asw.last_jump(m) == 2
     m2 = cocycle(Z4, F2, {1: [(0, 1)]})
     assert asw.last_jump(m2) == 1
+
+
+def _last_jump_by_definition(m):
+    """The least v with p^(mu(v + 1, n, p)) m_n = 0 for every ramified n."""
+    p = m.shape.p
+    ramified = [(n, m.support[n]) for n in m.ramified_indices()]
+    v = 0
+    while any(part.scale(p ** asw.mu(v + 1, n, p))
+              for n, parts in ramified for part in parts):
+        v += 1
+    return v
+
+
+def _random_coefficient(rng, shape, field):
+    """Parts that are zero, of full order or divisible by a power of p."""
+    parts = []
+    for e in shape.exponents:
+        comps = [rng.choice(field.elements()) for _ in range(e)]
+        for i in range(rng.choice([0, 0, 1, e])):  # zero leading components
+            comps[i] = field.zero
+        parts.append(WittVector(field, tuple(comps)))
+    return tuple(parts)
+
+
+@pytest.mark.parametrize("p,exponents,q", [(2, (3, 1), 4), (3, (2, 1), 3),
+                                           (2, (2,), 2), (5, (1, 1), 5)])
+def test_last_jump_matches_its_defining_condition(p, exponents, q):
+    shape, field = asw.GroupShape(p, exponents), gf.field_for_order(q)
+    rng = random.Random(f"{p}{exponents}{q}")
+    indices = [n for n in range(12) if n % p or n == 0]
+    for _ in range(150):
+        support = rng.sample(indices, k=rng.randint(0, 3))
+        m = asw.ReducedCocycle(shape, field, {
+            n: _random_coefficient(rng, shape, field) for n in support})
+        assert asw.last_jump(m) == _last_jump_by_definition(m)
+        for x in m.support.values():  # the order the enumerated count reads
+            order = asw._additive_order(x)
+            assert not any(part.scale(order) for part in x)
+            assert any(part.scale(order // p) for part in x)
 
 
 def test_elementary_abelian_jumps_avoid_multiples_of_p():

@@ -9,6 +9,8 @@ from ramcount import asw, checks, d4, gf
 from ramcount.d4 import SparseTPoly
 from ramcount.errors import (
     BudgetExceededError,
+    MixedFieldsError,
+    NotASubfieldError,
     NotTotallyRamifiedError,
 )
 from ramcount.witt import WittVector
@@ -32,6 +34,17 @@ def ramified_pool(field, exponents):
 # ---------------------------------------------------------------------------
 # pole order and derivative
 # ---------------------------------------------------------------------------
+
+def test_add_constant_is_adding_a_constant_polynomial():
+    for base in ramified_pool(F4, (0, 1, 3)):
+        for c in F4.elements():
+            expected = base + SparseTPoly.from_terms(F4, {0: c})
+            shifted = base.add_constant(c)
+            assert shifted == expected and shifted.terms == expected.terms
+            assert 0 not in shifted.terms or shifted.terms[0]
+    with pytest.raises(MixedFieldsError, match="coefficient from a different field"):
+        poly(F4, 1).add_constant(F2.one)
+
 
 def test_pole_order():
     assert poly(F2, 3, 1).pole_order() == 3
@@ -494,6 +507,18 @@ def test_epsilon_report_zero_pairing_vector():
     m = _rank2_cocycle(F2, {1: (F2.one, F2.one), 3: (F2.zero, F2.one)})
     report = d4.epsilon_bound_report(m, (F4.zero, F4.zero))
     assert report.epsilon_jump == 0 and report.bounded
+
+
+@pytest.mark.parametrize("source,big", [((3, 1), (2, 2)), ((2, 2), (2, 3))])
+def test_epsilon_report_rejects_a_source_that_does_not_embed(source, big):
+    src, dst = gf.make_field(*source), gf.make_field(*big)
+    shape = asw.GroupShape(src.p, (1, 1))
+    zero = asw.ReducedCocycle(shape, src, {})
+    one = WittVector(src, (src.one,))
+    nonzero = asw.ReducedCocycle(shape, src, {1: (one, one)})
+    for m in (zero, nonzero):
+        with pytest.raises(NotASubfieldError, match="does not embed into"):
+            d4.epsilon_bound_report(m, (dst.zero, dst.gen))
 
 
 def test_epsilon_bound_exhaustive_small():

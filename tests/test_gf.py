@@ -195,6 +195,43 @@ def test_embedding_is_injective_multiplicative_and_frobenius_compatible(src, dst
         assert gf.embed(a.artin_schreier(), target) == images[a].artin_schreier()
 
 
+def _first_root_of_modulus(source, target):
+    for cand in target.iter_elements():
+        acc = target.zero
+        for c in reversed(source.modulus):
+            acc = acc * cand + target.from_prime(c)
+        if not acc:
+            return cand
+    raise AssertionError(f"no root of the modulus of {source} in {target}")
+
+
+@pytest.mark.parametrize("src,dst", [((2, 1), (2, 4)), ((2, 2), (2, 4)),
+                                     ((3, 1), (3, 2))])
+def test_memoised_embedding_is_the_combination_of_generator_powers(src, dst):
+    source, target = gf.make_field(*src), gf.make_field(*dst)
+    root = _first_root_of_modulus(source, target)
+    for _ in range(2):  # the second pass reads the memo
+        for a in source.iter_elements():
+            expected, power = target.zero, target.one
+            for c in a.coeffs:
+                expected = expected + target.from_prime(c) * power
+                power = power * root
+            assert gf.embed(a, target) == expected
+    _, memo = gf._EMBEDDINGS[(source, target)]
+    assert len(memo) == source.q
+
+
+def test_one_element_embeds_into_each_target_field():
+    f4, f16, f64 = (gf.make_field(2, n) for n in (2, 4, 6))
+    for a in f4.iter_elements():
+        img16, img64 = gf.embed(a, f16), gf.embed(a, f64)
+        assert img16.field is f16 and img64.field is f64
+        assert gf.embed(a, f16) is img16
+        assert img16 ** 4 == img16 and img64 ** 4 == img64
+    with pytest.raises(NotASubfieldError, match=r"GF\(2\^2\) does not embed"):
+        gf.embed(f4.zero, gf.make_field(2, 3))
+
+
 @given(st.integers(0, 63), st.integers(0, 63), st.integers(0, 63))
 def test_field_laws_hold_on_random_triples_in_gf64(i, j, k):
     field = gf.make_field(2, 6)

@@ -8,7 +8,7 @@ import pytest
 
 import witt_oracle
 from ramcount import gf, witt
-from ramcount.errors import LengthTooLargeError, MixedRingsError
+from ramcount.errors import LengthTooLargeError, MixedFieldsError, MixedRingsError
 from ramcount.witt import WittVector, iter_witt_vectors, teichmueller
 
 F2 = gf.make_field(2, 1)
@@ -204,6 +204,32 @@ def test_teichmueller_lift_is_the_power_of_any_lift(q):
         for b in field.iter_elements():
             assert teichmueller(b, length).coeffs == _ring_power(
                 ring, b.coeffs, q ** (length - 1)), (b, length)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_vectors_with_zero_leading_component_round_trip(q):
+    # from_components starts from the lift of a_0 and skips identity
+    # powers; the oracle sums p^i tau(a_i^(p^-i)) from the lifts alone
+    field = gf.field_for_order(q)
+    p, n = field.p, field.n
+    for length in range(1, 4):
+        for tail in itertools.product(field.elements(), repeat=length - 1):
+            comps = (field.zero,) + tail
+            v = WittVector(field, comps)
+            expected = WittVector.zeros(field, length)
+            for i, a in enumerate(comps):
+                root = a ** p ** (-i % n)
+                expected = expected + teichmueller(root, length).scale(p ** i)
+            assert v == expected, comps
+            assert v.components == comps, comps
+    for a in field.elements():
+        assert WittVector(field, (a,)).components == (a,)
+
+
+def test_components_from_another_field_are_rejected():
+    for comps in [(F4.zero,), (F2.one, F4.one), (F3.zero, F2.zero)]:
+        with pytest.raises(MixedFieldsError, match="not GF\\(2\\)"):
+            WittVector(F2, comps)
 
 
 def test_frobenius_fixes_prime_subring_and_is_additive():

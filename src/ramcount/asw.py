@@ -141,20 +141,6 @@ def mu(v: int, n: int, p: int) -> int:
     return count
 
 
-def _order_exponent(p: int, mod: int, coeffs) -> int:
-    """e with p^e the additive order of coefficients taken mod the p-power mod.
-
-    The order is mod / gcd(mod, coefficients), which is p^(L - v) for
-    mod = p^L and v their least p-adic valuation.
-    """
-    order = mod // gcd(mod, *coeffs)
-    e = 0
-    while order > 1:
-        order //= p
-        e += 1
-    return e
-
-
 def _additive_order(x: tuple[WittVector, ...]) -> int:
     """The additive order p^e of a coefficient: the largest
     mod / gcd(mod, Galois-ring coefficients) over its parts; 1 iff x = 0.
@@ -208,30 +194,31 @@ def ramification_integral(group_order: int, image_sizes: list[int]) -> int:
 @lru_cache(maxsize=None)
 def character_classes(shape: GroupShape) -> tuple[tuple[tuple[int, ...], int], ...]:
     """One character a per cyclic subgroup of the dual of G, with the number
-    phi(p^k) of characters generating that subgroup, p^k the order of a.
+    phi(k) = k - k // p of characters generating that subgroup, k the order
+    of a: the largest mod_i // gcd(mod_i, a_i), as in `last_jump`.
 
     chi_a(x) = sum_i a_i p^(N - n_i) x_i in Z/p^N, N the largest exponent.
-    chi_a and chi_(ua), u a unit mod p^k, share kernel and image, so they
+    chi_a and chi_(ua), u a unit mod k, share kernel and image, so they
     share the jump of any datum.  Scaling by u moves the unit part of the
-    first coordinate of order p^k freely, and the representative is the a
-    whose such coordinate is a power of p.
+    first coordinate of order k freely, and the representative is the a
+    whose such coordinate is mod_i // k.
     """
     if shape.order > MAX_CHARACTER_SUM_ORDER:
         raise GroupTooLargeError(
             f"character sum needs group order <= {MAX_CHARACTER_SUM_ORDER}, "
             f"not {shape.order}")
     p = shape.p
+    moduli = shape.moduli()
     classes = []
-    for a in product(*(range(mod) for mod in shape.moduli())):
-        orders = [_order_exponent(p, mod, (a_i,))
-                  for a_i, mod in zip(a, shape.moduli())]
-        k = max(orders, default=0)
-        if k == 0:
+    for a in product(*(range(mod) for mod in moduli)):
+        orders = [mod // gcd(mod, a_i) for a_i, mod in zip(a, moduli)]
+        k = max(orders, default=1)
+        if k == 1:
             classes.append((a, 1))
             continue
         i = orders.index(k)
-        if a[i] == p ** (shape.exponents[i] - k):
-            classes.append((a, p ** k - p ** (k - 1)))
+        if a[i] == moduli[i] // k:
+            classes.append((a, k - k // p))
     return tuple(classes)
 
 
@@ -241,16 +228,16 @@ def character_jumps(m: ReducedCocycle) -> dict[tuple[int, ...], int]:
     chi_a sends the part x_i in W_(n_i) of a coefficient to a_i p^(N - n_i)
     times a lift of x_i to W_N, which is well defined because p^(N - n_i)
     kills the lifting ambiguity: on Galois-ring coefficients it is the
-    coefficients of x_i times a_i p^(N - n_i), mod p^N.  An image of order
-    p^e at index n has jump n p^(e - 1), and the jump of chi_a o m is the
-    largest of these.  Certificate: the characters detect the order of every
-    coefficient, so the largest character jump is the last jump of m.
+    coefficients of x_i times a_i p^(N - n_i), mod p^N.  As in `last_jump`,
+    an image of order p^N // gcd(p^N, coefficients) at index n has jump
+    n * (order // p), and the jump of chi_a o m is the largest of these.
+    Certificate: the characters detect the order of every coefficient, so
+    the largest character jump is the last jump of m.
     """
     p = m.shape.p
-    exponents = m.shape.exponents
-    top_exp = exponents[0] if exponents else 0
-    mod = p ** top_exp
-    weights = [p ** (top_exp - e) for e in exponents]
+    moduli = m.shape.moduli()
+    mod = moduli[0] if moduli else 1
+    weights = [mod // mod_i for mod_i in moduli]  # p^(N - n_i)
     ramified = [(n, m.support[n]) for n in m.ramified_indices()]
     jumps = {}
     for a, _ in character_classes(m.shape):
@@ -260,9 +247,7 @@ def character_jumps(m: ReducedCocycle) -> dict[tuple[int, ...], int]:
             for a_i, w, part in zip(a, weights, parts):
                 if a_i:
                     coeffs = [s + a_i * w * c for s, c in zip(coeffs, part.coeffs)]
-            e = _order_exponent(p, mod, coeffs)
-            if e:
-                best = max(best, n * p ** (e - 1))
+            best = max(best, n * (mod // gcd(mod, *coeffs) // p))
         jumps[a] = best
     top = last_jump(m)
     if max(jumps.values()) != top:

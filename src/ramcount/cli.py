@@ -54,42 +54,46 @@ def parse_group(text: str, p: int) -> asw.GroupShape:
     return asw.GroupShape(p, exponents)
 
 
+def _read_terms(text: str):
+    """Yield (index, term, coefficient text) for each "index:coeff" term of
+    `text`, in order.  A repeated index raises when it is reached, so the
+    first fault of an input is the one reported."""
+    if not text.strip():
+        return
+    seen = set()
+    for term in text.split(","):
+        index_text, _, coeff_text = term.partition(":")
+        index = int(index_text)
+        if index in seen:
+            raise ValueError(f"index {index} appears twice")
+        seen.add(index)
+        yield index, term, coeff_text
+
+
 def parse_cocycle(text: str, shape: asw.GroupShape,
                   field: gf.FieldDescriptor) -> asw.ReducedCocycle:
     entries: dict[int, tuple[WittVector, ...]] = {}
-    if text.strip():
-        for chunk in text.split(","):
-            index_text, _, coeff_text = chunk.partition(":")
-            index = int(index_text)
-            if index in entries:
-                raise ValueError(f"index {index} appears twice")
-            parts = coeff_text.split("|")
-            if len(parts) != shape.rank:
+    for index, term, coeff_text in _read_terms(text):
+        parts = coeff_text.split("|")
+        if len(parts) != shape.rank:
+            raise ValueError(f"term {term!r} needs {shape.rank} factor part(s)")
+        vectors = []
+        for part, exponent in zip(parts, shape.exponents):
+            comps = part.split(";")
+            if len(comps) != exponent:
                 raise ValueError(
-                    f"term {chunk!r} needs {shape.rank} factor part(s)")
-            vectors = []
-            for part, exponent in zip(parts, shape.exponents):
-                comps = part.split(";")
-                if len(comps) != exponent:
-                    raise ValueError(
-                        f"part {part!r} needs {exponent} Witt component(s)")
-                vectors.append(WittVector(
-                    field, tuple(field.from_digits(c) for c in comps)))
-            entries[index] = tuple(vectors)
+                    f"part {part!r} needs {exponent} Witt component(s)")
+            vectors.append(WittVector(
+                field, tuple(field.from_digits(c) for c in comps)))
+        entries[index] = tuple(vectors)
     return asw.ReducedCocycle(shape, field, entries)
 
 
 def parse_tpoly(text: str, field: gf.FieldDescriptor) -> SparseTPoly:
     from .d4 import SparseTPoly
-    terms = {}
-    if text.strip():
-        for chunk in text.split(","):
-            index_text, _, coeff_text = chunk.partition(":")
-            index = int(index_text)
-            if index in terms:
-                raise ValueError(f"index {index} appears twice")
-            terms[index] = field.from_digits(coeff_text)
-    return SparseTPoly.from_terms(field, terms)
+    return SparseTPoly.from_terms(field, {
+        index: field.from_digits(coeff_text)
+        for index, _, coeff_text in _read_terms(text)})
 
 
 def _fraction_str(x: int | Fraction) -> str:
@@ -159,20 +163,18 @@ def cmd_urtwist_check(args):
 
 def cmd_count_minlift(args):
     from . import d4
-    gf.prime_power(args.q, p=2)
     count = d4.count_min_lift(args.q, args.v, args.mode, budget=args.budget)
     return {"count": count, "mode": args.mode}, 0
 
 
 def cmd_count_d4(args):
     from . import d4
-    gf.prime_power(args.q, p=2)
     return {"count_le": d4.count_d4_le(args.q, args.v)}, 0
 
 
 def cmd_local_a(args):
     from . import d4
-    gf.prime_power(args.q, p=2)
+    gf.prime_power(args.q, p=2)  # count_d4_exact takes any q
     return {"coefficient": d4.count_d4_exact(args.q, args.v)}, 0
 
 
@@ -389,10 +391,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result, status = args.handler(args)
-    except RamcountError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (RamcountError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     document = {

@@ -39,7 +39,8 @@ from .gf import (
     FieldDescriptor,
     FieldElement,
     embed,
-    field_for_order,
+    make_field,
+    prime_power,
     require_subfield,
 )
 from .witt import WittVector
@@ -51,6 +52,16 @@ if TYPE_CHECKING:
 # the Klein four-group (Z/2)^2 of a reduction, and the Z/2 of its correction
 _KLEIN = asw.GroupShape(2, (1, 1))
 _ORDER_TWO = asw.GroupShape(2, (1,))
+
+
+def _accumulate(terms: dict[int, FieldElement], e: int, c: FieldElement) -> None:
+    """terms[e] += c, dropping the term when the sum is zero."""
+    s = terms.get(e)
+    total = c if s is None else s + c
+    if total:
+        terms[e] = total
+    else:
+        terms.pop(e, None)
 
 
 class SparseTPoly:
@@ -92,12 +103,7 @@ class SparseTPoly:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e)
-            total = c if s is None else s + c
-            if total:
-                terms[e] = total
-            else:
-                terms.pop(e, None)
+            _accumulate(terms, e, c)
         return SparseTPoly(self.field, terms)
 
     def __mul__(self, other: "SparseTPoly") -> "SparseTPoly":
@@ -105,14 +111,7 @@ class SparseTPoly:
         terms: dict[int, FieldElement] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = e1 + e2
-                prod_c = c1 * c2
-                s = terms.get(e)
-                total = prod_c if s is None else s + prod_c
-                if total:
-                    terms[e] = total
-                else:
-                    terms.pop(e, None)
+                _accumulate(terms, e1 + e2, c1 * c2)
         return SparseTPoly(self.field, terms)
 
     def add_constant(self, c: FieldElement) -> "SparseTPoly":
@@ -120,12 +119,7 @@ class SparseTPoly:
         if c.field is not self.field:
             raise MixedFieldsError("coefficient from a different field")
         terms = dict(self.terms)
-        s = terms.get(0)
-        total = c if s is None else s + c
-        if total:
-            terms[0] = total
-        else:
-            terms.pop(0, None)
+        _accumulate(terms, 0, c)
         return SparseTPoly(self.field, terms)
 
     def pole_order(self) -> int:
@@ -390,27 +384,42 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
 # local counts
 # ---------------------------------------------------------------------------
 
+def _check_jump(v: int) -> None:
+    if v < 0:
+        raise ValueError("jump must be nonnegative")
+    if v > asw.MAX_JUMP:
+        raise ValueError(f"jump {v} exceeds {asw.MAX_JUMP}")
+
+
+def _min_lift_closed_form(q: int, v: int) -> int:
+    if v == 0:
+        return 1
+    if v % 2:
+        return 2 * q ** ((v - 1) // 2) * (q - 1)
+    return (v // 2) * q ** (v // 2 - 1) * (q - 1) ** 2
+
+
+def _d4_le(q: int, v: int) -> int:
+    return q ** ((v + 1) // 2) * sum(_min_lift_closed_form(q, w)
+                                      for w in range(v + 1))
+
+
 def count_min_lift(q: int, v: int, mode: str = "closed_form",
                    budget: int = asw.DEFAULT_BUDGET) -> int:
     """Quarter-count of Klein reductions with minimal lift jump exactly v.
 
     closed_form evaluates the three-case formula; enumeration builds the
     pole orders of all ramified supports over F_q and counts the pairs
-    whose pole orders sum to v.  The two must agree.
+    whose pole orders sum to v.  The two must agree.  q must be a power
+    of 2 in both modes.
     """
-    if v < 0:
-        raise ValueError("jump must be nonnegative")
-    if v > asw.MAX_JUMP:
-        raise ValueError(f"jump {v} exceeds {asw.MAX_JUMP}")
+    _, n = prime_power(q, p=2)
+    _check_jump(v)
     if mode == "closed_form":
-        if v == 0:
-            return 1
-        if v % 2:
-            return 2 * q ** ((v - 1) // 2) * (q - 1)
-        return (v // 2) * q ** (v // 2 - 1) * (q - 1) ** 2
+        return _min_lift_closed_form(q, v)
     if mode != "enumeration":
         raise ValueError(f"unknown mode {mode!r}")
-    field = field_for_order(q, p=2)
+    field = make_field(2, n)
     odd = [e for e in range(1, v + 1) if e % 2]
     _refuse_over_budget(q ** len(odd), budget)
     hist = [0] * (v + 1)
@@ -421,24 +430,23 @@ def count_min_lift(q: int, v: int, mode: str = "closed_form",
 
 
 def count_d4_le(q: int, v: int) -> int:
-    """One-eighth of the number of dihedral data with last jump <= v."""
-    if v > asw.MAX_JUMP:
-        raise ValueError(f"jump {v} exceeds {asw.MAX_JUMP}")
-    if v < 0:
-        raise ValueError("jump must be nonnegative")
-    total = sum(count_min_lift(q, w) for w in range(v + 1))
-    return q ** ((v + 1) // 2) * total
+    """One-eighth of the number of dihedral data with last jump <= v; q must
+    be a power of 2."""
+    prime_power(q, p=2)
+    _check_jump(v)
+    return _d4_le(q, v)
 
 
 def count_d4_exact(q: int, v: int) -> int:
     """One-eighth of the number of dihedral data with last jump exactly v.
 
     A polynomial identity in q, so residue cardinalities q^d can be plugged
-    in directly without constructing any field.
+    in directly without constructing any field, and q is not validated.
     """
+    _check_jump(v)
     if v == 0:
         return 1
-    return count_d4_le(q, v) - count_d4_le(q, v - 1)
+    return _d4_le(q, v) - _d4_le(q, v - 1)
 
 
 # ---------------------------------------------------------------------------

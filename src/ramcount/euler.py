@@ -224,9 +224,6 @@ class GrowthRow(namedtuple("GrowthRow", "x count ratio relative_change")):
 class GrowthTable(namedtuple("GrowthTable", "q rows")):
     __slots__ = ()
 
-    def ratios(self) -> list[Fraction]:
-        return [row.ratio for row in self.rows]
-
     def changes(self) -> list[Fraction]:
         return [row.relative_change for row in self.rows
                 if row.relative_change is not None]

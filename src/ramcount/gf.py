@@ -71,24 +71,16 @@ def is_prime(p: int) -> bool:
 # dense polynomials over F_p, constant term first
 # ---------------------------------------------------------------------------
 
-def _trim(cs) -> tuple[int, ...]:
-    k = len(cs)
-    while k and cs[k - 1] == 0:
-        k -= 1
-    return tuple(cs[:k])
-
-
-def _poly_rem(a, b, p) -> tuple[int, ...]:
-    """Remainder of a modulo the monic polynomial b, coefficients mod p."""
+def _divides(b, a, p) -> bool:
+    """Whether the monic polynomial b divides a, coefficients mod p."""
     r = list(a)
     db = len(b) - 1
     for i in range(len(r) - 1, db - 1, -1):
         c = r[i]
         if c:
-            r[i] = 0
             for j in range(db):
                 r[i - db + j] = (r[i - db + j] - c * b[j]) % p
-    return _trim(r)
+    return not any(r[:db])
 
 
 def _fold_rows(modulus, mod) -> tuple[tuple[int, ...], ...]:
@@ -143,7 +135,7 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
         return False
     for d in range(1, degree // 2 + 1):
         for q in _irreducibles(p, d):
-            if not _poly_rem(poly, q, p):
+            if _divides(q, poly, p):
                 return False
     return True
 

@@ -17,6 +17,7 @@ mismatch raises instead of being patched over.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import combinations_with_replacement
 
 from . import asw
 from .errors import (
@@ -90,8 +91,7 @@ def _heisenberg_count(p: int, q: int, twists: int, factor: int,
     count with that inertia, times `twists` central twists per reduction.
     The total must equal the caller's closed form p^3 * factor * (q^p - 1).
     """
-    _check_setting(p, q)
-    rank1 = count_line_inertia(p, q, 1)
+    rank1 = count_line_inertia(p, q, 1)  # validates p and q first
     rank2 = count_line_inertia(p, q, 2)
     # the p+1 lines of F_p^2 in a fixed order: [1:0], then [s:1]
     lines = ["line(1:0)"] + [f"line({s}:1)" for s in range(p)]
@@ -169,6 +169,10 @@ def smallest_wild_discriminant(p: int, q: int | None = None) -> DiscriminantGate
     at least p on [(-1, 0]] and on every interval up to the last jump.
     p = 2 evaluates fine but lies outside the odd-prime setting and is
     flagged as such.
+
+    For odd p an abelian datum with group (Z/p)^3 cross-checks the value;
+    its character sum needs p^3 <= asw.MAX_CHARACTER_SUM_ORDER, so p >= 11
+    raises GroupTooLargeError.
     """
     if q is not None:
         field_for_order(q, p=p)
@@ -179,7 +183,9 @@ def smallest_wild_discriminant(p: int, q: int | None = None) -> DiscriminantGate
             f"ramification integral gives {value}, expected 2 p^2 (p - 1)")
     smallest = True
     for jump in range(1, 4):
-        for profile in _nonincreasing_profiles(p, jump + 1):
+        # each nonincreasing profile of sizes in {p^3, p^2, p}, once
+        for profile in combinations_with_replacement((p ** 3, p ** 2, p),
+                                                     jump + 1):
             candidate = asw.ramification_integral(order, list(profile))
             if candidate < value:
                 smallest = False
@@ -187,21 +193,6 @@ def smallest_wild_discriminant(p: int, q: int | None = None) -> DiscriminantGate
     if p != 2:
         _cross_check_via_abelian_datum(p, value)
     return report
-
-
-def _nonincreasing_profiles(p: int, length: int):
-    """Nonincreasing image-size profiles, entries in {p, p^2, p^3}."""
-    sizes = [p, p ** 2, p ** 3]
-
-    def rec(prefix, remaining):
-        if not remaining:
-            yield tuple(prefix)
-            return
-        for s in sizes:
-            if not prefix or s <= prefix[-1]:
-                yield from rec(prefix + [s], remaining - 1)
-
-    yield from rec([], length)
 
 
 def _cross_check_via_abelian_datum(p: int, expected: int) -> None:

@@ -2,10 +2,12 @@
 
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -353,6 +355,34 @@ def test_discriminant_and_inertia_match_subgroup_oracle(p):
                 assert asw.inertia_image(m) == inertia, m
                 cases += 1
     assert cases >= 36
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_character_classes_on_every_shape_up_to_the_cap(p):
+    # one character per cyclic subgroup of the dual, weighted by its number
+    # phi(k) of generators, on every shape the character sum accepts
+    for shape in _shapes_up_to(p, asw.MAX_CHARACTER_SUM_ORDER):
+        moduli = shape.moduli()
+        zero = (0,) * shape.rank
+        classes = asw.character_classes(shape)
+        assert sum(weight for _, weight in classes) == shape.order
+        subgroups = set()
+        for a, weight in classes:
+            # <a> by repeated addition
+            cyclic, x = {zero}, a
+            while x != zero:
+                cyclic.add(x)
+                x = tuple((x_i + a_i) % mod for x_i, a_i, mod in zip(x, a, moduli))
+            k = len(cyclic)
+            assert weight == k - k // p, (shape, a)
+            subgroups.add(frozenset(cyclic))
+        assert len(subgroups) == len(classes), shape
+        orders = Counter(
+            max((mod // math.gcd(mod, g_i) for g_i, mod in zip(g, moduli)),
+                default=1)
+            for g in itertools.product(*(range(mod) for mod in moduli)))
+        assert len(classes) == sum(Fraction(n, k - k // p)
+                                   for k, n in orders.items()), shape
 
 
 def test_cli_disc_in_w7_matches_subgroup_oracle(capsys):

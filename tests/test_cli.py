@@ -476,6 +476,16 @@ def test_negative_dihedral_jump_is_rejected(capsys, command):
     (("count-minlift", "--q", "131072", "--v", "1", "--mode", "enumeration"),
      "refusing to materialise all 131072 elements"),
     (("growth", "--q", "2", "--x-max", "25"), "x_max 25 exceeds 24"),
+    # two faults: the first one reached is reported
+    (("lj", "--p", "2", "--q", "2", "--group", "1,1", "--terms", "1:1|1|1,1:1|0"),
+     "term '1:1|1|1' needs 2 factor part(s)"),
+    (("lj", "--p", "2", "--q", "2", "--group", "1,1", "--terms", "1:1|1,1:1|1|1"),
+     "index 1 appears twice"),
+    (("minlift", "--q", "4", "--a", "1:1,1:01", "--c", "3:01"),
+     "expected 2 base-2 digits, got '1'"),
+    (("minlift", "--q", "4", "--a", "1:01,1:1", "--c", "3:01"),
+     "index 1 appears twice"),
+    (("count-minlift", "--q", "6", "--v", "-1"), "6 is not a prime power"),
 ])
 def test_out_of_range_input_is_a_one_line_error(capsys, argv, message):
     status, out, err = run(capsys, *argv)

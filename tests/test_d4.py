@@ -10,6 +10,7 @@ from ramcount.d4 import SparseTPoly
 from ramcount.errors import (
     BudgetExceededError,
     MixedFieldsError,
+    NonPrimeError,
     NotASubfieldError,
     NotTotallyRamifiedError,
 )
@@ -44,6 +45,16 @@ def test_add_constant_is_adding_a_constant_polynomial():
             assert 0 not in shifted.terms or shifted.terms[0]
     with pytest.raises(MixedFieldsError, match="coefficient from a different field"):
         poly(F4, 1).add_constant(F2.one)
+
+
+def test_sums_and_products_store_no_zero_coefficient():
+    g = F4.gen
+    x = SparseTPoly.from_terms(F4, {1: g, 0: F4.one})
+    # over F_4 the cross terms g + g at T^-1 cancel
+    assert x * x == SparseTPoly.from_terms(F4, {2: g * g, 1: g + g, 0: F4.one})
+    assert (x * x).terms == {2: g * g, 0: F4.one}
+    assert x + x == SparseTPoly.from_terms(F4, {1: g + g, 0: F4.zero})
+    assert (x + x).terms == {}
 
 
 def test_pole_order():
@@ -423,6 +434,20 @@ def test_count_min_lift_enumeration_matches_closed_form(q):
         closed = d4.count_min_lift(q, v)
         enum = d4.count_min_lift(q, v, mode="enumeration")
         assert closed == enum
+
+
+@pytest.mark.parametrize("q, error, message", [
+    (6, NonPrimeError, "6 is not a prime power"),
+    (9, MixedFieldsError, "9 is not a power of 2"),
+])
+def test_min_lift_and_d4_le_need_a_power_of_two(q, error, message):
+    # q is checked before the jump, in both modes and in count_d4_le
+    for v in (3, -1):
+        for mode in ("closed_form", "enumeration"):
+            with pytest.raises(error, match=message):
+                d4.count_min_lift(q, v, mode)
+        with pytest.raises(error, match=message):
+            d4.count_d4_le(q, v)
 
 
 def test_count_min_lift_budget_caps_the_pool():

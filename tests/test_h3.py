@@ -5,7 +5,11 @@ from fractions import Fraction
 import pytest
 
 from ramcount import h3
-from ramcount.errors import BudgetExceededError, OddPrimeRequiredError
+from ramcount.errors import (
+    BudgetExceededError,
+    GroupTooLargeError,
+    OddPrimeRequiredError,
+)
 
 
 def test_line_inertia_closed_form_values():
@@ -84,6 +88,13 @@ def test_smallest_wild_discriminant_values():
 def test_smallest_wild_discriminant_is_minimal():
     for p in (2, 3, 5):
         assert h3.smallest_wild_discriminant(p).is_smallest_positive
+
+
+def test_smallest_wild_discriminant_needs_p_at_most_seven():
+    # the abelian cross-check sums over the characters of (Z/p)^3
+    assert h3.smallest_wild_discriminant(7).value == 588
+    with pytest.raises(GroupTooLargeError, match="not 1331"):
+        h3.smallest_wild_discriminant(11)
 
 
 def test_gate_accepts_matching_residue_cardinality():

@@ -12,61 +12,33 @@ those invariants, so the counts take it as a factor |G|.
 The module computes the last ramification jump of a datum, the discriminant
 exponent by the conductor-discriminant formula over the characters of G,
 the inertia image as the common kernel of the characters that stay
-unramified, and counts data by last jump in closed form, with an exhaustive
-count as its oracle.
+unramified, and counts data by last jump by exhausting them: the oracle for
+the closed form `count_by_last_jump`, which lives in `ramcount.counts`.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import gcd
 
+from .counts import (
+    DEFAULT_BUDGET,
+    GroupShape,
+    _check_count_args,
+    _ramified_indices,
+    count_by_last_jump,  # the closed form that the enumeration checks
+)
 from .errors import (
     BudgetExceededError,
     GroupTooLargeError,
     InternalInconsistencyError,
     MixedRingsError,
 )
-from .gf import FieldDescriptor, field_for_order, prime_power
+from .gf import FieldDescriptor, field_for_order
 from .witt import WittVector, iter_witt_vectors
 
-MAX_GROUP_ORDER = 1 << 12
 MAX_CHARACTER_SUM_ORDER = 1 << 10
-MAX_JUMP = 64
-DEFAULT_BUDGET = 5_000_000
-
-
-class GroupShape(namedtuple("GroupShape", "p exponents")):
-    """G = prod Z/p^(n_i) with nonincreasing positive exponents.
-
-    The empty shape is allowed and denotes the trivial group.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, p: int, exponents: tuple[int, ...]):
-        if any(e <= 0 for e in exponents):
-            raise ValueError("exponents must be positive")
-        if any(a < b for a, b in zip(exponents, exponents[1:])):
-            raise ValueError("exponents must be nonincreasing")
-        self = super().__new__(cls, p, exponents)
-        if self.order > MAX_GROUP_ORDER:
-            raise GroupTooLargeError(
-                f"group order {self.order} exceeds {MAX_GROUP_ORDER}")
-        return self
-
-    @property
-    def rank(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def order(self) -> int:
-        return self.p ** sum(self.exponents)
-
-    def moduli(self) -> tuple[int, ...]:
-        return tuple(self.p ** e for e in self.exponents)
 
 
 def iter_module_elements(shape: GroupShape, field: FieldDescriptor):
@@ -130,16 +102,6 @@ def cocycle_add(m1: ReducedCocycle, m2: ReducedCocycle) -> ReducedCocycle:
 # ---------------------------------------------------------------------------
 # last jump
 # ---------------------------------------------------------------------------
-
-def mu(v: int, n: int, p: int) -> int:
-    """#{k >= 0 : n * p^k < v}."""
-    count = 0
-    bound = n
-    while bound < v:
-        count += 1
-        bound *= p
-    return count
-
 
 def _additive_order(x: tuple[WittVector, ...]) -> int:
     """The additive order p^e of a coefficient: the largest
@@ -289,55 +251,9 @@ def inertia_image(m: ReducedCocycle) -> frozenset[tuple[int, ...]]:
 # counting by last jump
 # ---------------------------------------------------------------------------
 
-def _ramified_indices(p: int, v: int) -> list[int]:
-    return [n for n in range(1, v + 1) if n % p]
-
-
-def _check_count_args(shape: GroupShape, q: int, v: int, mode: str) -> None:
-    if mode not in ("homomorphisms", "inertial_types"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if v < 0:
-        raise ValueError(f"last jump {v} must be nonnegative")
-    if v > MAX_JUMP:
-        raise ValueError(f"last jump {v} exceeds {MAX_JUMP}")
-    prime_power(q, p=shape.p)
-
-
-def _count_jump_at_most(shape: GroupShape, q: int, t: int) -> int:
-    """Ramified coefficient tuples on indices <= t with last jump <= t.
-
-    At index n the jump is n * p^(e - 1) for a coefficient of order p^e, so
-    jump <= t means order <= p^(e_n(t)) with e_n(t) = #{k >= 0 : n p^k <= t};
-    those coefficients form the p^(e_n(t))-torsion of G tensor W(F_q), which
-    has q^(sum_i min(n_i, e_n(t))) elements.
-    """
-    exponent = 0
-    for n in _ramified_indices(shape.p, t):
-        e = mu(t + 1, n, shape.p)
-        exponent += sum(min(n_i, e) for n_i in shape.exponents)
-    return q ** exponent
-
-
-def count_by_last_jump(shape: GroupShape, q: int, v: int, mode: str) -> int:
-    """Exact number of data with support indices <= v and last jump v.
-
-    mode "homomorphisms" counts the |G| classes of the index-0 coefficient
-    (the unramified twists); mode "inertial_types" omits index 0 entirely.
-    The jump never depends on the index-0 coefficient, so it enters as a
-    plain multiplier.  The last jump is a max over indices, so the count is
-    a difference of two products of torsion sizes; no field is built.
-    """
-    _check_count_args(shape, q, v, mode)
-    unram = shape.order if mode == "homomorphisms" else 1
-    if v == 0:
-        return unram  # exactly the unramified data
-    return unram * (_count_jump_at_most(shape, q, v)
-                    - _count_jump_at_most(shape, q, v - 1))
-
-
 def count_by_last_jump_enumerated(shape: GroupShape, q: int, v: int,
                                   mode: str) -> int:
-    """The same count by exhausting all data: the oracle for the closed form."""
+    """`count_by_last_jump` by exhausting all data: its oracle."""
     _check_count_args(shape, q, v, mode)
     indices = _ramified_indices(shape.p, v)
     unram = shape.order if mode == "homomorphisms" else 1

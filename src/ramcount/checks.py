@@ -2,13 +2,14 @@
 
 Each check returns a CheckResult with a short detail string; the CLI `verify`
 subcommand aggregates them, and the acceptance test module runs the
-acceptance list one criterion per test.  Randomised samples draw from a
-generator seeded per suite, so identical configurations reproduce identical
-output.  Only the sampled rows depend on the seed; every other row of the
-`witt` and `asw` suites, and every computation that a suite row and an
-acceptance criterion share, is a helper memoised per process, so one `verify`
-run does it once at any seed.  The Witt rings checked in full are checked
-from their addition and multiplication tables.
+acceptance list one criterion per test.  Suites and criteria take the
+run's seed.  Randomised samples draw from a generator seeded per suite, so
+identical configurations reproduce identical output.  Only the sampled rows
+depend on the seed; every other row of the `witt` and `asw` suites, and
+every computation that a suite row and an acceptance criterion share, is a
+helper memoised per process, and criterion 7 reads those suites at the
+run's seed, so one `verify` run does each once.  The Witt rings checked in
+full are checked from their addition and multiplication tables.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
-from . import asw, d4, euler, gf, h3
+from . import asw, counts, d4, euler, gf, h3
+from .counts import GroupShape
 from .d4 import SparseTPoly
 from .errors import InternalInconsistencyError
 from .witt import WittVector, iter_witt_vectors, teichmueller
@@ -229,7 +231,7 @@ def witt_checks(seed: int) -> tuple[CheckResult, ...]:
 
 def _z4_data_with_support_up_to_three():
     field = gf.make_field(2, 1)
-    shape = asw.GroupShape(2, (2,))
+    shape = GroupShape(2, (2,))
     coeffs = list(asw.iter_module_elements(shape, field))
     return [asw.ReducedCocycle(shape, field, {0: c0, 1: c1, 3: c3})
             for c0, c1, c3 in product(coeffs, repeat=3)]
@@ -240,7 +242,7 @@ def _cyclic_discriminants_match() -> tuple[bool, int]:
     ok, evals = True, 0
     for p in (2, 3, 5):
         field = gf.make_field(p, 1)
-        cyclic = asw.GroupShape(p, (1,))
+        cyclic = GroupShape(p, (1,))
         for jump in [n for n in range(1, 8) if n % p]:
             m = asw.ReducedCocycle(cyclic, field,
                                    {jump: (WittVector(field, (field.one,)),)})
@@ -276,20 +278,20 @@ def _asw_fixed_rows() -> tuple[CheckResult, ...]:
                            f"quotients={scans}"))
 
     ok = True
-    cases = [(asw.GroupShape(2, (1,)), 2, 3), (asw.GroupShape(2, (2,)), 2, 2),
-             (asw.GroupShape(2, (1, 1)), 4, 1), (asw.GroupShape(3, (1,)), 3, 2)]
+    cases = [(GroupShape(2, (1,)), 2, 3), (GroupShape(2, (2,)), 2, 2),
+             (GroupShape(2, (1, 1)), 4, 1), (GroupShape(3, (1,)), 3, 2)]
     for shape, q, v in cases:
-        hom = asw.count_by_last_jump(shape, q, v, "homomorphisms")
+        hom = counts.count_by_last_jump(shape, q, v, "homomorphisms")
         iner = asw.count_by_last_jump_enumerated(shape, q, v, "inertial_types")
         ok = ok and hom == shape.order * iner
     results.append(_result("asw.homomorphism_count_is_order_times_types", ok,
                            f"cases={len(cases)}"))
 
     ok = True
-    shape = asw.GroupShape(2, (1,))
+    shape = GroupShape(2, (1,))
     for q in (2, 4):
         for v in range(8):
-            got = {asw.count_by_last_jump(shape, q, v, "inertial_types"),
+            got = {counts.count_by_last_jump(shape, q, v, "inertial_types"),
                    asw.count_by_last_jump_enumerated(shape, q, v, "inertial_types")}
             if v == 0:
                 expected = 1
@@ -326,7 +328,7 @@ def asw_checks(seed: int) -> tuple[CheckResult, ...]:
     ok, count = True, 0
     for p, deg in [(2, 1), (2, 2), (3, 1)]:
         field = gf.make_field(p, deg)
-        shape = asw.GroupShape(p, (1, 1))
+        shape = GroupShape(p, (1, 1))
         indices = [n for n in range(1, 6) if n % p]
         coeffs = list(asw.iter_module_elements(shape, field))
         for _ in range(150):
@@ -363,7 +365,7 @@ def _pairing_bound_holds() -> tuple[bool, int]:
     support in {1, 3} (16 sources) against every (g1, g2) in F_q'^2 for
     q' = 2, 4, 16; returns (all bounded, checks made)."""
     f2 = gf.make_field(2, 1)
-    shape = asw.GroupShape(2, (1, 1))
+    shape = GroupShape(2, (1, 1))
     sources = []
     for x1, x2, y1, y2 in product(f2.elements(), repeat=4):
         sources.append(asw.ReducedCocycle(shape, f2, {
@@ -529,7 +531,7 @@ def h3_checks(_seed: int) -> list[CheckResult]:
 def _d4_series_matches_oracle(q: int, x_max: int) -> bool:
     series = euler.d4_global_series(q, x_max)
     return all(series.coefficient(x)
-               == euler.convolution_oracle(q, x, d4.count_d4_exact)
+               == euler.convolution_oracle(q, x, counts._d4_exact)
                for x in range(x_max + 1))
 
 
@@ -546,7 +548,7 @@ def euler_checks(_seed: int) -> list[CheckResult]:
     results.append(_result("euler.census_zeta_identity", ok, "q in {2,3,4,5,9}"))
 
     ok = _d4_series_matches_oracle(2, 6) and _d4_series_matches_oracle(4, 4)
-    z2 = asw.GroupShape(2, (1,))
+    z2 = GroupShape(2, (1,))
     series = euler.abelian_global_series(z2, 2, 8)
 
     @functools.cache
@@ -573,19 +575,19 @@ def euler_checks(_seed: int) -> list[CheckResult]:
 # acceptance criteria
 # ---------------------------------------------------------------------------
 
-def _acc_local_distribution() -> CheckResult:
+def _acc_local_distribution(_seed: int = 0) -> CheckResult:
     return _result("acceptance.1.local_distribution_closed_forms",
                    _min_lift_counts_match(),
                    "q in {2,4}, v <= 5, exact")
 
 
-def _acc_min_lift_oracle() -> CheckResult:
+def _acc_min_lift_oracle(_seed: int = 0) -> CheckResult:
     ok, fibers = _bruteforce_minimum_matches(2, 6)
     return _result("acceptance.2.min_lift_bruteforce_oracle", ok,
                    f"q=2, totally ramified fibers={fibers}, exact")
 
 
-def _acc_twist_invariance() -> CheckResult:
+def _acc_twist_invariance(_seed: int = 0) -> CheckResult:
     ok, reports = True, 0
     for q in (2, 4):
         field = gf.field_for_order(q)
@@ -599,7 +601,7 @@ def _acc_twist_invariance() -> CheckResult:
                    f"exhaustive pairs with w<=3, q in {{2,4}}, reports={reports}")
 
 
-def _acc_heisenberg_numbers() -> CheckResult:
+def _acc_heisenberg_numbers(_seed: int = 0) -> CheckResult:
     report = h3.counterexample_report(3, 3)
     ok = (report.local_count == 3510 and report.global_count == 9126
           and sum(v for _, v in report.local_breakdown) == 3510
@@ -610,7 +612,7 @@ def _acc_heisenberg_numbers() -> CheckResult:
                    f"bruteforce=78,234")
 
 
-def _acc_pipeline_consistency() -> CheckResult:
+def _acc_pipeline_consistency(_seed: int = 0) -> CheckResult:
     return _result("acceptance.5.euler_product_matches_oracle",
                    _d4_series_matches_oracle(2, 6),
                    "q=2, X <= 6, exact")
@@ -622,7 +624,7 @@ def _four_places(x: Fraction) -> str:
     return f"{whole}.{part:04d}"
 
 
-def _acc_growth() -> CheckResult:
+def _acc_growth(_seed: int = 0) -> CheckResult:
     table = euler.growth_table(2, 16)
     observed = ", ".join(f"X={row.x}: {_four_places(row.relative_change)}"
                          for row in table.rows if row.x >= 8)
@@ -631,8 +633,8 @@ def _acc_growth() -> CheckResult:
                    f"observed relative changes [{observed}]")
 
 
-def _acc_invariant_suites() -> CheckResult:
-    inner = witt_checks(0) + asw_checks(0)
+def _acc_invariant_suites(seed: int = 0) -> CheckResult:
+    inner = witt_checks(seed) + asw_checks(seed)
     eps_ok, _ = _pairing_bound_holds()
     ok = eps_ok and all(r.passed for r in inner)
     failing = [r.name for r in inner if not r.passed]
@@ -642,7 +644,7 @@ def _acc_invariant_suites() -> CheckResult:
     return _result("acceptance.7.invariant_suites", ok, detail)
 
 
-def _acc_discriminant_gate() -> CheckResult:
+def _acc_discriminant_gate(_seed: int = 0) -> CheckResult:
     ok, _ = _cyclic_discriminants_match()
     for p in (2, 3, 5):
         report = h3.smallest_wild_discriminant(p)
@@ -652,7 +654,7 @@ def _acc_discriminant_gate() -> CheckResult:
                    "p in {2,3,5}, L <= 7, and the degree-p configuration")
 
 
-def acceptance_criteria() -> list[tuple[str, Callable[[], CheckResult]]]:
+def acceptance_criteria() -> list[tuple[str, Callable[[int], CheckResult]]]:
     return [
         ("criterion_1_local_distribution", _acc_local_distribution),
         ("criterion_2_min_lift_oracle", _acc_min_lift_oracle),
@@ -680,7 +682,7 @@ def run_suites(names: Iterable[str], seed: int = 0) -> list[CheckResult]:
     for name in names:
         if name == "acceptance":
             for _, fn in acceptance_criteria():
-                results.append(fn())
+                results.append(fn(seed))
         else:
             results.extend(SUITES[name](seed))
     return results

@@ -21,6 +21,10 @@ The module also carries the finite-level commutator machinery for
 elementary abelian kernel and quotient: the alternating pairing
 (x, y) -> x1*y2 - x2*y1 and the induced bound on the jump of the
 correction term built from it.
+
+Only that bound and `pair_to_cocycle` build abelian data, so only they
+import `asw` and `witt`.  The counts of dihedral data by last jump are
+closed forms in q, in `ramcount.counts`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,14 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import product
 
-from . import asw
+from .counts import (
+    DEFAULT_BUDGET,
+    MAX_JUMP,
+    GroupShape,
+    _check_jump,
+    _min_lift_closed_form,
+    prime_power,
+)
 from .errors import (
     BudgetExceededError,
     MixedFieldsError,
@@ -40,18 +51,18 @@ from .gf import (
     FieldElement,
     embed,
     make_field,
-    prime_power,
     require_subfield,
 )
-from .witt import WittVector
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 
+    from .asw import ReducedCocycle
+
 # the Klein four-group (Z/2)^2 of a reduction, and the Z/2 of its correction
-_KLEIN = asw.GroupShape(2, (1, 1))
-_ORDER_TWO = asw.GroupShape(2, (1,))
+_KLEIN = GroupShape(2, (1, 1))
+_ORDER_TWO = GroupShape(2, (1,))
 
 
 def _accumulate(terms: dict[int, FieldElement], e: int, c: FieldElement) -> None:
@@ -255,7 +266,7 @@ def min_lift_jump_bruteforce(a: SparseTPoly, c: SparseTPoly,
     _require_lift_space(a, c)
     if b_bound < min_lift_jump(a, c):
         raise ValueError("bound must cover the expected minimum")
-    _refuse_over_budget(_lift_pool_size(a.field, b_bound), asw.DEFAULT_BUDGET)
+    _refuse_over_budget(_lift_pool_size(a.field, b_bound), DEFAULT_BUDGET)
     return Fraction(min(_doubled_jump_tally(a, c, b_bound)), 2)
 
 
@@ -297,8 +308,8 @@ def lift_jump_distribution(a: SparseTPoly, c: SparseTPoly,
     """
     if v_max < 0:
         raise ValueError(f"v_max {v_max} must be nonnegative")
-    if v_max > asw.MAX_JUMP:
-        raise ValueError(f"v_max {v_max} exceeds {asw.MAX_JUMP}")
+    if v_max > MAX_JUMP:
+        raise ValueError(f"v_max {v_max} exceeds {MAX_JUMP}")
     q = a.field.q
     m = min_lift_jump(a, c)
     counts = []
@@ -319,7 +330,7 @@ def enumerated_lift_distribution(a: SparseTPoly, c: SparseTPoly,
     _require_lift_space(a, c)
     if v_max < 0:
         raise ValueError(f"v_max {v_max} must be nonnegative")
-    _refuse_over_budget(_lift_pool_size(a.field, v_max), asw.DEFAULT_BUDGET)
+    _refuse_over_budget(_lift_pool_size(a.field, v_max), DEFAULT_BUDGET)
     return {Fraction(jump2, 2): count
             for jump2, count in _doubled_jump_tally(a, c, v_max).items()
             if jump2 <= 2 * v_max}
@@ -348,8 +359,9 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
     minimal lift jump, so it is built once, and a twist's distribution
     equals it exactly when the twist has the same minimal lift jump.
     Where (a, c) is totally ramified, its lift space is
-    enumerated once and the tally compared with the nonzero rows of the
-    closed form; that one comparison is every twist's `enumerated_equal`.
+    enumerated once and the doubled-jump tally compared with the nonzero
+    rows of the closed form, doubled; that one comparison is every twist's
+    `enumerated_equal`.
     It stands for every twist because a constant twist changes neither pole
     order, so neither the floor of `_doubled_jump_tally`, and adds to a*c'
     only alpha*c', whose exponents are odd and at most w(c).  When
@@ -364,11 +376,12 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
     enum_eq = None
     if is_totally_ramified(a, c):
         _refuse_over_budget(max(_lift_pool_size(field, v_max), field.q ** 2),
-                            asw.DEFAULT_BUDGET)
-        closed_rows = {v: n for v, n in base.counts if n}
-        enum_eq = enumerated_lift_distribution(a, c, v_max) == closed_rows
+                            DEFAULT_BUDGET)
+        tally = _doubled_jump_tally(a, c, v_max)
+        enum_eq = ({jump2: n for jump2, n in tally.items() if jump2 <= 2 * v_max}
+                   == {2 * v: n for v, n in base.counts if n})
     else:
-        _refuse_over_budget(field.q ** 2, asw.DEFAULT_BUDGET)
+        _refuse_over_budget(field.q ** 2, DEFAULT_BUDGET)
     comparisons = []
     all_equal = enum_eq is not False
     for alpha in field.elements():
@@ -384,28 +397,8 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
 # local counts
 # ---------------------------------------------------------------------------
 
-def _check_jump(v: int) -> None:
-    if v < 0:
-        raise ValueError("jump must be nonnegative")
-    if v > asw.MAX_JUMP:
-        raise ValueError(f"jump {v} exceeds {asw.MAX_JUMP}")
-
-
-def _min_lift_closed_form(q: int, v: int) -> int:
-    if v == 0:
-        return 1
-    if v % 2:
-        return 2 * q ** ((v - 1) // 2) * (q - 1)
-    return (v // 2) * q ** (v // 2 - 1) * (q - 1) ** 2
-
-
-def _d4_le(q: int, v: int) -> int:
-    return q ** ((v + 1) // 2) * sum(_min_lift_closed_form(q, w)
-                                      for w in range(v + 1))
-
-
 def count_min_lift(q: int, v: int, mode: str = "closed_form",
-                   budget: int = asw.DEFAULT_BUDGET) -> int:
+                   budget: int = DEFAULT_BUDGET) -> int:
     """Quarter-count of Klein reductions with minimal lift jump exactly v.
 
     closed_form evaluates the three-case formula; enumeration builds the
@@ -429,26 +422,6 @@ def count_min_lift(q: int, v: int, mode: str = "closed_form",
     return sum(hist[w] * hist[v - w] for w in range(v + 1))
 
 
-def count_d4_le(q: int, v: int) -> int:
-    """One-eighth of the number of dihedral data with last jump <= v; q must
-    be a power of 2."""
-    prime_power(q, p=2)
-    _check_jump(v)
-    return _d4_le(q, v)
-
-
-def count_d4_exact(q: int, v: int) -> int:
-    """One-eighth of the number of dihedral data with last jump exactly v.
-
-    A polynomial identity in q, so residue cardinalities q^d can be plugged
-    in directly without constructing any field, and q is not validated.
-    """
-    _check_jump(v)
-    if v == 0:
-        return 1
-    return _d4_le(q, v) - _d4_le(q, v - 1)
-
-
 # ---------------------------------------------------------------------------
 # commutator pairing at finite level
 # ---------------------------------------------------------------------------
@@ -465,7 +438,7 @@ class EpsilonBoundReport(namedtuple(
     __slots__ = ()
 
 
-def epsilon_bound_report(m_rho: asw.ReducedCocycle,
+def epsilon_bound_report(m_rho: ReducedCocycle,
                          g_delta: tuple[FieldElement, FieldElement],
                          ) -> EpsilonBoundReport:
     """Build the correction datum by pairing coefficients with g_delta and
@@ -476,6 +449,7 @@ def epsilon_bound_report(m_rho: asw.ReducedCocycle,
     g_delta over a field that F_q does not embed into raises
     NotASubfieldError, also when the source is zero.
     """
+    from . import asw, witt
     if m_rho.shape.exponents != (1, 1):
         raise UnsupportedShapeError("source must be elementary abelian of rank 2")
     big = g_delta[0].field
@@ -483,11 +457,12 @@ def epsilon_bound_report(m_rho: asw.ReducedCocycle,
         raise MixedFieldsError("pairing components over different fields")
     require_subfield(m_rho.field, big)
     p = m_rho.shape.p
-    target_shape = _ORDER_TWO if p == 2 else asw.GroupShape(p, (1,))
+    target_shape = _ORDER_TWO if p == 2 else GroupShape(p, (1,))
     entries = {}
     for n, (x1, x2) in m_rho.support.items():
         lifted = (embed(x1.components[0], big), embed(x2.components[0], big))
-        entries[n] = (WittVector(big, (commutator_pairing(lifted, g_delta),)),)
+        pairing = commutator_pairing(lifted, g_delta)
+        entries[n] = (witt.WittVector(big, (pairing,)),)
     eps = asw.ReducedCocycle(target_shape, big, entries)
     source_jump = asw.last_jump(m_rho)
     eps_jump = asw.last_jump(eps)
@@ -499,13 +474,14 @@ def epsilon_bound_report(m_rho: asw.ReducedCocycle,
 # bridges to the abelian machinery
 # ---------------------------------------------------------------------------
 
-def pair_to_cocycle(a: SparseTPoly, c: SparseTPoly) -> asw.ReducedCocycle:
+def pair_to_cocycle(a: SparseTPoly, c: SparseTPoly) -> ReducedCocycle:
     """The rank-2 elementary abelian datum carried by the pair (a, c)."""
+    from . import asw, witt
     _validate_datum_poly(a)
     _validate_datum_poly(c)
     field = a.field
     entries = {}
     for n in sorted(set(a.terms) | set(c.terms)):
-        entries[n] = (WittVector(field, (a.terms.get(n, field.zero),)),
-                      WittVector(field, (c.terms.get(n, field.zero),)))
+        entries[n] = (witt.WittVector(field, (a.terms.get(n, field.zero),)),
+                      witt.WittVector(field, (c.terms.get(n, field.zero),)))
     return asw.ReducedCocycle(_KLEIN, field, entries)

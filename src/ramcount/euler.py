@@ -3,7 +3,8 @@
 The count of homomorphisms with prescribed total jump (summed over places
 with degree weights) factors as a product over places of local generating
 polynomials.  Everything is exact: coefficients are arbitrary-precision
-integers, growth ratios are Fractions.
+integers, growth ratios are Fractions.  Every local coefficient is a closed
+form of `ramcount.counts`, so the module imports no field or datum code.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from . import asw, gf
+from .counts import _d4_exact, count_by_last_jump, prime_power
 from .errors import (
     BudgetExceededError,
     InternalInconsistencyError,
@@ -22,6 +23,8 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
     from typing import Callable
+
+    from .counts import GroupShape
 
     LocalCoefficient = Callable[[int, int], int]
 
@@ -58,7 +61,7 @@ class PlaceCensus(namedtuple("PlaceCensus", "q max_degree counts")):
 
 
 def place_census(q: int, max_degree: int) -> PlaceCensus:
-    gf.prime_power(q)
+    prime_power(q)
     if max_degree < 0:
         raise ValueError(f"census degree {max_degree} must be nonnegative")
     if max_degree > MAX_CENSUS_DEGREE:
@@ -158,18 +161,18 @@ def global_series(q: int, truncation: int,
 
 
 def d4_global_series(q: int, truncation: int) -> CountSeries:
-    """Euler product with the dihedral local counts; q must be a power of 2."""
-    gf.prime_power(q, p=2)
-    from . import d4    # here, so that the abelian series never loads d4
-    return global_series(q, truncation, d4.count_d4_exact)
+    """Euler product with the dihedral local counts; q must be a power of 2,
+    and so then is every residue cardinality q^d."""
+    prime_power(q, p=2)
+    return global_series(q, truncation, _d4_exact)
 
 
-def abelian_global_series(shape: asw.GroupShape, q: int,
+def abelian_global_series(shape: GroupShape, q: int,
                           truncation: int) -> CountSeries:
     """Euler product with the closed-form abelian local counts."""
 
     def coefficient(residue_order: int, v: int) -> int:
-        return asw.count_by_last_jump(shape, residue_order, v, "inertial_types")
+        return count_by_last_jump(shape, residue_order, v, "inertial_types")
 
     return global_series(q, truncation, coefficient)
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
+from .counts import prime_power
 from .errors import (
     DegreeTooLargeError,
     InternalInconsistencyError,
@@ -178,29 +179,6 @@ def make_field(p: int, n: int) -> "FieldDescriptor":
     field = FieldDescriptor(p, n, _canonical_modulus(p, n))
     _FIELDS[key] = field
     return field
-
-
-def prime_power(q: int, p: int | None = None) -> tuple[int, int]:
-    """(p, n) with q = p^n, optionally checking the characteristic."""
-    if q < 2:
-        raise NonPrimeError(f"{q} is not a prime power")
-    base = q
-    d = 2
-    while d * d <= base:
-        if base % d == 0:
-            base = d
-            break
-        d += 1
-    n = 0
-    m = q
-    while m % base == 0 and m > 1:
-        m //= base
-        n += 1
-    if m != 1 or not is_prime(base):
-        raise NonPrimeError(f"{q} is not a prime power")
-    if p is not None and base != p:
-        raise MixedFieldsError(f"{q} is not a power of {p}")
-    return base, n
 
 
 def field_for_order(q: int, p: int | None = None) -> "FieldDescriptor":

@@ -20,6 +20,7 @@ from collections import namedtuple
 from itertools import combinations_with_replacement
 
 from . import asw
+from .counts import DEFAULT_BUDGET, GroupShape
 from .errors import (
     BudgetExceededError,
     InternalInconsistencyError,
@@ -58,10 +59,10 @@ def count_line_inertia(p: int, q: int, r: int, mode: str = "closed_form") -> int
         raise ValueError(f"unknown mode {mode!r}")
     residue_order = q ** p
     enumeration = residue_order ** r
-    if enumeration > asw.DEFAULT_BUDGET:
+    if enumeration > DEFAULT_BUDGET:
         raise BudgetExceededError(
-            f"enumeration over {enumeration} data exceeds {asw.DEFAULT_BUDGET}")
-    shape = asw.GroupShape(p, (1,) * r)
+            f"enumeration over {enumeration} data exceeds {DEFAULT_BUDGET}")
+    shape = GroupShape(p, (1,) * r)
     residue = field_for_order(residue_order, p=p)
     # fix the subgroup spanned by the first coordinate axis
     axis = frozenset(tuple(k if i == 0 else 0 for i in range(r))
@@ -199,7 +200,7 @@ def _cross_check_via_abelian_datum(p: int, expected: int) -> None:
     """An elementary abelian rank-3 datum with one ramified line and jump 1
     realises the same filtration sizes, so its discriminant must agree."""
     field = make_field(p, 1)
-    shape = asw.GroupShape(p, (1, 1, 1))
+    shape = GroupShape(p, (1, 1, 1))
     datum = asw.ReducedCocycle(shape, field, {1: (
         WittVector(field, (field.one,)),
         WittVector(field, (field.zero,)),

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramcount import asw, gf
+from ramcount import asw, counts, gf
 from ramcount.cli import main, parse_cocycle
 from ramcount.errors import (
     BudgetExceededError,
@@ -29,10 +29,10 @@ from ramcount.witt import WittVector, teichmueller
 F2 = gf.make_field(2, 1)
 F4 = gf.make_field(2, 2)
 
-Z2 = asw.GroupShape(2, (1,))
-Z4 = asw.GroupShape(2, (2,))
-Z2xZ2 = asw.GroupShape(2, (1, 1))
-Z3 = asw.GroupShape(3, (1,))
+Z2 = counts.GroupShape(2, (1,))
+Z4 = counts.GroupShape(2, (2,))
+Z2xZ2 = counts.GroupShape(2, (1, 1))
+Z3 = counts.GroupShape(3, (1,))
 
 
 def elem(field, *part_components):
@@ -53,20 +53,20 @@ def cocycle(shape, field, entries):
 
 def test_shape_validation():
     with pytest.raises(ValueError, match="exponents must be nonincreasing"):
-        asw.GroupShape(2, (1, 2))
+        counts.GroupShape(2, (1, 2))
     with pytest.raises(ValueError, match="exponents must be positive"):
-        asw.GroupShape(2, (0,))
+        counts.GroupShape(2, (0,))
     with pytest.raises(GroupTooLargeError, match="group order 8192 exceeds 4096"):
-        asw.GroupShape(2, (13,))
-    assert asw.GroupShape(2, ()).order == 1
+        counts.GroupShape(2, (13,))
+    assert counts.GroupShape(2, ()).order == 1
 
 
 def test_shape_is_an_immutable_value():
-    shape = asw.GroupShape(2, (2, 1))
+    shape = counts.GroupShape(2, (2, 1))
     assert repr(shape) == "GroupShape(p=2, exponents=(2, 1))"
-    assert shape == asw.GroupShape(p=2, exponents=(2, 1))
-    assert hash(shape) == hash(asw.GroupShape(2, (2, 1)))
-    assert shape != asw.GroupShape(2, (2,))
+    assert shape == counts.GroupShape(p=2, exponents=(2, 1))
+    assert hash(shape) == hash(counts.GroupShape(2, (2, 1)))
+    assert shape != counts.GroupShape(2, (2,))
     with pytest.raises(AttributeError):
         shape.p = 3
 
@@ -121,9 +121,9 @@ def test_module_element_count():
 # ---------------------------------------------------------------------------
 
 def test_mu_examples():
-    assert asw.mu(4, 3, 2) == 1
-    assert asw.mu(1, 1, 2) == 0
-    assert asw.mu(5, 1, 2) == 3
+    assert counts.mu(4, 3, 2) == 1
+    assert counts.mu(1, 1, 2) == 0
+    assert counts.mu(5, 1, 2) == 3
 
 
 def test_last_jump_of_simple_pole_order():
@@ -149,7 +149,7 @@ def _last_jump_by_definition(m):
     p = m.shape.p
     ramified = [(n, m.support[n]) for n in m.ramified_indices()]
     v = 0
-    while any(part.scale(p ** asw.mu(v + 1, n, p))
+    while any(part.scale(p ** counts.mu(v + 1, n, p))
               for n, parts in ramified for part in parts):
         v += 1
     return v
@@ -169,7 +169,7 @@ def _random_coefficient(rng, shape, field):
 @pytest.mark.parametrize("p,exponents,q", [(2, (3, 1), 4), (3, (2, 1), 3),
                                            (2, (2,), 2), (5, (1, 1), 5)])
 def test_last_jump_matches_its_defining_condition(p, exponents, q):
-    shape, field = asw.GroupShape(p, exponents), gf.field_for_order(q)
+    shape, field = counts.GroupShape(p, exponents), gf.field_for_order(q)
     rng = random.Random(f"{p}{exponents}{q}")
     indices = [n for n in range(12) if n % p or n == 0]
     for _ in range(150):
@@ -312,7 +312,7 @@ def test_subgroup_counts():
 
 
 def test_subgroups_are_sorted_and_closed():
-    shape = asw.GroupShape(2, (2, 1))
+    shape = counts.GroupShape(2, (2, 1))
     subs = _subgroups(shape)
     orders = [len(elems) for elems, _ in subs]
     assert orders == sorted(orders)
@@ -325,7 +325,7 @@ def test_subgroups_are_sorted_and_closed():
 
 
 def test_subgroup_count_of_z3_squared():
-    assert len(_subgroups(asw.GroupShape(3, (1, 1)))) == 6
+    assert len(_subgroups(counts.GroupShape(3, (1, 1)))) == 6
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -392,7 +392,7 @@ def test_cli_disc_in_w7_matches_subgroup_oracle(capsys):
                    "--terms", terms])
     captured = capsys.readouterr()
     assert status == 0, captured.err
-    shape = asw.GroupShape(2, (7, 1))
+    shape = counts.GroupShape(2, (7, 1))
     m = parse_cocycle(terms, shape, F2)
     disc, _ = _oracle(m, _lattice(shape, F2, _subgroups(shape)))
     assert json.loads(captured.out)["result"]["discriminant_exponent"] == disc
@@ -432,9 +432,9 @@ def test_quotient_monotonicity():
 
 
 @pytest.mark.parametrize("shape", [
-    asw.GroupShape(2, (1, 1)), asw.GroupShape(2, (2, 1)),
-    asw.GroupShape(2, (2, 2)), asw.GroupShape(3, (1, 1)),
-    asw.GroupShape(2, (3, 1))])
+    counts.GroupShape(2, (1, 1)), counts.GroupShape(2, (2, 1)),
+    counts.GroupShape(2, (2, 2)), counts.GroupShape(3, (1, 1)),
+    counts.GroupShape(2, (3, 1))])
 def test_quotient_map_kernel_is_exactly_the_subgroup(shape):
     # a datum whose ramified coefficients lift generators of H has inertia
     # image H: the common kernel of the characters killing them is H
@@ -458,7 +458,7 @@ def test_quotient_map_kernel_is_exactly_the_subgroup(shape):
 @pytest.mark.parametrize("p,q_deg", [(2, 1), (3, 1), (5, 1)])
 def test_discriminant_of_cyclic_data_matches_break_formula(p, q_deg):
     field = gf.make_field(p, q_deg)
-    shape = asw.GroupShape(p, (1,))
+    shape = counts.GroupShape(p, (1,))
     for jump in [n for n in range(1, 8) if n % p]:
         m = asw.ReducedCocycle(shape, field,
                                {jump: (WittVector(field, (field.one,)),)})
@@ -503,7 +503,7 @@ def test_ramification_integral_rejects_bad_sizes_under_optimisation():
 
 
 def test_discriminant_needs_scannable_group():
-    shape = asw.GroupShape(2, (11,))  # order 2^11 exceeds the character sum cap
+    shape = counts.GroupShape(2, (11,))  # order 2^11 exceeds the character sum cap
     m = asw.ReducedCocycle(shape, F2, {})
     with pytest.raises(GroupTooLargeError, match="group order"):
         asw.discriminant_exponent(m)
@@ -512,7 +512,7 @@ def test_discriminant_needs_scannable_group():
 def test_discriminant_of_rank_three_datum_over_f7():
     # the conductor-discriminant sum over F_7^3: 294 characters see index 11
     # and 42 more see only index 10, so 294 * 12 + 42 * 11
-    shape = asw.GroupShape(7, (1, 1, 1))
+    shape = counts.GroupShape(7, (1, 1, 1))
     m = cocycle(shape, gf.make_field(7, 1),
                 {10: [(4,), (5,), (6,)], 11: [(2,), (1,), (6,)]})
     assert asw.discriminant_exponent(m) == 3990
@@ -533,19 +533,19 @@ def test_inertia_image():
 
 def test_count_unramified_homomorphisms_is_group_order():
     for shape, q in [(Z2, 2), (Z4, 2), (Z2xZ2, 4), (Z3, 3)]:
-        assert asw.count_by_last_jump(shape, q, 0, "homomorphisms") == shape.order
-        assert asw.count_by_last_jump(shape, q, 0, "inertial_types") == 1
+        assert counts.count_by_last_jump(shape, q, 0, "homomorphisms") == shape.order
+        assert counts.count_by_last_jump(shape, q, 0, "inertial_types") == 1
 
 
 def test_count_z2_inertial_types():
-    assert asw.count_by_last_jump(Z2, 2, 1, "inertial_types") == 1
-    assert asw.count_by_last_jump(Z2, 2, 2, "inertial_types") == 0
+    assert counts.count_by_last_jump(Z2, 2, 1, "inertial_types") == 1
+    assert counts.count_by_last_jump(Z2, 2, 2, "inertial_types") == 0
 
 
 @pytest.mark.parametrize("q", [2, 4])
 def test_count_z2_matches_closed_form(q):
     for v in range(1, 8):
-        got = asw.count_by_last_jump(Z2, q, v, "inertial_types")
+        got = counts.count_by_last_jump(Z2, q, v, "inertial_types")
         if v % 2:
             assert got == q ** ((v - 1) // 2) * (q - 1)
         else:
@@ -555,15 +555,15 @@ def test_count_z2_matches_closed_form(q):
 def test_count_modes_are_proportional():
     for shape, q, v in [(Z2, 2, 3), (Z4, 2, 2), (Z2xZ2, 2, 3), (Z2xZ2, 4, 1),
                         (Z3, 3, 2), (Z4, 4, 4)]:
-        hom = asw.count_by_last_jump(shape, q, v, "homomorphisms")
-        iner = asw.count_by_last_jump(shape, q, v, "inertial_types")
+        hom = counts.count_by_last_jump(shape, q, v, "homomorphisms")
+        iner = counts.count_by_last_jump(shape, q, v, "inertial_types")
         assert hom == shape.order * iner
 
 
 def test_count_z4_small_jumps():
     # jump 1 needs an order-2 coefficient at index 1; jump 2 an order-4 one
-    assert asw.count_by_last_jump(Z4, 2, 1, "inertial_types") == 1
-    assert asw.count_by_last_jump(Z4, 2, 2, "inertial_types") == 2
+    assert counts.count_by_last_jump(Z4, 2, 1, "inertial_types") == 1
+    assert counts.count_by_last_jump(Z4, 2, 2, "inertial_types") == 2
 
 
 def test_count_budget(monkeypatch):
@@ -584,14 +584,14 @@ def test_count_rejects_bad_input():
                               (6, 1, "inertial_types", NonPrimeError),
                               (9, 1, "inertial_types", MixedFieldsError)]:
         with pytest.raises(error):
-            asw.count_by_last_jump(Z2, q, v, mode)
+            counts.count_by_last_jump(Z2, q, v, mode)
 
 
 def test_count_needs_no_residue_field():
     # GF(2^30) is past the field degree cap, and GF(3^12) refuses to list
     # its elements; the closed form builds neither
-    assert asw.count_by_last_jump(Z2, 2 ** 30, 1, "inertial_types") == 2 ** 30 - 1
-    assert asw.count_by_last_jump(Z3, 3 ** 12, 1, "inertial_types") == 3 ** 12 - 1
+    assert counts.count_by_last_jump(Z2, 2 ** 30, 1, "inertial_types") == 2 ** 30 - 1
+    assert counts.count_by_last_jump(Z3, 3 ** 12, 1, "inertial_types") == 3 ** 12 - 1
 
 
 def _shapes_up_to(p, max_order):
@@ -604,7 +604,7 @@ def _shapes_up_to(p, max_order):
 
     k = 0
     while p ** k <= max_order:
-        yield from (asw.GroupShape(p, exps) for exps in partitions(k, k))
+        yield from (counts.GroupShape(p, exps) for exps in partitions(k, k))
         k += 1
 
 
@@ -625,7 +625,7 @@ def test_count_closed_form_matches_enumeration_oracle(p):
                     continue
                 for mode in ("homomorphisms", "inertial_types"):
                     cases += 1
-                    assert (asw.count_by_last_jump(shape, q, v, mode)
+                    assert (counts.count_by_last_jump(shape, q, v, mode)
                             == asw.count_by_last_jump_enumerated(shape, q, v, mode)
                             ), (shape, q, v, mode)
     assert cases >= 40

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ramcount import asw, checks, d4, euler, gf, h3, witt
+from ramcount import asw, checks, cli, counts, d4, euler, gf, h3, witt
 from ramcount.cli import SUITE_NAMES, _fraction_str, build_parser, main
 from ramcount.errors import InternalInconsistencyError
 
@@ -201,16 +201,16 @@ def test_verify_output_is_pinned_and_runs_shared_checks_once(capsys, monkeypatch
 
 
 def test_verify_seed_one_is_pinned_and_runs_seedless_checks_once(capsys):
-    # the bench's seed: criterion 7 still reads the suites at seed 0, but
-    # only their sampled rows are computed again
+    # the bench's seed: criterion 7 reads the suites at the run's seed, so
+    # it reuses their rows as it does at seed 0
     clear_check_memos()
     status, out, _ = run(capsys, "verify", "--seed", "1")
     assert status == 0
     assert out == (GOLDEN / "verify_seed1.json").read_text()
     for helper in SEEDLESS_HELPERS:
         assert helper.cache_info().misses == 1, helper.__name__
-    assert checks.witt_checks.cache_info().misses == 2
-    assert checks.asw_checks.cache_info().misses == 2
+    assert checks.witt_checks.cache_info().misses == 1
+    assert checks.asw_checks.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("fault", ["constant_plus_one", "unreduced"])
@@ -276,6 +276,43 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["count-d4", "--q", "2", "--v", "3", "extra"],
+     "unrecognized arguments: extra"),
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+])
+def test_top_level_usage_errors_read_as_the_full_parser(capsys, argv, message):
+    # `main` builds one subparser when argv names a command; its usage
+    # still lists every command, as the full parser's does
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert err == capsys.readouterr().err
+    assert err.startswith("usage: ramcount [-h]")
+    assert "{" + ",".join(subcommand_names()) + "}" in err
+    assert f"ramcount: error: {message}" in err
+
+
+def test_main_builds_only_the_command_it_runs(capsys, monkeypatch):
+    built = []
+
+    def recording_build_parser(command=None):
+        parser = build_parser(command)
+        built.append(subcommand_names(parser))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording_build_parser)
+    assert run_json(capsys, "count-d4", "--q", "2", "--v", "1")["result"] \
+        == {"count_le": 6}
+    with pytest.raises(SystemExit):
+        main(["bogus"])
+    assert built == [["count-d4"], subcommand_names()]
+
+
 def test_domain_error_exit_code(capsys):
     status, out, err = run(capsys, "counterexample", "--p", "2", "--q", "2")
     assert status == 2
@@ -328,10 +365,10 @@ def test_abelian_series_reaches_max_truncation(capsys):
                    "--group", "1,1", "--p", "2")
     coeffs = [row["coefficient"] for row in doc["result"]["rows"]]
     assert len(coeffs) == euler.MAX_TRUNCATION + 1
-    shape = asw.GroupShape(2, (1, 1))
+    shape = counts.GroupShape(2, (1, 1))
 
     def local(residue_order, v):
-        return asw.count_by_last_jump(shape, residue_order, v, "inertial_types")
+        return counts.count_by_last_jump(shape, residue_order, v, "inertial_types")
 
     for x in range(euler.MAX_ORACLE_TRUNCATION + 1):
         assert coeffs[x] == euler.convolution_oracle(2, x, local)
@@ -401,7 +438,7 @@ def test_suite_names_are_the_checks_suites_then_acceptance():
 
 def test_count_minlift_budget_defaults_to_the_library_budget():
     args = build_parser().parse_args(["count-minlift", "--q", "2", "--v", "1"])
-    assert args.budget == asw.DEFAULT_BUDGET == 5_000_000
+    assert args.budget == counts.DEFAULT_BUDGET == 5_000_000
 
 
 @pytest.mark.parametrize("argv", [
@@ -434,6 +471,7 @@ def test_unwritable_out_is_a_one_line_error(tmp_path, capsys):
     ("count-minlift", "--q", "9", "--v", "1"),
     ("global-series", "--q", "9", "--x-max", "3"),
     ("growth", "--q", "3", "--x-max", "3"),
+    ("local-a", "--q", "9", "--v", "1"),
 ])
 def test_dihedral_counts_need_a_power_of_two(capsys, argv):
     q = int(argv[2])
@@ -510,10 +548,10 @@ BIG_Q = 2 ** 1000
 
 
 @pytest.mark.parametrize("argv, key, expected", [
-    (("count-d4", "--v", "64"), "count_le", lambda: d4.count_d4_le(BIG_Q, 64)),
-    (("local-a", "--v", "64"), "coefficient", lambda: d4.count_d4_exact(BIG_Q, 64)),
+    (("count-d4", "--v", "64"), "count_le", lambda: counts.count_d4_le(BIG_Q, 64)),
+    (("local-a", "--v", "64"), "coefficient", lambda: counts.count_d4_exact(BIG_Q, 64)),
     (("count-abelian", "--p", "2", "--group", "12", "--v", "64"), "count",
-     lambda: asw.count_by_last_jump(asw.GroupShape(2, (12,)), BIG_Q, 64,
+     lambda: counts.count_by_last_jump(counts.GroupShape(2, (12,)), BIG_Q, 64,
                                     "homomorphisms")),
 ], ids=("count-d4", "local-a", "count-abelian"))
 def test_counts_past_the_digit_limit_print_exactly(
@@ -532,8 +570,9 @@ def test_negative_census_degree_is_rejected(capsys):
         == {"q": 2, "rows": []}
 
 
-def subcommand_names() -> list[str]:
-    subcommands = next(action for action in build_parser()._actions
+def subcommand_names(parser=None) -> list[str]:
+    parser = build_parser() if parser is None else parser
+    subcommands = next(action for action in parser._actions
                        if isinstance(action, argparse._SubParsersAction))
     return list(subcommands.choices)
 
@@ -583,7 +622,7 @@ def test_library_has_no_floats():
 def test_records_are_slotted_namedtuples():
     # a record compares, hashes and prints by its fields and has no
     # per-instance dict, so assigning to it raises AttributeError
-    records = [cls for module in (asw, checks, d4, euler, h3)
+    records = [cls for module in (asw, checks, counts, d4, euler, h3)
                for cls in vars(module).values()
                if isinstance(cls, type) and issubclass(cls, tuple)
                and cls.__module__ == module.__name__]
@@ -654,10 +693,39 @@ def modules_loaded_by(*argv):
     return modules_loaded_by_all(*([argv] if argv else []))
 
 
-def test_importing_the_cli_loads_only_the_abelian_modules():
-    loaded = {m for m in modules_loaded_by() if m.startswith("ramcount.")}
-    assert loaded == {"ramcount.asw", "ramcount.cli", "ramcount.errors",
-                      "ramcount.gf", "ramcount.witt"}
+def library_modules_loaded_by(*argv):
+    return {m.removeprefix("ramcount.") for m in modules_loaded_by(*argv)
+            if m.startswith("ramcount.")}
+
+
+CLOSED_FORMS = {"cli", "counts", "errors"}
+# the library modules each query of QUERIES loads
+QUERY_MODULES = {
+    "lj": CLOSED_FORMS | {"asw", "gf", "witt"},
+    "disc": CLOSED_FORMS | {"asw", "gf", "witt"},
+    "count-abelian": CLOSED_FORMS,
+    "minlift": CLOSED_FORMS | {"d4", "gf"},
+    "lift-dist": CLOSED_FORMS | {"d4", "gf"},
+    "urtwist-check": CLOSED_FORMS | {"d4", "gf"},
+    "count-minlift": CLOSED_FORMS | {"d4", "gf"},
+    "count-d4": CLOSED_FORMS,
+    "local-a": CLOSED_FORMS,
+    "census": CLOSED_FORMS | {"euler"},
+    "global-series": CLOSED_FORMS | {"euler"},
+    "growth": CLOSED_FORMS | {"euler"},
+    "counterexample": CLOSED_FORMS | {"asw", "gf", "h3", "witt"},
+    "verify": CLOSED_FORMS | {"asw", "checks", "d4", "euler", "gf", "h3",
+                              "witt"},
+}
+
+
+def test_importing_the_cli_loads_only_the_closed_forms():
+    assert library_modules_loaded_by() == CLOSED_FORMS
+
+
+@pytest.mark.parametrize("name", QUERIES)
+def test_each_query_loads_only_the_modules_it_computes_with(name):
+    assert library_modules_loaded_by(name, *QUERIES[name]) == QUERY_MODULES[name]
 
 
 ABELIAN_QUERIES = [(name, *QUERIES[name])
@@ -685,7 +753,10 @@ def test_no_subcommand_loads_dataclasses():
     assert "dataclasses" not in loaded
 
 
-@pytest.mark.parametrize("argv", [*ABELIAN_QUERIES, ABELIAN_SERIES])
+# the urtwist-check query is on the totally ramified pair (T^-1, T^-3), whose
+# report enumerates the lift space in doubled jumps
+@pytest.mark.parametrize("argv", [*ABELIAN_QUERIES, ABELIAN_SERIES,
+                                  ("urtwist-check", *QUERIES["urtwist-check"])])
 def test_integer_queries_load_neither_fractions_nor_typing(argv):
     # `fractions` is imported where a Fraction is made, and `typing` only
     # under TYPE_CHECKING

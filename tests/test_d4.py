@@ -5,7 +5,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from ramcount import asw, checks, d4, gf
+from ramcount import asw, checks, counts, d4, gf
 from ramcount.d4 import SparseTPoly
 from ramcount.errors import (
     BudgetExceededError,
@@ -441,13 +441,14 @@ def test_count_min_lift_enumeration_matches_closed_form(q):
     (9, MixedFieldsError, "9 is not a power of 2"),
 ])
 def test_min_lift_and_d4_le_need_a_power_of_two(q, error, message):
-    # q is checked before the jump, in both modes and in count_d4_le
+    # q is checked before the jump, in both modes and in both dihedral counts
     for v in (3, -1):
         for mode in ("closed_form", "enumeration"):
             with pytest.raises(error, match=message):
                 d4.count_min_lift(q, v, mode)
-        with pytest.raises(error, match=message):
-            d4.count_d4_le(q, v)
+        for count in (counts.count_d4_le, counts.count_d4_exact):
+            with pytest.raises(error, match=message):
+                count(q, v)
 
 
 def test_count_min_lift_budget_caps_the_pool():
@@ -459,20 +460,21 @@ def test_count_min_lift_budget_caps_the_pool():
 
 
 def test_count_d4_le_values():
-    assert d4.count_d4_le(2, 0) == 1
-    assert d4.count_d4_le(2, 1) == 6
-    assert d4.count_d4_le(2, 2) == 8
+    assert counts.count_d4_le(2, 0) == 1
+    assert counts.count_d4_le(2, 1) == 6
+    assert counts.count_d4_le(2, 2) == 8
 
 
 def test_count_d4_exact_values():
-    assert d4.count_d4_exact(12345, 0) == 1
-    assert d4.count_d4_exact(2, 1) == 5
-    assert d4.count_d4_exact(4, 1) == 27
+    # the polynomial behind count_d4_exact takes any q
+    assert counts._d4_exact(12345, 0) == 1
+    assert counts.count_d4_exact(2, 1) == 5
+    assert counts.count_d4_exact(4, 1) == 27
 
 
 def test_count_d4_exact_polynomial_identity_at_jump_one():
     for q in (2, 4, 8, 9, 16, 2 ** 10):
-        assert d4.count_d4_exact(q, 1) == q * (2 * q - 1) - 1
+        assert counts._d4_exact(q, 1) == q * (2 * q - 1) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +508,7 @@ def test_pairing_is_bilinear_and_alternating():
 
 
 def _rank2_cocycle(field, entries):
-    shape = asw.GroupShape(2, (1, 1))
+    shape = counts.GroupShape(2, (1, 1))
     return asw.ReducedCocycle(shape, field, {
         n: (WittVector(field, (x,)), WittVector(field, (y,)))
         for n, (x, y) in entries.items()})
@@ -537,7 +539,7 @@ def test_epsilon_report_zero_pairing_vector():
 @pytest.mark.parametrize("source,big", [((3, 1), (2, 2)), ((2, 2), (2, 3))])
 def test_epsilon_report_rejects_a_source_that_does_not_embed(source, big):
     src, dst = gf.make_field(*source), gf.make_field(*big)
-    shape = asw.GroupShape(src.p, (1, 1))
+    shape = counts.GroupShape(src.p, (1, 1))
     zero = asw.ReducedCocycle(shape, src, {})
     one = WittVector(src, (src.one,))
     nonzero = asw.ReducedCocycle(shape, src, {1: (one, one)})

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from ramcount import asw, d4, euler
+from ramcount import asw, counts, euler
 from ramcount.errors import BudgetExceededError, TruncationTooLargeError
 
-Z2 = asw.GroupShape(2, (1,))
+Z2 = counts.GroupShape(2, (1,))
 
 
 def test_census_small_degrees_at_q2():
@@ -59,13 +59,13 @@ def test_series_is_an_immutable_value_of_the_right_length():
 
 
 def test_local_factor_structure():
-    f = euler.local_factor(2, 1, 3, d4.count_d4_exact)
+    f = euler.local_factor(2, 1, 3, counts.count_d4_exact)
     assert f.coefficient(0) == 1
     assert f.coefficient(1) == 5
-    g = euler.local_factor(2, 2, 3, d4.count_d4_exact)
+    g = euler.local_factor(2, 2, 3, counts.count_d4_exact)
     assert g.coefficient(0) == 1
     assert g.coefficient(1) == 0
-    assert g.coefficient(2) == d4.count_d4_exact(4, 1)
+    assert g.coefficient(2) == counts.count_d4_exact(4, 1)
 
 
 def test_global_series_first_coefficients():
@@ -77,14 +77,14 @@ def test_global_series_first_coefficients():
 
 
 def test_oracle_base_cases():
-    assert euler.convolution_oracle(2, 0, d4.count_d4_exact) == 1
-    assert euler.convolution_oracle(2, 1, d4.count_d4_exact) == 15
-    assert euler.convolution_oracle(2, 2, d4.count_d4_exact) == 108
+    assert euler.convolution_oracle(2, 0, counts.count_d4_exact) == 1
+    assert euler.convolution_oracle(2, 1, counts.count_d4_exact) == 15
+    assert euler.convolution_oracle(2, 2, counts.count_d4_exact) == 108
 
 
 def test_oracle_truncation_cap():
     with pytest.raises(BudgetExceededError):
-        euler.convolution_oracle(2, 9, d4.count_d4_exact)
+        euler.convolution_oracle(2, 9, counts.count_d4_exact)
 
 
 @pytest.mark.parametrize("q,x_max", [(2, 6), (4, 4)])
@@ -92,7 +92,7 @@ def test_global_series_matches_oracle(q, x_max):
     series = euler.d4_global_series(q, x_max)
     for x in range(x_max + 1):
         assert series.coefficient(x) == euler.convolution_oracle(
-            q, x, d4.count_d4_exact)
+            q, x, counts.count_d4_exact)
 
 
 def test_global_series_monotone_in_q():

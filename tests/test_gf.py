@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ramcount import gf
+from ramcount import counts, gf
 from ramcount.errors import (
     DegreeTooLargeError,
     MixedFieldsError,
@@ -259,7 +259,7 @@ def _prime_powers(upto):
     found = []
     for q in range(2, upto + 1):
         try:
-            gf.prime_power(q)
+            counts.prime_power(q)
         except NonPrimeError:
             continue
         found.append(q)

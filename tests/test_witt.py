@@ -54,7 +54,7 @@ def test_law_length_cap():
     with pytest.raises(ValueError):
         witt_oracle.sum_laws(2, witt_oracle.MAX_LENGTH + 1)
     # W_12(F_2) = Z/4096 holds the longest cyclic factor of a group within
-    # asw.MAX_GROUP_ORDER
+    # counts.MAX_GROUP_ORDER
     assert witt.MAX_LENGTH == 12
     for k in (1, 2, 3, 1000, 2048, 4095):
         v = WittVector.from_int(F2, 12, k)

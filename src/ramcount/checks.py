@@ -678,11 +678,19 @@ SUITES: dict[str, Callable[[int], Sequence[CheckResult]]] = {
 
 
 def run_suites(names: Iterable[str], seed: int = 0) -> list[CheckResult]:
+    """The rows of each named suite.  A suite or criterion whose certificate
+    raises gives one failing row instead, named `<suite>.internal_fault` or
+    by the criterion's key, so the other rows still print."""
     results = []
     for name in names:
         if name == "acceptance":
-            for _, fn in acceptance_criteria():
-                results.append(fn(seed))
+            runs = [(key, lambda s, fn=fn: [fn(s)])
+                    for key, fn in acceptance_criteria()]
         else:
-            results.extend(SUITES[name](seed))
+            runs = [(f"{name}.internal_fault", SUITES[name])]
+        for fault_name, run in runs:
+            try:
+                results.extend(run(seed))
+            except InternalInconsistencyError as exc:
+                results.append(_result(fault_name, False, str(exc)))
     return results

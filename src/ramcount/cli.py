@@ -3,7 +3,7 @@
 Every counting and verification operation is exposed as a subcommand that
 writes a single JSON document (default) or a TSV table to stdout.
 Diagnostics go to stderr.  Exit status: 0 on success, 1 when a verification
-subcommand finds a failure, 2 on usage errors.
+subcommand finds a failure, 2 on usage errors, 3 when a certificate fires.
 
 Each query is one process, so start-up counts.  At module level this file
 imports only the closed forms of `counts` and `errors`, and each handler
@@ -26,7 +26,7 @@ import json
 import sys
 
 from . import counts
-from .errors import RamcountError
+from .errors import InternalInconsistencyError, RamcountError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -373,6 +373,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result, status = args.handler(args)
+    except InternalInconsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (RamcountError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,12 +20,16 @@ MAX_JUMP = 64
 DEFAULT_BUDGET = 5_000_000
 
 
+def _least_divisor(n: int) -> int:
+    """The least divisor of n >= 2 above 1, which is prime, by trial division."""
+    return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+
+
 def prime_power(q: int, p: int | None = None) -> tuple[int, int]:
     """(p, n) with q = p^n, optionally checking the characteristic."""
     if q < 2:
         raise NonPrimeError(f"{q} is not a prime power")
-    # the least divisor of q above 1 is the only prime q can be a power of
-    base = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    base = _least_divisor(q)  # the only prime q can be a power of
     n, m = 0, q
     while m % base == 0:
         m //= base
@@ -33,6 +37,8 @@ def prime_power(q: int, p: int | None = None) -> tuple[int, int]:
     if m != 1:
         raise NonPrimeError(f"{q} is not a prime power")
     if p is not None and base != p:
+        if p < 2 or p % base == 0:  # then p is not prime
+            raise NonPrimeError(f"{p} is not prime")
         raise MixedFieldsError(f"{q} is not a power of {p}")
     return base, n
 
@@ -148,8 +154,11 @@ def _min_lift_closed_form(q: int, v: int) -> int:
 
 
 def _d4_le(q: int, v: int) -> int:
-    return q ** ((v + 1) // 2) * sum(_min_lift_closed_form(q, w)
-                                      for w in range(v + 1))
+    """q^k (2q^k + q^m (m(q - 1) - 1)), k = ceil(v/2), m = floor(v/2); the
+    bracket sums the min-lift counts over w <= v: 1 at w = 0, 2q^k - 2 at odd w,
+    and (q - 1)^2 sum_{0<j<=m} j q^(j-1) = m q^(m+1) - (m+1) q^m + 1 at w = 2j."""
+    k, m = (v + 1) // 2, v // 2
+    return q ** k * (2 * q ** k + q ** m * (m * (q - 1) - 1))
 
 
 def _d4_exact(q: int, v: int) -> int:

@@ -1,10 +1,16 @@
 """Global counting over F_q(T): place census, Euler products, growth table.
 
-The count of homomorphisms with prescribed total jump (summed over places
-with degree weights) factors as a product over places of local generating
-polynomials.  Everything is exact: coefficients are arbitrary-precision
-integers, growth ratios are Fractions.  Every local coefficient is a closed
-form of `ramcount.counts`, so the module imports no field or datum code.
+A global count by total jump (summed over places with degree weights) is
+the Euler product G(t) = prod_d E(q^d, t^d)^(pi_d) of the local series
+E(Q, t) = sum_v e_v(Q) t^v over the pi_d places of degree d.  Since
+e_0 = 1, t E'/E has integer coefficients lambda_k = k e_k - sum_{0<i<k}
+e_i lambda_(k-i), so t G'/G = sum_m c_m t^m, with c_(dk) summing
+d pi_d lambda_k, and m h_m = sum_{0<j<=m} c_j h_(m-j) gives the
+coefficients of G.  They are integers, so each division by m is exact: a
+remainder, or a local e_0 other than 1, raises InternalInconsistencyError,
+an integrality certificate.  Everything is exact (integers, and Fractions
+for growth ratios), and every local coefficient is a closed form of
+`ramcount.counts`, so the module imports no field or datum code.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .counts import _d4_exact, count_by_last_jump, prime_power
+from .counts import _d4_exact, _least_divisor, count_by_last_jump, prime_power
 from .errors import (
     BudgetExceededError,
     InternalInconsistencyError,
@@ -35,15 +41,11 @@ MAX_ORACLE_TRUNCATION = 8
 
 def mobius(n: int) -> int:
     result = 1
-    d = 2
-    while d * d <= n:
+    while n > 1:
+        d = _least_divisor(n)
+        n //= d
         if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
+            return 0
         result = -result
     return result
 
@@ -87,7 +89,8 @@ def place_census(q: int, max_degree: int) -> PlaceCensus:
 
 
 class CountSeries(namedtuple("CountSeries", "truncation coefficients")):
-    """A power series truncated at degree `truncation`, integer coefficients."""
+    """A power series truncated at degree `truncation`, integer coefficients;
+    the validated result of `global_series`."""
 
     __slots__ = ()
 
@@ -97,67 +100,42 @@ class CountSeries(namedtuple("CountSeries", "truncation coefficients")):
                              f"{truncation + 1} coefficients")
         return super().__new__(cls, truncation, coefficients)
 
-    @classmethod
-    def one(cls, truncation: int) -> "CountSeries":
-        return cls(truncation, (1,) + (0,) * truncation)
-
     def coefficient(self, k: int) -> int:
         return self.coefficients[k]
-
-    def __mul__(self, other: "CountSeries") -> "CountSeries":
-        if self.truncation != other.truncation:
-            raise ValueError("series truncated at different degrees")
-        x = self.truncation
-        out = [0] * (x + 1)
-        for i, a in enumerate(self.coefficients):
-            if a:
-                for j in range(0, x + 1 - i):
-                    b = other.coefficients[j]
-                    if b:
-                        out[i + j] += a * b
-        return CountSeries(x, tuple(out))
-
-    def __pow__(self, e: int) -> "CountSeries":
-        result = CountSeries.one(self.truncation)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-
-def local_factor(q: int, d: int, truncation: int,
-                 coefficient: LocalCoefficient) -> CountSeries:
-    """Generating polynomial of one degree-d place, truncated."""
-    coeffs = [0] * (truncation + 1)
-    v = 0
-    while d * v <= truncation:
-        coeffs[d * v] = coefficient(q ** d, v)
-        v += 1
-    return CountSeries(truncation, tuple(coeffs))
 
 
 def global_series(q: int, truncation: int,
                   coefficient: LocalCoefficient) -> CountSeries:
-    """Product over places of local factors, truncated exactly."""
+    """The Euler product, truncated exactly, by the module's exp-log."""
     if truncation < 0:
         raise ValueError(f"truncation {truncation} must be nonnegative")
     if truncation > MAX_TRUNCATION:
         raise TruncationTooLargeError(
             f"truncation {truncation} exceeds {MAX_TRUNCATION}")
     census = place_census(q, max(truncation, 1))
-    result = CountSeries.one(truncation)
+    c = [0] * (truncation + 1)
     for d, pi in census.counts:
         if d > truncation:
             break
-        factor = local_factor(q, d, truncation, coefficient)
-        result = result * factor ** pi
-    if result.coefficient(0) != 1 or any(c < 0 for c in result.coefficients):
+        top = truncation // d
+        e = [coefficient(q ** d, v) for v in range(top + 1)]
+        if e[0] != 1:
+            raise InternalInconsistencyError(
+                f"local count at jump 0 is {e[0]}, not 1, at degree {d}")
+        lam = [0] * (top + 1)
+        for k in range(1, top + 1):
+            lam[k] = k * e[k] - sum(e[i] * lam[k - i] for i in range(1, k))
+            c[d * k] += d * pi * lam[k]
+    h = [1] + [0] * truncation
+    for m in range(1, truncation + 1):
+        h[m], rest = divmod(sum(c[j] * h[m - j] for j in range(1, m + 1)), m)
+        if rest:
+            raise InternalInconsistencyError(
+                f"Euler product coefficient {m} is not an integer")
+    if any(x < 0 for x in h):
         raise InternalInconsistencyError(
-            "Euler product needs constant term 1 and nonnegative coefficients")
-    return result
+            "Euler product needs nonnegative coefficients")
+    return CountSeries(truncation, tuple(h))
 
 
 def d4_global_series(q: int, truncation: int) -> CountSeries:
@@ -169,7 +147,9 @@ def d4_global_series(q: int, truncation: int) -> CountSeries:
 
 def abelian_global_series(shape: GroupShape, q: int,
                           truncation: int) -> CountSeries:
-    """Euler product with the closed-form abelian local counts."""
+    """Euler product with the closed-form abelian local counts; q must be a
+    power of the group's prime, checked first as in `d4_global_series`."""
+    prime_power(q, p=shape.p)
 
     def coefficient(residue_order: int, v: int) -> int:
         return count_by_last_jump(shape, residue_order, v, "inertial_types")

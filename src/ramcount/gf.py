@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .counts import prime_power
+from .counts import _least_divisor, prime_power
 from .errors import (
     DegreeTooLargeError,
     InternalInconsistencyError,
@@ -55,17 +55,6 @@ _TABLE_CAP = 1 << 16
 # short cold query above 64 (lj on W_3, disc on Z/4 x Z/2) ran 0.5-4 ms
 # slower with the tables than without
 _LOG_TABLE_CAP = 64
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +161,7 @@ def make_field(p: int, n: int) -> "FieldDescriptor":
     field = _FIELDS.get(key)
     if field is not None:
         return field
-    if not is_prime(p):
+    if p < 2 or _least_divisor(p) != p:
         raise NonPrimeError(f"{p} is not prime")
     if not 1 <= n <= MAX_DEGREE:
         raise DegreeTooLargeError(f"extension degree {n} outside [1, {MAX_DEGREE}]")

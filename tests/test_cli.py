@@ -270,6 +270,58 @@ def test_acceptance_suite_alone_prints_the_golden_rows():
     assert json.loads(done.stdout)["result"]["rows"] == expected
 
 
+# last_jump off by one at jump 3, which the character sums certify
+PLANTED_JUMP_FAULT = """
+import sys
+from ramcount import asw, cli
+last_jump = asw.last_jump
+asw.last_jump = lambda m: last_jump(m) + (last_jump(m) == 3)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+PLANTED_FAULT_MESSAGE = "largest character jump 3 differs from the last jump 4"
+
+
+def run_with_planted_jump_fault(*argv):
+    return subprocess.run(
+        [sys.executable, "-c", PLANTED_JUMP_FAULT, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120)
+
+
+def test_a_fired_certificate_in_verify_is_one_failing_row():
+    done = run_with_planted_jump_fault("verify", "--suite", "gf", "--suite", "asw")
+    assert (done.returncode, done.stderr) == (1, "")
+    golden = json.loads((GOLDEN / "verify_seed0.json").read_text())
+    gf_rows = [row for row in golden["result"]["rows"]
+               if row["check"].startswith("gf.")]
+    assert json.loads(done.stdout)["result"] == {"all_passed": False, "rows": [
+        *gf_rows,
+        {"check": "asw.internal_fault", "status": "fail",
+         "detail": PLANTED_FAULT_MESSAGE}]}
+
+
+def test_a_fired_certificate_in_a_query_exits_three():
+    done = run_with_planted_jump_fault("disc", "--p", "2", "--q", "2",
+                                       "--group", "1", "--terms", "3:1")
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == f"internal error: {PLANTED_FAULT_MESSAGE}\n"
+
+
+def test_a_raising_criterion_is_one_failing_row_under_its_key(monkeypatch):
+    def raising(seed):
+        raise InternalInconsistencyError("planted criterion fault")
+
+    monkeypatch.setattr(checks, "_acc_growth", raising)
+    rows = [tuple(row) for row in checks.run_suites(["acceptance"])]
+    golden = json.loads((GOLDEN / "verify_seed0.json").read_text())
+    expected = [(row["check"], row["status"] == "pass", row["detail"])
+                for row in golden["result"]["rows"]
+                if row["check"].startswith("acceptance.")]
+    expected[5] = ("criterion_6_growth_stabilisation", False,  # _acc_growth
+                   "planted criterion fault")
+    assert rows == expected
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count-minlift", "--q", "2"])  # missing --v
@@ -372,6 +424,33 @@ def test_abelian_series_reaches_max_truncation(capsys):
 
     for x in range(euler.MAX_ORACLE_TRUNCATION + 1):
         assert coeffs[x] == euler.convolution_oracle(2, x, local)
+
+
+# stdout of each series and growth query, captured before the Euler product
+# became an exp-log: the d4 and growth queries of the dihedral benchmark,
+# d4 at q = 256, and abelian series at X = 24
+SERIES_GOLDENS = {
+    **{f"global_series_d4_q{q}_x{x}": ("global-series", "--q", str(q),
+                                       "--x-max", str(x))
+       for q, x in [(2, 24), (4, 24), (8, 24), (2, 16), (4, 20), (8, 16),
+                    (256, 24)]},
+    **{f"growth_q{q}_x{x}": ("growth", "--q", str(q), "--x-max", str(x))
+       for q, x in [(2, 24), (4, 24), (8, 20), (2, 16)]},
+    "global_series_group1-1_q2_x24": ("global-series", "--q", "2", "--x-max",
+                                      "24", "--group", "1,1"),
+    "global_series_group2_q4_x24": ("global-series", "--q", "4", "--x-max",
+                                    "24", "--group", "2"),
+    "global_series_group4_p7_q49_x24": ("global-series", "--q", "49",
+                                        "--x-max", "24", "--group", "4",
+                                        "--p", "7"),
+}
+
+
+@pytest.mark.parametrize("name", SERIES_GOLDENS)
+def test_series_and_growth_print_their_goldens(capsys, name):
+    status, out, err = run(capsys, *SERIES_GOLDENS[name])
+    assert (status, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_census_rejects_bad_field_orders(capsys):
@@ -524,6 +603,17 @@ def test_negative_dihedral_jump_is_rejected(capsys, command):
     (("minlift", "--q", "4", "--a", "1:01,1:1", "--c", "3:01"),
      "index 1 appears twice"),
     (("count-minlift", "--q", "6", "--v", "-1"), "6 is not a prime power"),
+    # q is checked before the series, which at X = 0 takes no local count
+    (("global-series", "--q", "2", "--x-max", "0", "--group", "1", "--p", "3"),
+     "2 is not a power of 3"),
+    (("global-series", "--q", "9", "--x-max", "0", "--group", "1", "--p", "2"),
+     "9 is not a power of 2"),
+    # a characteristic that is not prime is named as such
+    (("disc", "--p", "4", "--q", "16", "--group", "1", "--terms", "1:11"),
+     "4 is not prime"),
+    (("counterexample", "--p", "9", "--q", "9"), "9 is not prime"),
+    (("count-abelian", "--p", "1", "--q", "2", "--group", "1", "--v", "1"),
+     "1 is not prime"),
 ])
 def test_out_of_range_input_is_a_one_line_error(capsys, argv, message):
     status, out, err = run(capsys, *argv)

@@ -5,7 +5,11 @@ from fractions import Fraction
 import pytest
 
 from ramcount import asw, counts, euler
-from ramcount.errors import BudgetExceededError, TruncationTooLargeError
+from ramcount.errors import (
+    BudgetExceededError,
+    InternalInconsistencyError,
+    TruncationTooLargeError,
+)
 
 Z2 = counts.GroupShape(2, (1,))
 
@@ -40,32 +44,14 @@ def test_mobius_values():
     assert values == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
 
-def test_series_multiplication_truncates():
-    a = euler.CountSeries(3, (1, 2, 0, 0))
-    b = euler.CountSeries(3, (1, 3, 1, 0))
-    assert (a * b).coefficients == (1, 5, 7, 2)
-    assert (a ** 2).coefficients == (1, 4, 4, 0)
-
-
 def test_series_is_an_immutable_value_of_the_right_length():
     a = euler.CountSeries(2, (1, 2, 0))
     assert repr(a) == "CountSeries(truncation=2, coefficients=(1, 2, 0))"
-    assert a == euler.CountSeries.one(2) * euler.CountSeries(2, (1, 2, 0))
     assert hash(a) == hash(euler.CountSeries(2, (1, 2, 0)))
     with pytest.raises(AttributeError):
         a.truncation = 3
     with pytest.raises(ValueError, match="truncated at 3 needs 4 coefficients"):
         euler.CountSeries(3, (1, 2, 0))
-
-
-def test_local_factor_structure():
-    f = euler.local_factor(2, 1, 3, counts.count_d4_exact)
-    assert f.coefficient(0) == 1
-    assert f.coefficient(1) == 5
-    g = euler.local_factor(2, 2, 3, counts.count_d4_exact)
-    assert g.coefficient(0) == 1
-    assert g.coefficient(1) == 0
-    assert g.coefficient(2) == counts.count_d4_exact(4, 1)
 
 
 def test_global_series_first_coefficients():
@@ -93,6 +79,68 @@ def test_global_series_matches_oracle(q, x_max):
     for x in range(x_max + 1):
         assert series.coefficient(x) == euler.convolution_oracle(
             q, x, counts.count_d4_exact)
+
+
+def _times(a, b, x):
+    out = [0] * (x + 1)
+    for i, a_i in enumerate(a):
+        if a_i:
+            for j in range(x + 1 - i):
+                out[i + j] += a_i * b[j]
+    return out
+
+
+def repeated_squaring_product(q, x, coefficient):
+    """The Euler product truncated at x, as a second oracle: each degree-d
+    local factor raised to its number of places by repeated squaring."""
+    result = [1] + [0] * x
+    for d, pi in euler.place_census(q, max(x, 1)).counts:
+        if d > x:
+            break
+        factor = [0] * (x + 1)
+        for v in range(x // d + 1):
+            factor[d * v] = coefficient(q ** d, v)
+        while pi:
+            if pi & 1:
+                result = _times(result, factor, x)
+            pi >>= 1
+            if pi:
+                factor = _times(factor, factor, x)
+    return result
+
+
+@pytest.mark.parametrize("q", [2, 4, 256])
+def test_d4_series_matches_repeated_squaring(q):
+    series = euler.d4_global_series(q, 24)
+    assert list(series.coefficients) == repeated_squaring_product(
+        q, 24, counts._d4_exact)
+
+
+@pytest.mark.parametrize("p, exponents, q", [
+    (2, (1,), 2), (2, (1, 1), 2), (2, (2,), 4), (3, (1,), 3)])
+def test_abelian_series_matches_repeated_squaring(p, exponents, q):
+    shape = counts.GroupShape(p, exponents)
+
+    def coefficient(residue_order, v):
+        return counts.count_by_last_jump(shape, residue_order, v,
+                                         "inertial_types")
+
+    series = euler.abelian_global_series(shape, q, 24)
+    assert list(series.coefficients) == repeated_squaring_product(
+        q, 24, coefficient)
+
+
+@pytest.mark.parametrize("planted, message", [
+    ({1: Fraction(1, 2)}, "Euler product coefficient 1 is not an integer"),
+    ({0: 2}, "local count at jump 0 is 2, not 1, at degree 1"),
+    ({1: -1}, "Euler product needs nonnegative coefficients"),
+])
+def test_a_bad_local_count_fails_a_certificate(planted, message):
+    def coefficient(residue_order, v):
+        return planted.get(v, counts._d4_exact(residue_order, v))
+
+    with pytest.raises(InternalInconsistencyError, match=message):
+        euler.global_series(2, 4, coefficient)
 
 
 def test_global_series_monotone_in_q():

@@ -1,15 +1,15 @@
 """Runtime verification suites: per-module invariants and acceptance criteria.
 
-Each check returns a CheckResult with a short detail string; the CLI `verify`
-subcommand aggregates them, and the acceptance test module runs the
-acceptance list one criterion per test.  Suites and criteria take the
-run's seed.  Randomised samples draw from a generator seeded per suite, so
-identical configurations reproduce identical output.  Only the sampled rows
-depend on the seed; every other row of the `witt` and `asw` suites, and
-every computation that a suite row and an acceptance criterion share, is a
-helper memoised per process, and criterion 7 reads those suites at the
-run's seed, so one `verify` run does each once.  The Witt rings checked in
-full are checked from their addition and multiplication tables.
+`SUITES` is the one table of rows, acceptance last: per suite, (row name,
+check) pairs, where a check takes the run's seed and returns (passed,
+detail).  `row(name, seed)` runs a check once per process and seed, and a
+certificate that fires inside it (`InternalInconsistencyError`) fails that
+row alone, with the message as its detail.  Only the sampled rows use the
+seed, through a generator seeded by it, so a configuration reproduces its
+output.  A criterion that restates a suite row reads the row; the memoised
+helpers hold what a criterion shares with a row but no row prints.  The
+Witt rings checked in full are checked from their addition and
+multiplication tables.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from . import asw, counts, d4, euler, gf, h3
 from .counts import GroupShape
@@ -30,10 +30,6 @@ from .witt import WittVector, iter_witt_vectors, teichmueller
 
 class CheckResult(namedtuple("CheckResult", "name passed detail")):
     __slots__ = ()
-
-
-def _result(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name, bool(passed), detail)
 
 
 def _ramified_pool(field, exponents) -> list[SparseTPoly]:
@@ -56,14 +52,14 @@ def _pool_with_constants(field, exponents) -> list[SparseTPoly]:
 # gf
 # ---------------------------------------------------------------------------
 
-def gf_checks(seed: int) -> list[CheckResult]:
-    rng = random.Random(seed)
-    results = []
+_SMALL_FIELDS = [(2, 1), (2, 2), (3, 1), (2, 3), (5, 1), (3, 2), (2, 4), (7, 1),
+                 (11, 1), (13, 1)]
 
-    small = [(2, 1), (2, 2), (3, 1), (2, 3), (5, 1), (3, 2), (2, 4), (7, 1),
-             (11, 1), (13, 1)]
+
+def _frobenius_is_ring_hom(seed: int) -> tuple[bool, str]:
+    rng = random.Random(seed)
     ok, pairs = True, 0
-    for p, n in small:
+    for p, n in _SMALL_FIELDS:
         field = gf.make_field(p, n)
         for a in field.iter_elements():
             for b in field.iter_elements():
@@ -79,27 +75,31 @@ def gf_checks(seed: int) -> list[CheckResult]:
         if ((a * b).frobenius() != a.frobenius() * b.frobenius()
                 or (a + b).frobenius() != a.frobenius() + b.frobenius()):
             ok = False
-    results.append(_result("gf.frobenius_is_ring_hom", ok, f"pairs={pairs}"))
+    return ok, f"pairs={pairs}"
 
+
+def _gf_artin_schreier_kernel_and_image(_seed: int) -> tuple[bool, str]:
     ok = True
-    for p, n in small:
+    for p, n in _SMALL_FIELDS:
         field = gf.make_field(p, n)
         kernel = sum(1 for a in field.iter_elements() if not a.artin_schreier())
         image = len(gf.artin_schreier_image(field))
         ok = ok and kernel == p and image == field.q // p
-    results.append(_result("gf.artin_schreier_kernel_and_image", ok,
-                           f"fields={len(small)}"))
+    return ok, f"fields={len(_SMALL_FIELDS)}"
 
+
+def _transversal_is_complete(_seed: int) -> tuple[bool, str]:
     ok = True
-    for p, n in small:
+    for p, n in _SMALL_FIELDS:
         field = gf.make_field(p, n)
         trans = gf.wp_transversal(field)
         image = gf.artin_schreier_image(field)
         cosets = {frozenset(r + b for b in image) for r in trans}
         ok = ok and len(trans) == p and trans[0] == field.zero and len(cosets) == p
-    results.append(_result("gf.transversal_is_complete_and_contains_zero", ok,
-                           f"fields={len(small)}"))
+    return ok, f"fields={len(_SMALL_FIELDS)}"
 
+
+def _embeddings_compatible(_seed: int) -> tuple[bool, str]:
     ok = True
     for src_key, dst_key in [((2, 1), (2, 2)), ((2, 2), (2, 4)), ((3, 1), (3, 2))]:
         src, dst = gf.make_field(*src_key), gf.make_field(*dst_key)
@@ -115,9 +115,7 @@ def gf_checks(seed: int) -> list[CheckResult]:
             if gf.embed(a.frobenius(), dst) != img.frobenius():
                 ok = False
         ok = ok and len(seen) == src.q
-    results.append(_result("gf.embeddings_injective_multiplicative_compatible",
-                           ok, "towers=3"))
-    return results
+    return ok, "towers=3"
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +141,7 @@ def _table_axioms_hold(elements) -> bool:
     index = {x: i for i, x in enumerate(elements)}
     add = [[index.get(a + b) for b in elements] for a in elements]
     mul = [[index.get(a * b) for b in elements] for a in elements]
-    if any(None in row for row in add + mul):
+    if any(None in line for line in add + mul):
         return False
     span = range(len(elements))
     return all(add[i][j] == add[j][i] and mul[i][j] == mul[j][i]
@@ -153,22 +151,28 @@ def _table_axioms_hold(elements) -> bool:
                for i in span for j in span for k in span)
 
 
-@functools.cache
-def _exhaustive_ring_axioms() -> tuple[bool, int]:
-    """(axioms hold, triples) on all of W_2(F_2), W_2(F_4) and W_2(F_3)."""
+def _ring_axioms(seed: int) -> tuple[bool, str]:
+    """Every triple of W_2(F_2), W_2(F_4) and W_2(F_3), then sampled triples."""
+    rng = random.Random(seed)
     ok, triples = True, 0
     for n, field in [(2, gf.make_field(2, 1)), (2, gf.make_field(2, 2)),
                      (2, gf.make_field(3, 1))]:
         vectors = list(iter_witt_vectors(field, n))
         ok = ok and _table_axioms_hold(vectors)
         triples += len(vectors) ** 3
-    return ok, triples
+    sampled = [(2, gf.make_field(2, 3)), (2, gf.make_field(5, 1)),
+               (2, gf.make_field(2, 4)), (2, gf.make_field(13, 1)),
+               (3, gf.make_field(2, 1)), (3, gf.make_field(3, 1))]
+    for n, field in sampled:
+        vectors = list(iter_witt_vectors(field, n))
+        batch = [(rng.choice(vectors), rng.choice(vectors), rng.choice(vectors))
+                 for _ in range(120)]
+        ok = ok and _ring_axioms_hold(batch)
+        triples += len(batch)
+    return ok, f"triples={triples}"
 
 
-@functools.cache
-def _witt_fixed_rows() -> tuple[CheckResult, ...]:
-    """The rows of the witt suite after the ring axioms; no seed enters them."""
-    results = []
+def _witt_artin_schreier_kernel(_seed: int) -> tuple[bool, str]:
     qs = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
           (13, 1), (2, 4)]
     ok, rings = True, 0
@@ -183,147 +187,40 @@ def _witt_fixed_rows() -> tuple[CheckResult, ...]:
                 not WittVector.from_int(field, n, k).artin_schreier()
                 for k in range(p ** n))
             ok = ok and prime_ring_killed
-    results.append(_result("witt.artin_schreier_kernel_is_prime_subring", ok,
-                           f"rings={rings}"))
+    return ok, f"rings={rings}"
 
-    f4 = gf.make_field(2, 2)
-    ok = all(v.mul_by_p() == v + v for v in iter_witt_vectors(f4, 2))
-    f3 = gf.make_field(3, 1)
-    ok = ok and all(v.mul_by_p() == v + v + v for v in iter_witt_vectors(f3, 2))
-    results.append(_result("witt.mul_by_p_matches_repeated_addition", ok,
-                           "rings=2 exhaustive"))
 
+def _mul_by_p_is_repeated_addition(_seed: int) -> tuple[bool, str]:
+    ok = all(v.mul_by_p() == v + v
+             for v in iter_witt_vectors(gf.make_field(2, 2), 2))
+    ok = ok and all(v.mul_by_p() == v + v + v
+                    for v in iter_witt_vectors(gf.make_field(3, 1), 2))
+    return ok, "rings=2 exhaustive"
+
+
+def _teichmueller_multiplicative(_seed: int) -> tuple[bool, str]:
     ok = True
-    for field in (gf.make_field(2, 1), f4, gf.make_field(2, 4), f3):
+    for key in ((2, 1), (2, 2), (2, 4), (3, 1)):
+        field = gf.make_field(*key)
         for x in field.iter_elements():
             for y in field.iter_elements():
                 if teichmueller(x, 2) * teichmueller(y, 2) != teichmueller(x * y, 2):
                     ok = False
-    results.append(_result("witt.teichmueller_multiplicative", ok, "fields=4"))
+    return ok, "fields=4"
 
+
+def _frobenius_commutes_with_addition(_seed: int) -> tuple[bool, str]:
+    f4 = gf.make_field(2, 2)
     ok = all((a + b).frobenius() == a.frobenius() + b.frobenius()
              for a in iter_witt_vectors(f4, 2) for b in iter_witt_vectors(f4, 2))
-    results.append(_result("witt.frobenius_commutes_with_addition", ok,
-                           "W_2(GF(4)) exhaustive"))
-    return tuple(results)
-
-
-@functools.cache
-def witt_checks(seed: int) -> tuple[CheckResult, ...]:
-    rng = random.Random(seed)
-    ok, triples = _exhaustive_ring_axioms()
-    sampled = [(2, gf.make_field(2, 3)), (2, gf.make_field(5, 1)),
-               (2, gf.make_field(2, 4)), (2, gf.make_field(13, 1)),
-               (3, gf.make_field(2, 1)), (3, gf.make_field(3, 1))]
-    for n, field in sampled:
-        vectors = list(iter_witt_vectors(field, n))
-        batch = [(rng.choice(vectors), rng.choice(vectors), rng.choice(vectors))
-                 for _ in range(120)]
-        ok = ok and _ring_axioms_hold(batch)
-        triples += len(batch)
-    return ((_result("witt.ring_axioms", ok, f"triples={triples}"),)
-            + _witt_fixed_rows())
+    return ok, "W_2(GF(4)) exhaustive"
 
 
 # ---------------------------------------------------------------------------
 # asw
 # ---------------------------------------------------------------------------
 
-def _z4_data_with_support_up_to_three():
-    field = gf.make_field(2, 1)
-    shape = GroupShape(2, (2,))
-    coeffs = list(asw.iter_module_elements(shape, field))
-    return [asw.ReducedCocycle(shape, field, {0: c0, 1: c1, 3: c3})
-            for c0, c1, c3 in product(coeffs, repeat=3)]
-
-
-@functools.cache
-def _cyclic_discriminants_match() -> tuple[bool, int]:
-    ok, evals = True, 0
-    for p in (2, 3, 5):
-        field = gf.make_field(p, 1)
-        cyclic = GroupShape(p, (1,))
-        for jump in [n for n in range(1, 8) if n % p]:
-            m = asw.ReducedCocycle(cyclic, field,
-                                   {jump: (WittVector(field, (field.one,)),)})
-            evals += 1
-            ok = ok and asw.discriminant_exponent(m) == (jump + 1) * (p - 1)
-    return ok, evals
-
-
-@functools.cache
-def _asw_fixed_rows() -> tuple[CheckResult, ...]:
-    """The rows of the asw suite after the sampled jumps; no seed enters them."""
-    results = []
-    data = _z4_data_with_support_up_to_three()
-    jumps = [asw.last_jump(m) for m in data]
-    ok = True
-    for m1, j1 in zip(data, jumps):
-        for m2, j2 in zip(data, jumps):
-            s = asw.last_jump(asw.cocycle_add(m1, m2))
-            if s > max(j1, j2) or (j1 != j2 and s != max(j1, j2)):
-                ok = False
-    results.append(_result("asw.ultrametric_inequality", ok,
-                           f"pairs={len(data) ** 2}"))
-
-    # one character per cyclic quotient: the three quotients of Z/4 are the
-    # images of the characters a = 0, 2, 1, whose kernels are Z/4, 2Z/4, 0
-    ok, scans = True, 0
-    for m, top in zip(data, jumps):
-        for jump in asw.character_jumps(m).values():
-            scans += 1
-            if jump > top:
-                ok = False
-    results.append(_result("asw.quotient_jumps_are_monotone", ok,
-                           f"quotients={scans}"))
-
-    ok = True
-    cases = [(GroupShape(2, (1,)), 2, 3), (GroupShape(2, (2,)), 2, 2),
-             (GroupShape(2, (1, 1)), 4, 1), (GroupShape(3, (1,)), 3, 2)]
-    for shape, q, v in cases:
-        hom = counts.count_by_last_jump(shape, q, v, "homomorphisms")
-        iner = asw.count_by_last_jump_enumerated(shape, q, v, "inertial_types")
-        ok = ok and hom == shape.order * iner
-    results.append(_result("asw.homomorphism_count_is_order_times_types", ok,
-                           f"cases={len(cases)}"))
-
-    ok = True
-    shape = GroupShape(2, (1,))
-    for q in (2, 4):
-        for v in range(8):
-            got = {counts.count_by_last_jump(shape, q, v, "inertial_types"),
-                   asw.count_by_last_jump_enumerated(shape, q, v, "inertial_types")}
-            if v == 0:
-                expected = 1
-            elif v % 2:
-                expected = q ** ((v - 1) // 2) * (q - 1)
-            else:
-                expected = 0
-            ok = ok and got == {expected}
-    results.append(_result("asw.rank_one_counts_match_closed_form", ok,
-                           "q in {2,4}, v <= 7"))
-
-    ok, evals = _cyclic_discriminants_match()
-    results.append(_result("asw.cyclic_discriminants_match_break_formula", ok,
-                           f"evaluations={evals}"))
-
-    # every evaluation certifies that the largest character jump equals the
-    # last jump and raises InternalInconsistencyError otherwise; a batch of
-    # evaluations exercises the certificate across mixed-order coefficients
-    try:
-        for m in data:
-            asw.discriminant_exponent(m)
-    except InternalInconsistencyError as exc:
-        results.append(_result("asw.quotient_jump_integrality_asserted", False,
-                               str(exc)))
-    else:
-        results.append(_result("asw.quotient_jump_integrality_asserted", True,
-                               f"evaluations={len(data)}"))
-    return tuple(results)
-
-
-@functools.cache
-def asw_checks(seed: int) -> tuple[CheckResult, ...]:
+def _elementary_jumps(seed: int) -> tuple[bool, str]:
     rng = random.Random(seed)
     ok, count = True, 0
     for p, deg in [(2, 1), (2, 2), (3, 1)]:
@@ -338,9 +235,93 @@ def asw_checks(seed: int) -> tuple[CheckResult, ...]:
             jump = asw.last_jump(m)
             count += 1
             ok = ok and (jump == 0 or jump % p != 0)
-    return ((_result("asw.elementary_jumps_avoid_multiples_of_p", ok,
-                     f"samples={count}"),)
-            + _asw_fixed_rows())
+    return ok, f"samples={count}"
+
+
+@functools.cache
+def _z4_data() -> tuple[asw.ReducedCocycle, ...]:
+    """The Z/4 data over F_2 with support in {0, 1, 3}, shared by three rows."""
+    field = gf.make_field(2, 1)
+    shape = GroupShape(2, (2,))
+    coeffs = list(asw.iter_module_elements(shape, field))
+    return tuple(asw.ReducedCocycle(shape, field, {0: c0, 1: c1, 3: c3})
+                 for c0, c1, c3 in product(coeffs, repeat=3))
+
+
+def _ultrametric_inequality(_seed: int) -> tuple[bool, str]:
+    data = _z4_data()
+    jumps = [asw.last_jump(m) for m in data]
+    ok = True
+    for m1, j1 in zip(data, jumps):
+        for m2, j2 in zip(data, jumps):
+            s = asw.last_jump(asw.cocycle_add(m1, m2))
+            if s > max(j1, j2) or (j1 != j2 and s != max(j1, j2)):
+                ok = False
+    return ok, f"pairs={len(data) ** 2}"
+
+
+def _quotient_jumps_are_monotone(_seed: int) -> tuple[bool, str]:
+    # one character per cyclic quotient: the three quotients of Z/4 are the
+    # images of the characters a = 0, 2, 1, whose kernels are Z/4, 2Z/4, 0
+    ok, scans = True, 0
+    for m in _z4_data():
+        top = asw.last_jump(m)
+        for jump in asw.character_jumps(m).values():
+            scans += 1
+            if jump > top:
+                ok = False
+    return ok, f"quotients={scans}"
+
+
+def _homs_are_order_times_types(_seed: int) -> tuple[bool, str]:
+    ok = True
+    cases = [(GroupShape(2, (1,)), 2, 3), (GroupShape(2, (2,)), 2, 2),
+             (GroupShape(2, (1, 1)), 4, 1), (GroupShape(3, (1,)), 3, 2)]
+    for shape, q, v in cases:
+        hom = counts.count_by_last_jump(shape, q, v, "homomorphisms")
+        iner = asw.count_by_last_jump_enumerated(shape, q, v, "inertial_types")
+        ok = ok and hom == shape.order * iner
+    return ok, f"cases={len(cases)}"
+
+
+def _rank_one_counts(_seed: int) -> tuple[bool, str]:
+    ok = True
+    shape = GroupShape(2, (1,))
+    for q in (2, 4):
+        for v in range(8):
+            got = {counts.count_by_last_jump(shape, q, v, "inertial_types"),
+                   asw.count_by_last_jump_enumerated(shape, q, v, "inertial_types")}
+            if v == 0:
+                expected = 1
+            elif v % 2:
+                expected = q ** ((v - 1) // 2) * (q - 1)
+            else:
+                expected = 0
+            ok = ok and got == {expected}
+    return ok, "q in {2,4}, v <= 7"
+
+
+def _cyclic_discriminants(_seed: int) -> tuple[bool, str]:
+    ok, evals = True, 0
+    for p in (2, 3, 5):
+        field = gf.make_field(p, 1)
+        cyclic = GroupShape(p, (1,))
+        for jump in [n for n in range(1, 8) if n % p]:
+            m = asw.ReducedCocycle(cyclic, field,
+                                   {jump: (WittVector(field, (field.one,)),)})
+            evals += 1
+            ok = ok and asw.discriminant_exponent(m) == (jump + 1) * (p - 1)
+    return ok, f"evaluations={evals}"
+
+
+def _quotient_jump_integrality(_seed: int) -> tuple[bool, str]:
+    # every evaluation certifies that the largest character jump equals the
+    # last jump and raises InternalInconsistencyError otherwise; a batch of
+    # evaluations exercises the certificate across mixed-order coefficients
+    data = _z4_data()
+    for m in data:
+        asw.discriminant_exponent(m)
+    return True, f"evaluations={len(data)}"
 
 
 # ---------------------------------------------------------------------------
@@ -359,27 +340,16 @@ def _twist_corpus(field, size) -> list[tuple[SparseTPoly, SparseTPoly]]:
     return corpus
 
 
-@functools.cache
-def _pairing_bound_holds() -> tuple[bool, int]:
-    """Exhaustive epsilon-bound check: every (Z/2)^2 cocycle over F_2 with
-    support in {1, 3} (16 sources) against every (g1, g2) in F_q'^2 for
-    q' = 2, 4, 16; returns (all bounded, checks made)."""
-    f2 = gf.make_field(2, 1)
-    shape = GroupShape(2, (1, 1))
-    sources = []
-    for x1, x2, y1, y2 in product(f2.elements(), repeat=4):
-        sources.append(asw.ReducedCocycle(shape, f2, {
-            1: (WittVector(f2, (x1,)), WittVector(f2, (x2,))),
-            3: (WittVector(f2, (y1,)), WittVector(f2, (y2,)))}))
-    ok, checked = True, 0
-    for big_key in ((2, 1), (2, 2), (2, 4)):
-        big = gf.make_field(*big_key)
-        for m in sources:
-            for g1, g2 in product(big.elements(), repeat=2):
-                checked += 1
-                if not d4.epsilon_bound_report(m, (g1, g2)).bounded:
+def _min_lift_dominates_reduction_jump(_seed: int) -> tuple[bool, str]:
+    ok, pairs = True, 0
+    for q in (2, 4):
+        pool = _ramified_pool(gf.field_for_order(q), (1, 3, 5))
+        for a in pool:
+            for c in pool:
+                pairs += 1
+                if d4.min_lift_jump(a, c) < asw.last_jump(d4.pair_to_cocycle(a, c)):
                     ok = False
-    return ok, checked
+    return ok, f"pairs={pairs}"
 
 
 @functools.cache
@@ -399,37 +369,17 @@ def _bruteforce_minimum_matches(q: int, bound: int) -> tuple[bool, int]:
     return ok, fibers
 
 
-@functools.cache
-def _min_lift_counts_match() -> bool:
-    return all(d4.count_min_lift(q, v) == d4.count_min_lift(q, v, "enumeration")
-               for q in (2, 4) for v in range(6))
-
-
-def d4_checks(_seed: int) -> list[CheckResult]:
-    results = []
-
-    ok, pairs = True, 0
-    for q in (2, 4):
-        field = gf.field_for_order(q)
-        pool = _ramified_pool(field, (1, 3, 5))
-        for a in pool:
-            for c in pool:
-                pairs += 1
-                if d4.min_lift_jump(a, c) < asw.last_jump(d4.pair_to_cocycle(a, c)):
-                    ok = False
-    results.append(_result("d4.min_lift_dominates_reduction_jump", ok,
-                           f"pairs={pairs}"))
-
+def _bruteforce_minimum(_seed: int) -> tuple[bool, str]:
     (ok2, fibers2), (ok4, fibers4) = (_bruteforce_minimum_matches(2, 6),
                                       _bruteforce_minimum_matches(4, 4))
-    ok, fibers = ok2 and ok4, fibers2 + fibers4
-    results.append(_result("d4.bruteforce_minimum_matches_formula", ok,
-                           f"fibers={fibers}"))
+    return ok2 and ok4, f"fibers={fibers2 + fibers4}"
 
-    field2 = gf.make_field(2, 1)
+
+def _even_or_fractional_minimal(_seed: int) -> tuple[bool, str]:
+    pool = _ramified_pool(gf.make_field(2, 1), (1, 3, 5))
     ok, lifts = True, 0
-    for a in _ramified_pool(field2, (1, 3, 5)):
-        for c in _ramified_pool(field2, (1, 3, 5)):
+    for a in pool:
+        for c in pool:
             if not d4.is_totally_ramified(a, c):
                 continue
             if a.pole_order() + c.pole_order() > 6:
@@ -441,9 +391,11 @@ def d4_checks(_seed: int) -> list[CheckResult]:
                 if jump.denominator > 1 or (jump > 0 and jump % 2 == 0):
                     if jump != fiber_min:
                         ok = False
-    results.append(_result("d4.even_or_fractional_jumps_are_minimal", ok,
-                           f"lifts={lifts}"))
+    return ok, f"lifts={lifts}"
 
+
+def _central_twists_move_jump_to_max(_seed: int) -> tuple[bool, str]:
+    field2 = gf.make_field(2, 1)
     ok, checked = True, 0
     twists = _pool_with_constants(field2, (1, 3, 5))
     for a, c in [(SparseTPoly.monomial(field2, 1), SparseTPoly.monomial(field2, 3)),
@@ -460,33 +412,54 @@ def d4_checks(_seed: int) -> list[CheckResult]:
             expected = max(Fraction(m), Fraction(e.pole_order()))
             if d4.d4_last_jump(a, c, minimal_b + e) != expected:
                 ok = False
-    results.append(_result("d4.central_twists_move_jump_to_max", ok,
-                           f"twists={checked}"))
+    return ok, f"twists={checked}"
 
-    results.append(_result("d4.min_lift_count_closed_form_equals_enumeration",
-                           _min_lift_counts_match(), "q in {2,4}, v <= 5"))
 
+def _min_lift_closed_form(_seed: int) -> tuple[bool, str]:
+    ok = all(d4.count_min_lift(q, v) == d4.count_min_lift(q, v, "enumeration")
+             for q in (2, 4) for v in range(6))
+    return ok, "q in {2,4}, v <= 5"
+
+
+def _twist_invariance_on_corpus(_seed: int) -> tuple[bool, str]:
     ok, reports = True, 0
     for q, v_max in ((2, 6), (4, 4)):
-        field = gf.field_for_order(q)
-        for a, c in _twist_corpus(field, 24):
+        for a, c in _twist_corpus(gf.field_for_order(q), 24):
             reports += 1
             if not d4.unramified_twist_report(a, c, v_max).all_equal:
                 ok = False
-    results.append(_result("d4.twist_invariance_on_regression_corpus", ok,
-                           f"reports={reports}"))
+    return ok, f"reports={reports}"
 
-    ok, checked = _pairing_bound_holds()
-    results.append(_result("d4.pairing_correction_respects_jump_bound", ok,
-                           f"checks={checked}"))
 
+def _pairing_bound(_seed: int) -> tuple[bool, str]:
+    """Exhaustive epsilon-bound check: every (Z/2)^2 cocycle over F_2 with
+    support in {1, 3} (16 sources) against every (g1, g2) in F_q'^2 for
+    q' = 2, 4, 16."""
+    f2 = gf.make_field(2, 1)
+    shape = GroupShape(2, (1, 1))
+    sources = []
+    for x1, x2, y1, y2 in product(f2.elements(), repeat=4):
+        sources.append(asw.ReducedCocycle(shape, f2, {
+            1: (WittVector(f2, (x1,)), WittVector(f2, (x2,))),
+            3: (WittVector(f2, (y1,)), WittVector(f2, (y2,)))}))
+    ok, checked = True, 0
+    for big_key in ((2, 1), (2, 2), (2, 4)):
+        big = gf.make_field(*big_key)
+        for m in sources:
+            for g1, g2 in product(big.elements(), repeat=2):
+                checked += 1
+                if not d4.epsilon_bound_report(m, (g1, g2)).bounded:
+                    ok = False
+    return ok, f"checks={checked}"
+
+
+def _jumps_are_dyadic(_seed: int) -> tuple[bool, str]:
     ok = True
-    for a, c in _twist_corpus(field2, 8):
+    for a, c in _twist_corpus(gf.make_field(2, 1), 8):
         for jump in d4.enumerated_lift_distribution(a, c, 6):
             if jump.denominator not in (1, 2):
                 ok = False
-    results.append(_result("d4.jumps_are_dyadic_rationals", ok, "corpus=8"))
-    return results
+    return ok, "corpus=8"
 
 
 # ---------------------------------------------------------------------------
@@ -499,33 +472,41 @@ def _line_inertia_bruteforce() -> tuple[int, int]:
             h3.count_line_inertia(3, 3, 2, "bruteforce"))
 
 
-def h3_checks(_seed: int) -> list[CheckResult]:
-    results = []
-
+def _line_inertia_matches(_seed: int) -> tuple[bool, str]:
     ok = _line_inertia_bruteforce() == (h3.count_line_inertia(3, 3, 1),
                                         h3.count_line_inertia(3, 3, 2))
-    results.append(_result("h3.line_inertia_bruteforce_matches_closed_form", ok,
-                           "(p,q,r) in {(3,3,1),(3,3,2)}"))
+    return ok, "(p,q,r) in {(3,3,1),(3,3,2)}"
 
+
+def _breakdowns_sum_to_totals(_seed: int) -> tuple[bool, str]:
     ok = True
     for p in (3, 5, 7):
         local = h3.local_heisenberg_count(p, p)
         glob = h3.global_heisenberg_count(p, p)
         ok = ok and sum(v for _, v in local.breakdown) == local.total
         ok = ok and sum(v for _, v in glob.breakdown) == glob.total
-    results.append(_result("h3.case_breakdowns_sum_to_closed_forms", ok,
-                           "p in {3,5,7}"))
+    return ok, "p in {3,5,7}"
 
+
+def _discrepancy_ratio_exceeds_one(_seed: int) -> tuple[bool, str]:
     ok = all(h3.discrepancy_ratio_formula(p) > 1 for p in (2, 3, 5, 7, 11, 13))
     ok = ok and h3.counterexample_report(3, 3).discrepancy_ratio == Fraction(13, 5)
-    results.append(_result("h3.discrepancy_ratio_exceeds_one", ok,
-                           "p up to 13"))
-    return results
+    return ok, "p up to 13"
 
 
 # ---------------------------------------------------------------------------
 # euler
 # ---------------------------------------------------------------------------
+
+def _census_zeta_identity(_seed: int) -> tuple[bool, str]:
+    ok = True
+    for q in (2, 3, 4, 5, 9):
+        table = dict(euler.place_census(q, 10).counts)
+        for m in range(1, 11):
+            if sum(d * pi for d, pi in table.items() if m % d == 0) != q ** m + 1:
+                ok = False
+    return ok, "q in {2,3,4,5,9}"
+
 
 @functools.cache
 def _d4_series_matches_oracle(q: int, x_max: int) -> bool:
@@ -535,18 +516,7 @@ def _d4_series_matches_oracle(q: int, x_max: int) -> bool:
                for x in range(x_max + 1))
 
 
-def euler_checks(_seed: int) -> list[CheckResult]:
-    results = []
-
-    ok = True
-    for q in (2, 3, 4, 5, 9):
-        census = euler.place_census(q, 10)
-        table = dict(census.counts)
-        for m in range(1, 11):
-            if sum(d * pi for d, pi in table.items() if m % d == 0) != q ** m + 1:
-                ok = False
-    results.append(_result("euler.census_zeta_identity", ok, "q in {2,3,4,5,9}"))
-
+def _series_matches_oracle(_seed: int) -> tuple[bool, str]:
     ok = _d4_series_matches_oracle(2, 6) and _d4_series_matches_oracle(4, 4)
     z2 = GroupShape(2, (1,))
     series = euler.abelian_global_series(z2, 2, 8)
@@ -559,63 +529,55 @@ def euler_checks(_seed: int) -> list[CheckResult]:
     for x in range(9):
         if series.coefficient(x) != euler.convolution_oracle(2, x, z2_coefficient):
             ok = False
-    results.append(_result("euler.series_matches_convolution_oracle", ok,
-                           "dihedral X<=6 (q in {2,4}), rank-1 X<=8"))
+    return ok, "dihedral X<=6 (q in {2,4}), rank-1 X<=8"
 
+
+def _coefficients_monotone(_seed: int) -> tuple[bool, str]:
     s2 = euler.d4_global_series(2, 8)
     s4 = euler.d4_global_series(4, 8)
     ok = (all(c >= 0 for c in s2.coefficients)
           and all(a <= b for a, b in zip(s2.coefficients, s4.coefficients)))
-    results.append(_result("euler.coefficients_nonnegative_and_monotone_in_q",
-                           ok, "X <= 8"))
-    return results
+    return ok, "X <= 8"
 
 
 # ---------------------------------------------------------------------------
 # acceptance criteria
 # ---------------------------------------------------------------------------
 
-def _acc_local_distribution(_seed: int = 0) -> CheckResult:
-    return _result("acceptance.1.local_distribution_closed_forms",
-                   _min_lift_counts_match(),
-                   "q in {2,4}, v <= 5, exact")
+def _acc_local_distribution(seed: int) -> tuple[bool, str]:
+    return (row("d4.min_lift_count_closed_form_equals_enumeration", seed).passed,
+            "q in {2,4}, v <= 5, exact")
 
 
-def _acc_min_lift_oracle(_seed: int = 0) -> CheckResult:
+def _acc_min_lift_oracle(_seed: int) -> tuple[bool, str]:
     ok, fibers = _bruteforce_minimum_matches(2, 6)
-    return _result("acceptance.2.min_lift_bruteforce_oracle", ok,
-                   f"q=2, totally ramified fibers={fibers}, exact")
+    return ok, f"q=2, totally ramified fibers={fibers}, exact"
 
 
-def _acc_twist_invariance(_seed: int = 0) -> CheckResult:
+def _acc_twist_invariance(_seed: int) -> tuple[bool, str]:
     ok, reports = True, 0
     for q in (2, 4):
-        field = gf.field_for_order(q)
-        pool = _ramified_pool(field, (1, 3))
+        pool = _ramified_pool(gf.field_for_order(q), (1, 3))
         for a in pool:
             for c in pool:
                 reports += 1
                 if not d4.unramified_twist_report(a, c, 6).all_equal:
                     ok = False
-    return _result("acceptance.3.unramified_twist_invariance", ok,
-                   f"exhaustive pairs with w<=3, q in {{2,4}}, reports={reports}")
+    return ok, f"exhaustive pairs with w<=3, q in {{2,4}}, reports={reports}"
 
 
-def _acc_heisenberg_numbers(_seed: int = 0) -> CheckResult:
+def _acc_heisenberg_numbers(_seed: int) -> tuple[bool, str]:
     report = h3.counterexample_report(3, 3)
     ok = (report.local_count == 3510 and report.global_count == 9126
           and sum(v for _, v in report.local_breakdown) == 3510
           and sum(v for _, v in report.global_breakdown) == 9126
           and _line_inertia_bruteforce() == (78, 234))
-    return _result("acceptance.4.heisenberg_counterexample_numbers", ok,
-                   f"local={report.local_count} global={report.global_count} "
-                   f"bruteforce=78,234")
+    return ok, (f"local={report.local_count} global={report.global_count} "
+                f"bruteforce=78,234")
 
 
-def _acc_pipeline_consistency(_seed: int = 0) -> CheckResult:
-    return _result("acceptance.5.euler_product_matches_oracle",
-                   _d4_series_matches_oracle(2, 6),
-                   "q=2, X <= 6, exact")
+def _acc_pipeline_consistency(_seed: int) -> tuple[bool, str]:
+    return _d4_series_matches_oracle(2, 6), "q=2, X <= 6, exact"
 
 
 def _four_places(x: Fraction) -> str:
@@ -624,73 +586,103 @@ def _four_places(x: Fraction) -> str:
     return f"{whole}.{part:04d}"
 
 
-def _acc_growth(_seed: int = 0) -> CheckResult:
+def _acc_growth(_seed: int) -> tuple[bool, str]:
     table = euler.growth_table(2, 16)
-    observed = ", ".join(f"X={row.x}: {_four_places(row.relative_change)}"
-                         for row in table.rows if row.x >= 8)
-    return _result("acceptance.6.growth_ratio_stabilises",
-                   euler.growth_stabilises(table),
-                   f"observed relative changes [{observed}]")
+    observed = ", ".join(f"X={r.x}: {_four_places(r.relative_change)}"
+                         for r in table.rows if r.x >= 8)
+    return (euler.growth_stabilises(table),
+            f"observed relative changes [{observed}]")
 
 
-def _acc_invariant_suites(seed: int = 0) -> CheckResult:
-    inner = witt_checks(seed) + asw_checks(seed)
-    eps_ok, _ = _pairing_bound_holds()
-    ok = eps_ok and all(r.passed for r in inner)
+def _acc_invariant_suites(seed: int) -> tuple[bool, str]:
+    inner = [row(name, seed) for suite in ("witt", "asw")
+             for name, _ in SUITES[suite]]
     failing = [r.name for r in inner if not r.passed]
+    ok = (row("d4.pairing_correction_respects_jump_bound", seed).passed
+          and not failing)
     detail = "witt+asw suites, pairing bound exhaustive q'<=16"
     if failing:
         detail += f"; failing: {failing}"
-    return _result("acceptance.7.invariant_suites", ok, detail)
+    return ok, detail
 
 
-def _acc_discriminant_gate(_seed: int = 0) -> CheckResult:
-    ok, _ = _cyclic_discriminants_match()
+def _acc_discriminant_gate(seed: int) -> tuple[bool, str]:
+    ok = row("asw.cyclic_discriminants_match_break_formula", seed).passed
     for p in (2, 3, 5):
         report = h3.smallest_wild_discriminant(p)
         if report.value != 2 * p ** 2 * (p - 1) or not report.is_smallest_positive:
             ok = False
-    return _result("acceptance.8.discriminant_gate", ok,
-                   "p in {2,3,5}, L <= 7, and the degree-p configuration")
+    return ok, "p in {2,3,5}, L <= 7, and the degree-p configuration"
 
 
-def acceptance_criteria() -> list[tuple[str, Callable[[int], CheckResult]]]:
-    return [
-        ("criterion_1_local_distribution", _acc_local_distribution),
-        ("criterion_2_min_lift_oracle", _acc_min_lift_oracle),
-        ("criterion_3_twist_invariance", _acc_twist_invariance),
-        ("criterion_4_heisenberg_numbers", _acc_heisenberg_numbers),
-        ("criterion_5_pipeline_consistency", _acc_pipeline_consistency),
-        ("criterion_6_growth_stabilisation", _acc_growth),
-        ("criterion_7_invariant_suites", _acc_invariant_suites),
-        ("criterion_8_discriminant_gate", _acc_discriminant_gate),
-    ]
-
-
-SUITES: dict[str, Callable[[int], Sequence[CheckResult]]] = {
-    "gf": gf_checks,
-    "witt": witt_checks,
-    "asw": asw_checks,
-    "d4": d4_checks,
-    "h3": h3_checks,
-    "euler": euler_checks,
+SUITES: dict[str, tuple[tuple[str, Callable[[int], tuple[bool, str]]], ...]] = {
+    "gf": (
+        ("gf.frobenius_is_ring_hom", _frobenius_is_ring_hom),
+        ("gf.artin_schreier_kernel_and_image", _gf_artin_schreier_kernel_and_image),
+        ("gf.transversal_is_complete_and_contains_zero", _transversal_is_complete),
+        ("gf.embeddings_injective_multiplicative_compatible", _embeddings_compatible),
+    ),
+    "witt": (
+        ("witt.ring_axioms", _ring_axioms),
+        ("witt.artin_schreier_kernel_is_prime_subring", _witt_artin_schreier_kernel),
+        ("witt.mul_by_p_matches_repeated_addition", _mul_by_p_is_repeated_addition),
+        ("witt.teichmueller_multiplicative", _teichmueller_multiplicative),
+        ("witt.frobenius_commutes_with_addition", _frobenius_commutes_with_addition),
+    ),
+    "asw": (
+        ("asw.elementary_jumps_avoid_multiples_of_p", _elementary_jumps),
+        ("asw.ultrametric_inequality", _ultrametric_inequality),
+        ("asw.quotient_jumps_are_monotone", _quotient_jumps_are_monotone),
+        ("asw.homomorphism_count_is_order_times_types", _homs_are_order_times_types),
+        ("asw.rank_one_counts_match_closed_form", _rank_one_counts),
+        ("asw.cyclic_discriminants_match_break_formula", _cyclic_discriminants),
+        ("asw.quotient_jump_integrality_asserted", _quotient_jump_integrality),
+    ),
+    "d4": (
+        ("d4.min_lift_dominates_reduction_jump", _min_lift_dominates_reduction_jump),
+        ("d4.bruteforce_minimum_matches_formula", _bruteforce_minimum),
+        ("d4.even_or_fractional_jumps_are_minimal", _even_or_fractional_minimal),
+        ("d4.central_twists_move_jump_to_max", _central_twists_move_jump_to_max),
+        ("d4.min_lift_count_closed_form_equals_enumeration", _min_lift_closed_form),
+        ("d4.twist_invariance_on_regression_corpus", _twist_invariance_on_corpus),
+        ("d4.pairing_correction_respects_jump_bound", _pairing_bound),
+        ("d4.jumps_are_dyadic_rationals", _jumps_are_dyadic),
+    ),
+    "h3": (
+        ("h3.line_inertia_bruteforce_matches_closed_form", _line_inertia_matches),
+        ("h3.case_breakdowns_sum_to_closed_forms", _breakdowns_sum_to_totals),
+        ("h3.discrepancy_ratio_exceeds_one", _discrepancy_ratio_exceeds_one),
+    ),
+    "euler": (
+        ("euler.census_zeta_identity", _census_zeta_identity),
+        ("euler.series_matches_convolution_oracle", _series_matches_oracle),
+        ("euler.coefficients_nonnegative_and_monotone_in_q", _coefficients_monotone),
+    ),
+    "acceptance": (
+        ("acceptance.1.local_distribution_closed_forms", _acc_local_distribution),
+        ("acceptance.2.min_lift_bruteforce_oracle", _acc_min_lift_oracle),
+        ("acceptance.3.unramified_twist_invariance", _acc_twist_invariance),
+        ("acceptance.4.heisenberg_counterexample_numbers", _acc_heisenberg_numbers),
+        ("acceptance.5.euler_product_matches_oracle", _acc_pipeline_consistency),
+        ("acceptance.6.growth_ratio_stabilises", _acc_growth),
+        ("acceptance.7.invariant_suites", _acc_invariant_suites),
+        ("acceptance.8.discriminant_gate", _acc_discriminant_gate),
+    ),
 }
 
 
+@functools.cache
+def row(name: str, seed: int) -> CheckResult:
+    """The row of the check called `name` at `seed`.  A certificate that
+    fires inside the check fails this row, with its message as the detail."""
+    check = next(c for rows in SUITES.values() for n, c in rows if n == name)
+    try:
+        passed, detail = check(seed)
+    except InternalInconsistencyError as exc:
+        passed, detail = False, str(exc)
+    return CheckResult(name, bool(passed), detail)
+
+
 def run_suites(names: Iterable[str], seed: int = 0) -> list[CheckResult]:
-    """The rows of each named suite.  A suite or criterion whose certificate
-    raises gives one failing row instead, named `<suite>.internal_fault` or
-    by the criterion's key, so the other rows still print."""
-    results = []
-    for name in names:
-        if name == "acceptance":
-            runs = [(key, lambda s, fn=fn: [fn(s)])
-                    for key, fn in acceptance_criteria()]
-        else:
-            runs = [(f"{name}.internal_fault", SUITES[name])]
-        for fault_name, run in runs:
-            try:
-                results.extend(run(seed))
-            except InternalInconsistencyError as exc:
-                results.append(_result(fault_name, False, str(exc)))
-    return results
+    """The rows of each named suite, in table order."""
+    return [row(name, seed) for suite in names for name, _ in SUITES[suite]]

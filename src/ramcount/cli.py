@@ -37,7 +37,7 @@ if TYPE_CHECKING:
     from .gf import FieldDescriptor
 
 SCHEMA_VERSION = 1
-# the `--suite` choices: checks.SUITES, then the acceptance criteria
+# the `--suite` choices: the keys of checks.SUITES, not imported at start-up
 SUITE_NAMES = ("gf", "witt", "asw", "d4", "h3", "euler", "acceptance")
 
 

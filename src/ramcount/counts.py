@@ -13,34 +13,119 @@ from __future__ import annotations
 from collections import namedtuple
 from math import isqrt
 
-from .errors import GroupTooLargeError, MixedFieldsError, NonPrimeError
+from .errors import (
+    GroupTooLargeError,
+    MixedFieldsError,
+    NonPrimeError,
+    PrimalityRangeError,
+)
 
 MAX_GROUP_ORDER = 1 << 12
 MAX_JUMP = 64
 DEFAULT_BUDGET = 5_000_000
+_TRIAL_BITS = 10  # trial division tries every divisor up to 2^10
 
 
 def _least_divisor(n: int) -> int:
-    """The least divisor of n >= 2 above 1, which is prime, by trial division."""
-    return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    """The least divisor of n >= 2 above 1, which is prime, by trial division
+    up to 2^_TRIAL_BITS, so exact for n below 2^(2 _TRIAL_BITS).  Past that,
+    n itself means that every prime factor of n exceeds 2^_TRIAL_BITS."""
+    bound = min(isqrt(n), 1 << _TRIAL_BITS)
+    return next((d for d in range(2, bound + 1) if n % d == 0), n)
+
+
+# Miller-Rabin to the prime bases up to 41 has no strong pseudoprime below
+# this bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin: a witness proves n composite at
+    any size, and no witness proves it prime only below _MR_EXACT_BELOW,
+    so a larger n that no base witnesses is refused."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_EXACT_BELOW:
+        raise PrimalityRangeError(
+            f"cannot decide whether {n} is prime: the test is exact below "
+            f"{_MR_EXACT_BELOW}")
+    return True
+
+
+def _valuation(q: int, p: int) -> tuple[int, int]:
+    """(n, m) with q = p^n * m and m prime to p, for p >= 2."""
+    n = 0
+    while q % p == 0:
+        q //= p
+        n += 1
+    return n, q
+
+
+def _iroot(n: int, k: int) -> int:
+    """The integer part of the k-th root of n >= 1, by Newton's method."""
+    x = 1 << -(-n.bit_length() // k)  # not below the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _prime_base(q: int) -> int | None:
+    """The prime that q >= 2 is a power of, or None.
+
+    Trial division finds a base below 2^_TRIAL_BITS.  Otherwise every prime
+    factor of q exceeds 2^_TRIAL_BITS, so q = r^k only for k below
+    log2(q) / _TRIAL_BITS, and q is a prime power exactly when its least
+    root r (the largest such k) is prime.
+    """
+    d = _least_divisor(q)
+    if d < q:
+        return d if _valuation(q, d)[1] == 1 else None
+    for k in range((q.bit_length() - 1) // _TRIAL_BITS, 1, -1):
+        r = _iroot(q, k)
+        if r ** k == q:
+            return r if _is_prime(r) else None
+    return q if _is_prime(q) else None
 
 
 def prime_power(q: int, p: int | None = None) -> tuple[int, int]:
-    """(p, n) with q = p^n, optionally checking the characteristic."""
+    """(p, n) with q = p^n, optionally checking the characteristic.
+
+    A q that is a power of the given prime p is answered by dividing out p;
+    any other q is placed by `_prime_base`, which chooses the message.
+    """
     if q < 2:
         raise NonPrimeError(f"{q} is not a prime power")
-    base = _least_divisor(q)  # the only prime q can be a power of
-    n, m = 0, q
-    while m % base == 0:
-        m //= base
-        n += 1
-    if m != 1:
+    if p is not None and p >= 2:
+        n, rest = _valuation(q, p)
+        if rest == 1 and _is_prime(p):
+            return p, n
+    base = _prime_base(q)
+    if base is None:
         raise NonPrimeError(f"{q} is not a prime power")
-    if p is not None and base != p:
+    if p is not None:  # q is a power of base, and base is not p
         if p < 2 or p % base == 0:  # then p is not prime
             raise NonPrimeError(f"{p} is not prime")
         raise MixedFieldsError(f"{q} is not a power of {p}")
-    return base, n
+    return base, _valuation(q, base)[0]
 
 
 class GroupShape(namedtuple("GroupShape", "p exponents")):

@@ -30,6 +30,7 @@ closed forms in q, in `ramcount.counts`.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import product
 
 from .counts import (
@@ -438,6 +439,14 @@ class EpsilonBoundReport(namedtuple(
     __slots__ = ()
 
 
+@lru_cache(maxsize=256)
+def _source_jump(m_rho: ReducedCocycle) -> int:
+    """The last jump of a pairing source, once per datum: a caller pairs one
+    source with many g_delta."""
+    from . import asw
+    return asw.last_jump(m_rho)
+
+
 def epsilon_bound_report(m_rho: ReducedCocycle,
                          g_delta: tuple[FieldElement, FieldElement],
                          ) -> EpsilonBoundReport:
@@ -464,7 +473,7 @@ def epsilon_bound_report(m_rho: ReducedCocycle,
         pairing = commutator_pairing(lifted, g_delta)
         entries[n] = (witt.WittVector(big, (pairing,)),)
     eps = asw.ReducedCocycle(target_shape, big, entries)
-    source_jump = asw.last_jump(m_rho)
+    source_jump = _source_jump(m_rho)
     eps_jump = asw.last_jump(eps)
     return EpsilonBoundReport(source_jump, eps_jump,
                               eps_jump <= source_jump, eps)

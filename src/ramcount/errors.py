@@ -9,6 +9,10 @@ class NonPrimeError(RamcountError):
     """A field characteristic was not a prime number."""
 
 
+class PrimalityRangeError(RamcountError):
+    """A number lies beyond the range where primality is decided exactly."""
+
+
 class DegreeTooLargeError(RamcountError):
     """Requested field extension degree exceeds the supported bound."""
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .counts import _least_divisor, prime_power
+from .counts import _is_prime, prime_power
 from .errors import (
     DegreeTooLargeError,
     InternalInconsistencyError,
@@ -161,7 +161,7 @@ def make_field(p: int, n: int) -> "FieldDescriptor":
     field = _FIELDS.get(key)
     if field is not None:
         return field
-    if p < 2 or _least_divisor(p) != p:
+    if not _is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
     if not 1 <= n <= MAX_DEGREE:
         raise DegreeTooLargeError(f"extension degree {n} outside [1, {MAX_DEGREE}]")

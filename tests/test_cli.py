@@ -160,21 +160,30 @@ def test_verify_output_is_deterministic(capsys):
     assert out1 == out2
 
 
-# the memoised helpers that take no seed, so one `verify` runs each once
-SEEDLESS_HELPERS = (checks._exhaustive_ring_axioms, checks._witt_fixed_rows,
-                    checks._asw_fixed_rows, checks._cyclic_discriminants_match,
-                    checks._pairing_bound_holds, checks._line_inertia_bruteforce)
+# the memoised helpers: the Z/4 data three asw rows share, and the slices of
+# a row's work that an acceptance criterion needs and no row prints; one
+# `verify` computes each once per argument
+HELPER_MISSES = {checks._z4_data: 1, checks._line_inertia_bruteforce: 1,
+                 checks._bruteforce_minimum_matches: 2,
+                 checks._d4_series_matches_oracle: 2}
 
 
-def clear_check_memos():
-    for helper in (checks.witt_checks, checks.asw_checks) + SEEDLESS_HELPERS:
-        helper.cache_clear()
+@pytest.fixture
+def cold_check_memos():
+    """Clear the row memo and the helpers before the test, and again after
+    it, so no row computed under a patch outlives the test."""
+    def clear():
+        for memo in (checks.row, *HELPER_MISSES):
+            memo.cache_clear()
+    clear()
+    yield
+    clear()
 
 
-def test_verify_output_is_pinned_and_runs_shared_checks_once(capsys, monkeypatch):
-    # a suite row and an acceptance criterion that need the same computation
-    # share one memoised helper; start from cold memos and count the work
-    clear_check_memos()
+def test_verify_output_is_pinned_and_runs_shared_checks_once(
+        capsys, monkeypatch, cold_check_memos):
+    # a criterion that restates a suite row reads the row, and one that
+    # needs a slice of a row's work shares a memoised helper with it
     bruteforce, pairings = [], []
     count_line_inertia = h3.count_line_inertia
     epsilon_bound_report = d4.epsilon_bound_report
@@ -196,29 +205,49 @@ def test_verify_output_is_pinned_and_runs_shared_checks_once(capsys, monkeypatch
     assert sorted(bruteforce) == [(3, 3, 1, "bruteforce"), (3, 3, 2, "bruteforce")]
     # one exhaustive pairing-bound run: 16 sources against F_q'^2, q' = 2, 4, 16
     assert len(pairings) == 16 * (2 ** 2 + 4 ** 2 + 16 ** 2)
-    assert checks.witt_checks.cache_info().misses == 1
-    assert checks.asw_checks.cache_info().misses == 1
+    assert checks.row.cache_info().misses == 38
 
 
-def test_verify_seed_one_is_pinned_and_runs_seedless_checks_once(capsys):
-    # the bench's seed: criterion 7 reads the suites at the run's seed, so
-    # it reuses their rows as it does at seed 0
-    clear_check_memos()
+def test_verify_seed_one_is_pinned_and_runs_seedless_checks_once(
+        capsys, cold_check_memos):
+    # the bench's seed: every row, and every helper, is computed once
     status, out, _ = run(capsys, "verify", "--seed", "1")
     assert status == 0
     assert out == (GOLDEN / "verify_seed1.json").read_text()
-    for helper in SEEDLESS_HELPERS:
-        assert helper.cache_info().misses == 1, helper.__name__
-    assert checks.witt_checks.cache_info().misses == 1
-    assert checks.asw_checks.cache_info().misses == 1
+    assert checks.row.cache_info().misses == 38
+    for helper, misses in HELPER_MISSES.items():
+        assert helper.cache_info().misses == misses, helper.__name__
+
+
+@pytest.mark.parametrize("criterion, rows_read", [
+    ("acceptance.1.local_distribution_closed_forms", 1),
+    ("acceptance.7.invariant_suites", 5 + 7 + 1),  # witt, asw, pairing bound
+    ("acceptance.8.discriminant_gate", 1),
+])
+def test_a_criterion_reads_the_rows_it_restates(cold_check_memos, criterion,
+                                                rows_read):
+    checks.row(criterion, 0)
+    assert checks.row.cache_info().misses == 1 + rows_read
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_each_suite_alone_prints_its_golden_rows(capsys, cold_check_memos,
+                                                 suite, seed):
+    status, out, _ = run(capsys, "verify", "--suite", suite, "--seed", str(seed))
+    golden = json.loads((GOLDEN / f"verify_seed{seed}.json").read_text())
+    expected = [row for row in golden["result"]["rows"]
+                if row["check"].startswith(f"{suite}.")]
+    assert status == 0
+    assert json.loads(out)["result"] == {"all_passed": True, "rows": expected}
 
 
 @pytest.mark.parametrize("fault", ["constant_plus_one", "unreduced"])
-def test_ring_axioms_read_fail_on_a_faulty_product(monkeypatch, fault):
-    # W_2(F_4) and the seedless witt rows are built with the true product
-    # first, so the fault reaches only the ring-axiom tables
+def test_ring_axioms_read_fail_on_a_faulty_product(monkeypatch, cold_check_memos,
+                                                   fault):
+    # W_2(F_4) is built with the true product first, so the fault reaches
+    # only the ring-axiom tables
     list(witt.iter_witt_vectors(gf.make_field(2, 2), 2))
-    checks._witt_fixed_rows()
     true_mul = witt._GaloisRing.mul
 
     def faulty_mul(ring, a, b):
@@ -230,31 +259,25 @@ def test_ring_axioms_read_fail_on_a_faulty_product(monkeypatch, fault):
         return (out[0] + ring.mod,) + out[1:]  # a coefficient outside Z/p^L
 
     monkeypatch.setattr(witt._GaloisRing, "mul", faulty_mul)
-    memos = (checks.witt_checks, checks._exhaustive_ring_axioms)
-    for memo in memos:
-        memo.cache_clear()
-    try:
-        row = checks.witt_checks(0)[0]
-    finally:
-        for memo in memos:
-            memo.cache_clear()
-    assert row == ("witt.ring_axioms", False, "triples=5609")
+    assert checks.row("witt.ring_axioms", 0) == ("witt.ring_axioms", False,
+                                                 "triples=5609")
 
 
-def test_a_raising_certificate_fails_the_integrality_row(monkeypatch):
-    checks._cyclic_discriminants_match()  # warm, so only the guarded row runs
-
+def test_a_raising_certificate_fails_the_integrality_row(monkeypatch,
+                                                         cold_check_memos):
     def raising(m):
         raise InternalInconsistencyError("planted certificate failure")
 
     monkeypatch.setattr(asw, "discriminant_exponent", raising)
-    checks._asw_fixed_rows.cache_clear()
-    try:
-        row = checks._asw_fixed_rows()[-1]
-    finally:
-        checks._asw_fixed_rows.cache_clear()
-    assert row == ("asw.quotient_jump_integrality_asserted", False,
-                   "planted certificate failure")
+    assert checks.row("asw.quotient_jump_integrality_asserted", 0) == (
+        "asw.quotient_jump_integrality_asserted", False,
+        "planted certificate failure")
+    # criterion 7 reads the failing rows and names them
+    assert checks.row("acceptance.7.invariant_suites", 0) == (
+        "acceptance.7.invariant_suites", False,
+        "witt+asw suites, pairing bound exhaustive q'<=16; failing: "
+        "['asw.cyclic_discriminants_match_break_formula', "
+        "'asw.quotient_jump_integrality_asserted']")
 
 
 def test_acceptance_suite_alone_prints_the_golden_rows():
@@ -288,16 +311,31 @@ def run_with_planted_jump_fault(*argv):
         capture_output=True, text=True, timeout=120)
 
 
+# the asw rows that evaluate a character sum on a datum of jump 3, whose
+# certificate then fires
+RAISING_ASW_ROWS = ("asw.quotient_jumps_are_monotone",
+                    "asw.cyclic_discriminants_match_break_formula",
+                    "asw.quotient_jump_integrality_asserted")
+
+
 def test_a_fired_certificate_in_verify_is_one_failing_row():
+    # each row runs under its own guard: a row the fault does not reach
+    # keeps its golden bytes, a row whose certificate fires fails under its
+    # own name with the message, and the sampled row reads the planted jump
+    # 4, a multiple of p, so it fails with its golden detail
     done = run_with_planted_jump_fault("verify", "--suite", "gf", "--suite", "asw")
     assert (done.returncode, done.stderr) == (1, "")
     golden = json.loads((GOLDEN / "verify_seed0.json").read_text())
-    gf_rows = [row for row in golden["result"]["rows"]
-               if row["check"].startswith("gf.")]
-    assert json.loads(done.stdout)["result"] == {"all_passed": False, "rows": [
-        *gf_rows,
-        {"check": "asw.internal_fault", "status": "fail",
-         "detail": PLANTED_FAULT_MESSAGE}]}
+    expected = []
+    for row in golden["result"]["rows"]:
+        if row["check"] in RAISING_ASW_ROWS:
+            row = {**row, "status": "fail", "detail": PLANTED_FAULT_MESSAGE}
+        elif row["check"] == "asw.elementary_jumps_avoid_multiples_of_p":
+            row = {**row, "status": "fail"}
+        if row["check"].startswith(("gf.", "asw.")):
+            expected.append(row)
+    assert json.loads(done.stdout)["result"] == {"all_passed": False,
+                                                 "rows": expected}
 
 
 def test_a_fired_certificate_in_a_query_exits_three():
@@ -307,17 +345,34 @@ def test_a_fired_certificate_in_a_query_exits_three():
     assert done.stderr == f"internal error: {PLANTED_FAULT_MESSAGE}\n"
 
 
-def test_a_raising_criterion_is_one_failing_row_under_its_key(monkeypatch):
-    def raising(seed):
+@pytest.mark.parametrize("argv, status, stdout, stderr", [
+    (("count-d4", "--q", str(2 ** 61 - 1), "--v", "1"), 2, "",
+     f"error: {2 ** 61 - 1} is not a power of 2\n"),
+    (("census", "--q", str(2 ** 61 - 1), "--max-degree", "2", "--format", "tsv"),
+     0, f"q\t{2 ** 61 - 1}\ndegree\tplaces\n1\t{2 ** 61}\n"
+        f"2\t{((2 ** 61 - 1) ** 2 - (2 ** 61 - 1)) // 2}\n", ""),
+])
+def test_a_large_prime_q_is_placed_in_bounded_time(argv, status, stdout, stderr):
+    # 2^61 - 1 is prime and has no small factor; trial division to its
+    # square root took minutes
+    done = subprocess.run([sys.executable, "-m", "ramcount.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=2)
+    assert (done.returncode, done.stdout, done.stderr) == (status, stdout, stderr)
+
+
+def test_a_raising_criterion_is_one_failing_row_under_its_key(monkeypatch,
+                                                              cold_check_memos):
+    def raising(q, x_max):
         raise InternalInconsistencyError("planted criterion fault")
 
-    monkeypatch.setattr(checks, "_acc_growth", raising)
+    monkeypatch.setattr(euler, "growth_table", raising)
     rows = [tuple(row) for row in checks.run_suites(["acceptance"])]
     golden = json.loads((GOLDEN / "verify_seed0.json").read_text())
     expected = [(row["check"], row["status"] == "pass", row["detail"])
                 for row in golden["result"]["rows"]
                 if row["check"].startswith("acceptance.")]
-    expected[5] = ("criterion_6_growth_stabilisation", False,  # _acc_growth
+    expected[5] = ("acceptance.6.growth_ratio_stabilises", False,
                    "planted criterion fault")
     assert rows == expected
 
@@ -512,7 +567,8 @@ def test_over_budget_unramified_twist_rows_are_refused_up_front(capsys):
 
 
 def test_suite_names_are_the_checks_suites_then_acceptance():
-    assert list(SUITE_NAMES) == list(checks.SUITES) + ["acceptance"]
+    assert SUITE_NAMES == tuple(checks.SUITES)
+    assert SUITE_NAMES[-1] == "acceptance"
 
 
 def test_count_minlift_budget_defaults_to_the_library_budget():

@@ -349,8 +349,13 @@ def test_twist_report_catches_a_wrong_closed_form(monkeypatch):
     assert not report.all_equal
     assert all(cmp.closed_form_equal for cmp in report.comparisons)
     assert not any(cmp.enumerated_equal for cmp in report.comparisons)
-    criterion = dict(checks.acceptance_criteria())["criterion_3_twist_invariance"]
-    assert not criterion().passed
+    checks.row.cache_clear()
+    try:
+        row = checks.row("acceptance.3.unramified_twist_invariance", 0)
+    finally:
+        checks.row.cache_clear()  # no row computed under the fault stays
+    assert row == ("acceptance.3.unramified_twist_invariance", False,
+                   "exhaustive pairs with w<=3, q in {2,4}, reports=272")
 
 
 def test_unramified_twist_report_refuses_too_many_rows(monkeypatch):
@@ -566,3 +571,22 @@ def test_epsilon_bound_exhaustive_small():
             for g1 in big.iter_elements():
                 for g2 in big.iter_elements():
                     assert d4.epsilon_bound_report(m, (g1, g2)).bounded
+
+
+def test_epsilon_report_takes_the_source_jump_once(monkeypatch):
+    # a caller pairs one source with many g_delta; the source's last jump is
+    # computed once, and each report still carries it
+    m = _rank2_cocycle(F2, {1: (F2.one, F2.zero), 3: (F2.zero, F2.one)})
+    calls = []
+    last_jump = asw.last_jump
+
+    def counted(datum):
+        calls.append(datum)
+        return last_jump(datum)
+
+    monkeypatch.setattr(asw, "last_jump", counted)
+    reports = [d4.epsilon_bound_report(m, (g1, g2))
+               for g1 in F4.iter_elements() for g2 in F4.iter_elements()]
+    assert {r.source_jump for r in reports} == {3}
+    assert sum(datum is m for datum in calls) == 1
+    assert len(calls) == 1 + len(reports)  # and one per epsilon datum

@@ -11,6 +11,7 @@ from ramcount.errors import (
     MixedFieldsError,
     NonPrimeError,
     NotASubfieldError,
+    PrimalityRangeError,
 )
 
 
@@ -49,6 +50,72 @@ def test_field_for_order():
         gf.field_for_order(6)
     with pytest.raises(MixedFieldsError):
         gf.field_for_order(9, p=2)
+
+
+def _trial_division_prime_power(q, p=None):
+    """The rules of `prime_power`, with q's base found by trial division."""
+    if q < 2:
+        return f"{q} is not a prime power"
+    base = next((d for d in range(2, q + 1) if q % d == 0))
+    n, m = 0, q
+    while m % base == 0:
+        m, n = m // base, n + 1
+    if m != 1:
+        return f"{q} is not a prime power"
+    if p is not None and base != p:
+        if p < 2 or p % base == 0:
+            return f"{p} is not prime"
+        return f"{q} is not a power of {p}"
+    return base, n
+
+
+def _prime_power_or_message(q, p=None):
+    try:
+        return counts.prime_power(q, p)
+    except (NonPrimeError, MixedFieldsError) as exc:
+        return str(exc)
+
+
+# past the trial division: roots of a large prime, and products of two
+PAST_TRIAL_DIVISION = [1031, 1031 ** 2, 1031 ** 3, 65537 ** 3, 1031 * 1033,
+                       1031 ** 2 * 1033, 1031 ** 2 * 1033 ** 2]
+
+
+@pytest.mark.parametrize("p", [None, 0, 1, 2, 3, 4, 9, 15, 1031])
+def test_prime_power_agrees_with_trial_division(p):
+    for q in [*range(-1, 2100), *PAST_TRIAL_DIVISION]:
+        assert (_prime_power_or_message(q, p)
+                == _trial_division_prime_power(q, p)), q
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # the least strong pseudoprimes to the prime bases up to 7, 23 and 37
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not counts._is_prime(n)
+    assert counts._is_prime(2 ** 61 - 1)
+    assert counts._is_prime(1_000_003) and not counts._is_prime(1031 * 1033)
+
+
+def test_a_large_prime_is_placed_without_trial_division():
+    m61 = 2 ** 61 - 1
+    assert counts.prime_power(m61) == (m61, 1)
+    assert counts.prime_power(m61 ** 3) == (m61, 3)
+    assert counts.prime_power(m61 ** 2, p=m61) == (m61, 2)
+    with pytest.raises(MixedFieldsError, match=f"^{m61} is not a power of 2$"):
+        counts.prime_power(m61, p=2)
+    # a witness proves a number composite past the exact range too
+    with pytest.raises(NonPrimeError, match="is not a prime power"):
+        counts.prime_power(m61 * (2 ** 31 - 1))
+    assert gf.make_field(m61, 1).q == m61
+
+
+def test_primality_past_the_exact_range_is_refused():
+    m127 = 2 ** 127 - 1
+    with pytest.raises(PrimalityRangeError,
+                       match=f"^cannot decide whether {m127} is prime"):
+        counts.prime_power(m127)
+    with pytest.raises(PrimalityRangeError):
+        gf.make_field(m127, 1)
 
 
 def test_gf4_generator_squares_to_gen_plus_one():

@@ -23,22 +23,15 @@ from itertools import product
 from math import gcd
 
 from .counts import (
-    DEFAULT_BUDGET,
     GroupShape,
     _check_count_args,
     _ramified_indices,
+    _refuse_over_budget,
     count_by_last_jump,  # the closed form that the enumeration checks
 )
-from .errors import (
-    BudgetExceededError,
-    GroupTooLargeError,
-    InternalInconsistencyError,
-    MixedRingsError,
-)
+from .errors import InternalInconsistencyError, MixedRingsError
 from .gf import FieldDescriptor, field_for_order
 from .witt import WittVector, iter_witt_vectors
-
-MAX_CHARACTER_SUM_ORDER = 1 << 10
 
 
 def iter_module_elements(shape: GroupShape, field: FieldDescriptor):
@@ -164,11 +157,10 @@ def character_classes(shape: GroupShape) -> tuple[tuple[tuple[int, ...], int], .
     share the jump of any datum.  Scaling by u moves the unit part of the
     first coordinate of order k freely, and the representative is the a
     whose such coordinate is mod_i // k.
+
+    The scan visits the |G| tuples a once, so the only bound is the one
+    every shape obeys: `GroupShape` refuses an order above MAX_GROUP_ORDER.
     """
-    if shape.order > MAX_CHARACTER_SUM_ORDER:
-        raise GroupTooLargeError(
-            f"character sum needs group order <= {MAX_CHARACTER_SUM_ORDER}, "
-            f"not {shape.order}")
     p = shape.p
     moduli = shape.moduli()
     classes = []
@@ -257,10 +249,7 @@ def count_by_last_jump_enumerated(shape: GroupShape, q: int, v: int,
     _check_count_args(shape, q, v, mode)
     indices = _ramified_indices(shape.p, v)
     unram = shape.order if mode == "homomorphisms" else 1
-    total = unram * (q ** sum(shape.exponents)) ** len(indices)
-    if total > DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            f"enumeration size {total} exceeds {DEFAULT_BUDGET}")
+    _refuse_over_budget(unram * (q ** sum(shape.exponents)) ** len(indices))
     coeffs = list(iter_module_elements(shape, field_for_order(q, p=shape.p)))
     orders = [_additive_order(x) // shape.p for x in coeffs]
     # per index, the jump each coefficient contributes (0 for the zero one)

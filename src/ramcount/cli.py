@@ -3,7 +3,8 @@
 Every counting and verification operation is exposed as a subcommand that
 writes a single JSON document (default) or a TSV table to stdout.
 Diagnostics go to stderr.  Exit status: 0 on success, 1 when a verification
-subcommand finds a failure, 2 on usage errors, 3 when a certificate fires.
+subcommand finds a failure, 2 on usage errors and when stdout or `--out`
+cannot be written, 3 when a certificate fires.
 
 Each query is one process, so start-up counts.  At module level this file
 imports only the closed forms of `counts` and `errors`, and each handler
@@ -385,7 +386,21 @@ def main(argv=None) -> int:
         "result": result,
     }
     text = render_json(document) if args.format == "json" else render_tsv(document)
-    print(text)
+    # a closed stdout is None; a pipe whose reader left raises on write
+    reason = "Bad file descriptor" if sys.stdout is None else None
+    if reason is None:
+        try:
+            print(text, flush=True)
+        except OSError as exc:
+            import os
+            # point stdout at the null device, so the flush at exit is quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            reason = exc.strerror
+    if reason is not None:
+        print(f"error: cannot write stdout: {reason}", file=sys.stderr)
+        return 2
     if args.out:
         try:
             with open(args.out, "w") as handle:

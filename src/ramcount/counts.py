@@ -14,6 +14,7 @@ from collections import namedtuple
 from math import isqrt
 
 from .errors import (
+    BudgetExceededError,
     GroupTooLargeError,
     MixedFieldsError,
     NonPrimeError,
@@ -24,6 +25,13 @@ MAX_GROUP_ORDER = 1 << 12
 MAX_JUMP = 64
 DEFAULT_BUDGET = 5_000_000
 _TRIAL_BITS = 10  # trial division tries every divisor up to 2^10
+
+
+def _refuse_over_budget(candidates: int, budget: int = DEFAULT_BUDGET) -> None:
+    """The one refusal of an exhaustive enumeration: every oracle calls it
+    with the number of candidates it would build, before building any."""
+    if candidates > budget:
+        raise BudgetExceededError(f"{candidates} candidates exceed {budget}")
 
 
 def _least_divisor(n: int) -> int:

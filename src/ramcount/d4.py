@@ -39,10 +39,10 @@ from .counts import (
     GroupShape,
     _check_jump,
     _min_lift_closed_form,
+    _refuse_over_budget,
     prime_power,
 )
 from .errors import (
-    BudgetExceededError,
     MixedFieldsError,
     NotTotallyRamifiedError,
     UnsupportedShapeError,
@@ -200,11 +200,6 @@ def is_totally_ramified(a: SparseTPoly, c: SparseTPoly) -> bool:
     return bool(ra) and bool(rc) and ra != rc
 
 
-def _refuse_over_budget(candidates: int, budget: int) -> None:
-    if candidates > budget:
-        raise BudgetExceededError(f"{candidates} candidates exceed {budget}")
-
-
 def _require_lift_space(a: SparseTPoly, c: SparseTPoly) -> None:
     _validate_datum_poly(a)
     _validate_datum_poly(c)
@@ -267,7 +262,7 @@ def min_lift_jump_bruteforce(a: SparseTPoly, c: SparseTPoly,
     _require_lift_space(a, c)
     if b_bound < min_lift_jump(a, c):
         raise ValueError("bound must cover the expected minimum")
-    _refuse_over_budget(_lift_pool_size(a.field, b_bound), DEFAULT_BUDGET)
+    _refuse_over_budget(_lift_pool_size(a.field, b_bound))
     return Fraction(min(_doubled_jump_tally(a, c, b_bound)), 2)
 
 
@@ -331,7 +326,7 @@ def enumerated_lift_distribution(a: SparseTPoly, c: SparseTPoly,
     _require_lift_space(a, c)
     if v_max < 0:
         raise ValueError(f"v_max {v_max} must be nonnegative")
-    _refuse_over_budget(_lift_pool_size(a.field, v_max), DEFAULT_BUDGET)
+    _refuse_over_budget(_lift_pool_size(a.field, v_max))
     return {Fraction(jump2, 2): count
             for jump2, count in _doubled_jump_tally(a, c, v_max).items()
             if jump2 <= 2 * v_max}
@@ -376,13 +371,12 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
     base = lift_jump_distribution(a, c, v_max)
     enum_eq = None
     if is_totally_ramified(a, c):
-        _refuse_over_budget(max(_lift_pool_size(field, v_max), field.q ** 2),
-                            DEFAULT_BUDGET)
+        _refuse_over_budget(max(_lift_pool_size(field, v_max), field.q ** 2))
         tally = _doubled_jump_tally(a, c, v_max)
         enum_eq = ({jump2: n for jump2, n in tally.items() if jump2 <= 2 * v_max}
                    == {2 * v: n for v, n in base.counts if n})
     else:
-        _refuse_over_budget(field.q ** 2, DEFAULT_BUDGET)
+        _refuse_over_budget(field.q ** 2)
     comparisons = []
     all_equal = enum_eq is not False
     for alpha in field.elements():

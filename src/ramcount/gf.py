@@ -384,20 +384,19 @@ def artin_schreier_image(field: FieldDescriptor) -> frozenset[FieldElement]:
 def wp_transversal(field: FieldDescriptor) -> tuple[FieldElement, ...]:
     """Deterministic coset representatives for the Artin-Schreier image.
 
-    Elements are scanned in lexicographic coefficient order, keeping one per
-    coset; the scan starts at 0, so 0 always represents the image itself.
+    Elements are scanned in lexicographic coefficient order, keeping the
+    first of each coset: a joins the coset of a kept r exactly when a - r
+    lies in the image.  The scan starts at 0, so 0 always represents the
+    image itself.
     """
     if field._transversal is None:
         image = artin_schreier_image(field)
-        seen: set[frozenset] = set()
         reps = []
         for a in field.iter_elements():
-            coset = frozenset(a + b for b in image)
-            if coset not in seen:
-                seen.add(coset)
+            if all(a - r not in image for r in reps):
                 reps.append(a)
-            if len(reps) == field.p:
-                break
+                if len(reps) == field.p:
+                    break
         field._transversal = tuple(reps)
     return field._transversal
 

@@ -20,12 +20,8 @@ from collections import namedtuple
 from itertools import combinations_with_replacement
 
 from . import asw
-from .counts import DEFAULT_BUDGET, GroupShape
-from .errors import (
-    BudgetExceededError,
-    InternalInconsistencyError,
-    OddPrimeRequiredError,
-)
+from .counts import GroupShape, _refuse_over_budget
+from .errors import InternalInconsistencyError, OddPrimeRequiredError
 from .gf import field_for_order, make_field
 from .witt import WittVector
 
@@ -58,10 +54,7 @@ def count_line_inertia(p: int, q: int, r: int, mode: str = "closed_form") -> int
     if mode != "bruteforce":
         raise ValueError(f"unknown mode {mode!r}")
     residue_order = q ** p
-    enumeration = residue_order ** r
-    if enumeration > DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            f"enumeration over {enumeration} data exceeds {DEFAULT_BUDGET}")
+    _refuse_over_budget(residue_order ** r)
     shape = GroupShape(p, (1,) * r)
     residue = field_for_order(residue_order, p=p)
     # fix the subgroup spanned by the first coordinate axis
@@ -172,8 +165,8 @@ def smallest_wild_discriminant(p: int, q: int | None = None) -> DiscriminantGate
     flagged as such.
 
     For odd p an abelian datum with group (Z/p)^3 cross-checks the value;
-    its character sum needs p^3 <= asw.MAX_CHARACTER_SUM_ORDER, so p >= 11
-    raises GroupTooLargeError.
+    that group must obey the one cap on every shape, p^3 <= MAX_GROUP_ORDER,
+    so the gate answers up to p = 13 and p >= 17 raises GroupTooLargeError.
     """
     if q is not None:
         field_for_order(q, p=p)

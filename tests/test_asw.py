@@ -2,12 +2,10 @@
 
 import itertools
 import json
-import math
 import os
 import random
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -360,8 +358,13 @@ def test_discriminant_and_inertia_match_subgroup_oracle(p):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_character_classes_on_every_shape_up_to_the_cap(p):
     # one character per cyclic subgroup of the dual, weighted by its number
-    # phi(k) of generators, on every shape the character sum accepts
-    for shape in _shapes_up_to(p, asw.MAX_CHARACTER_SUM_ORDER):
+    # phi(k) of generators, on every shape up to order 1024 and, up to the
+    # one cap on every shape, those of rank <= 3 and the elementary ones:
+    # all 133 2-group shapes of order 2048 and 4096 would add about 3.7 s
+    # (2-vCPU VM)
+    for shape in _shapes_up_to(p, counts.MAX_GROUP_ORDER):
+        if shape.order > 1024 and shape.rank > 3 and shape.exponents[0] > 1:
+            continue
         moduli = shape.moduli()
         zero = (0,) * shape.rank
         classes = asw.character_classes(shape)
@@ -377,12 +380,13 @@ def test_character_classes_on_every_shape_up_to_the_cap(p):
             assert weight == k - k // p, (shape, a)
             subgroups.add(frozenset(cyclic))
         assert len(subgroups) == len(classes), shape
-        orders = Counter(
-            max((mod // math.gcd(mod, g_i) for g_i, mod in zip(g, moduli)),
-                default=1)
-            for g in itertools.product(*(range(mod) for mod in moduli)))
-        assert len(classes) == sum(Fraction(n, k - k // p)
-                                   for k, n in orders.items()), shape
+        # p^(sum_i min(n_i, j)) elements are killed by p^j, and each cyclic
+        # subgroup of order p^j has p^j - p^(j-1) generators
+        torsion = [p ** sum(min(e, j) for e in shape.exponents)
+                   for j in range(max(shape.exponents, default=0) + 1)]
+        assert len(classes) == 1 + sum(
+            Fraction(torsion[j] - torsion[j - 1], p ** j - p ** (j - 1))
+            for j in range(1, len(torsion))), shape
 
 
 def test_cli_disc_in_w7_matches_subgroup_oracle(capsys):
@@ -502,11 +506,74 @@ def test_ramification_integral_rejects_bad_sizes_under_optimisation():
     assert done.stdout.split() == ["raised", "raised"], done.stderr
 
 
-def test_discriminant_needs_scannable_group():
-    shape = counts.GroupShape(2, (11,))  # order 2^11 exceeds the character sum cap
-    m = asw.ReducedCocycle(shape, F2, {})
-    with pytest.raises(GroupTooLargeError, match="group order"):
-        asw.discriminant_exponent(m)
+def test_discriminant_needs_scannable_group(capsys):
+    # the one cap on every shape bounds the character sum: order 2^11
+    # answers, and order 2^13 is refused before any work
+    shape = counts.GroupShape(2, (11,))
+    assert asw.discriminant_exponent(asw.ReducedCocycle(shape, F2, {})) == 0
+    status = main(["disc", "--p", "2", "--q", "2", "--group", "13",
+                   "--terms", "1:" + ";".join("1" + "0" * 12)])
+    assert (status, capsys.readouterr().err) == (
+        2, "error: group order 8192 exceeds 4096\n")
+
+
+def _cut_jump(p, terms, k):
+    """The last jump of a cyclic datum cut to its first k Witt components:
+    at index n, a first nonzero component at position i < k leaves order
+    p^(k - i), so jump n p^(k - i - 1)."""
+    best = 0
+    for n, (comps,) in terms.items():
+        i = next((i for i, comp in enumerate(comps[:k]) if any(comp)), k)
+        if i < k:
+            best = max(best, n * p ** (k - i - 1))
+    return best
+
+
+def _digit_conductor_sum(p, exponents, terms):
+    """The conductor-discriminant sum read from the coefficient digits,
+    with neither `asw.character_classes` nor the Galois ring.  `terms` maps
+    a ramified index to one part per factor, a part to its Witt components,
+    a component to its base-p digits.  On (Z/p)^r the character a sees the
+    F_p-combination sum_i a_i c_i of the digit vectors, ramified up to the
+    largest index where it is nonzero; on Z/p^e the p^k - p^(k-1)
+    characters of order p^k see the datum cut to its first k components."""
+    if len(exponents) == 1:
+        jumps = [_cut_jump(p, terms, k) for k in range(1, exponents[0] + 1)]
+        return sum((p ** k - p ** (k - 1)) * (jump + 1)
+                   for k, jump in enumerate(jumps, 1) if jump)
+    total = 0
+    for a in itertools.product(range(p), repeat=len(exponents)):
+        jump = max((n for n, parts in terms.items()
+                    if any(sum(a_i * part[0][j] for a_i, part in zip(a, parts)) % p
+                           for j in range(len(parts[0][0])))), default=0)
+        if jump:
+            total += jump + 1
+    return total
+
+
+@pytest.mark.parametrize("p, exponents, q", [
+    (2, (1,) * 12, 2), (3, (1,) * 7, 9), (2, (11,), 4), (2, (12,), 2)],
+    ids=["Z2^12-F2", "Z3^7-F9", "Z2048-F4", "Z4096-F2"])
+def test_disc_at_orders_2048_and_4096_matches_the_digit_conductor_sum(
+        capsys, p, exponents, q):
+    # the subgroup oracle takes over 10 s per shape at these orders; three
+    # ramified indices, each Witt component zero or random with even odds
+    width = gf.field_for_order(q).n
+    rng = random.Random(f"{p}/{exponents}/{q}")
+    indices = rng.sample([n for n in range(1, 12) if n % p], 3)
+    terms = {n: [[[rng.randrange(p) for _ in range(width)] if rng.randrange(2)
+                  else [0] * width for _ in range(e)] for e in exponents]
+             for n in indices}
+    text = ",".join(
+        f"{n}:" + "|".join(";".join("".join(map(str, comp)) for comp in part)
+                           for part in parts)
+        for n, parts in terms.items())
+    status = main(["disc", "--p", str(p), "--q", str(q), "--group",
+                   ",".join(map(str, exponents)), "--terms", text])
+    captured = capsys.readouterr()
+    assert status == 0, captured.err
+    disc = json.loads(captured.out)["result"]["discriminant_exponent"]
+    assert disc == _digit_conductor_sum(p, exponents, terms) > 0
 
 
 def test_discriminant_of_rank_three_datum_over_f7():
@@ -573,7 +640,7 @@ def test_count_budget(monkeypatch):
     # (1024^2)^2 coefficient pairs at the indices 1 and 3
     monkeypatch.setattr(asw, "iter_module_elements", no_listing)
     with pytest.raises(BudgetExceededError,
-                       match="enumeration size 1099511627776 exceeds 5000000"):
+                       match="^1099511627776 candidates exceed 5000000$"):
         asw.count_by_last_jump_enumerated(Z2xZ2, 1024, 3, "inertial_types")
 
 

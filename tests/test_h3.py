@@ -33,7 +33,7 @@ def test_even_characteristic_is_rejected():
 def test_bruteforce_budget():
     # 27^6 index-1 coefficients over the residue field F_(27^3)
     with pytest.raises(BudgetExceededError,
-                       match="enumeration over 387420489 data exceeds 5000000"):
+                       match="^387420489 candidates exceed 5000000$"):
         h3.count_line_inertia(3, 27, 2, mode="bruteforce")
 
 
@@ -91,10 +91,13 @@ def test_smallest_wild_discriminant_is_minimal():
 
 
 def test_smallest_wild_discriminant_needs_p_at_most_seven():
-    # the abelian cross-check sums over the characters of (Z/p)^3
+    # the abelian cross-check sums over the characters of (Z/p)^3, which
+    # obeys the one cap on every shape, p^3 <= 4096, so p <= 13
     assert h3.smallest_wild_discriminant(7).value == 588
-    with pytest.raises(GroupTooLargeError, match="not 1331"):
-        h3.smallest_wild_discriminant(11)
+    assert h3.smallest_wild_discriminant(11).value == 2420
+    assert h3.smallest_wild_discriminant(13).value == 4056
+    with pytest.raises(GroupTooLargeError, match="group order 4913 exceeds 4096"):
+        h3.smallest_wild_discriminant(17)
 
 
 def test_gate_accepts_matching_residue_cardinality():

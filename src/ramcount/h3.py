@@ -34,6 +34,7 @@ def _check_setting(p: int, q: int) -> None:
     if p == 2:
         raise OddPrimeRequiredError("the construction needs an odd prime")
     field_for_order(q, p=p)  # validates that q is a power of p
+    GroupShape(p, (1, 1, 1))  # the Heisenberg group's order p^3 obeys the cap
 
 
 def count_line_inertia(p: int, q: int, r: int, mode: str = "closed_form") -> int:

@@ -34,7 +34,7 @@ from .errors import (
     MixedFieldsError,
     MixedRingsError,
 )
-from .gf import FieldDescriptor, FieldElement, _fold_rows, _mul_mod
+from .gf import FieldDescriptor, FieldElement, _fold_rows, _mul_mod, _pow_mod
 
 MAX_LENGTH = 12
 
@@ -69,16 +69,9 @@ class _GaloisRing:
         if t is None:
             t = b.coeffs
             if any(t):
-                field = self.field
-                k = self.length - 1
-                e = field.p ** k
-                base, t = (b ** field.p ** (-k % field.n)).coeffs, self.one
-                while e:
-                    if e & 1:
-                        t = self.mul(t, base)
-                    e >>= 1
-                    if e:
-                        base = self.mul(base, base)
+                p, k = self.field.p, self.length - 1
+                c = b ** p ** (-k % self.field.n)
+                t = _pow_mod(c.coeffs, p ** k, self._xpow, self.mod)
             self._lifts[b.coeffs] = t
         return t
 

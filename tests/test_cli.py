@@ -361,6 +361,48 @@ def test_a_large_prime_q_is_placed_in_bounded_time(argv, status, stdout, stderr)
     assert (done.returncode, done.stdout, done.stderr) == (status, stdout, stderr)
 
 
+M61 = 2 ** 61 - 1
+
+
+@pytest.mark.parametrize("argv, status, stdout_head, stderr", [
+    (("lj", "--p", "4093", "--q", str(4093 ** 4), "--group", "1",
+      "--terms", "1:0001"), 0, "last_jump\t1\n", ""),
+    (("counterexample", "--p", "13", "--q", str(13 ** 24)), 0,
+     f"p\t13\nq\t{13 ** 24}\n", ""),
+    # q is valid and GF(251^4) is built, then the order-p^3 group is refused
+    (("counterexample", "--p", "251", "--q", str(251 ** 4)), 2, "",
+     "error: group order 15813251 exceeds 4096\n"),
+    (("counterexample", "--p", "17", "--q", "17"), 2, "",
+     "error: group order 4913 exceeds 4096\n"),
+    (("lj", "--p", str(M61), "--q", str(M61 ** 2), "--group", "1",
+      "--terms", ""), 2, "", f"error: group order {M61} exceeds 4096\n"),
+], ids=["lj-4093^4", "counterexample-13^24", "counterexample-251^4",
+        "counterexample-17", "lj-M61^2"])
+def test_a_large_field_is_built_in_bounded_time(argv, status, stdout_head,
+                                                 stderr):
+    # the trial-division modulus search took 15 s on GF(251^4), ran past
+    # 30 s on GF(4093^4) and GF(13^24), and materialised range(p) for M61
+    done = subprocess.run(
+        [sys.executable, "-m", "ramcount.cli", *argv, "--format", "tsv"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stderr) == (status, stderr)
+    if status:
+        assert done.stdout == ""
+    else:
+        assert done.stdout.startswith(stdout_head)
+
+
+def test_lj_refuses_the_group_before_building_the_field(capsys, monkeypatch):
+    def unreachable(q, p=None):
+        raise AssertionError("GF(q) built for a refused group")
+
+    monkeypatch.setattr(gf, "field_for_order", unreachable)
+    status, out, err = run(capsys, "lj", "--p", str(M61), "--q", str(M61 ** 24),
+                           "--group", "1", "--terms", "")
+    assert (status, out, err) == (2, "", f"error: group order {M61} exceeds 4096\n")
+
+
 def test_a_raising_criterion_is_one_failing_row_under_its_key(monkeypatch,
                                                               cold_check_memos):
     def raising(q, x_max):

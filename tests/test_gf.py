@@ -1,6 +1,8 @@
 """Finite field arithmetic, Frobenius, Artin-Schreier cosets, embeddings."""
 
+import functools
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -394,6 +396,149 @@ def test_fields_above_the_table_cap_multiply_polynomials(q):
         a, b, c = (rng.choice(nonzero) for _ in range(3))
         assert (a * b) * c == a * (b * c) and a * (b + c) == a * b + a * c
         assert a.inverse() * a == field.one
-        assert a ** 300 == _poly_pow(a, 300)
+        assert a ** 300 == _poly_pow(a, 300) and a ** 0 == field.one
         assert a / b == a._poly_mul(_poly_pow(b, -1))
     assert field._logs is None
+
+
+# ---------------------------------------------------------------------------
+# the canonical modulus: Ben-Or's test against two independent oracles
+# ---------------------------------------------------------------------------
+
+def _divides(b, a, p):
+    """Whether the monic polynomial b divides a, coefficients mod p."""
+    r = list(a)
+    db = len(b) - 1
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
+        if c:
+            for j in range(db):
+                r[i - db + j] = (r[i - db + j] - c * b[j]) % p
+    return not any(r[:db])
+
+
+@functools.lru_cache(maxsize=None)
+def _irreducibles(p, degree):
+    """All monic irreducibles of exactly this degree, in lexicographic order."""
+    return tuple(tail + (1,) for tail in product(range(p), repeat=degree)
+                 if _trial_division_irreducible(tail + (1,), p))
+
+
+def _trial_division_irreducible(poly, p):
+    """Exhaustive trial division by the irreducibles of degree <= deg/2."""
+    return not any(_divides(d, poly, p)
+                   for k in range(1, (len(poly) - 1) // 2 + 1)
+                   for d in _irreducibles(p, k))
+
+
+def _trial_division_modulus(p, n):
+    """The first monic irreducible of degree n, constant term first in
+    lexicographic order, found by trial division."""
+    return next(cand for c0 in range(1, p)
+                for tail in product(range(p), repeat=n - 1)
+                for cand in [(c0,) + tail + (1,)]
+                if _trial_division_irreducible(cand, p))
+
+
+# (p, largest degree): every monic candidate of degree 2 .. that degree
+BEN_OR_ORACLE_RANGE = [(2, 10), (3, 7), (5, 4), (7, 4), (11, 3), (13, 3)]
+
+
+@pytest.mark.parametrize("p, top", BEN_OR_ORACLE_RANGE)
+def test_ben_or_agrees_with_trial_division_on_every_candidate(p, top):
+    for n in range(2, top + 1):
+        for tail in product(range(p), repeat=n):
+            cand = tail + (1,)
+            assert gf._is_irreducible(cand, p) == _trial_division_irreducible(
+                cand, p), cand
+
+
+@pytest.mark.parametrize("p, top", [(2, 20), (3, 12), (5, 8), (7, 6), (11, 4),
+                                    (13, 4), (31, 3)])
+def test_canonical_modulus_matches_the_trial_division_search(p, top):
+    for n in range(1, top + 1):
+        want = (0, 1) if n == 1 else _trial_division_modulus(p, n)
+        assert gf.make_field(p, n).modulus == want, n
+
+
+def test_pinned_moduli_of_the_trial_division_search():
+    # past the oracle's range: the moduli the trial-division search found
+    assert gf.make_field(251, 4).modulus == (1, 0, 0, 15, 1)
+    assert gf.make_field(3, 20).modulus == (1,) + (0,) * 16 + (1, 0, 2, 1)
+
+
+def _rem(a, f, p):
+    """a modulo f over F_p as len(f) - 1 coefficients; f's top coefficient
+    must be nonzero."""
+    a, inv = list(a), pow(f[-1], -1, p)
+    low = [(i, c) for i, c in enumerate(f[:-1]) if c]
+    while len(a) >= len(f):
+        c = a.pop() * inv % p
+        shift = len(a) - len(f) + 1
+        for i, fi in low:
+            a[shift + i] -= c * fi
+    return [c % p for c in a] + [0] * (len(f) - 1 - len(a))
+
+
+def _mul_rem(a, b, f, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _rem(prod, f, p)
+
+
+def _trim(a):
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _coprime(a, f, p):
+    """Whether gcd(a, f) = 1 over F_p, by Euclid's algorithm."""
+    a, b = _trim(f), _trim(a)
+    while b:
+        a, b = b, _trim(_rem(a, b, p))
+    return len(a) == 1
+
+
+def _rabin_irreducible(f, p):
+    """Rabin's criterion: the monic f of degree n is irreducible exactly when
+    x^(p^n) = x mod f and gcd(x^(p^(n/r)) - x, f) = 1 for each prime r | n.
+
+    h -> h^p is F_p-linear modulo f, so each power x^(p^k) is the previous
+    one read through the images x^(ip) mod f of the basis, i < n.
+    """
+    n = len(f) - 1
+    cuts = {n // r for r in range(2, n + 1)
+            if n % r == 0 and all(r % d for d in range(2, r))}
+    x = _rem([0, 1], f, p)
+    xp, base, e = _rem([1], f, p), x, p
+    while e:
+        if e & 1:
+            xp = _mul_rem(xp, base, f, p)
+        base, e = _mul_rem(base, base, f, p), e >> 1
+    images = [_rem([1], f, p)]
+    for _ in range(1, n):
+        images.append(_mul_rem(xp, images[-1], f, p))
+    h = x
+    for k in range(1, n + 1):
+        h = [sum(c * img[j] for c, img in zip(h, images)) % p for j in range(n)]
+        diff = [a - b for a, b in zip(h, x)]
+        if k in cuts and not _coprime(diff, f, p):
+            return False
+    return not any(diff)
+
+
+@pytest.mark.parametrize("p, n", [(13, 24), (4093, 24), (2 ** 61 - 1, 2)])
+def test_canonical_modulus_is_the_first_candidate_passing_rabin(p, n):
+    modulus = gf.make_field(p, n).modulus
+    assert modulus[-1] == 1 and len(modulus) == n + 1
+    assert _rabin_irreducible(list(modulus), p)
+    m = sum(c * p ** (n - 1 - i) for i, c in enumerate(modulus[:-1]))
+    for smaller in range(p ** (n - 1), m):
+        digits = [smaller // p ** (n - 1 - i) % p for i in range(n)]
+        assert not _rabin_irreducible(digits + [1], p), digits
+

@@ -8,6 +8,7 @@ from ramcount import h3
 from ramcount.errors import (
     BudgetExceededError,
     GroupTooLargeError,
+    NonPrimeError,
     OddPrimeRequiredError,
 )
 
@@ -90,7 +91,7 @@ def test_smallest_wild_discriminant_is_minimal():
         assert h3.smallest_wild_discriminant(p).is_smallest_positive
 
 
-def test_smallest_wild_discriminant_needs_p_at_most_seven():
+def test_smallest_wild_discriminant_needs_p_at_most_thirteen():
     # the abelian cross-check sums over the characters of (Z/p)^3, which
     # obeys the one cap on every shape, p^3 <= 4096, so p <= 13
     assert h3.smallest_wild_discriminant(7).value == 588
@@ -98,6 +99,21 @@ def test_smallest_wild_discriminant_needs_p_at_most_seven():
     assert h3.smallest_wild_discriminant(13).value == 4056
     with pytest.raises(GroupTooLargeError, match="group order 4913 exceeds 4096"):
         h3.smallest_wild_discriminant(17)
+
+
+def test_heisenberg_counts_obey_the_one_group_cap():
+    # the Heisenberg group has order p^3, so p = 17 is refused before any
+    # count, even though every count it would print has a closed form
+    assert h3.counterexample_report(13, 13).discrepancy_ratio == Fraction(183, 15)
+    for count in (lambda: h3.counterexample_report(17, 17),
+                  lambda: h3.count_line_inertia(17, 17, 1),
+                  lambda: h3.count_line_inertia(17, 17 ** 2, 2, mode="bruteforce")):
+        with pytest.raises(GroupTooLargeError,
+                           match="^group order 4913 exceeds 4096$"):
+            count()
+    # q is validated first, with the message it always had
+    with pytest.raises(NonPrimeError, match="^9 is not prime$"):
+        h3.counterexample_report(9, 9)
 
 
 def test_gate_accepts_matching_residue_cardinality():

@@ -9,10 +9,10 @@ cannot be written, 3 when a certificate fires.
 Each query is one process, so start-up counts.  At module level this file
 imports only the closed forms of `counts` and `errors`, and each handler
 imports the library modules it computes with.  So `count-abelian`,
-`count-d4` and `local-a` load no other library module, `census`,
-`global-series` and `growth` add `euler`, the dihedral datum commands add
-`gf` and `d4`, and only `lj`, `disc`, `counterexample` and `verify` load
-`witt` and `asw`.  `main` builds the subparser of the command it runs and
+`count-d4`, `local-a` and `count-minlift` load no other library module,
+`counterexample` adds `h3`, `census`, `global-series` and `growth` add
+`euler`, the dihedral datum commands and `count-minlift --mode enumeration`
+add `gf` and `d4`, and only `lj`, `disc` and `verify` load `witt` and `asw`.  `main` builds the subparser of the command it runs and
 no other.  The library's records are `collections.namedtuple` subclasses,
 so no query loads `dataclasses`, and `fractions` is imported only where a
 Fraction is made, so it loads only for `growth`, `counterexample` and
@@ -70,7 +70,10 @@ def _read_terms(text: str):
     seen = set()
     for term in text.split(","):
         index_text, _, coeff_text = term.partition(":")
-        index = int(index_text)
+        try:
+            index = int(index_text)
+        except ValueError:
+            raise ValueError(f"bad term {term!r}")
         if index in seen:
             raise ValueError(f"index {index} appears twice")
         seen.add(index)
@@ -175,8 +178,11 @@ def cmd_urtwist_check(args):
 
 
 def cmd_count_minlift(args):
-    from . import d4
-    count = d4.count_min_lift(args.q, args.v, args.mode, budget=args.budget)
+    if args.mode == "closed_form":
+        count = counts.count_min_lift(args.q, args.v)
+    else:
+        from . import d4
+        count = d4.count_min_lift_enumerated(args.q, args.v, args.budget)
     return {"count": count, "mode": args.mode}, 0
 
 

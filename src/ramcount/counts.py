@@ -238,7 +238,11 @@ def _check_jump(v: int) -> None:
         raise ValueError(f"jump {v} exceeds {MAX_JUMP}")
 
 
-def _min_lift_closed_form(q: int, v: int) -> int:
+def count_min_lift(q: int, v: int) -> int:
+    """Quarter-count of Klein reductions with minimal lift jump exactly v;
+    q must be a power of 2.  Its oracle is `d4.count_min_lift_enumerated`."""
+    prime_power(q, p=2)
+    _check_jump(v)
     if v == 0:
         return 1
     if v % 2:

@@ -38,7 +38,6 @@ from .counts import (
     MAX_JUMP,
     GroupShape,
     _check_jump,
-    _min_lift_closed_form,
     _refuse_over_budget,
     prime_power,
 )
@@ -392,26 +391,19 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
 # local counts
 # ---------------------------------------------------------------------------
 
-def count_min_lift(q: int, v: int, mode: str = "closed_form",
-                   budget: int = DEFAULT_BUDGET) -> int:
-    """Quarter-count of Klein reductions with minimal lift jump exactly v.
-
-    closed_form evaluates the three-case formula; enumeration builds the
-    pole orders of all ramified supports over F_q and counts the pairs
-    whose pole orders sum to v.  The two must agree.  q must be a power
-    of 2 in both modes.
-    """
+def count_min_lift_enumerated(q: int, v: int,
+                              budget: int = DEFAULT_BUDGET) -> int:
+    """The oracle for `counts.count_min_lift`: the pole orders of all
+    ramified supports over F_q, and the pairs whose pole orders sum to v;
+    q must be a power of 2.  At v = 0 the one support is empty."""
     _, n = prime_power(q, p=2)
     _check_jump(v)
-    if mode == "closed_form":
-        return _min_lift_closed_form(q, v)
-    if mode != "enumeration":
-        raise ValueError(f"unknown mode {mode!r}")
     field = make_field(2, n)
-    odd = [e for e in range(1, v + 1) if e % 2]
+    odd = range(1, v + 1, 2)
     _refuse_over_budget(q ** len(odd), budget)
     hist = [0] * (v + 1)
-    for chosen in product(field.elements(), repeat=len(odd)):
+    # GF(q) is listed only when there is an odd exponent to fill
+    for chosen in product(field.elements() if odd else (), repeat=len(odd)):
         terms = {e: c for e, c in zip(odd, chosen) if c}
         hist[max(terms, default=0)] += 1
     return sum(hist[w] * hist[v - w] for w in range(v + 1))

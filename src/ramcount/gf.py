@@ -23,9 +23,9 @@ element lists, embeddings) only ever stores the one value its key
 determines, so fields and elements can be shared freely across threads.
 
 Besides the four field operations the module provides the Frobenius map
-x -> x^p, the Artin-Schreier operator x -> x^p - x, a deterministic
-transversal of its image (always containing 0), and deterministic ring
-embeddings between compatible fields.  An embedding keeps the images of
+x -> x^p, the Artin-Schreier operator x -> x^p - x, a transversal of its
+image read off the absolute trace, which lists no element, and deterministic
+ring embeddings between compatible fields.  An embedding keeps the images of
 the source generator's powers and memoises each element's image, so it
 costs a dictionary lookup once an element has been embedded.
 """
@@ -191,7 +191,7 @@ class FieldDescriptor:
     """GF(p^n) presented as F_p[x] modulo the canonical irreducible modulus."""
 
     __slots__ = ("p", "n", "modulus", "q", "zero", "one", "gen",
-                 "_xpow", "_logs", "_elements", "_transversal", "_image")
+                 "_xpow", "_logs", "_elements")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
@@ -206,8 +206,6 @@ class FieldDescriptor:
         self._xpow = _fold_rows(modulus, p)
         self._logs: tuple[dict, tuple] | None = None
         self._elements: tuple[FieldElement, ...] | None = None
-        self._transversal: tuple[FieldElement, ...] | None = None
-        self._image: frozenset[FieldElement] | None = None
 
     def __repr__(self):
         if self.n == 1:
@@ -379,31 +377,28 @@ def _index_tables(field: FieldDescriptor) -> tuple[dict, tuple]:
 # Artin-Schreier cosets
 # ---------------------------------------------------------------------------
 
-def artin_schreier_image(field: FieldDescriptor) -> frozenset[FieldElement]:
-    """The image of x -> x^p - x on GF(p^n); an index-p additive subgroup."""
-    if field._image is None:
-        field._image = frozenset(a.artin_schreier() for a in field.iter_elements())
-    return field._image
+def _power_sums(modulus: tuple[int, ...], p: int) -> list[int]:
+    """Tr(x^i) in F_p[x]/(f) for 0 <= i < n: the power sums s_i of the roots
+    of f, by Newton's identities s_0 = n, s_k = -(k f_(n-k) + sum_(0<i<k)
+    f_(n-i) s_(k-i)) mod p."""
+    n = len(modulus) - 1
+    sums = [n % p]
+    for k in range(1, n):
+        sums.append(-(k * modulus[n - k] + sum(
+            modulus[n - i] * sums[k - i] for i in range(1, k))) % p)
+    return sums
 
 
 def wp_transversal(field: FieldDescriptor) -> tuple[FieldElement, ...]:
-    """Deterministic coset representatives for the Artin-Schreier image.
-
-    Elements are scanned in lexicographic coefficient order, keeping the
-    first of each coset: a joins the coset of a kept r exactly when a - r
-    lies in the image.  The scan starts at 0, so 0 always represents the
-    image itself.
-    """
-    if field._transversal is None:
-        image = artin_schreier_image(field)
-        reps = []
-        for a in field.iter_elements():
-            if all(a - r not in image for r in reps):
-                reps.append(a)
-                if len(reps) == field.p:
-                    break
-        field._transversal = tuple(reps)
-    return field._transversal
+    """c x^j for c in range(p), j the last i < n with Tr(x^i) != 0: the
+    lexicographically first element of each coset of the Artin-Schreier
+    image, which is the kernel of the trace (additive Hilbert 90).  The
+    coefficients after x^j add trace 0, and the first representative, 0,
+    stands for the image itself."""
+    p, n = field.p, field.n
+    j = max(i for i, s in enumerate(_power_sums(field.modulus, p)) if s)
+    return tuple(FieldElement(field, (0,) * j + (c,) + (0,) * (n - 1 - j))
+                 for c in range(p))
 
 
 # ---------------------------------------------------------------------------

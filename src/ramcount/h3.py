@@ -8,7 +8,8 @@ here case by case: inertia inside the centre first, then inertia over each
 of the p+1 lines of the Klein-type quotient.  Every case factor reduces to
 counts of elementary abelian data with last jump 1 and prescribed inertia,
 which has both a closed form and a brute-force evaluation through the
-abelian machinery.
+abelian machinery.  Only that brute force and the discriminant gate build
+a field or a datum, so only they import `asw`, `gf` and `witt`.
 
 The per-case assembly must reproduce the closed-form totals exactly; a
 mismatch raises instead of being patched over.
@@ -19,41 +20,39 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations_with_replacement
 
-from . import asw
-from .counts import GroupShape, _refuse_over_budget
+from .counts import GroupShape, _refuse_over_budget, prime_power
 from .errors import InternalInconsistencyError, OddPrimeRequiredError
-from .gf import field_for_order, make_field
-from .witt import WittVector
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
-def _check_setting(p: int, q: int) -> None:
+def _check_setting(p: int, q: int, r: int) -> None:
     if p == 2:
         raise OddPrimeRequiredError("the construction needs an odd prime")
-    field_for_order(q, p=p)  # validates that q is a power of p
+    prime_power(q, p)  # q is a power of p
     GroupShape(p, (1, 1, 1))  # the Heisenberg group's order p^3 obeys the cap
-
-
-def count_line_inertia(p: int, q: int, r: int, mode: str = "closed_form") -> int:
-    """Homomorphisms to F_p^r over the degree-p place with inertia exactly a
-    fixed order-p subgroup and last jump 1.
-
-    The residue field of the place has q^p elements.  closed_form returns
-    p^r (q^p - 1); bruteforce enumerates the index-1 coefficients over that
-    residue field, filters on jump and inertia image, and multiplies by the
-    p^r classes of the index-0 coefficient, which enters neither.
-    """
-    _check_setting(p, q)
     if r < 1:
         raise ValueError("rank must be positive")
-    closed = p ** r * (q ** p - 1)
-    if mode == "closed_form":
-        return closed
-    if mode != "bruteforce":
-        raise ValueError(f"unknown mode {mode!r}")
+
+
+def count_line_inertia(p: int, q: int, r: int) -> int:
+    """Homomorphisms to F_p^r over the degree-p place with inertia exactly a
+    fixed order-p subgroup and last jump 1: p^r (q^p - 1), the residue field
+    of the place having q^p elements.  Its oracle is
+    `count_line_inertia_bruteforce`."""
+    _check_setting(p, q, r)
+    return p ** r * (q ** p - 1)
+
+
+def count_line_inertia_bruteforce(p: int, q: int, r: int) -> int:
+    """`count_line_inertia` by enumerating the index-1 coefficients over the
+    residue field, filtering on jump and inertia image, and multiplying by
+    the p^r classes of the index-0 coefficient, which enters neither."""
+    from . import asw
+    from .gf import field_for_order
+    _check_setting(p, q, r)
     residue_order = q ** p
     _refuse_over_budget(residue_order ** r)
     shape = GroupShape(p, (1,) * r)
@@ -169,8 +168,9 @@ def smallest_wild_discriminant(p: int, q: int | None = None) -> DiscriminantGate
     that group must obey the one cap on every shape, p^3 <= MAX_GROUP_ORDER,
     so the gate answers up to p = 13 and p >= 17 raises GroupTooLargeError.
     """
+    from . import asw
     if q is not None:
-        field_for_order(q, p=p)
+        prime_power(q, p)
     order = p ** 3
     value = asw.ramification_integral(order, [p, p])
     if value != 2 * p ** 2 * (p - 1):
@@ -193,6 +193,9 @@ def smallest_wild_discriminant(p: int, q: int | None = None) -> DiscriminantGate
 def _cross_check_via_abelian_datum(p: int, expected: int) -> None:
     """An elementary abelian rank-3 datum with one ramified line and jump 1
     realises the same filtration sizes, so its discriminant must agree."""
+    from . import asw
+    from .gf import make_field
+    from .witt import WittVector
     field = make_field(p, 1)
     shape = GroupShape(p, (1, 1, 1))
     datum = asw.ReducedCocycle(shape, field, {1: (

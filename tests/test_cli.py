@@ -39,6 +39,13 @@ def test_count_minlift(capsys):
     assert doc["result"]["count"] == 4
 
 
+def test_count_minlift_enumeration_at_jump_zero_lists_no_field(capsys):
+    # GF(2^17) is over the listing cap, but v = 0 has one empty support
+    doc = run_json(capsys, "count-minlift", "--q", "131072", "--v", "0",
+                   "--mode", "enumeration")
+    assert doc["result"] == {"count": 1, "mode": "enumeration"}
+
+
 def test_last_jump_of_term_list(capsys):
     doc = run_json(capsys, "lj", "--p", "2", "--q", "2",
                    "--group", "1", "--terms", "3:1")
@@ -185,24 +192,23 @@ def test_verify_output_is_pinned_and_runs_shared_checks_once(
     # a criterion that restates a suite row reads the row, and one that
     # needs a slice of a row's work shares a memoised helper with it
     bruteforce, pairings = [], []
-    count_line_inertia = h3.count_line_inertia
+    count_line_inertia_bruteforce = h3.count_line_inertia_bruteforce
     epsilon_bound_report = d4.epsilon_bound_report
 
     def counted_line_inertia(*args):
-        if "bruteforce" in args:
-            bruteforce.append(args)
-        return count_line_inertia(*args)
+        bruteforce.append(args)
+        return count_line_inertia_bruteforce(*args)
 
     def counted_epsilon_bound_report(*args):
         pairings.append(args)
         return epsilon_bound_report(*args)
 
-    monkeypatch.setattr(h3, "count_line_inertia", counted_line_inertia)
+    monkeypatch.setattr(h3, "count_line_inertia_bruteforce", counted_line_inertia)
     monkeypatch.setattr(d4, "epsilon_bound_report", counted_epsilon_bound_report)
     status, out, _ = run(capsys, "verify", "--seed", "0")
     assert status == 0
     assert out == (GOLDEN / "verify_seed0.json").read_text()
-    assert sorted(bruteforce) == [(3, 3, 1, "bruteforce"), (3, 3, 2, "bruteforce")]
+    assert sorted(bruteforce) == [(3, 3, 1), (3, 3, 2)]
     # one exhaustive pairing-bound run: 16 sources against F_q'^2, q' = 2, 4, 16
     assert len(pairings) == 16 * (2 ** 2 + 4 ** 2 + 16 ** 2)
     assert checks.row.cache_info().misses == 38
@@ -369,14 +375,18 @@ M61 = 2 ** 61 - 1
       "--terms", "1:0001"), 0, "last_jump\t1\n", ""),
     (("counterexample", "--p", "13", "--q", str(13 ** 24)), 0,
      f"p\t13\nq\t{13 ** 24}\n", ""),
-    # q is valid and GF(251^4) is built, then the order-p^3 group is refused
+    # counterexample builds no field, so a degree past MAX_DEGREE answers
+    (("counterexample", "--p", "3", "--q", str(3 ** 25)), 0,
+     f"p\t3\nq\t{3 ** 25}\n", ""),
+    # q is a power of 251, then the order-p^3 group is refused
     (("counterexample", "--p", "251", "--q", str(251 ** 4)), 2, "",
      "error: group order 15813251 exceeds 4096\n"),
     (("counterexample", "--p", "17", "--q", "17"), 2, "",
      "error: group order 4913 exceeds 4096\n"),
     (("lj", "--p", str(M61), "--q", str(M61 ** 2), "--group", "1",
       "--terms", ""), 2, "", f"error: group order {M61} exceeds 4096\n"),
-], ids=["lj-4093^4", "counterexample-13^24", "counterexample-251^4",
+], ids=["lj-4093^4", "counterexample-13^24", "counterexample-3^25",
+        "counterexample-251^4",
         "counterexample-17", "lj-M61^2"])
 def test_a_large_field_is_built_in_bounded_time(argv, status, stdout_head,
                                                  stderr):
@@ -740,6 +750,11 @@ def test_negative_dihedral_jump_is_rejected(capsys, command):
     (("counterexample", "--p", "9", "--q", "9"), "9 is not prime"),
     (("count-abelian", "--p", "1", "--q", "2", "--group", "1", "--v", "1"),
      "1 is not prime"),
+    # a term index must be an integer
+    (("lj", "--p", "2", "--q", "2", "--group", "1", "--terms", "1:1,"),
+     "bad term ''"),
+    (("lj", "--p", "2", "--q", "2", "--group", "1", "--terms", "x:1"),
+     "bad term 'x:1'"),
 ])
 def test_out_of_range_input_is_a_one_line_error(capsys, argv, message):
     status, out, err = run(capsys, *argv)
@@ -872,8 +887,9 @@ for argv in json.loads(sys.argv[1]):
         statuses.append(ramcount.cli.main(argv))
 print(json.dumps([statuses, sorted(sys.modules)]))
 """
-# one cheap query per subcommand, and the abelian series, which a flag
-# sends down a path that loads less than the dihedral one
+# one cheap query per subcommand, the abelian series, which a flag sends
+# down a path that loads less than the dihedral one, and the count-minlift
+# oracle, which a flag sends down one that loads more
 QUERIES = {
     "lj": ("lj", "--p", "2", "--q", "2", "--group", "1", "--terms", "1:1"),
     "disc": ("disc", "--p", "2", "--q", "4", "--group", "1,1",
@@ -886,6 +902,8 @@ QUERIES = {
     "urtwist-check": ("urtwist-check", "--q", "2", "--a", "1:1", "--c", "3:1",
                       "--v-max", "6"),
     "count-minlift": ("count-minlift", "--q", "2", "--v", "3"),
+    "count-minlift-enumeration": ("count-minlift", "--q", "2", "--v", "3",
+                                  "--mode", "enumeration"),
     "count-d4": ("count-d4", "--q", "2", "--v", "3"),
     "local-a": ("local-a", "--q", "2", "--v", "3"),
     "census": ("census", "--q", "2", "--max-degree", "3"),
@@ -927,14 +945,15 @@ QUERY_MODULES = {
     "minlift": CLOSED_FORMS | {"d4", "gf"},
     "lift-dist": CLOSED_FORMS | {"d4", "gf"},
     "urtwist-check": CLOSED_FORMS | {"d4", "gf"},
-    "count-minlift": CLOSED_FORMS | {"d4", "gf"},
+    "count-minlift": CLOSED_FORMS,
+    "count-minlift-enumeration": CLOSED_FORMS | {"d4", "gf"},
     "count-d4": CLOSED_FORMS,
     "local-a": CLOSED_FORMS,
     "census": CLOSED_FORMS | {"euler"},
     "global-series": CLOSED_FORMS | {"euler"},
     "global-series-group": CLOSED_FORMS | {"euler"},
     "growth": CLOSED_FORMS | {"euler"},
-    "counterexample": CLOSED_FORMS | {"asw", "gf", "h3", "witt"},
+    "counterexample": CLOSED_FORMS | {"h3"},
     "verify": CLOSED_FORMS | {"asw", "checks", "d4", "euler", "gf", "h3",
                               "witt"},
 }

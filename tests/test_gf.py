@@ -197,7 +197,7 @@ def test_artin_schreier_kernel_and_image_sizes(p, n):
     field = gf.make_field(p, n)
     kernel = [a for a in field.iter_elements() if not a.artin_schreier()]
     assert len(kernel) == p
-    assert len(gf.artin_schreier_image(field)) == field.q // p
+    assert len({a.artin_schreier() for a in field.iter_elements()}) == field.q // p
 
 
 def test_transversal_of_f2():
@@ -211,7 +211,7 @@ def test_transversal_of_f4_contains_zero_and_a_nonsubfield_element():
     assert len(trans) == 2
     assert trans[0] == f4.zero
     assert trans[1] not in (f4.zero, f4.one)
-    assert gf.artin_schreier_image(f4) == frozenset([f4.zero, f4.one])
+    assert {a.artin_schreier() for a in f4.iter_elements()} == {f4.zero, f4.one}
 
 
 def test_transversal_of_f3_is_whole_field():
@@ -222,10 +222,67 @@ def test_transversal_of_f3_is_whole_field():
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (2, 4)])
 def test_transversal_is_a_complete_set_of_coset_representatives(p, n):
     field = gf.make_field(p, n)
-    image = gf.artin_schreier_image(field)
+    image = {a.artin_schreier() for a in field.iter_elements()}
     reps = gf.wp_transversal(field)
     cosets = {frozenset(r + b for b in image) for r in reps}
     assert len(cosets) == p
+
+
+# every field of order at most 4096: 564 prime fields and 40 extensions
+FIELDS_TO_4096 = [(p, n) for p in range(2, 4097) if counts._is_prime(p)
+                  for n in range(1, 13) if p ** n <= 4096]
+
+
+def _coset_scan(field):
+    """The transversal's oracle: scan GF(p^n) in lexicographic coefficient
+    order and keep the first element of each coset of the Artin-Schreier
+    image, as coefficient tuples.  x -> x^p - x is F_p-linear, so its image
+    is spanned by the images of the basis x^i; an element is in a kept
+    coset when the union of those cosets holds it."""
+    p, n = field.p, field.n
+    image = {(0,) * n}
+    for i in range(n):
+        g = field.element(k == i for k in range(n)).artin_schreier().coeffs
+        image = {tuple((b + c * t) % p for b, t in zip(v, g))
+                 for v in image for c in range(p)}
+    reps, covered = [], set()
+    for a in product(range(p), repeat=n):
+        if a not in covered:
+            reps.append(a)
+            if len(reps) == p:
+                return reps
+            covered.update(tuple((x + y) % p for x, y in zip(a, b))
+                           for b in image)
+    raise AssertionError(f"{field} has fewer than {p} cosets")
+
+
+def test_trace_transversal_is_the_coset_scan():
+    # every field of order <= 4096 but the prime fields past 61: there the
+    # image is 0, both routes list F_p in order, and the scan's p elements
+    # would take about 4 s in all; the power sums that choose x^j are
+    # checked on every field by the next test
+    assert len(FIELDS_TO_4096) == 604
+    for p, n in FIELDS_TO_4096:
+        if n == 1 and p > 64:
+            continue
+        field = gf.make_field(p, n)
+        got = [a.coeffs for a in gf.wp_transversal(field)]
+        assert got == _coset_scan(field), field
+
+
+def test_newton_power_sums_are_the_traces_of_the_basis():
+    # Tr(a) = a + a^p + ... + a^(p^(n-1)) lies in F_p
+    for p, n in FIELDS_TO_4096:
+        field = gf.make_field(p, n)
+        traces = []
+        for i in range(n):
+            power = field.element(k == i for k in range(n))
+            trace = field.zero
+            for _ in range(n):
+                trace, power = trace + power, power.frobenius()
+            assert trace.coeffs[1:] == (0,) * (n - 1), field
+            traces.append(trace.coeffs[0])
+        assert gf._power_sums(field.modulus, p) == traces, field
 
 
 def test_embedding_of_prime_field_is_unital():

@@ -20,8 +20,8 @@ def test_line_inertia_closed_form_values():
 
 
 def test_line_inertia_bruteforce_matches_closed_form():
-    assert h3.count_line_inertia(3, 3, 1, mode="bruteforce") == 78
-    assert h3.count_line_inertia(3, 3, 2, mode="bruteforce") == 234
+    assert h3.count_line_inertia_bruteforce(3, 3, 1) == 78
+    assert h3.count_line_inertia_bruteforce(3, 3, 2) == 234
 
 
 def test_even_characteristic_is_rejected():
@@ -35,7 +35,7 @@ def test_bruteforce_budget():
     # 27^6 index-1 coefficients over the residue field F_(27^3)
     with pytest.raises(BudgetExceededError,
                        match="^387420489 candidates exceed 5000000$"):
-        h3.count_line_inertia(3, 27, 2, mode="bruteforce")
+        h3.count_line_inertia_bruteforce(3, 27, 2)
 
 
 def test_local_count_at_three():
@@ -107,7 +107,7 @@ def test_heisenberg_counts_obey_the_one_group_cap():
     assert h3.counterexample_report(13, 13).discrepancy_ratio == Fraction(183, 15)
     for count in (lambda: h3.counterexample_report(17, 17),
                   lambda: h3.count_line_inertia(17, 17, 1),
-                  lambda: h3.count_line_inertia(17, 17 ** 2, 2, mode="bruteforce")):
+                  lambda: h3.count_line_inertia_bruteforce(17, 17 ** 2, 2)):
         with pytest.raises(GroupTooLargeError,
                            match="^group order 4913 exceeds 4096$"):
             count()

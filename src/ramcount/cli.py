@@ -12,12 +12,12 @@ imports the library modules it computes with.  So `count-abelian`,
 `count-d4`, `local-a` and `count-minlift` load no other library module,
 `counterexample` adds `h3`, `census`, `global-series` and `growth` add
 `euler`, the dihedral datum commands and `count-minlift --mode enumeration`
-add `gf` and `d4`, and only `lj`, `disc` and `verify` load `witt` and `asw`.  `main` builds the subparser of the command it runs and
-no other.  The library's records are `collections.namedtuple` subclasses,
-so no query loads `dataclasses`, and `fractions` is imported only where a
-Fraction is made, so it loads only for `growth`, `counterexample` and
-`verify`.  `tests/test_cli.py` pins these module sets in a fresh
-interpreter.
+add `gf` and `d4`, and only `lj`, `disc` and `verify` load `witt` and `asw`.
+`main` builds the subparser of the command it runs and no other.  The
+library's records are `collections.namedtuple` subclasses, so no query
+loads `dataclasses`, and `fractions` is imported only where a Fraction is
+made, so it loads only for `growth`, `counterexample` and `verify`.
+`tests/test_cli.py` pins these module sets in a fresh interpreter.
 """
 
 from __future__ import annotations

@@ -34,6 +34,14 @@ def _refuse_over_budget(candidates: int, budget: int = DEFAULT_BUDGET) -> None:
         raise BudgetExceededError(f"{candidates} candidates exceed {budget}")
 
 
+def _check_jump(v: int) -> None:
+    """The one statement of the jump range 0 <= v <= MAX_JUMP."""
+    if v < 0:
+        raise ValueError("jump must be nonnegative")
+    if v > MAX_JUMP:
+        raise ValueError(f"jump {v} exceeds {MAX_JUMP}")
+
+
 def _least_divisor(n: int) -> int:
     """The least divisor of n >= 2 above 1, which is prime, by trial division
     up to 2^_TRIAL_BITS, so exact for n below 2^(2 _TRIAL_BITS).  Past that,
@@ -188,10 +196,7 @@ def _ramified_indices(p: int, v: int) -> list[int]:
 def _check_count_args(shape: GroupShape, q: int, v: int, mode: str) -> None:
     if mode not in ("homomorphisms", "inertial_types"):
         raise ValueError(f"unknown mode {mode!r}")
-    if v < 0:
-        raise ValueError(f"last jump {v} must be nonnegative")
-    if v > MAX_JUMP:
-        raise ValueError(f"last jump {v} exceeds {MAX_JUMP}")
+    _check_jump(v)
     prime_power(q, p=shape.p)
 
 
@@ -230,13 +235,6 @@ def count_by_last_jump(shape: GroupShape, q: int, v: int, mode: str) -> int:
 # ---------------------------------------------------------------------------
 # dihedral data by last jump
 # ---------------------------------------------------------------------------
-
-def _check_jump(v: int) -> None:
-    if v < 0:
-        raise ValueError("jump must be nonnegative")
-    if v > MAX_JUMP:
-        raise ValueError(f"jump {v} exceeds {MAX_JUMP}")
-
 
 def count_min_lift(q: int, v: int) -> int:
     """Quarter-count of Klein reductions with minimal lift jump exactly v;

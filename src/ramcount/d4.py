@@ -35,7 +35,6 @@ from itertools import product
 
 from .counts import (
     DEFAULT_BUDGET,
-    MAX_JUMP,
     GroupShape,
     _check_jump,
     _refuse_over_budget,
@@ -301,10 +300,7 @@ def lift_jump_distribution(a: SparseTPoly, c: SparseTPoly,
     Zero below the minimal lift jump; all central twists of bounded jump at
     the minimum; twists of exact jump above it.
     """
-    if v_max < 0:
-        raise ValueError(f"v_max {v_max} must be nonnegative")
-    if v_max > MAX_JUMP:
-        raise ValueError(f"v_max {v_max} exceeds {MAX_JUMP}")
+    _check_jump(v_max)
     q = a.field.q
     m = min_lift_jump(a, c)
     counts = []
@@ -323,8 +319,7 @@ def enumerated_lift_distribution(a: SparseTPoly, c: SparseTPoly,
     """Jump tallies over the explicit b-parametrisation (totally ramified only)."""
     from fractions import Fraction
     _require_lift_space(a, c)
-    if v_max < 0:
-        raise ValueError(f"v_max {v_max} must be nonnegative")
+    _check_jump(v_max)
     _refuse_over_budget(_lift_pool_size(a.field, v_max))
     return {Fraction(jump2, 2): count
             for jump2, count in _doubled_jump_tally(a, c, v_max).items()

@@ -25,10 +25,6 @@ class NotASubfieldError(RamcountError):
     """No embedding exists between the given fields."""
 
 
-class LengthTooLargeError(RamcountError):
-    """Requested Witt vector length exceeds the supported bound."""
-
-
 class MixedRingsError(RamcountError):
     """Operands belong to different Witt rings."""
 

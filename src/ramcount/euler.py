@@ -8,22 +8,25 @@ e_i lambda_(k-i), so t G'/G = sum_m c_m t^m, with c_(dk) summing
 d pi_d lambda_k, and m h_m = sum_{0<j<=m} c_j h_(m-j) gives the
 coefficients of G.  They are integers, so each division by m is exact: a
 remainder, or a local e_0 other than 1, raises InternalInconsistencyError,
-an integrality certificate.  Everything is exact (integers, and Fractions
-for growth ratios), and every local coefficient is a closed form of
-`ramcount.counts`, so the module imports no field or datum code.
+an integrality certificate.  Its oracle, `convolution_oracle`, multiplies
+the local series out one place at a time, with no logarithm and no division,
+and refuses over the one enumeration budget.  Everything is exact (integers,
+and Fractions for growth ratios), and every local coefficient is a closed
+form of `ramcount.counts`, so the module imports no field or datum code.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
-from .counts import _d4_exact, _least_divisor, count_by_last_jump, prime_power
-from .errors import (
-    BudgetExceededError,
-    InternalInconsistencyError,
-    TruncationTooLargeError,
+from .counts import (
+    _d4_exact,
+    _least_divisor,
+    _refuse_over_budget,
+    count_by_last_jump,
+    prime_power,
 )
+from .errors import InternalInconsistencyError, TruncationTooLargeError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -36,7 +39,6 @@ if TYPE_CHECKING:
 
 MAX_CENSUS_DEGREE = 32
 MAX_TRUNCATION = 24
-MAX_ORACLE_TRUNCATION = 8
 
 
 def mobius(n: int) -> int:
@@ -158,39 +160,26 @@ def abelian_global_series(shape: GroupShape, q: int,
 
 
 def convolution_oracle(q: int, total: int, coefficient: LocalCoefficient) -> int:
-    """Independent evaluation of one global coefficient.
+    """Independent evaluation of one global coefficient, [t^total] of the
+    Euler product multiplied out one place at a time.
 
-    Sums the product of local coefficients over all explicit jump
-    assignments (v_place) with sum of deg * v equal to `total`, recursing
-    place by place over the full list of places of degree <= total.
+    Each of the pi_d places of degree d <= total multiplies a running product
+    of total + 1 coefficients by its local series sum_v e_v(q^d) t^(dv), with
+    no logarithm, division or squaring.  That is at most sum_d pi_d
+    (floor(total/d) + 1)(total + 1) coefficient products, refused over the
+    one budget before any local coefficient is read.
     """
-    if total > MAX_ORACLE_TRUNCATION:
-        raise BudgetExceededError(
-            f"oracle truncation {total} exceeds {MAX_ORACLE_TRUNCATION}")
-    if total == 0:
-        return 1
     census = place_census(q, total)
-    degrees: list[int] = []
+    _refuse_over_budget(sum(pi * (total // d + 1) * (total + 1)
+                            for d, pi in census.counts))
+    product = [1] + [0] * total
     for d, pi in census.counts:
-        degrees.extend([d] * pi)
-
-    @lru_cache(maxsize=None)
-    def tail(i: int, remaining: int) -> int:
-        if remaining == 0:
-            return 1
-        if i == len(degrees):
-            return 0
-        d = degrees[i]
-        acc = 0
-        v = 0
-        while d * v <= remaining:
-            acc += coefficient(q ** d, v) * tail(i + 1, remaining - d * v)
-            v += 1
-        return acc
-
-    result = tail(0, total)
-    tail.cache_clear()
-    return result
+        local = [coefficient(q ** d, v) for v in range(total // d + 1)]
+        for _ in range(pi):
+            for m in range(total, -1, -1):  # product[m - dv] not yet updated
+                product[m] = sum(local[v] * product[m - d * v]
+                                 for v in range(m // d + 1))
+    return product[total]
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +204,6 @@ class GrowthTable(namedtuple("GrowthTable", "q rows")):
 def growth_table(q: int, x_max: int) -> GrowthTable:
     """Exact ratios N(X)/(q^(3X) X) and their successive relative changes."""
     from fractions import Fraction
-    if x_max > MAX_TRUNCATION:
-        raise TruncationTooLargeError(f"x_max {x_max} exceeds {MAX_TRUNCATION}")
     series = d4_global_series(q, x_max)
     rows = []
     prev: Fraction | None = None

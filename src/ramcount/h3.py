@@ -154,7 +154,7 @@ class DiscriminantGateReport(namedtuple(
     __slots__ = ()
 
 
-def smallest_wild_discriminant(p: int, q: int | None = None) -> DiscriminantGateReport:
+def smallest_wild_discriminant(p: int) -> DiscriminantGateReport:
     """The smallest positive discriminant exponent for an order-p^3 image.
 
     Inertia of size p with last jump 1 gives 2 p^2 (p - 1) through the
@@ -169,8 +169,6 @@ def smallest_wild_discriminant(p: int, q: int | None = None) -> DiscriminantGate
     so the gate answers up to p = 13 and p >= 17 raises GroupTooLargeError.
     """
     from . import asw
-    if q is not None:
-        prime_power(q, p)
     order = p ** 3
     value = asw.ramification_integral(order, [p, p])
     if value != 2 * p ** 2 * (p - 1):

@@ -28,15 +28,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .errors import (
-    InternalInconsistencyError,
-    LengthTooLargeError,
-    MixedFieldsError,
-    MixedRingsError,
-)
+from .errors import InternalInconsistencyError, MixedFieldsError, MixedRingsError
 from .gf import FieldDescriptor, FieldElement, _fold_rows, _mul_mod, _pow_mod
-
-MAX_LENGTH = 12
 
 
 class _GaloisRing:
@@ -139,8 +132,6 @@ class _GaloisRing:
 
 @lru_cache(maxsize=None)
 def _galois_ring(field: FieldDescriptor, length: int) -> _GaloisRing:
-    if length > MAX_LENGTH:
-        raise LengthTooLargeError(f"Witt length {length} exceeds {MAX_LENGTH}")
     if length < 1:
         raise ValueError("Witt length must be positive")
     return _GaloisRing(field, length)

@@ -529,7 +529,7 @@ def test_abelian_series_reaches_max_truncation(capsys):
     def local(residue_order, v):
         return counts.count_by_last_jump(shape, residue_order, v, "inertial_types")
 
-    for x in range(euler.MAX_ORACLE_TRUNCATION + 1):
+    for x in range(9):
         assert coeffs[x] == euler.convolution_oracle(2, x, local)
 
 
@@ -722,13 +722,13 @@ def test_negative_dihedral_jump_is_rejected(capsys, command):
     (("lj", "--p", "2", "--q", "2", "--group", "2", "--terms", "1:1"),
      "part '1' needs 2 Witt component(s)"),
     (("lift-dist", "--q", "2", "--a", "1:1", "--c", "3:1", "--v-max", "65"),
-     "v_max 65 exceeds 64"),
+     "jump 65 exceeds 64"),
     (("count-d4", "--q", "2", "--v", "65"), "jump 65 exceeds 64"),
     (("count-minlift", "--q", "2", "--v", "-1"), "jump must be nonnegative"),
     (("count-minlift", "--q", "2", "--v", "30000"), "jump 30000 exceeds 64"),
     (("count-minlift", "--q", "131072", "--v", "1", "--mode", "enumeration"),
      "refusing to materialise all 131072 elements"),
-    (("growth", "--q", "2", "--x-max", "25"), "x_max 25 exceeds 24"),
+    (("growth", "--q", "2", "--x-max", "25"), "truncation 25 exceeds 24"),
     # two faults: the first one reached is reported
     (("lj", "--p", "2", "--q", "2", "--group", "1,1", "--terms", "1:1|1|1,1:1|0"),
      "term '1:1|1|1' needs 2 factor part(s)"),
@@ -755,6 +755,11 @@ def test_negative_dihedral_jump_is_rejected(capsys, command):
      "bad term ''"),
     (("lj", "--p", "2", "--q", "2", "--group", "1", "--terms", "x:1"),
      "bad term 'x:1'"),
+    # the abelian counts state the jump range through the same rule
+    (("count-abelian", "--p", "2", "--q", "2", "--group", "1", "--v", "65"),
+     "jump 65 exceeds 64"),
+    (("count-abelian", "--p", "2", "--q", "2", "--group", "1", "--v", "-1"),
+     "jump must be nonnegative"),
 ])
 def test_out_of_range_input_is_a_one_line_error(capsys, argv, message):
     status, out, err = run(capsys, *argv)

@@ -69,8 +69,31 @@ def test_oracle_base_cases():
 
 
 def test_oracle_truncation_cap():
-    with pytest.raises(BudgetExceededError):
-        euler.convolution_oracle(2, 9, counts.count_d4_exact)
+    # the oracle has no truncation cap of its own, only the one budget
+    assert euler.convolution_oracle(2, 9, counts._d4_exact) == \
+        euler.d4_global_series(2, 9).coefficient(9)
+
+    def unread(residue_order, v):
+        raise AssertionError("a local coefficient was read before the budget")
+
+    with pytest.raises(BudgetExceededError,
+                       match="^73274200 candidates exceed 5000000$"):
+        euler.convolution_oracle(2, 24, unread)
+
+
+def _z3_inertial_types(residue_order, v):
+    return counts.count_by_last_jump(counts.GroupShape(3, (1,)), residue_order,
+                                     v, "inertial_types")
+
+
+@pytest.mark.parametrize("q, x, local", [
+    (4, 8, counts._d4_exact), (8, 5, counts._d4_exact),
+    (3, 8, _z3_inertial_types)])
+def test_oracle_multiplies_out_a_thousand_places(q, x, local):
+    # over a thousand places each: too deep for one recursion level a place
+    assert sum(pi for _, pi in euler.place_census(q, x).counts) > 1000
+    assert euler.convolution_oracle(q, x, local) == \
+        euler.global_series(q, x, local).coefficient(x)
 
 
 @pytest.mark.parametrize("q,x_max", [(2, 6), (4, 4)])

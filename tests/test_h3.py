@@ -115,7 +115,3 @@ def test_heisenberg_counts_obey_the_one_group_cap():
     with pytest.raises(NonPrimeError, match="^9 is not prime$"):
         h3.counterexample_report(9, 9)
 
-
-def test_gate_accepts_matching_residue_cardinality():
-    report = h3.smallest_wild_discriminant(3, q=9)
-    assert report.value == 36 and not report.out_of_setting

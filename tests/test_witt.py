@@ -3,12 +3,13 @@
 import itertools
 import math
 import random
+from collections import namedtuple
 
 import pytest
 
 import witt_oracle
-from ramcount import gf, witt
-from ramcount.errors import LengthTooLargeError, MixedFieldsError, MixedRingsError
+from ramcount import checks, gf, witt
+from ramcount.errors import MixedFieldsError, MixedRingsError
 from ramcount.witt import WittVector, iter_witt_vectors, teichmueller
 
 F2 = gf.make_field(2, 1)
@@ -55,16 +56,25 @@ def test_law_length_cap():
         witt_oracle.sum_laws(2, witt_oracle.MAX_LENGTH + 1)
     # W_12(F_2) = Z/4096 holds the longest cyclic factor of a group within
     # counts.MAX_GROUP_ORDER
-    assert witt.MAX_LENGTH == 12
     for k in (1, 2, 3, 1000, 2048, 4095):
         v = WittVector.from_int(F2, 12, k)
         assert WittVector(F2, v.components) == v
         order = 4096 // math.gcd(k, 4096)
         assert not v.scale(order) and v.scale(order // 2)
-    with pytest.raises(LengthTooLargeError):
-        WittVector.zeros(F2, 13)
-    with pytest.raises(LengthTooLargeError):
-        WittVector(F2, (F2.one,) * 13)
+
+
+def test_length_is_bounded_only_through_the_group_cap():
+    # W_13(F_2) = Z/8192 is past every group within the cap, but the ring
+    # itself has no length cap of its own
+    bits = (1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1)
+    components = tuple(F2.element((b,)) for b in bits)
+    v = WittVector(F2, components)
+    assert v.length == 13 and v.components == components
+    assert WittVector.zeros(F2, 13) + v == v
+    half = WittVector.from_int(F2, 13, 4096)
+    assert half and not half.scale(2)
+    with pytest.raises(ValueError, match="Witt length must be positive"):
+        WittVector.zeros(F2, 0)
 
 
 def _random_vector(rng, field, length):
@@ -150,6 +160,33 @@ def test_ring_axioms_exhaustively(p, n, field):
                 assert (a + b) + c == a + (b + c)
                 assert (a * b) * c == a * (b * c)
                 assert a * (b + c) == a * b + a * c
+
+
+class _TwistedPlane(namedtuple("_TwistedPlane", "a b")):
+    """a e1 + b e2 in F_2^2 with e1 e1 = e2, e1 e2 = e2 e1 = e1, e2 e2 = 0:
+    bilinear, commutative and distributive, but (e1 e1) e2 = 0 while
+    e1 (e1 e2) = e2, so the product is not associative."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _TwistedPlane(self.a ^ other.a, self.b ^ other.b)
+
+    def __mul__(self, other):
+        # (a e1 + b e2)(c e1 + d e2) = (ad + bc) e1 + ac e2
+        return _TwistedPlane((self.a & other.b) ^ (self.b & other.a),
+                             self.a & other.a)
+
+
+def test_table_axioms_catch_a_product_that_only_fails_associativity():
+    plane = [_TwistedPlane(a, b) for a in (0, 1) for b in (0, 1)]
+    triples = list(itertools.product(plane, repeat=3))
+    assert all(x + y == y + x and x * y == y * x
+               and (x + y) + z == x + (y + z) and x * (y + z) == x * y + x * z
+               for x, y, z in triples)
+    assert not all((x * y) * z == x * (y * z) for x, y, z in triples)
+    assert not checks._table_axioms_hold(plane)
+    assert checks._table_axioms_hold(list(iter_witt_vectors(F2, 2)))
 
 
 def test_additive_exponent():

@@ -27,6 +27,7 @@ from .counts import (
     _check_count_args,
     _ramified_indices,
     _refuse_over_budget,
+    check_support_index,
     count_by_last_jump,  # the closed form that the enumeration checks
 )
 from .errors import InternalInconsistencyError, MixedRingsError
@@ -54,8 +55,7 @@ class ReducedCocycle:
         p, exponents = shape.p, shape.exponents
         support = {}
         for n, value in entries.items():
-            if n < 0 or (n > 0 and n % p == 0):
-                raise ValueError(f"support index {n} must be 0 or coprime to {p}")
+            check_support_index(n, p)
             if len(value) != len(exponents):
                 raise MixedRingsError("coefficient does not match the datum module")
             nonzero = False

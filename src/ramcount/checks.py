@@ -353,11 +353,12 @@ def _min_lift_dominates_reduction_jump(_seed: int) -> tuple[bool, str]:
 @functools.cache
 def _bruteforce_minimum_matches(q: int, bound: int) -> tuple[bool, int]:
     """(all agree, fibers) over the totally ramified pairs, w(a) + w(c) <= bound."""
-    pool = _pool_with_constants(gf.field_for_order(q), (1, 3, 5))
+    pool = [(a, a.pole_order())
+            for a in _pool_with_constants(gf.field_for_order(q), (1, 3, 5))]
     ok, fibers = True, 0
-    for a in pool:
-        for c in pool:
-            if a.pole_order() + c.pole_order() > bound:
+    for a, wa in pool:
+        for c, wc in pool:
+            if wa + wc > bound:
                 continue
             if not d4.is_totally_ramified(a, c):
                 continue

@@ -12,9 +12,12 @@ imports the library modules it computes with.  So `count-abelian`,
 `count-d4`, `local-a` and `count-minlift` load no other library module,
 `counterexample` adds `h3`, `census`, `global-series` and `growth` add
 `euler`, the dihedral datum commands and `count-minlift --mode enumeration`
-add `gf` and `d4`, and only `lj`, `disc` and `verify` load `witt` and `asw`.
-`main` builds the subparser of the command it runs and no other.  The
-library's records are `collections.namedtuple` subclasses, so no query
+add `gf` and `d4`, and only `disc` and `verify` load `witt` and `asw`.
+`lj` reads the last jump off the digits of its terms, so it too loads only
+`counts` and `errors`.  `main` builds the subparser of the command it runs
+and no other.  Run as the process, it freezes the heap at exit, so that the
+interpreter's final collections do not trace every live object once more.
+The library's records are `collections.namedtuple` subclasses, so no query
 loads `dataclasses`, and `fractions` is imported only where a Fraction is
 made, so it loads only for `growth`, `counterexample` and `verify`.
 `tests/test_cli.py` pins these module sets in a fresh interpreter.
@@ -23,6 +26,8 @@ made, so it loads only for `growth`, `counterexample` and `verify`.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 
@@ -80,25 +85,34 @@ def _read_terms(text: str):
         yield index, term, coeff_text
 
 
-def parse_cocycle(text: str, shape: counts.GroupShape,
-                  field: FieldDescriptor) -> ReducedCocycle:
-    from .asw import ReducedCocycle
-    from .witt import WittVector
-    entries = {}
+def _abelian_terms(text: str, shape: counts.GroupShape, n: int):
+    """Yield (index, coefficient) for each term of an abelian datum over
+    GF(p^n): one part per group factor, each a tuple of digit tuples, one
+    per Witt component.  A term is checked when it is reached, so the first
+    fault of an input is the one reported."""
+    p = shape.p
     for index, term, coeff_text in _read_terms(text):
         parts = coeff_text.split("|")
         if len(parts) != shape.rank:
             raise ValueError(f"term {term!r} needs {shape.rank} factor part(s)")
-        vectors = []
+        coeff = []
         for part, exponent in zip(parts, shape.exponents):
             comps = part.split(";")
             if len(comps) != exponent:
                 raise ValueError(
                     f"part {part!r} needs {exponent} Witt component(s)")
-            vectors.append(WittVector(
-                field, tuple(field.from_digits(c) for c in comps)))
-        entries[index] = tuple(vectors)
-    return ReducedCocycle(shape, field, entries)
+            coeff.append(tuple(counts.base_p_digits(c, p, n) for c in comps))
+        yield index, tuple(coeff)
+
+
+def parse_cocycle(text: str, shape: counts.GroupShape,
+                  field: FieldDescriptor) -> ReducedCocycle:
+    from .asw import ReducedCocycle
+    from .witt import WittVector
+    return ReducedCocycle(shape, field, {
+        index: tuple(WittVector(field, tuple(map(field.element, comps)))
+                     for comps in coeff)
+        for index, coeff in _abelian_terms(text, shape, field.n)})
 
 
 def parse_tpoly(text: str, field: FieldDescriptor) -> SparseTPoly:
@@ -116,13 +130,6 @@ def _fraction_str(x: int | Fraction) -> str:
 # handlers: each returns (result_dict, exit_code)
 # ---------------------------------------------------------------------------
 
-def _abelian_datum(args) -> ReducedCocycle:
-    from .gf import field_for_order
-    shape = parse_group(args.group, args.p)
-    field = field_for_order(args.q, p=args.p)
-    return parse_cocycle(args.terms, shape, field)
-
-
 def _dihedral_pair(args) -> tuple[FieldDescriptor, SparseTPoly, SparseTPoly]:
     from .gf import field_for_order
     field = field_for_order(args.q, p=2)
@@ -130,13 +137,30 @@ def _dihedral_pair(args) -> tuple[FieldDescriptor, SparseTPoly, SparseTPoly]:
 
 
 def cmd_lj(args):
-    from . import asw
-    return {"last_jump": asw.last_jump(_abelian_datum(args))}, 0
+    """`asw.last_jump` read off the digits, with no field: in W_e(F_q) a
+    part whose first nonzero component is x_i is V^i of a unit, of additive
+    order p^(e - i), and the jump at index n is n * (order // p).  The
+    support-index rule is checked once every term is read, as the datum's
+    constructor does after `parse_cocycle`."""
+    shape = parse_group(args.group, args.p)
+    p, n = counts.prime_power(args.q, args.p)
+    terms = list(_abelian_terms(args.terms, shape, n))
+    for index, _ in terms:
+        counts.check_support_index(index, p)
+    best = 0
+    for index, coeff in terms:
+        length = max((len(comps) - i for comps in coeff
+                      for i, c in enumerate(comps) if any(c)), default=0)
+        if index and length:
+            best = max(best, index * p ** (length - 1))
+    return {"last_jump": best}, 0
 
 
 def cmd_disc(args):
     from . import asw
-    m = _abelian_datum(args)
+    from .gf import field_for_order
+    shape = parse_group(args.group, args.p)
+    m = parse_cocycle(args.terms, shape, field_for_order(args.q, p=args.p))
     return {"discriminant_exponent": asw.discriminant_exponent(m)}, 0
 
 
@@ -370,11 +394,24 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit status.
+
+    With no argv, main reads sys.argv and runs as the process: it registers
+    `gc.freeze` to run at exit, once however often it is called, so that
+    the interpreter's final collections skip the live heap (the modules
+    `site` and the library loaded) instead of tracing it.  Stdout is
+    printed with a flush and `--out` is closed before return, and nothing
+    in the library defines `__del__` or holds a weak reference, so the
+    skipped collections change no output.  A list argv, as from tests and
+    in-process callers, registers nothing.
+    """
     # exact counts can pass the int-to-str digit limit (Python 3.10.7 on)
     set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
     if set_int_max_str_digits is not None:
         set_int_max_str_digits(0)
     if argv is None:
+        atexit.unregister(gc.freeze)
+        atexit.register(gc.freeze)
         argv = sys.argv[1:]
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)

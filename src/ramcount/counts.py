@@ -2,10 +2,11 @@
 
 The abelian count by last jump and the dihedral counts by last jump are
 polynomials in the residue cardinality q, so evaluating one needs only the
-prime-power check on q and the group shape; this module holds those and
-the bounds every module shares.  It imports nothing of the library but
-`errors`, so a query that prints a closed form compiles no finite field,
-Witt vector or datum code.
+prime-power check on q and the group shape; this module holds those, the
+bounds every module shares and the two rules of the datum grammar, base-p
+digits and support indices.  It imports nothing of the library but
+`errors`, so a query that prints a closed form, or `lj`, compiles no finite
+field, Witt vector or datum code.
 """
 
 from __future__ import annotations
@@ -40,6 +41,21 @@ def _check_jump(v: int) -> None:
         raise ValueError("jump must be nonnegative")
     if v > MAX_JUMP:
         raise ValueError(f"jump {v} exceeds {MAX_JUMP}")
+
+
+def base_p_digits(text: str, p: int, n: int) -> tuple[int, ...]:
+    """The one digit rule: an element of GF(p^n) is written as n base-p
+    ASCII digits, constant digit first."""
+    if len(text) != n or not all("0" <= ch <= "9" and int(ch) < p
+                                 for ch in text):
+        raise ValueError(f"expected {n} base-{p} digits, got {text!r}")
+    return tuple(map(int, text))
+
+
+def check_support_index(n: int, p: int) -> None:
+    """The one support-index rule of a reduced datum: n = 0 or n coprime to p."""
+    if n < 0 or (n > 0 and n % p == 0):
+        raise ValueError(f"support index {n} must be 0 or coprime to {p}")
 
 
 def _least_divisor(n: int) -> int:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .counts import _is_prime, prime_power
+from .counts import _is_prime, base_p_digits, prime_power
 from .errors import (
     DegreeTooLargeError,
     InternalInconsistencyError,
@@ -243,10 +243,7 @@ class FieldDescriptor:
 
     def from_digits(self, text: str) -> "FieldElement":
         """Parse an element from its base-p digit string, constant digit first."""
-        if (len(text) != self.n
-                or not all(ch.isdigit() and int(ch) < self.p for ch in text)):
-            raise ValueError(f"expected {self.n} base-{self.p} digits, got {text!r}")
-        return self.element(int(ch) for ch in text)
+        return FieldElement(self, base_p_digits(text, self.p, self.n))
 
     def digits(self, a: "FieldElement") -> str:
         return "".join(str(c) for c in a.coeffs)

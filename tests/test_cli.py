@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +16,7 @@ import pytest
 
 from ramcount import asw, checks, cli, counts, d4, euler, gf, h3, witt
 from ramcount.cli import SUITE_NAMES, _fraction_str, build_parser, main
-from ramcount.errors import InternalInconsistencyError
+from ramcount.errors import InternalInconsistencyError, RamcountError
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(checks.__file__).resolve().parents[1]
@@ -385,9 +386,12 @@ M61 = 2 ** 61 - 1
      "error: group order 4913 exceeds 4096\n"),
     (("lj", "--p", str(M61), "--q", str(M61 ** 2), "--group", "1",
       "--terms", ""), 2, "", f"error: group order {M61} exceeds 4096\n"),
+    # lj builds no field, so a degree past MAX_DEGREE answers
+    (("lj", "--p", "2", "--q", str(2 ** 30), "--group", "1",
+      "--terms", "3:1" + "0" * 29), 0, "last_jump\t3\n", ""),
 ], ids=["lj-4093^4", "counterexample-13^24", "counterexample-3^25",
         "counterexample-251^4",
-        "counterexample-17", "lj-M61^2"])
+        "counterexample-17", "lj-M61^2", "lj-2^30"])
 def test_a_large_field_is_built_in_bounded_time(argv, status, stdout_head,
                                                  stderr):
     # the trial-division modulus search took 15 s on GF(251^4), ran past
@@ -411,6 +415,86 @@ def test_lj_refuses_the_group_before_building_the_field(capsys, monkeypatch):
     status, out, err = run(capsys, "lj", "--p", str(M61), "--q", str(M61 ** 24),
                            "--group", "1", "--terms", "")
     assert (status, out, err) == (2, "", f"error: group order {M61} exceeds 4096\n")
+
+
+def field_path_lj(p, q, group, terms):
+    """What `lj` printed when it built GF(q): `asw.last_jump` of the datum
+    that `parse_cocycle` reads, or the one-line error of that path."""
+    try:
+        shape = cli.parse_group(group, p)
+        datum = cli.parse_cocycle(terms, shape, gf.field_for_order(q, p=p))
+    except (RamcountError, ValueError) as exc:
+        return 2, "", f"error: {exc}\n"
+    return 0, f"last_jump\t{asw.last_jump(datum)}\n", ""
+
+
+def assert_lj_matches_the_field_path(capsys, p, q, group, terms):
+    # "--terms=" keeps a leading minus sign from reading as an option
+    got = run(capsys, "lj", "--p", str(p), "--q", str(q), "--group", group,
+              f"--terms={terms}", "--format", "tsv")
+    assert got == field_path_lj(p, q, group, terms), (p, q, group, terms)
+
+
+def random_lj_input(rng):
+    """A shape with p in {2, 3, 5, 7} and order <= 4096, q up to p^4 and
+    0-3 terms on indices 0 or coprime to p, each Witt component zero or
+    random with even odds; one input in three then has one fault planted."""
+    p = rng.choice((2, 3, 5, 7))
+    while True:
+        exponents = sorted((rng.randint(1, 4) for _ in range(rng.randint(1, 3))),
+                           reverse=True)
+        if p ** sum(exponents) <= 4096:
+            break
+    n = rng.randint(1, 4)
+
+    def component():
+        if rng.random() < 0.5:
+            return "0" * n
+        return "".join(str(rng.randrange(p)) for _ in range(n))
+
+    indices = [0, *(k for k in range(1, 16) if k % p)]
+    terms = [f"{index}:" + "|".join(";".join(component() for _ in range(e))
+                                    for e in exponents)
+             for index in rng.sample(indices, rng.randint(0, 3))]
+    if terms and rng.random() < 1 / 3:
+        k = rng.randrange(len(terms))
+        index, _, coeff = terms[k].partition(":")
+        terms[k] = rng.choice((
+            f"{index}:{coeff}|{coeff}",                # a part too many
+            f"{index}:{coeff};{'0' * n}",              # a component too many
+            f"{index}:{coeff}0",                       # a digit too many
+            f"{index}:{coeff[:-1]}{min(p, 9)}",        # a digit >= p
+            f"{terms[0].partition(':')[0]}:{coeff}",   # a repeated index
+            f"{p * rng.randint(1, 5)}:{coeff}",        # an index divisible by p
+            f"-{rng.randint(1, 5)}:{coeff}",           # a negative index
+        ))
+    return p, p ** n, ",".join(map(str, exponents)), ",".join(terms)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lj_read_off_the_digits_matches_the_field_path(capsys, seed):
+    rng = random.Random(f"lj/{seed}")
+    for _ in range(50):
+        assert_lj_matches_the_field_path(capsys, *random_lj_input(rng))
+
+
+@pytest.mark.parametrize("p, q, group, terms", [
+    (3, 9, "1,1", "1:10"),            # a part too few
+    (3, 9, "2", "1:10"),              # a component too few
+    (3, 9, "1", "1:1"),               # a digit too few
+    (3, 3, "1", "1:3"),               # a digit >= p
+    (3, 3, "1", "1:1,1:2"),           # a repeated index
+    (3, 3, "1", "3:1"),               # an index divisible by p
+    (3, 3, "1", "-1:1"),              # a negative index
+    (3, 3, "1", "3:1,1:3"),           # digits are read before the index rule
+    (2, 2, "1", "0:1,2:0"),           # a zero coefficient still needs its index
+    (2, 4, "3,1", "1:00;00;01|00,5:00;10;00|11"),  # answers 10
+    (5, 5, "", "1:1"),                # a bad group
+    (4, 16, "1", "1:11"),             # a characteristic that is not prime
+    (2, 9, "1", "1:1"),               # q not a power of p
+])
+def test_lj_refuses_what_the_field_path_refuses(capsys, p, q, group, terms):
+    assert_lj_matches_the_field_path(capsys, p, q, group, terms)
 
 
 def test_a_raising_criterion_is_one_failing_row_under_its_key(monkeypatch,
@@ -760,6 +844,11 @@ def test_negative_dihedral_jump_is_rejected(capsys, command):
      "jump 65 exceeds 64"),
     (("count-abelian", "--p", "2", "--q", "2", "--group", "1", "--v", "-1"),
      "jump must be nonnegative"),
+    # a digit is ASCII 0-9: a superscript or an Arabic-Indic two is refused
+    (("lj", "--p", "3", "--q", "3", "--group", "1", "--terms", "1:\u00b2"),
+     "expected 1 base-3 digits, got '\u00b2'"),
+    (("lj", "--p", "3", "--q", "3", "--group", "1", "--terms", "1:\u0662"),
+     "expected 1 base-3 digits, got '\u0662'"),
 ])
 def test_out_of_range_input_is_a_one_line_error(capsys, argv, message):
     status, out, err = run(capsys, *argv)
@@ -944,7 +1033,7 @@ def library_modules_loaded_by(*argv):
 CLOSED_FORMS = {"cli", "counts", "errors"}
 # the library modules each query of QUERIES loads
 QUERY_MODULES = {
-    "lj": CLOSED_FORMS | {"asw", "gf", "witt"},
+    "lj": CLOSED_FORMS,
     "disc": CLOSED_FORMS | {"asw", "gf", "witt"},
     "count-abelian": CLOSED_FORMS,
     "minlift": CLOSED_FORMS | {"d4", "gf"},
@@ -994,3 +1083,39 @@ def test_integer_queries_load_neither_fractions_nor_typing(argv):
     # `fractions` is imported where a Fraction is made, and `typing` only
     # under TYPE_CHECKING
     assert not modules_loaded_by(*argv) & {"fractions", "typing"}
+
+
+# count the runs of gc.freeze, and register a probe before the CLI, so that
+# at exit it runs after any hook `main` registers; call `main` the given
+# number of times, with argv or with None after setting sys.argv
+EXIT_HOOK_PROBE = """
+import atexit, contextlib, gc, io, sys
+freeze, freezes = gc.freeze, []
+gc.freeze = lambda: (freezes.append(None), freeze())
+atexit.register(lambda: print(len(freezes), gc.get_freeze_count() > 0))
+import ramcount.cli
+how, calls, argv = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+sys.argv[1:] = argv
+with contextlib.redirect_stdout(io.StringIO()):
+    for _ in range(calls):
+        status = ramcount.cli.main(argv if how == "list" else None)
+sys.exit(status)
+"""
+
+
+@pytest.mark.parametrize("how, calls, argv, status, report", [
+    ("argv", 1, QUERIES["lj"], 0, "1 True"),
+    ("argv", 2, QUERIES["lj"], 0, "1 True"),  # one hook for two calls
+    ("argv", 1, ("lj", "--p", "2"), 2, "1 True"),  # a usage error
+    ("argv", 1, ("count-d4", "--q", "6", "--v", "3"), 2, "1 True"),
+    ("list", 1, QUERIES["lj"], 0, "0 False"),
+    ("list", 2, QUERIES["count-d4"], 0, "0 False"),
+])
+def test_main_freezes_the_heap_at_exit_only_as_the_process(
+        how, calls, argv, status, report):
+    done = subprocess.run(
+        [sys.executable, "-c", EXIT_HOOK_PROBE, how, str(calls), *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (status, report + "\n"), \
+        done.stderr

@@ -73,9 +73,6 @@ class ReducedCocycle:
     def ramified_indices(self) -> list[int]:
         return sorted(n for n in self.support if n >= 1)
 
-    def is_unramified(self) -> bool:
-        return not any(n >= 1 for n in self.support)
-
     def __repr__(self):
         items = ", ".join(f"{n}: {v!r}" for n, v in sorted(self.support.items()))
         return f"Cocycle({{{items}}})"
@@ -250,7 +247,10 @@ def count_by_last_jump_enumerated(shape: GroupShape, q: int, v: int,
     indices = _ramified_indices(shape.p, v)
     unram = shape.order if mode == "homomorphisms" else 1
     _refuse_over_budget(unram * (q ** sum(shape.exponents)) ** len(indices))
-    coeffs = list(iter_module_elements(shape, field_for_order(q, p=shape.p)))
+    # GF(q) is built only when there is an index to fill (v >= 1), and then
+    # the module has no more elements than the candidates counted above
+    coeffs = (list(iter_module_elements(shape, field_for_order(q, p=shape.p)))
+              if indices else [])
     orders = [_additive_order(x) // shape.p for x in coeffs]
     # per index, the jump each coefficient contributes (0 for the zero one)
     jumps = [[n * order for order in orders] for n in indices]

@@ -34,7 +34,7 @@ class CheckResult(namedtuple("CheckResult", "name passed detail")):
 
 def _ramified_pool(field, exponents) -> list[SparseTPoly]:
     pool = []
-    for chosen in product(field.elements(), repeat=len(exponents)):
+    for chosen in product(field.iter_elements(), repeat=len(exponents)):
         terms = {e: c for e, c in zip(exponents, chosen) if c}
         pool.append(SparseTPoly(field, terms))
     return pool
@@ -66,7 +66,7 @@ def _frobenius_is_ring_hom(seed: int) -> tuple[bool, str]:
                         or (a + b).frobenius() != a.frobenius() + b.frobenius()):
                     ok = False
     big = gf.make_field(2, 6)
-    elems = big.elements()
+    elems = tuple(big.iter_elements())
     for _ in range(500):
         a, b = rng.choice(elems), rng.choice(elems)
         pairs += 1
@@ -437,7 +437,7 @@ def _pairing_bound(_seed: int) -> tuple[bool, str]:
     f2 = gf.make_field(2, 1)
     shape = GroupShape(2, (1, 1))
     sources = []
-    for x1, x2, y1, y2 in product(f2.elements(), repeat=4):
+    for x1, x2, y1, y2 in product(f2.iter_elements(), repeat=4):
         sources.append(asw.ReducedCocycle(shape, f2, {
             1: (WittVector(f2, (x1,)), WittVector(f2, (x2,))),
             3: (WittVector(f2, (y1,)), WittVector(f2, (y2,)))}))
@@ -445,7 +445,7 @@ def _pairing_bound(_seed: int) -> tuple[bool, str]:
     for big_key in ((2, 1), (2, 2), (2, 4)):
         big = gf.make_field(*big_key)
         for m in sources:
-            for g1, g2 in product(big.elements(), repeat=2):
+            for g1, g2 in product(big.iter_elements(), repeat=2):
                 checked += 1
                 if not d4.epsilon_bound_report(m, (g1, g2)).bounded:
                     ok = False

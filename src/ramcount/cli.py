@@ -393,6 +393,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _join_term_values(argv: list[str]) -> list[str]:
+    """argv with each term option (`--terms`, `--a`, `--c`) joined to the
+    value after it, as "--terms=value": argparse reads a lone value that
+    starts with "-", such as the negative index of "-1:1", as an option, and
+    a joined one reaches the term grammar, which reports it."""
+    joined = []
+    values = iter(argv)
+    for arg in values:
+        value = next(values, None) if arg in ("--terms", "--a", "--c") else None
+        joined.append(arg if value is None else f"{arg}={value}")
+    return joined
+
+
 def main(argv=None) -> int:
     """Run one command and return its exit status.
 
@@ -414,7 +427,7 @@ def main(argv=None) -> int:
         atexit.register(gc.freeze)
         argv = sys.argv[1:]
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_term_values(argv))
     try:
         result, status = args.handler(args)
     except InternalInconsistencyError as exc:

@@ -60,9 +60,6 @@ class PlaceCensus(namedtuple("PlaceCensus", "q max_degree counts")):
 
     __slots__ = ()
 
-    def count(self, d: int) -> int:
-        return dict(self.counts)[d]
-
 
 def place_census(q: int, max_degree: int) -> PlaceCensus:
     prime_power(q)

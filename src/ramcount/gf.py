@@ -19,8 +19,8 @@ modulo the modulus (`_mul_mod`, also the Galois-ring product of
 `ramcount.witt`), which serves the tests as the oracle for the tables.
 `make_field` builds the only descriptor of each GF(p^n), so fields are
 equal when identical.  Every value is immutable, and every memo (tables,
-element lists, embeddings) only ever stores the one value its key
-determines, so fields and elements can be shared freely across threads.
+embeddings) only ever stores the one value its key determines, so fields
+and elements can be shared freely across threads.
 
 Besides the four field operations the module provides the Frobenius map
 x -> x^p, the Artin-Schreier operator x -> x^p - x, a transversal of its
@@ -50,10 +50,6 @@ if TYPE_CHECKING:
 # the slowest canonical modulus measured: GF(p^24) at the largest prime
 # `_is_prime` decides, 3317044064679887385961813, 3.9 s on a 2-vCPU Xeon VM
 MAX_DEGREE = 24
-
-# element-count cap for `elements()`, which lists a field on its first call
-# and keeps the tuple; above the cap it refuses instead of listing
-_TABLE_CAP = 1 << 16
 
 # field-order cap for the log/antilog tables: GF(64) is the largest field
 # that verify or a benchmark query multiplies in.  Building them took 0.3 ms
@@ -191,7 +187,7 @@ class FieldDescriptor:
     """GF(p^n) presented as F_p[x] modulo the canonical irreducible modulus."""
 
     __slots__ = ("p", "n", "modulus", "q", "zero", "one", "gen",
-                 "_xpow", "_logs", "_elements")
+                 "_xpow", "_logs")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
@@ -205,7 +201,6 @@ class FieldDescriptor:
         self.gen = FieldElement(self, gen)
         self._xpow = _fold_rows(modulus, p)
         self._logs: tuple[dict, tuple] | None = None
-        self._elements: tuple[FieldElement, ...] | None = None
 
     def __repr__(self):
         if self.n == 1:
@@ -232,14 +227,6 @@ class FieldDescriptor:
         """All field elements in lexicographic coefficient order."""
         for cs in product(range(self.p), repeat=self.n):
             yield FieldElement(self, cs)
-
-    def elements(self) -> tuple["FieldElement", ...]:
-        if self._elements is None:
-            if self.q > _TABLE_CAP:
-                raise DegreeTooLargeError(
-                    f"refusing to materialise all {self.q} elements")
-            self._elements = tuple(self.iter_elements())
-        return self._elements
 
     def from_digits(self, text: str) -> "FieldElement":
         """Parse an element from its base-p digit string, constant digit first."""

@@ -73,9 +73,6 @@ class CaseCount(namedtuple("CaseCount", "total breakdown")):
 
     __slots__ = ()
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.breakdown)
-
 
 def _heisenberg_count(p: int, q: int, twists: int, factor: int,
                       scope: str) -> CaseCount:

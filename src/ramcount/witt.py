@@ -246,5 +246,5 @@ def teichmueller(x: FieldElement, length: int) -> WittVector:
 
 def iter_witt_vectors(field: FieldDescriptor, length: int):
     """All of W_length(field), components in lexicographic order."""
-    for comps in product(field.elements(), repeat=length):
+    for comps in product(field.iter_elements(), repeat=length):
         yield WittVector(field, comps)

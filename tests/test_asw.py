@@ -79,7 +79,6 @@ def test_cocycle_rejects_bad_support_index():
 def test_cocycle_drops_zero_coefficients():
     m = cocycle(Z2, F2, {1: [(0,)], 0: [(1,)]})
     assert m.ramified_indices() == []
-    assert m.is_unramified()
 
 
 def test_cocycle_rejects_coefficients_outside_the_module():
@@ -157,7 +156,7 @@ def _random_coefficient(rng, shape, field):
     """Parts that are zero, of full order or divisible by a power of p."""
     parts = []
     for e in shape.exponents:
-        comps = [rng.choice(field.elements()) for _ in range(e)]
+        comps = [rng.choice(tuple(field.iter_elements())) for _ in range(e)]
         for i in range(rng.choice([0, 0, 1, e])):  # zero leading components
             comps[i] = field.zero
         parts.append(WittVector(field, tuple(comps)))
@@ -644,6 +643,20 @@ def test_count_budget(monkeypatch):
         asw.count_by_last_jump_enumerated(Z2xZ2, 1024, 3, "inertial_types")
 
 
+@pytest.mark.parametrize("shape", [Z2, Z4, Z2xZ2, Z3])
+def test_count_enumeration_builds_no_field_at_jump_zero(monkeypatch, shape):
+    # at v = 0 there is no ramified index to fill, so GF(2^20) or GF(3^20)
+    # is not built; only the unramified factor is counted
+    def no_field(*args, **kwargs):
+        raise AssertionError("built a field")
+
+    monkeypatch.setattr(asw, "field_for_order", no_field)
+    q = shape.p ** 20
+    assert (asw.count_by_last_jump_enumerated(shape, q, 0, "homomorphisms")
+            == shape.order)
+    assert asw.count_by_last_jump_enumerated(shape, q, 0, "inertial_types") == 1
+
+
 def test_count_rejects_bad_input():
     for q, v, mode, error in [(2, -1, "inertial_types", ValueError),
                               (2, 65, "inertial_types", ValueError),
@@ -655,8 +668,8 @@ def test_count_rejects_bad_input():
 
 
 def test_count_needs_no_residue_field():
-    # GF(2^30) is past the field degree cap, and GF(3^12) refuses to list
-    # its elements; the closed form builds neither
+    # GF(2^30) is past the field degree cap, and GF(3^12) has 531441
+    # elements; the closed form builds neither
     assert counts.count_by_last_jump(Z2, 2 ** 30, 1, "inertial_types") == 2 ** 30 - 1
     assert counts.count_by_last_jump(Z3, 3 ** 12, 1, "inertial_types") == 3 ** 12 - 1
 

@@ -41,10 +41,18 @@ def test_count_minlift(capsys):
 
 
 def test_count_minlift_enumeration_at_jump_zero_lists_no_field(capsys):
-    # GF(2^17) is over the listing cap, but v = 0 has one empty support
+    # v = 0 has one empty support, whatever q
     doc = run_json(capsys, "count-minlift", "--q", "131072", "--v", "0",
                    "--mode", "enumeration")
     assert doc["result"] == {"count": 1, "mode": "enumeration"}
+
+
+def test_count_minlift_enumeration_is_bounded_by_the_budget_alone(capsys):
+    # 131072 candidates are within the default budget, so the oracle
+    # answers, with no cap of GF(q)'s own
+    doc = run_json(capsys, "count-minlift", "--q", "131072", "--v", "1",
+                   "--mode", "enumeration")
+    assert doc["result"] == {"count": 262142, "mode": "enumeration"}
 
 
 def test_last_jump_of_term_list(capsys):
@@ -810,8 +818,8 @@ def test_negative_dihedral_jump_is_rejected(capsys, command):
     (("count-d4", "--q", "2", "--v", "65"), "jump 65 exceeds 64"),
     (("count-minlift", "--q", "2", "--v", "-1"), "jump must be nonnegative"),
     (("count-minlift", "--q", "2", "--v", "30000"), "jump 30000 exceeds 64"),
-    (("count-minlift", "--q", "131072", "--v", "1", "--mode", "enumeration"),
-     "refusing to materialise all 131072 elements"),
+    (("count-minlift", "--q", "131072", "--v", "1", "--mode", "enumeration",
+      "--budget", "131071"), "131072 candidates exceed 131071"),
     (("growth", "--q", "2", "--x-max", "25"), "truncation 25 exceeds 24"),
     # two faults: the first one reached is reported
     (("lj", "--p", "2", "--q", "2", "--group", "1,1", "--terms", "1:1|1|1,1:1|0"),
@@ -849,6 +857,11 @@ def test_negative_dihedral_jump_is_rejected(capsys, command):
      "expected 1 base-3 digits, got '\u00b2'"),
     (("lj", "--p", "3", "--q", "3", "--group", "1", "--terms", "1:\u0662"),
      "expected 1 base-3 digits, got '\u0662'"),
+    # a term value that starts with "-" reaches the term grammar
+    (("lj", "--p", "3", "--q", "3", "--group", "1", "--terms", "-1:1"),
+     "support index -1 must be 0 or coprime to 3"),
+    (("minlift", "--q", "2", "--a", "-1:1", "--c", "3:1"),
+     "exponent -1 must be nonnegative"),
 ])
 def test_out_of_range_input_is_a_one_line_error(capsys, argv, message):
     status, out, err = run(capsys, *argv)

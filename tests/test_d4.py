@@ -9,7 +9,6 @@ from ramcount import asw, checks, counts, d4, gf
 from ramcount.d4 import SparseTPoly
 from ramcount.errors import (
     BudgetExceededError,
-    DegreeTooLargeError,
     MixedFieldsError,
     NonPrimeError,
     NotASubfieldError,
@@ -30,7 +29,7 @@ def ramified_pool(field, exponents):
     """Every polynomial supported on the exponents, in product order."""
     exponents = tuple(exponents)
     return [SparseTPoly(field, {e: x for e, x in zip(exponents, chosen) if x})
-            for chosen in iproduct(field.elements(), repeat=len(exponents))]
+            for chosen in iproduct(field.iter_elements(), repeat=len(exponents))]
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +38,7 @@ def ramified_pool(field, exponents):
 
 def test_add_constant_is_adding_a_constant_polynomial():
     for base in ramified_pool(F4, (0, 1, 3)):
-        for c in F4.elements():
+        for c in F4.iter_elements():
             expected = base + SparseTPoly.from_terms(F4, {0: c})
             shifted = base.add_constant(c)
             assert shifted == expected and shifted.terms == expected.terms
@@ -179,11 +178,11 @@ def test_bruteforce_equals_formula_on_all_totally_ramified_pairs(q, wmax):
 def test_lift_distribution_examples():
     dist = d4.lift_jump_distribution(poly(F2, 1), poly(F2, 1), 2)
     assert dist.minlift == 2
-    assert dist.as_dict()[2] == 4
-    assert dist.as_dict()[1] == 0
+    assert dict(dist.counts)[2] == 4
+    assert dict(dist.counts)[1] == 0
     zero = SparseTPoly.zero(F2)
     dist = d4.lift_jump_distribution(zero, zero, 0)
-    assert dist.as_dict()[0] == 2
+    assert dict(dist.counts)[0] == 2
 
 
 def test_enumerated_distribution_matches_closed_form():
@@ -234,8 +233,8 @@ def test_packed_enumeration_matches_explicit_lifts(q):
     field = gf.field_for_order(q)
     lifts = canonical_lifts(field, 6)
     for a, c in ORACLE_CORPUS[q]:
-        for alpha in field.elements():
-            for gamma in field.elements():
+        for alpha in field.iter_elements():
+            for gamma in field.iter_elements():
                 ta, tc = a.add_constant(alpha), c.add_constant(gamma)
                 jumps = [(b.pole_order(), d4.d4_last_jump(ta, tc, b))
                          for b in lifts]
@@ -438,13 +437,19 @@ def test_count_min_lift_enumeration_matches_closed_form(q):
         assert closed == enum
 
 
-def test_enumeration_lists_no_field_at_jump_zero():
-    # at v = 0 the one support is empty, so GF(2^17), which is over the
-    # listing cap, is not listed; at v = 1 it still is, and refused
+def test_enumeration_lists_no_field_at_jump_zero(monkeypatch):
+    # the oracle reads each coefficient only as zero or not, so it builds
+    # no field at any jump, and the budget is its one limit
+    def no_field(*args):
+        raise AssertionError("built a field")
+
+    monkeypatch.setattr(gf, "make_field", no_field)
     assert d4.count_min_lift_enumerated(2 ** 17, 0) == 1
-    with pytest.raises(DegreeTooLargeError,
-                       match="^refusing to materialise all 131072 elements$"):
-        d4.count_min_lift_enumerated(2 ** 17, 1)
+    assert (d4.count_min_lift_enumerated(2 ** 17, 1)
+            == counts.count_min_lift(2 ** 17, 1))
+    with pytest.raises(BudgetExceededError,
+                       match="^131072 candidates exceed 131071$"):
+        d4.count_min_lift_enumerated(2 ** 17, 1, budget=2 ** 17 - 1)
 
 
 @pytest.mark.parametrize("q, error, message", [

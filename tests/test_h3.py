@@ -41,7 +41,7 @@ def test_bruteforce_budget():
 def test_local_count_at_three():
     count = h3.local_heisenberg_count(3, 3)
     assert count.total == 3510
-    assert count.as_dict()["center_inertia"] == 27 * 26
+    assert dict(count.breakdown)["center_inertia"] == 27 * 26
     assert len(count.breakdown) == 1 + 4
 
 

@@ -13,10 +13,6 @@ class PrimalityRangeError(RamcountError):
     """A number lies beyond the range where primality is decided exactly."""
 
 
-class DegreeTooLargeError(RamcountError):
-    """Requested field extension degree exceeds the supported bound."""
-
-
 class MixedFieldsError(RamcountError):
     """Operands belong to different fields."""
 
@@ -43,10 +39,6 @@ class NotTotallyRamifiedError(RamcountError):
 
 class UnsupportedShapeError(RamcountError):
     """The operation is only defined for elementary abelian shapes."""
-
-
-class TruncationTooLargeError(RamcountError):
-    """Requested series truncation exceeds the supported bound."""
 
 
 class OddPrimeRequiredError(RamcountError):

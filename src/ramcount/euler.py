@@ -10,9 +10,13 @@ coefficients of G.  They are integers, so each division by m is exact: a
 remainder, or a local e_0 other than 1, raises InternalInconsistencyError,
 an integrality certificate.  Its oracle, `convolution_oracle`, multiplies
 the local series out one place at a time, with no logarithm and no division,
-and refuses over the one enumeration budget.  Everything is exact (integers,
-and Fractions for growth ratios), and every local coefficient is a closed
-form of `ramcount.counts`, so the module imports no field or datum code.
+and refuses over the one enumeration budget.  The series has no cap of its
+own: [t^X] reads the local count at jump X of a degree-1 place, so X obeys
+the jump range of `counts._check_jump`, and the census refuses over the same
+budget at max_degree^2, the divisor pairs its zeta self-check compares.
+Everything is exact (integers, and Fractions for growth ratios), and every
+local coefficient is a closed form of `ramcount.counts`, so the module
+imports no field or datum code.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .counts import (
+    _check_jump,
     _d4_exact,
     _least_divisor,
     _refuse_over_budget,
     count_by_last_jump,
     prime_power,
 )
-from .errors import InternalInconsistencyError, TruncationTooLargeError
+from .errors import InternalInconsistencyError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -36,9 +41,6 @@ if TYPE_CHECKING:
     from .counts import GroupShape
 
     LocalCoefficient = Callable[[int, int], int]
-
-MAX_CENSUS_DEGREE = 32
-MAX_TRUNCATION = 24
 
 
 def mobius(n: int) -> int:
@@ -65,9 +67,7 @@ def place_census(q: int, max_degree: int) -> PlaceCensus:
     prime_power(q)
     if max_degree < 0:
         raise ValueError(f"census degree {max_degree} must be nonnegative")
-    if max_degree > MAX_CENSUS_DEGREE:
-        raise TruncationTooLargeError(
-            f"census degree {max_degree} exceeds {MAX_CENSUS_DEGREE}")
+    _refuse_over_budget(max_degree ** 2)  # the zeta self-check's pairs
     counts = {}
     for d in range(1, max_degree + 1):
         total = sum(mobius(d // e) * q ** e for e in range(1, d + 1) if d % e == 0)
@@ -106,11 +106,7 @@ class CountSeries(namedtuple("CountSeries", "truncation coefficients")):
 def global_series(q: int, truncation: int,
                   coefficient: LocalCoefficient) -> CountSeries:
     """The Euler product, truncated exactly, by the module's exp-log."""
-    if truncation < 0:
-        raise ValueError(f"truncation {truncation} must be nonnegative")
-    if truncation > MAX_TRUNCATION:
-        raise TruncationTooLargeError(
-            f"truncation {truncation} exceeds {MAX_TRUNCATION}")
+    _check_jump(truncation)  # [t^X] reads the degree-1 local count at jump X
     census = place_census(q, max(truncation, 1))
     c = [0] * (truncation + 1)
     for d, pi in census.counts:

@@ -384,7 +384,7 @@ M61 = 2 ** 61 - 1
       "--terms", "1:0001"), 0, "last_jump\t1\n", ""),
     (("counterexample", "--p", "13", "--q", str(13 ** 24)), 0,
      f"p\t13\nq\t{13 ** 24}\n", ""),
-    # counterexample builds no field, so a degree past MAX_DEGREE answers
+    # counterexample builds no field, so q = 3^25 needs no Ben-Or search
     (("counterexample", "--p", "3", "--q", str(3 ** 25)), 0,
      f"p\t3\nq\t{3 ** 25}\n", ""),
     # q is a power of 251, then the order-p^3 group is refused
@@ -394,12 +394,16 @@ M61 = 2 ** 61 - 1
      "error: group order 4913 exceeds 4096\n"),
     (("lj", "--p", str(M61), "--q", str(M61 ** 2), "--group", "1",
       "--terms", ""), 2, "", f"error: group order {M61} exceeds 4096\n"),
-    # lj builds no field, so a degree past MAX_DEGREE answers
+    # lj builds no field: it reads the jump off the digits
     (("lj", "--p", "2", "--q", str(2 ** 30), "--group", "1",
       "--terms", "3:1" + "0" * 29), 0, "last_jump\t3\n", ""),
+    # disc builds GF(2^30): its Ben-Or test is 54000 products, in budget
+    (("disc", "--p", "2", "--q", str(2 ** 30), "--group", "1,1",
+      "--terms", "3:1" + "0" * 29 + "|01" + "0" * 28), 0,
+     "discriminant_exponent\t12\n", ""),
 ], ids=["lj-4093^4", "counterexample-13^24", "counterexample-3^25",
         "counterexample-251^4",
-        "counterexample-17", "lj-M61^2", "lj-2^30"])
+        "counterexample-17", "lj-M61^2", "lj-2^30", "disc-2^30"])
 def test_a_large_field_is_built_in_bounded_time(argv, status, stdout_head,
                                                  stderr):
     # the trial-division modulus search took 15 s on GF(251^4), ran past
@@ -612,10 +616,10 @@ def test_removed_enumeration_flags_are_usage_errors(capsys):
 
 
 def test_abelian_series_reaches_max_truncation(capsys):
-    doc = run_json(capsys, "global-series", "--q", "2", "--x-max", "24",
-                   "--group", "1,1", "--p", "2")
+    doc = run_json(capsys, "global-series", "--q", "2", "--x-max",
+                   str(counts.MAX_JUMP), "--group", "1,1", "--p", "2")
     coeffs = [row["coefficient"] for row in doc["result"]["rows"]]
-    assert len(coeffs) == euler.MAX_TRUNCATION + 1
+    assert len(coeffs) == counts.MAX_JUMP + 1
     shape = counts.GroupShape(2, (1, 1))
 
     def local(residue_order, v):
@@ -650,6 +654,19 @@ def test_series_and_growth_print_their_goldens(capsys, name):
     status, out, err = run(capsys, *SERIES_GOLDENS[name])
     assert (status, err) == (0, "")
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", [name for name in SERIES_GOLDENS
+                                  if name.startswith("global_series_")
+                                  and name.endswith("_x24")])
+def test_a_series_to_the_jump_range_extends_its_golden(capsys, name):
+    argv = list(SERIES_GOLDENS[name])
+    argv[argv.index("--x-max") + 1] = str(counts.MAX_JUMP)
+    doc = run_json(capsys, *argv)
+    rows = doc["result"]["rows"]
+    assert len(rows) == counts.MAX_JUMP + 1
+    golden = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert rows[:25] == golden["result"]["rows"]
 
 
 def test_census_rejects_bad_field_orders(capsys):
@@ -820,7 +837,7 @@ def test_negative_dihedral_jump_is_rejected(capsys, command):
     (("count-minlift", "--q", "2", "--v", "30000"), "jump 30000 exceeds 64"),
     (("count-minlift", "--q", "131072", "--v", "1", "--mode", "enumeration",
       "--budget", "131071"), "131072 candidates exceed 131071"),
-    (("growth", "--q", "2", "--x-max", "25"), "truncation 25 exceeds 24"),
+    (("growth", "--q", "2", "--x-max", "65"), "jump 65 exceeds 64"),
     # two faults: the first one reached is reported
     (("lj", "--p", "2", "--q", "2", "--group", "1,1", "--terms", "1:1|1|1,1:1|0"),
      "term '1:1|1|1' needs 2 factor part(s)"),

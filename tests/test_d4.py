@@ -109,6 +109,19 @@ def test_jump_formula_uses_exact_rationals():
                 assert value.denominator == 1
 
 
+def test_jump_formula_validates_every_argument():
+    # b = T^-18 + T^-14 is Artin-Schreier equivalent to T^-9 + T^-7, for
+    # which the formula gives 9; on the unreduced b it would give 6
+    a, c = poly(F2, 1), poly(F2, 5)
+    assert d4.d4_last_jump(a, c, poly(F2, 9, 7)) == 9
+    with pytest.raises(ValueError, match="^support exponent 18 must be 0 or odd$"):
+        d4.d4_last_jump(a, c, poly(F2, 18, 14))
+    with pytest.raises(ValueError, match="^support exponent 2 must be 0 or odd$"):
+        d4.d4_last_jump(poly(F2, 2), c, poly(F2, 1))
+    with pytest.raises(ValueError, match="^support exponent 4 must be 0 or odd$"):
+        d4.d4_last_jump(a, poly(F2, 4), poly(F2, 1))
+
+
 def test_min_lift_jump_validates_datum_support():
     with pytest.raises(ValueError, match="must be 0 or odd"):
         d4.min_lift_jump(poly(F2, 2), poly(F2, 1))
@@ -435,6 +448,25 @@ def test_count_min_lift_enumeration_matches_closed_form(q):
         closed = counts.count_min_lift(q, v)
         enum = d4.count_min_lift_enumerated(q, v)
         assert closed == enum
+
+
+def _min_lift_by_coefficient_tuples(q, v):
+    """The pairs of supports whose pole orders sum to v, each support a
+    tuple of coefficients in range(q), one per odd exponent <= v."""
+    odd = range(1, v + 1, 2)
+    orders = [max((e for e, x in zip(odd, chosen) if x), default=0)
+              for chosen in iproduct(range(q), repeat=len(odd))]
+    return sum(orders.count(w) * orders.count(v - w) for w in range(v + 1))
+
+
+@pytest.mark.parametrize("q, v", [(2, 0), (4, 1), (2, 11), (2, 12), (4, 6),
+                                  (8, 5), (8, 6), (16, 3), (2, 21), (2, 22),
+                                  (4, 10)])
+def test_count_min_lift_enumeration_reads_pole_orders_off_bit_lengths(q, v):
+    enum = d4.count_min_lift_enumerated(q, v)
+    assert enum == counts.count_min_lift(q, v)
+    if q ** ((v + 1) // 2) <= 4096:
+        assert enum == _min_lift_by_coefficient_tuples(q, v)
 
 
 def test_enumeration_lists_no_field_at_jump_zero(monkeypatch):

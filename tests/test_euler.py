@@ -8,7 +8,6 @@ from ramcount import asw, counts, euler
 from ramcount.errors import (
     BudgetExceededError,
     InternalInconsistencyError,
-    TruncationTooLargeError,
 )
 
 Z2 = counts.GroupShape(2, (1,))
@@ -35,8 +34,23 @@ def test_census_zeta_identity(q):
 
 
 def test_census_degree_cap():
-    with pytest.raises(TruncationTooLargeError):
-        euler.place_census(2, 33)
+    # the census obeys the one enumeration budget, at max_degree^2 pairs
+    assert len(euler.place_census(2, 33).counts) == 33
+    with pytest.raises(BudgetExceededError,
+                       match="^5004169 candidates exceed 5000000$"):
+        euler.place_census(2, 2237)
+
+
+def test_census_refuses_before_any_work(monkeypatch):
+    def planted(n):
+        raise AssertionError("mobius reached")
+
+    monkeypatch.setattr(euler, "mobius", planted)
+    with pytest.raises(BudgetExceededError,
+                       match="^5004169 candidates exceed 5000000$"):
+        euler.place_census(2, 2237)
+    with pytest.raises(AssertionError, match="mobius reached"):
+        euler.place_census(2, 2236)
 
 
 def test_mobius_values():
@@ -172,9 +186,19 @@ def test_global_series_monotone_in_q():
     assert all(a <= b for a, b in zip(s2.coefficients, s4.coefficients))
 
 
-def test_truncation_cap():
-    with pytest.raises(TruncationTooLargeError):
-        euler.d4_global_series(2, 25)
+def test_truncation_cap(monkeypatch):
+    # [t^X] reads the local count at jump X, so X obeys the jump range,
+    # checked before the census
+    assert len(euler.d4_global_series(2, counts.MAX_JUMP).coefficients) == 65
+
+    def unreachable(q, max_degree):
+        raise AssertionError("census taken")
+
+    monkeypatch.setattr(euler, "place_census", unreachable)
+    with pytest.raises(ValueError, match="^jump 65 exceeds 64$"):
+        euler.d4_global_series(2, 65)
+    with pytest.raises(ValueError, match="^jump must be nonnegative$"):
+        euler.abelian_global_series(Z2, 2, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from ramcount import counts, gf
 from ramcount.errors import (
-    DegreeTooLargeError,
+    BudgetExceededError,
     MixedFieldsError,
     NonPrimeError,
     NotASubfieldError,
@@ -41,8 +41,39 @@ def test_make_field_rejects_composite_characteristic():
 
 
 def test_make_field_rejects_large_degree():
-    with pytest.raises(DegreeTooLargeError):
-        gf.make_field(2, 25)
+    # the degree obeys the one enumeration budget, at n^3 log2(p) products
+    with pytest.raises(BudgetExceededError,
+                       match="^5030912 candidates exceed 5000000$"):
+        gf.make_field(2, 136)
+    with pytest.raises(ValueError, match="extension degree 0 must be positive"):
+        gf.make_field(2, 0)
+
+
+# the largest prime `_is_prime` decides, 82 bits
+LARGEST_PRIME = 3317044064679887385961813
+
+
+def test_make_field_refuses_before_the_modulus_search(monkeypatch):
+    def unreachable(p, n):
+        raise AssertionError("searched for a modulus")
+
+    monkeypatch.setattr(gf, "_FIELDS", {})
+    monkeypatch.setattr(gf, "_canonical_modulus", unreachable)
+    with pytest.raises(BudgetExceededError):
+        gf.make_field(2, 136)
+    with pytest.raises(BudgetExceededError,
+                       match="^5248000 candidates exceed 5000000$"):
+        gf.make_field(LARGEST_PRIME, 40)
+
+
+@pytest.mark.parametrize("p, n", [(2, 135), (LARGEST_PRIME, 24),
+                                  (LARGEST_PRIME, 39)])
+def test_make_field_admits_every_degree_within_the_budget(monkeypatch, p, n):
+    # a stub modulus stands in for the search, which takes seconds at 82 bits
+    monkeypatch.setattr(gf, "_FIELDS", {})
+    monkeypatch.setattr(gf, "_canonical_modulus",
+                        lambda p, n: (1,) + (0,) * (n - 1) + (1,))
+    assert gf.make_field(p, n).q == p ** n
 
 
 def test_field_for_order():

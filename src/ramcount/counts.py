@@ -28,11 +28,12 @@ DEFAULT_BUDGET = 5_000_000
 _TRIAL_BITS = 10  # trial division tries every divisor up to 2^10
 
 
-def _refuse_over_budget(candidates: int, budget: int = DEFAULT_BUDGET) -> None:
-    """The one refusal of an exhaustive enumeration: every oracle calls it
-    with the number of candidates it would build, before building any."""
-    if candidates > budget:
-        raise BudgetExceededError(f"{candidates} candidates exceed {budget}")
+def _refuse_over_budget(size: int, budget: int = DEFAULT_BUDGET,
+                        what: str = "candidates") -> None:
+    """The one refusal over the budget, made before any work: `size` counts
+    the candidates an oracle would build, or else the work named by `what`."""
+    if size > budget:
+        raise BudgetExceededError(f"{size} {what} exceed {budget}")
 
 
 def _check_jump(v: int) -> None:
@@ -102,12 +103,13 @@ def _is_prime(n: int) -> bool:
 
 
 def _valuation(q: int, p: int) -> tuple[int, int]:
-    """(n, m) with q = p^n * m and m prime to p, for p >= 2."""
-    n = 0
-    while q % p == 0:
-        q //= p
-        n += 1
-    return n, q
+    """(n, m) with q = p^n * m and m prime to p, for p >= 2: q = (p^2)^k * r
+    with p^2 not dividing r, by recursion on p^2, so a large n costs log2(n)
+    divisions, not n."""
+    if q % p:
+        return 0, q
+    k, r = _valuation(q, p * p)
+    return (2 * k + 1, r // p) if r % p == 0 else (2 * k, r)
 
 
 def _iroot(n: int, k: int) -> int:

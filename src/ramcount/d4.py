@@ -29,7 +29,7 @@ closed forms in q, in `ramcount.counts`.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 
 from .counts import (
@@ -176,11 +176,8 @@ def _validate_datum_poly(x: SparseTPoly) -> None:
 
 
 def d4_last_jump(a: SparseTPoly, c: SparseTPoly, b: SparseTPoly) -> Fraction:
-    """Exact rational value of the dihedral jump formula (halves possible).
-
-    The formula holds on reduced data only, so a, c and b must each have
-    support in {0} and the odd exponents; a b with an even exponent must
-    first be reduced modulo the Artin-Schreier image."""
+    """Exact rational value of the dihedral jump formula (halves possible),
+    which holds on reduced data: a, c, b supported on {0} and odd exponents."""
     from fractions import Fraction
     for x in (a, c, b):
         _validate_datum_poly(x)
@@ -394,18 +391,19 @@ def count_min_lift_enumerated(q: int, v: int,
     ramified supports over F_q, and the pairs whose pole orders sum to v;
     q must be a power of 2.  At v = 0 the one support is empty.
 
-    A pole order reads only whether each coefficient is zero, so no field
-    is built: with q = 2^n, the supports on the k odd exponents <= v are
-    the integers in range(q^k), exponent 2j+1 owning bits [j*n, (j+1)*n)
-    as in `_doubled_jump_tally`, and a nonzero support of bit length L has
-    pole order 2 ((L - 1) // n) + 1."""
-    _, n = prime_power(q, p=2)
+    A pole order reads only whether each coefficient is zero, so the
+    coefficients run over range(q), with 0 for the zero of F_q, and no
+    field is built."""
+    prime_power(q, p=2)
     _check_jump(v)
-    supports = q ** ((v + 1) // 2)
-    _refuse_over_budget(supports, budget)
+    odd = range(1, v + 1, 2)
+    _refuse_over_budget(q ** len(odd), budget)
+    supports = iter([()])  # streamed, where product() would copy range(q)
+    for _ in odd:
+        supports = (s + (x,) for s in supports for x in range(q))
     hist = [0] * (v + 1)
-    for length, m in Counter(map(int.bit_length, range(supports))).items():
-        hist[2 * ((length - 1) // n) + 1 if length else 0] += m
+    for chosen in supports:
+        hist[max((e for e, c in zip(odd, chosen) if c), default=0)] += 1
     return sum(hist[w] * hist[v - w] for w in range(v + 1))
 
 

@@ -12,11 +12,10 @@ an integrality certificate.  Its oracle, `convolution_oracle`, multiplies
 the local series out one place at a time, with no logarithm and no division,
 and refuses over the one enumeration budget.  The series has no cap of its
 own: [t^X] reads the local count at jump X of a degree-1 place, so X obeys
-the jump range of `counts._check_jump`, and the census refuses over the same
-budget at max_degree^2, the divisor pairs its zeta self-check compares.
-Everything is exact (integers, and Fractions for growth ratios), and every
-local coefficient is a closed form of `ramcount.counts`, so the module
-imports no field or datum code.
+the jump range of `counts._check_jump`; the census refuses over the budget
+at the bits its zeta self-check compares.  Everything is exact (integers,
+and Fractions for growth ratios), and every local coefficient is a closed
+form of `ramcount.counts`, so the module imports no field or datum code.
 """
 
 from __future__ import annotations
@@ -67,7 +66,9 @@ def place_census(q: int, max_degree: int) -> PlaceCensus:
     prime_power(q)
     if max_degree < 0:
         raise ValueError(f"census degree {max_degree} must be nonnegative")
-    _refuse_over_budget(max_degree ** 2)  # the zeta self-check's pairs
+    # the zeta self-check: two sides of about m log2(q) bits for each m
+    _refuse_over_budget(max_degree ** 2 * (q - 1).bit_length(),
+                        what=f"bits compared by the census to degree {max_degree}")
     counts = {}
     for d in range(1, max_degree + 1):
         total = sum(mobius(d // e) * q ** e for e in range(1, d + 1) if d % e == 0)

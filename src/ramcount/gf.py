@@ -6,10 +6,8 @@ coefficient vectors constant term first.  The search keeps the first
 candidate in that order that passes Ben-Or's test: f of degree n is
 irreducible exactly when gcd(x^(p^k) - x, f) = 1 for k = 1 .. n/2, each
 x^(p^k) a p-th power by `_pow_mod` (Ben-Or, "Probabilistic algorithms in
-finite fields", 1981).  The degree has no cap of its own: before the search,
-`make_field` refuses over the one enumeration budget of `ramcount.counts`
-at n^3 log2(p), the coefficient products of one test, so GF(2^135) builds
-(0.4 s on a 2-vCPU Xeon VM) and GF(2^136) is refused.
+finite fields", 1981).  Before the search, `make_field` refuses over the
+one budget at n^3 log2(p), the coefficient products of one test.
 
 Elements are dense coefficient vectors over F_p and add componentwise.  In
 a field of order at most `_LOG_TABLE_CAP`, multiplication, powers and
@@ -172,7 +170,8 @@ def make_field(p: int, n: int) -> "FieldDescriptor":
     if n < 1:
         raise ValueError(f"extension degree {n} must be positive")
     # one Ben-Or test: n/2 powerings of about 2 log2(p) products of n^2
-    _refuse_over_budget(n ** 3 * p.bit_length())
+    _refuse_over_budget(n ** 3 * p.bit_length(),
+                        what=f"coefficient products to build GF({p}^{n})")
     field = FieldDescriptor(p, n, _canonical_modulus(p, n))
     _FIELDS[key] = field
     return field

@@ -879,6 +879,11 @@ def test_negative_dihedral_jump_is_rejected(capsys, command):
      "support index -1 must be 0 or coprime to 3"),
     (("minlift", "--q", "2", "--a", "-1:1", "--c", "3:1"),
      "exponent -1 must be nonnegative"),
+    # the census and the field build name what their budget counted
+    (("census", "--q", str(2 ** 1000), "--max-degree", "2236"),
+     "4999696000 bits compared by the census to degree 2236 exceed 5000000"),
+    (("minlift", "--q", str(2 ** 136), "--a", "1:1", "--c", "3:1"),
+     "5030912 coefficient products to build GF(2^136) exceed 5000000"),
 ])
 def test_out_of_range_input_is_a_one_line_error(capsys, argv, message):
     status, out, err = run(capsys, *argv)

@@ -1,5 +1,6 @@
 """Dihedral lift heights, distributions, twist invariance, local counts."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -450,23 +451,23 @@ def test_count_min_lift_enumeration_matches_closed_form(q):
         assert closed == enum
 
 
-def _min_lift_by_coefficient_tuples(q, v):
-    """The pairs of supports whose pole orders sum to v, each support a
-    tuple of coefficients in range(q), one per odd exponent <= v."""
-    odd = range(1, v + 1, 2)
-    orders = [max((e for e, x in zip(odd, chosen) if x), default=0)
-              for chosen in iproduct(range(q), repeat=len(odd))]
-    return sum(orders.count(w) * orders.count(v - w) for w in range(v + 1))
-
-
 @pytest.mark.parametrize("q, v", [(2, 0), (4, 1), (2, 11), (2, 12), (4, 6),
                                   (8, 5), (8, 6), (16, 3), (2, 21), (2, 22),
                                   (4, 10)])
-def test_count_min_lift_enumeration_reads_pole_orders_off_bit_lengths(q, v):
-    enum = d4.count_min_lift_enumerated(q, v)
-    assert enum == counts.count_min_lift(q, v)
-    if q ** ((v + 1) // 2) <= 4096:
-        assert enum == _min_lift_by_coefficient_tuples(q, v)
+def test_count_min_lift_enumeration_matches_closed_form_at_bench_sizes(q, v):
+    assert d4.count_min_lift_enumerated(q, v) == counts.count_min_lift(q, v)
+
+
+def test_count_min_lift_enumeration_streams_its_supports():
+    # itertools.product would hold tuple(range(q)), about 5 MB at q = 2^17
+    tracemalloc.start()
+    try:
+        assert (d4.count_min_lift_enumerated(2 ** 17, 1)
+                == counts.count_min_lift(2 ** 17, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_enumeration_lists_no_field_at_jump_zero(monkeypatch):

@@ -33,11 +33,13 @@ def test_census_zeta_identity(q):
         assert sum(d * pi for d, pi in table.items() if m % d == 0) == q ** m + 1
 
 
+CENSUS_2237 = "^5004169 bits compared by the census to degree 2237 exceed 5000000$"
+
+
 def test_census_degree_cap():
-    # the census obeys the one enumeration budget, at max_degree^2 pairs
+    # the census obeys the one budget, at max_degree^2 ceil(log2 q) bits
     assert len(euler.place_census(2, 33).counts) == 33
-    with pytest.raises(BudgetExceededError,
-                       match="^5004169 candidates exceed 5000000$"):
+    with pytest.raises(BudgetExceededError, match=CENSUS_2237):
         euler.place_census(2, 2237)
 
 
@@ -46,11 +48,27 @@ def test_census_refuses_before_any_work(monkeypatch):
         raise AssertionError("mobius reached")
 
     monkeypatch.setattr(euler, "mobius", planted)
-    with pytest.raises(BudgetExceededError,
-                       match="^5004169 candidates exceed 5000000$"):
+    with pytest.raises(BudgetExceededError, match=CENSUS_2237):
         euler.place_census(2, 2237)
     with pytest.raises(AssertionError, match="mobius reached"):
         euler.place_census(2, 2236)
+
+
+@pytest.mark.parametrize("q, edge", [(1024, 707), (2 ** 61 - 1, 286),
+                                     (2 ** 1000, 70)])
+def test_census_budget_grows_with_the_size_of_q(monkeypatch, q, edge):
+    # the counts at degree d have about d log2(q) bits, so a larger q has a
+    # lower edge, and a large q at degree 2236 is refused before any work
+    def planted(n):
+        raise AssertionError("mobius reached")
+
+    monkeypatch.setattr(euler, "mobius", planted)
+    for degree in (edge + 1, 2236):
+        with pytest.raises(BudgetExceededError,
+                           match=f" bits compared by the census to degree {degree} "):
+            euler.place_census(q, degree)
+    with pytest.raises(AssertionError, match="mobius reached"):
+        euler.place_census(q, edge)
 
 
 def test_mobius_values():

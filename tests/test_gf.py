@@ -42,8 +42,8 @@ def test_make_field_rejects_composite_characteristic():
 
 def test_make_field_rejects_large_degree():
     # the degree obeys the one enumeration budget, at n^3 log2(p) products
-    with pytest.raises(BudgetExceededError,
-                       match="^5030912 candidates exceed 5000000$"):
+    with pytest.raises(BudgetExceededError, match=r"^5030912 coefficient "
+                       r"products to build GF\(2\^136\) exceed 5000000$"):
         gf.make_field(2, 136)
     with pytest.raises(ValueError, match="extension degree 0 must be positive"):
         gf.make_field(2, 0)
@@ -62,7 +62,8 @@ def test_make_field_refuses_before_the_modulus_search(monkeypatch):
     with pytest.raises(BudgetExceededError):
         gf.make_field(2, 136)
     with pytest.raises(BudgetExceededError,
-                       match="^5248000 candidates exceed 5000000$"):
+                       match=f"^5248000 coefficient products to build "
+                             rf"GF\({LARGEST_PRIME}\^40\) exceed 5000000$"):
         gf.make_field(LARGEST_PRIME, 40)
 
 
@@ -119,6 +120,16 @@ def test_prime_power_agrees_with_trial_division(p):
     for q in [*range(-1, 2100), *PAST_TRIAL_DIVISION]:
         assert (_prime_power_or_message(q, p)
                 == _trial_division_prime_power(q, p)), q
+
+
+@pytest.mark.parametrize("p", [2, 3, 10, 1031])
+def test_valuation_divides_out_every_power(p):
+    # the recursion on p^2 meets odd and even exponents at every depth
+    for n in [*range(70), 1023, 1024, 1025]:
+        for m in (1, p + 1, 7 * p + 1):
+            assert counts._valuation(p ** n * m, p) == (n, m)
+    assert counts.prime_power(3 ** 5000) == (3, 5000)
+    assert counts.prime_power(2 ** 200000, p=2) == (2, 200000)
 
 
 def test_is_prime_rejects_strong_pseudoprimes():

@@ -206,7 +206,7 @@ def cmd_count_minlift(args):
         count = counts.count_min_lift(args.q, args.v)
     else:
         from . import d4
-        count = d4.count_min_lift_enumerated(args.q, args.v, args.budget)
+        count = d4.count_min_lift_enumerated(args.q, args.v)
     return {"count": count, "mode": args.mode}, 0
 
 
@@ -231,6 +231,7 @@ def cmd_global_series(args):
         shape = parse_group(args.group, args.p)
         series = euler.abelian_global_series(shape, args.q, args.x_max)
     else:
+        counts.prime_power(args.q, args.p)
         series = euler.d4_global_series(args.q, args.x_max)
     rows = [{"x": x, "coefficient": c}
             for x, c in enumerate(series.coefficients)]
@@ -343,9 +344,7 @@ COMMANDS = {
     "count-minlift": ("quarter-count of reductions by smallest lift jump", (
         _Q, *_OUTPUT, _V,
         _option("--mode", choices=("closed_form", "enumeration"),
-                default="closed_form"),
-        _option("--budget", type=int, default=counts.DEFAULT_BUDGET,
-                help="largest support pool the enumeration mode builds"))),
+                default="closed_form"))),
     "count-d4": ("eighth-count of dihedral data with jump <= v",
                  (_Q, *_OUTPUT, _V)),
     "local-a": ("eighth-count with jump exactly v (polynomial in q)",

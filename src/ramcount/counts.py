@@ -28,12 +28,11 @@ DEFAULT_BUDGET = 5_000_000
 _TRIAL_BITS = 10  # trial division tries every divisor up to 2^10
 
 
-def _refuse_over_budget(size: int, budget: int = DEFAULT_BUDGET,
-                        what: str = "candidates") -> None:
-    """The one refusal over the budget, made before any work: `size` counts
+def _refuse_over_budget(size: int, what: str = "candidates") -> None:
+    """The one refusal over DEFAULT_BUDGET, made before any work: `size` counts
     the candidates an oracle would build, or else the work named by `what`."""
-    if size > budget:
-        raise BudgetExceededError(f"{size} {what} exceed {budget}")
+    if size > DEFAULT_BUDGET:
+        raise BudgetExceededError(f"{size} {what} exceed {DEFAULT_BUDGET}")
 
 
 def _check_jump(v: int) -> None:

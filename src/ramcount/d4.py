@@ -33,7 +33,6 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .counts import (
-    DEFAULT_BUDGET,
     GroupShape,
     _check_jump,
     _refuse_over_budget,
@@ -80,10 +79,6 @@ class SparseTPoly:
     def __init__(self, field: FieldDescriptor, terms: dict[int, FieldElement]):
         self.field = field
         self.terms = terms
-
-    @classmethod
-    def zero(cls, field: FieldDescriptor) -> "SparseTPoly":
-        return cls(field, {})
 
     @classmethod
     def from_terms(cls, field: FieldDescriptor,
@@ -385,8 +380,7 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
 # local counts
 # ---------------------------------------------------------------------------
 
-def count_min_lift_enumerated(q: int, v: int,
-                              budget: int = DEFAULT_BUDGET) -> int:
+def count_min_lift_enumerated(q: int, v: int) -> int:
     """The oracle for `counts.count_min_lift`: the pole orders of all
     ramified supports over F_q, and the pairs whose pole orders sum to v;
     q must be a power of 2.  At v = 0 the one support is empty.
@@ -397,7 +391,7 @@ def count_min_lift_enumerated(q: int, v: int,
     prime_power(q, p=2)
     _check_jump(v)
     odd = range(1, v + 1, 2)
-    _refuse_over_budget(q ** len(odd), budget)
+    _refuse_over_budget(q ** len(odd))
     supports = iter([()])  # streamed, where product() would copy range(q)
     for _ in odd:
         supports = (s + (x,) for s in supports for x in range(q))

@@ -157,10 +157,6 @@ class WittVector:
         self.coeffs = ring.from_components(components)
 
     @classmethod
-    def zeros(cls, field: FieldDescriptor, length: int) -> "WittVector":
-        return _vector(_galois_ring(field, length), (0,) * field.n)
-
-    @classmethod
     def one(cls, field: FieldDescriptor, length: int) -> "WittVector":
         ring = _galois_ring(field, length)
         return _vector(ring, ring.one)

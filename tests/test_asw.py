@@ -91,14 +91,15 @@ def test_cocycle_rejects_coefficients_outside_the_module():
 
 def test_cocycle_checks_every_part_before_dropping_zeros():
     nonzero = WittVector(F2, (F2.one,))
-    zero = WittVector.zeros(F2, 1)
+    zero = WittVector(F2, (F2.zero,))
+    zero2 = WittVector(F2, (F2.zero,) * 2)
     message = "coefficient does not match the datum module"
     for entry in [(nonzero, WittVector(F4, (F4.one,))),  # second part over F_4
-                  (nonzero, WittVector.zeros(F2, 2)),    # second part too long
-                  (zero, WittVector.zeros(F4, 1))]:      # zero, wrong ring
+                  (nonzero, zero2),                      # second part too long
+                  (zero, WittVector(F4, (F4.zero,)))]:   # zero, wrong ring
         with pytest.raises(MixedRingsError, match=message):
             asw.ReducedCocycle(Z2xZ2, F2, {1: entry})
-    for entry in [(WittVector.zeros(F2, 2),),  # zero part of the wrong length
+    for entry in [(zero2,),                    # zero part of the wrong length
                   (zero, zero)]:               # zero with one part too many
         with pytest.raises(MixedRingsError, match=message):
             asw.ReducedCocycle(Z2, F2, {1: entry})
@@ -257,7 +258,7 @@ def _lattice(shape, field, subgroups):
         beta = field.element(1 if j == k else 0 for j in range(field.n))
         multiples = []  # per factor, j * [beta] for j < p^(n_i)
         for e in shape.exponents:
-            row = [WittVector.zeros(field, e)]
+            row = [WittVector(field, (field.zero,) * e)]
             while len(row) < shape.p ** e:
                 row.append(row[-1] + teichmueller(beta, e))
             multiples.append(row)

@@ -613,6 +613,12 @@ def test_removed_enumeration_flags_are_usage_errors(capsys):
             main(["count-abelian", "--p", "2", "--q", "2", "--group", "1",
                   "--v", "1", flag, "2"])
         assert exc.value.code == 2
+    # the one enumeration budget is a constant: no flag moves it, in either mode
+    for mode in ("closed_form", "enumeration"):
+        with pytest.raises(SystemExit) as exc:
+            main(["count-minlift", "--q", "4", "--v", "5", "--mode", mode,
+                  "--budget", "63"])
+        assert exc.value.code == 2
 
 
 def test_abelian_series_reaches_max_truncation(capsys):
@@ -732,11 +738,6 @@ def test_suite_names_are_the_checks_suites_then_acceptance():
     assert SUITE_NAMES[-1] == "acceptance"
 
 
-def test_count_minlift_budget_defaults_to_the_library_budget():
-    args = build_parser().parse_args(["count-minlift", "--q", "2", "--v", "1"])
-    assert args.budget == counts.DEFAULT_BUDGET == 5_000_000
-
-
 @pytest.mark.parametrize("argv", [
     ("lj", "--p", "2", "--q", "2", "--terms", ""),
     ("disc", "--p", "2", "--q", "2", "--terms", ""),
@@ -835,8 +836,8 @@ def test_negative_dihedral_jump_is_rejected(capsys, command):
     (("count-d4", "--q", "2", "--v", "65"), "jump 65 exceeds 64"),
     (("count-minlift", "--q", "2", "--v", "-1"), "jump must be nonnegative"),
     (("count-minlift", "--q", "2", "--v", "30000"), "jump 30000 exceeds 64"),
-    (("count-minlift", "--q", "131072", "--v", "1", "--mode", "enumeration",
-      "--budget", "131071"), "131072 candidates exceed 131071"),
+    (("count-minlift", "--q", "4", "--v", "23", "--mode", "enumeration"),
+     "16777216 candidates exceed 5000000"),
     (("growth", "--q", "2", "--x-max", "65"), "jump 65 exceeds 64"),
     # two faults: the first one reached is reported
     (("lj", "--p", "2", "--q", "2", "--group", "1,1", "--terms", "1:1|1|1,1:1|0"),
@@ -884,6 +885,11 @@ def test_negative_dihedral_jump_is_rejected(capsys, command):
      "4999696000 bits compared by the census to degree 2236 exceed 5000000"),
     (("minlift", "--q", str(2 ** 136), "--a", "1:1", "--c", "3:1"),
      "5030912 coefficient products to build GF(2^136) exceed 5000000"),
+    # the dihedral series checks the characteristic too, as --group does
+    (("global-series", "--q", "4", "--x-max", "3", "--p", "3"),
+     "4 is not a power of 3"),
+    (("global-series", "--q", "4", "--x-max", "3", "--p", "4"),
+     "4 is not prime"),
 ])
 def test_out_of_range_input_is_a_one_line_error(capsys, argv, message):
     status, out, err = run(capsys, *argv)

@@ -1,11 +1,13 @@
 """Dihedral lift heights, distributions, twist invariance, local counts."""
 
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
+import d4_conductor_oracle
 from ramcount import asw, checks, counts, d4, gf
 from ramcount.d4 import SparseTPoly
 from ramcount.errors import (
@@ -60,7 +62,7 @@ def test_sums_and_products_store_no_zero_coefficient():
 
 def test_pole_order():
     assert poly(F2, 3, 1).pole_order() == 3
-    assert SparseTPoly.zero(F2).pole_order() == 0
+    assert SparseTPoly(F2, {}).pole_order() == 0
     assert poly(F2, 0).pole_order() == 0
 
 
@@ -88,16 +90,16 @@ def test_t_derivative_odd_characteristic():
 
 def test_jump_formula_examples():
     a = c = poly(F2, 1)
-    assert d4.d4_last_jump(a, c, SparseTPoly.zero(F2)) == 2
+    assert d4.d4_last_jump(a, c, SparseTPoly(F2, {})) == 2
     a, c = poly(F2, 1), poly(F2, 3)
-    assert d4.d4_last_jump(a, c, SparseTPoly.zero(F2)) == 4
-    z = SparseTPoly.zero(F2)
+    assert d4.d4_last_jump(a, c, SparseTPoly(F2, {})) == 4
+    z = SparseTPoly(F2, {})
     assert d4.d4_last_jump(z, z, poly(F2, 1)) == 1
 
 
 def test_jump_formula_uses_exact_rationals():
     a, c = poly(F2, 3), poly(F2, 1)
-    jump = d4.d4_last_jump(a, c, SparseTPoly.zero(F2))
+    jump = d4.d4_last_jump(a, c, SparseTPoly(F2, {}))
     assert isinstance(jump, Fraction)
     assert jump == 4  # w(b'-ac') = 3+1 dominates the side terms 7/2 and 5/2
     # on odd-support data the half-integer side terms are always dominated:
@@ -123,6 +125,63 @@ def test_jump_formula_validates_every_argument():
         d4.d4_last_jump(a, poly(F2, 4), poly(F2, 1))
 
 
+def conductor_jump(a, c, b):
+    """The last jump that the conductor oracle derives for (a, c, b)."""
+    return d4_conductor_oracle.last_jump(a.terms, c.terms, b.terms)
+
+
+def test_conductor_oracle_reduces_an_unreduced_lift():
+    # the triple above: the oracle reduces b itself, so both forms give 9
+    a, c = poly(F2, 1), poly(F2, 5)
+    assert conductor_jump(a, c, poly(F2, 18, 14)) == 9
+    assert conductor_jump(a, c, poly(F2, 9, 7)) == 9
+    with pytest.raises(ValueError, match=r"^w\(a\) = 4 must be odd$"):
+        conductor_jump(poly(F2, 4), c, poly(F2, 1))
+
+
+def test_jump_formula_matches_the_conductor_oracle_over_f2():
+    # every reduced, totally ramified triple with w(a), w(c) <= 5, w(b) <= 9
+    klein = ramified_pool(F2, (0, 1, 3, 5))
+    lifts = ramified_pool(F2, (0, 1, 3, 5, 7, 9))
+    checked = 0
+    for a in klein:
+        for c in klein:
+            if not d4.is_totally_ramified(a, c):
+                continue
+            for b in lifts:
+                assert (d4.d4_last_jump(a, c, b)
+                        == conductor_jump(a, c, b)), (a, c, b)
+                checked += 1
+    assert checked == 42 * 4 * 64
+
+
+def _random_reduced(rng, field, top):
+    """A reduced polynomial of pole order `top` (0 or odd), with random
+    lower coefficients."""
+    elements = list(field.iter_elements())
+    terms = {e: rng.choice(elements) for e in range(1, top, 2)}
+    terms[0] = rng.choice(elements)
+    if top:
+        terms[top] = rng.choice(elements[1:])
+    return SparseTPoly.from_terms(field, terms)
+
+
+@pytest.mark.parametrize("n, samples", [(2, 300), (3, 200)])
+def test_jump_formula_matches_the_conductor_oracle_on_a_sample(n, samples):
+    # w(a) <= 9, w(c) <= 11 and w(b) <= 23, seeded
+    field = gf.make_field(2, n)
+    rng = random.Random(n)
+    checked = 0
+    while checked < samples:
+        a = _random_reduced(rng, field, rng.randrange(1, 10, 2))
+        c = _random_reduced(rng, field, rng.randrange(1, 12, 2))
+        if not d4.is_totally_ramified(a, c):
+            continue
+        b = _random_reduced(rng, field, rng.choice((0, *range(1, 24, 2))))
+        assert d4.d4_last_jump(a, c, b) == conductor_jump(a, c, b), (a, c, b)
+        checked += 1
+
+
 def test_min_lift_jump_validates_datum_support():
     with pytest.raises(ValueError, match="must be 0 or odd"):
         d4.min_lift_jump(poly(F2, 2), poly(F2, 1))
@@ -133,14 +192,14 @@ def test_min_lift_jump_validates_datum_support():
 
 def test_min_lift_jump_examples():
     assert d4.min_lift_jump(poly(F2, 1), poly(F2, 1)) == 2
-    assert d4.min_lift_jump(SparseTPoly.zero(F2), poly(F2, 3)) == 3
-    assert d4.min_lift_jump(SparseTPoly.zero(F2), SparseTPoly.zero(F2)) == 0
+    assert d4.min_lift_jump(SparseTPoly(F2, {}), poly(F2, 3)) == 3
+    assert d4.min_lift_jump(SparseTPoly(F2, {}), SparseTPoly(F2, {})) == 0
 
 
 def test_total_ramification_detection():
     assert d4.is_totally_ramified(poly(F2, 1), poly(F2, 3))
     assert not d4.is_totally_ramified(poly(F2, 1), poly(F2, 1))
-    assert not d4.is_totally_ramified(poly(F2, 1), SparseTPoly.zero(F2))
+    assert not d4.is_totally_ramified(poly(F2, 1), SparseTPoly(F2, {}))
     # constants do not affect the inertia image
     assert d4.is_totally_ramified(poly(F2, 1, 0), poly(F2, 3))
     # over F_4 distinct scalar multiples are independent
@@ -194,7 +253,7 @@ def test_lift_distribution_examples():
     assert dist.minlift == 2
     assert dict(dist.counts)[2] == 4
     assert dict(dist.counts)[1] == 0
-    zero = SparseTPoly.zero(F2)
+    zero = SparseTPoly(F2, {})
     dist = d4.lift_jump_distribution(zero, zero, 0)
     assert dict(dist.counts)[0] == 2
 
@@ -293,7 +352,7 @@ def test_twist_invariance_on_a_ramified_pair():
 
 
 def test_twist_invariance_trivial_pair():
-    zero = SparseTPoly.zero(F2)
+    zero = SparseTPoly(F2, {})
     report = d4.unramified_twist_report(zero, zero, 3)
     assert report.all_equal
     assert all(cmp.enumerated_equal is None for cmp in report.comparisons)
@@ -422,7 +481,7 @@ def test_central_twist_jump_identity():
             exps = [e for e, keep in zip((1, 3, 5), chosen) if keep is not None]
             if c0 is not None:
                 exps.append(0)
-            twists.append(poly(F2, *exps) if exps else SparseTPoly.zero(F2))
+            twists.append(poly(F2, *exps) if exps else SparseTPoly(F2, {}))
     for a, c in pairs:
         m = d4.min_lift_jump(a, c)
         minimal_b = next(b for b in ramified_pool(F2, range(1, m + 1, 2))
@@ -480,9 +539,10 @@ def test_enumeration_lists_no_field_at_jump_zero(monkeypatch):
     assert d4.count_min_lift_enumerated(2 ** 17, 0) == 1
     assert (d4.count_min_lift_enumerated(2 ** 17, 1)
             == counts.count_min_lift(2 ** 17, 1))
+    monkeypatch.setattr(counts, "DEFAULT_BUDGET", 2 ** 17 - 1)
     with pytest.raises(BudgetExceededError,
                        match="^131072 candidates exceed 131071$"):
-        d4.count_min_lift_enumerated(2 ** 17, 1, budget=2 ** 17 - 1)
+        d4.count_min_lift_enumerated(2 ** 17, 1)
 
 
 @pytest.mark.parametrize("q, error, message", [
@@ -499,12 +559,13 @@ def test_min_lift_and_d4_le_need_a_power_of_two(q, error, message):
                 count(q, v)
 
 
-def test_count_min_lift_budget_caps_the_pool():
+def test_count_min_lift_budget_caps_the_pool(monkeypatch):
     # q = 4, v = 5: a pool of 4^3 = 64 supports, i.e. 4096 pairs
-    assert (d4.count_min_lift_enumerated(4, 5, budget=64)
-            == counts.count_min_lift(4, 5))
+    monkeypatch.setattr(counts, "DEFAULT_BUDGET", 64)
+    assert d4.count_min_lift_enumerated(4, 5) == counts.count_min_lift(4, 5)
+    monkeypatch.setattr(counts, "DEFAULT_BUDGET", 63)
     with pytest.raises(BudgetExceededError):
-        d4.count_min_lift_enumerated(4, 5, budget=63)
+        d4.count_min_lift_enumerated(4, 5)
 
 
 def test_count_d4_le_values():

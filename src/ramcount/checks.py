@@ -408,7 +408,7 @@ def _central_twists_move_jump_to_max(_seed: int) -> tuple[bool, str]:
             if e.pole_order() > 5:
                 continue
             checked += 1
-            expected = max(Fraction(m), Fraction(e.pole_order()))
+            expected = max(m, e.pole_order())
             if d4.d4_last_jump(a, c, minimal_b + e) != expected:
                 ok = False
     return ok, f"twists={checked}"

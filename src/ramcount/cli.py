@@ -56,11 +56,22 @@ SUITE_NAMES = ("gf", "witt", "asw", "d4", "h3", "euler", "acceptance")
 #   coeff  := part ("|" part)*                  one part per group factor
 #   part   := comp (";" comp)*                  one component per Witt slot
 #   comp   := base-p digits, constant digit first, field degree many
+#   INDEX, exponent and every integer option := ["-"] ASCII digits
 # ---------------------------------------------------------------------------
+
+def integer(text: str) -> int:
+    """The one integer rule: an optional "-" and ASCII digits 0-9, where
+    int() would also read "1_0", " 3", "+3" and other scripts' digits.
+    As an option's type, argparse names it: "invalid integer value"."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
 
 def parse_group(text: str, p: int) -> counts.GroupShape:
     try:
-        exponents = tuple(int(tok) for tok in text.split(","))
+        exponents = tuple(integer(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"bad group {text!r}")
     return counts.GroupShape(p, exponents)
@@ -76,7 +87,7 @@ def _read_terms(text: str):
     for term in text.split(","):
         index_text, _, coeff_text = term.partition(":")
         try:
-            index = int(index_text)
+            index = integer(index_text)
         except ValueError:
             raise ValueError(f"bad term {term!r}")
         if index in seen:
@@ -312,16 +323,16 @@ def _option(flag: str, **kwargs) -> tuple[str, dict]:
     return flag, kwargs
 
 
-_P = _option("--p", type=int, required=True, help="characteristic")
-_Q = _option("--q", type=int, required=True,
+_P = _option("--p", type=integer, required=True, help="characteristic")
+_Q = _option("--q", type=integer, required=True,
              help="field cardinality (a prime power)")
 _OUTPUT = (_option("--format", choices=("json", "tsv"), default="json"),
            _option("--out", help="also write the report to this file"))
 _GROUP = _option("--group", required=True)
 _A, _C = _option("--a", required=True), _option("--c", required=True)
-_V = _option("--v", type=int, required=True)
-_V_MAX = _option("--v-max", type=int, required=True)
-_X_MAX = _option("--x-max", type=int, required=True)
+_V = _option("--v", type=integer, required=True)
+_V_MAX = _option("--v-max", type=integer, required=True)
+_X_MAX = _option("--x-max", type=integer, required=True)
 
 # command -> (help, its options in order); the handler of a command is
 # cmd_<command>, with "_" for "-"
@@ -350,12 +361,12 @@ COMMANDS = {
     "local-a": ("eighth-count with jump exactly v (polynomial in q)",
                 (_Q, *_OUTPUT, _V)),
     "census": ("number of places by degree", (
-        _Q, *_OUTPUT, _option("--max-degree", type=int, required=True))),
+        _Q, *_OUTPUT, _option("--max-degree", type=integer, required=True))),
     "global-series": ("Euler-product coefficients of the global count", (
         _Q, *_OUTPUT, _X_MAX,
         _option("--group", default=None,
                 help="abelian exponent list; omit for the dihedral series"),
-        _option("--p", type=int, default=2,
+        _option("--p", type=integer, default=2,
                 help="characteristic (needed with --group)"))),
     "growth": ("growth ratios of the dihedral count", (_Q, *_OUTPUT, _X_MAX)),
     "counterexample": ("local vs global Heisenberg counts at a degree-p place",
@@ -364,7 +375,7 @@ COMMANDS = {
         *_OUTPUT,
         _option("--suite", action="append", choices=SUITE_NAMES,
                 help="restrict to a suite (repeatable); default: all"),
-        _option("--seed", type=int, default=0))),
+        _option("--seed", type=integer, default=0))),
 }
 
 

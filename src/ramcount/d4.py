@@ -7,15 +7,18 @@ shape, and carry an explicit last-jump formula
 
     max( w(b' - a c'),  w(a)/2 + w(c),  w(c)/2 + w(a) )
 
-with w the pole order and x' = T dx/dT.  The formula is evaluated in exact
-rational arithmetic for any input, but is trusted as the last jump only
-when (a, c) is totally ramified, which is where the brute-force oracle
-compares it against the closed-form answer w(a) + w(c) for the smallest
-lift jump.
+with w the pole order and x' = T dx/dT.  On reduced data it is the integer
+max(w(b' + a c'), w(a) + w(c)), which `d4_last_jump` evaluates: in
+characteristic 2, b' has only odd terms, so if w(a), w(c) >= 1 (both odd)
+the top term of a c', at the even exponent w(a) + w(c), is never cancelled
+and outweighs both side terms; if w(a) = 0 the larger side term is
+w(c) = w(a) + w(c), and w(c) = 0 is the same.  The formula is trusted as
+the last jump only when (a, c) is totally ramified, which is where the
+brute-force oracle compares it against the closed-form answer w(a) + w(c)
+for the smallest lift jump.
 
 The oracle enumerates the lift space with each derivative b' packed into
-one integer, so that adding a*c' is an XOR, and keeps jumps as doubled
-integers; they become `Fraction`s only in the values it returns.
+one integer, so that adding a*c' is an XOR.
 
 The module also carries the finite-level commutator machinery for
 elementary abelian kernel and quotient: the alternating pairing
@@ -52,8 +55,6 @@ from .gf import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .asw import ReducedCocycle
 
 # the Klein four-group (Z/2)^2 of a reduction, and the Z/2 of its correction
@@ -170,15 +171,13 @@ def _validate_datum_poly(x: SparseTPoly) -> None:
             raise ValueError(f"support exponent {e} must be 0 or odd")
 
 
-def d4_last_jump(a: SparseTPoly, c: SparseTPoly, b: SparseTPoly) -> Fraction:
-    """Exact rational value of the dihedral jump formula (halves possible),
-    which holds on reduced data: a, c, b supported on {0} and odd exponents."""
-    from fractions import Fraction
+def d4_last_jump(a: SparseTPoly, c: SparseTPoly, b: SparseTPoly) -> int:
+    """The dihedral jump formula, max(w(b' + a*c'), w(a) + w(c)), which
+    holds on reduced data: a, c, b supported on {0} and odd exponents."""
     for x in (a, c, b):
         _validate_datum_poly(x)
-    wa, wc = a.pole_order(), c.pole_order()
     main = (b.t_derivative() + a * c.t_derivative()).pole_order()
-    return max(Fraction(main), Fraction(wa, 2) + wc, Fraction(wc, 2) + wa)
+    return max(main, a.pole_order() + c.pole_order())
 
 
 def min_lift_jump(a: SparseTPoly, c: SparseTPoly) -> int:
@@ -209,9 +208,8 @@ def _lift_pool_size(field: FieldDescriptor, bound: int) -> int:
     return field.p * field.q ** ((bound + 1) // 2)
 
 
-def _doubled_jump_tally(a: SparseTPoly, c: SparseTPoly,
-                        bound: int) -> dict[int, int]:
-    """Tally of 2 * d4_last_jump(a, c, b) over the canonical b, w(b) <= bound.
+def _jump_tally(a: SparseTPoly, c: SparseTPoly, bound: int) -> dict[int, int]:
+    """Tally of d4_last_jump(a, c, b) over the canonical b, w(b) <= bound.
 
     In characteristic 2, b' keeps the odd coefficients of b and drops its
     constant, so the derivatives of these b are exactly the integers in
@@ -221,43 +219,40 @@ def _doubled_jump_tally(a: SparseTPoly, c: SparseTPoly,
     and the transversal has p elements.
     The odd exponents <= bound of a*c' pack the same way into one integer,
     so adding b' is an XOR; the other exponents of a*c', which no b' can
-    reach, give a fixed floor under w(b' + a*c').
+    reach, raise the formula's fixed floor w(a) + w(c).
     """
     field = a.field
     n = field.n
-    packed, floor = 0, 0
+    packed, floor = 0, a.pole_order() + c.pole_order()
     for e, coeff in (a * c.t_derivative()).terms.items():
         if e % 2 and e <= bound:
             block = sum(bit << i for i, bit in enumerate(coeff.coeffs))
             packed |= block << (n * (e // 2))
         else:
             floor = max(floor, e)
-    wa, wc = a.pole_order(), c.pole_order()
-    floor2 = max(2 * floor, wa + 2 * wc, wc + 2 * wa)
     per_derivative = field.p
     tally: dict[int, int] = {}
     for deriv in range(field.q ** ((bound + 1) // 2)):
-        # twice the top odd exponent of b' + a*c'; -2 when that part vanishes
-        main2 = 4 * (((deriv ^ packed).bit_length() - 1) // n) + 2
-        jump2 = main2 if main2 > floor2 else floor2
-        tally[jump2] = tally.get(jump2, 0) + per_derivative
+        # the top odd exponent of b' + a*c'; -1 when that part vanishes
+        main = 2 * (((deriv ^ packed).bit_length() - 1) // n) + 1
+        jump = main if main > floor else floor
+        tally[jump] = tally.get(jump, 0) + per_derivative
     return tally
 
 
 def min_lift_jump_bruteforce(a: SparseTPoly, c: SparseTPoly,
-                             b_bound: int) -> Fraction:
+                             b_bound: int) -> int:
     """Minimum of the jump formula over canonical b with w(b) <= b_bound.
 
     Only meaningful for totally ramified reductions, where the b-space
     parametrises all lifts; pole orders beyond the bound cannot shrink the
     minimum because they dominate the formula.
     """
-    from fractions import Fraction
     _require_lift_space(a, c)
     if b_bound < min_lift_jump(a, c):
         raise ValueError("bound must cover the expected minimum")
     _refuse_over_budget(_lift_pool_size(a.field, b_bound))
-    return Fraction(min(_doubled_jump_tally(a, c, b_bound)), 2)
+    return min(_jump_tally(a, c, b_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +303,13 @@ def lift_jump_distribution(a: SparseTPoly, c: SparseTPoly,
 
 
 def enumerated_lift_distribution(a: SparseTPoly, c: SparseTPoly,
-                                 v_max: int) -> dict[Fraction, int]:
+                                 v_max: int) -> dict[int, int]:
     """Jump tallies over the explicit b-parametrisation (totally ramified only)."""
-    from fractions import Fraction
     _require_lift_space(a, c)
     _check_jump(v_max)
     _refuse_over_budget(_lift_pool_size(a.field, v_max))
-    return {Fraction(jump2, 2): count
-            for jump2, count in _doubled_jump_tally(a, c, v_max).items()
-            if jump2 <= 2 * v_max}
+    return {jump: count for jump, count in _jump_tally(a, c, v_max).items()
+            if jump <= v_max}
 
 
 class TwistComparison(namedtuple(
@@ -342,11 +335,11 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
     minimal lift jump, so it is built once, and a twist's distribution
     equals it exactly when the twist has the same minimal lift jump.
     Where (a, c) is totally ramified, its lift space is
-    enumerated once and the doubled-jump tally compared with the nonzero
-    rows of the closed form, doubled; that one comparison is every twist's
+    enumerated once and the enumerated distribution compared with the
+    nonzero rows of the closed form; that one comparison is every twist's
     `enumerated_equal`.
     It stands for every twist because a constant twist changes neither pole
-    order, so neither the floor of `_doubled_jump_tally`, and adds to a*c'
+    order, so neither the floor of `_jump_tally`, and adds to a*c'
     only alpha*c', whose exponents are odd and at most w(c).  When
     w(c) <= v_max that XORs one fixed X < q^k into the packed a*c', and
     b' -> b' ^ X permutes range(q^k), so the tally does not change; when
@@ -359,9 +352,8 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
     enum_eq = None
     if is_totally_ramified(a, c):
         _refuse_over_budget(max(_lift_pool_size(field, v_max), field.q ** 2))
-        tally = _doubled_jump_tally(a, c, v_max)
-        enum_eq = ({jump2: n for jump2, n in tally.items() if jump2 <= 2 * v_max}
-                   == {2 * v: n for v, n in base.counts if n})
+        enum_eq = (enumerated_lift_distribution(a, c, v_max)
+                   == {v: n for v, n in base.counts if n})
     else:
         _refuse_over_budget(field.q ** 2)
     elements = tuple(field.iter_elements())

@@ -708,7 +708,7 @@ def test_over_budget_twist_report_is_refused_up_front(capsys, monkeypatch):
     pair = ("--q", "16", "--a", "1:1000", "--c", "3:1000")
     doc = run_json(capsys, "urtwist-check", *pair, "--v-max", "9")
     assert doc["result"]["all_equal"] is True
-    monkeypatch.setattr(d4, "_doubled_jump_tally", no_enumeration)
+    monkeypatch.setattr(d4, "_jump_tally", no_enumeration)
     status, out, err = run(capsys, "urtwist-check", *pair, "--v-max", "11")
     assert (status, out) == (2, "")
     assert err == "error: 33554432 candidates exceed 5000000\n"
@@ -745,7 +745,7 @@ def test_suite_names_are_the_checks_suites_then_acceptance():
     ("global-series", "--p", "2", "--q", "2", "--x-max", "3"),
 ])
 def test_malformed_group_is_a_one_line_error(capsys, argv):
-    for group in ("a", "", ",", "1,a"):
+    for group in ("a", "", ",", "1,a", "1_0", " 1", "\u0661"):
         status, out, err = run(capsys, *argv, "--group", group)
         assert (status, out) == (2, "")
         assert err == f"error: bad group {group!r}\n"
@@ -890,11 +890,48 @@ def test_negative_dihedral_jump_is_rejected(capsys, command):
      "4 is not a power of 3"),
     (("global-series", "--q", "4", "--x-max", "3", "--p", "4"),
      "4 is not prime"),
+    # an index or a group exponent is an optional "-" and ASCII digits:
+    # int() would read "1_1" as 11, "\u0661" as 1 and " 3" or "+3" as 3
+    (("lj", "--p", "2", "--q", "2", "--group", "1", "--terms", "1_1:1"),
+     "bad term '1_1:1'"),
+    (("lj", "--p", "2", "--q", "2", "--group", "1", "--terms", "\u0661:1"),
+     "bad term '\u0661:1'"),
+    (("lj", "--p", "2", "--q", "2", "--group", "1", "--terms", " 3:1"),
+     "bad term ' 3:1'"),
+    (("lj", "--p", "2", "--q", "2", "--group", "1", "--terms", "+3:1"),
+     "bad term '+3:1'"),
+    (("minlift", "--q", "2", "--a", "1_1:1", "--c", "3:1"),
+     "bad term '1_1:1'"),
+    (("disc", "--p", "3", "--q", "3", "--group", "1_0", "--terms", ""),
+     "bad group '1_0'"),
 ])
 def test_out_of_range_input_is_a_one_line_error(capsys, argv, message):
     status, out, err = run(capsys, *argv)
     assert (status, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("--p", ("lj", "--p", "2_0", "--q", "2", "--group", "1", "--terms", "")),
+    ("--q", ("count-d4", "--q", "1_6", "--v", "3")),
+    ("--v", ("count-d4", "--q", "2", "--v", "\u0663")),
+    ("--v-max", ("lift-dist", "--q", "2", "--a", "1:1", "--c", "3:1",
+                 "--v-max", " 6")),
+    ("--x-max", ("growth", "--q", "2", "--x-max", "+4")),
+    ("--max-degree", ("census", "--q", "2", "--max-degree", "3_0")),
+    ("--p", ("global-series", "--q", "2", "--x-max", "3", "--p", "\uff12")),
+    ("--seed", ("verify", "--suite", "gf", "--seed", "1_0")),
+])
+def test_integer_options_take_ascii_digits_only(capsys, option, argv):
+    # every integer option reads an optional "-" and ASCII digits, as the
+    # term grammar does, where int() would read each of these values
+    value = argv[argv.index(option) + 1]
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(
+        f"error: argument {option}: invalid integer value: {value!r}\n")
 
 
 @pytest.fixture
@@ -1116,7 +1153,7 @@ def test_no_subcommand_loads_dataclasses():
 
 
 # the urtwist-check query is on the totally ramified pair (T^-1, T^-3), whose
-# report enumerates the lift space in doubled jumps
+# report enumerates the lift space, tallying integer jumps
 @pytest.mark.parametrize("argv", [
     QUERIES[name] for name in ("lj", "disc", "count-abelian",
                                "global-series-group", "urtwist-check")])

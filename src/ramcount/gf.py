@@ -19,16 +19,13 @@ published in one attribute assignment.  Larger fields multiply polynomials
 modulo the modulus (`_mul_mod`, also the Galois-ring product of
 `ramcount.witt`), which serves the tests as the oracle for the tables.
 `make_field` builds the only descriptor of each GF(p^n), so fields are
-equal when identical.  Every value is immutable, and every memo (tables,
-embeddings) only ever stores the one value its key determines, so fields
-and elements can be shared freely across threads.
+equal when identical.  Every value is immutable, and a field's tables only
+ever hold the one value the field determines, so fields and elements can be
+shared freely across threads.
 
 Besides the four field operations the module provides the Frobenius map
-x -> x^p, the Artin-Schreier operator x -> x^p - x, a transversal of its
-image read off the absolute trace, which lists no element, and deterministic
-ring embeddings between compatible fields.  An embedding keeps the images of
-the source generator's powers and memoises each element's image, so it
-costs a dictionary lookup once an element has been embedded.
+x -> x^p, the Artin-Schreier operator x -> x^p - x, and a transversal of its
+image read off the absolute trace, which lists no element.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from .errors import (
     InternalInconsistencyError,
     MixedFieldsError,
     NonPrimeError,
-    NotASubfieldError,
 )
 
 TYPE_CHECKING = False
@@ -383,67 +379,3 @@ def wp_transversal(field: FieldDescriptor) -> tuple[FieldElement, ...]:
     return tuple(FieldElement(field, (0,) * j + (c,) + (0,) * (n - 1 - j))
                  for c in range(p))
 
-
-# ---------------------------------------------------------------------------
-# embeddings
-# ---------------------------------------------------------------------------
-
-# (source, target) -> (powers of the source generator's image, memo of the
-# images by source coefficients, at most q_source of them)
-_EMBEDDINGS: dict[tuple[FieldDescriptor, FieldDescriptor],
-                  tuple[tuple[FieldElement, ...],
-                        dict[tuple[int, ...], FieldElement]]] = {}
-
-
-def require_subfield(src: FieldDescriptor, target: FieldDescriptor) -> None:
-    """Raise NotASubfieldError unless GF(p^m) = src embeds into target."""
-    if src.p != target.p or target.n % src.n != 0:
-        raise NotASubfieldError(f"{src} does not embed into {target}")
-
-
-def _embedding(src: FieldDescriptor, dst: FieldDescriptor):
-    key = (src, dst)
-    entry = _EMBEDDINGS.get(key)
-    if entry is None:
-        require_subfield(src, dst)
-        root = None
-        for cand in dst.iter_elements():
-            acc = dst.zero
-            for c in reversed(src.modulus):
-                acc = acc * cand + dst.from_prime(c)
-            if not acc:
-                root = cand
-                break
-        if root is None:
-            raise InternalInconsistencyError(
-                f"{dst} has no root of the modulus of {src}")
-        cur = dst.one
-        powers = []
-        for _ in range(src.n):
-            powers.append(cur)
-            cur = cur * root
-        entry = _EMBEDDINGS[key] = (tuple(powers), {})
-    return entry
-
-
-def embed(a: FieldElement, target: FieldDescriptor) -> FieldElement:
-    """Deterministic ring embedding GF(p^m) -> GF(p^(md)) fixing F_p.
-
-    The source generator is sent to the lexicographically first root of the
-    source modulus in the target, and a is sent to the combination of that
-    root's powers with a's coefficients.  Each image is computed once and
-    memoised per (source, target) pair.  Being a ring homomorphism, the
-    embedding automatically commutes with Frobenius and with x -> x^p - x.
-    """
-    src = a.field
-    if src is target:
-        return a
-    pows, memo = _embedding(src, target)
-    b = memo.get(a.coeffs)
-    if b is None:
-        b = target.zero
-        for c, img in zip(a.coeffs, pows):
-            if c:
-                b = b + target.from_prime(c) * img
-        memo[a.coeffs] = b
-    return b

@@ -200,27 +200,19 @@ def test_verify_output_is_pinned_and_runs_shared_checks_once(
         capsys, monkeypatch, cold_check_memos):
     # a criterion that restates a suite row reads the row, and one that
     # needs a slice of a row's work shares a memoised helper with it
-    bruteforce, pairings = [], []
+    bruteforce = []
     count_line_inertia_bruteforce = h3.count_line_inertia_bruteforce
-    epsilon_bound_report = d4.epsilon_bound_report
 
     def counted_line_inertia(*args):
         bruteforce.append(args)
         return count_line_inertia_bruteforce(*args)
 
-    def counted_epsilon_bound_report(*args):
-        pairings.append(args)
-        return epsilon_bound_report(*args)
-
     monkeypatch.setattr(h3, "count_line_inertia_bruteforce", counted_line_inertia)
-    monkeypatch.setattr(d4, "epsilon_bound_report", counted_epsilon_bound_report)
     status, out, _ = run(capsys, "verify", "--seed", "0")
     assert status == 0
     assert out == (GOLDEN / "verify_seed0.json").read_text()
     assert sorted(bruteforce) == [(3, 3, 1), (3, 3, 2)]
-    # one exhaustive pairing-bound run: 16 sources against F_q'^2, q' = 2, 4, 16
-    assert len(pairings) == 16 * (2 ** 2 + 4 ** 2 + 16 ** 2)
-    assert checks.row.cache_info().misses == 38
+    assert checks.row.cache_info().misses == 35
 
 
 def test_verify_seed_one_is_pinned_and_runs_seedless_checks_once(
@@ -229,14 +221,14 @@ def test_verify_seed_one_is_pinned_and_runs_seedless_checks_once(
     status, out, _ = run(capsys, "verify", "--seed", "1")
     assert status == 0
     assert out == (GOLDEN / "verify_seed1.json").read_text()
-    assert checks.row.cache_info().misses == 38
+    assert checks.row.cache_info().misses == 35
     for helper, misses in HELPER_MISSES.items():
         assert helper.cache_info().misses == misses, helper.__name__
 
 
 @pytest.mark.parametrize("criterion, rows_read", [
     ("acceptance.1.local_distribution_closed_forms", 1),
-    ("acceptance.7.invariant_suites", 5 + 7 + 1),  # witt, asw, pairing bound
+    ("acceptance.7.invariant_suites", 5 + 7),  # witt, asw
     ("acceptance.8.discriminant_gate", 1),
 ])
 def test_a_criterion_reads_the_rows_it_restates(cold_check_memos, criterion,
@@ -255,6 +247,34 @@ def test_each_suite_alone_prints_its_golden_rows(capsys, cold_check_memos,
                 if row["check"].startswith(f"{suite}.")]
     assert status == 0
     assert json.loads(out)["result"] == {"all_passed": True, "rows": expected}
+
+
+def test_a_repeated_suite_prints_its_rows_once(capsys, cold_check_memos):
+    # suites print in the order first named, each once
+    status, out, _ = run(capsys, "verify", "--suite", "d4", "--suite", "gf",
+                         "--suite", "d4")
+    golden = json.loads((GOLDEN / "verify_seed0.json").read_text())
+    expected = [row for suite in ("d4", "gf") for row in golden["result"]["rows"]
+                if row["check"].startswith(f"{suite}.")]
+    assert status == 0
+    assert json.loads(out)["result"] == {"all_passed": True, "rows": expected}
+
+
+def test_even_jumps_read_fail_on_a_planted_non_minimal_lift(monkeypatch,
+                                                            cold_check_memos):
+    # one extra lift at the even jump two above the minimum of each of the 14
+    # fibers, which the row counts on top of its 224 lifts
+    true_distribution = d4.enumerated_lift_distribution
+
+    def planted(a, c, v_max):
+        tally = true_distribution(a, c, v_max)
+        extra = min(tally) + 2
+        tally[extra] = tally.get(extra, 0) + 1
+        return tally
+
+    monkeypatch.setattr(d4, "enumerated_lift_distribution", planted)
+    assert checks.row("d4.even_jumps_are_minimal", 0) == (
+        "d4.even_jumps_are_minimal", False, "lifts=238")
 
 
 @pytest.mark.parametrize("fault", ["constant_plus_one", "unreduced"])
@@ -290,7 +310,7 @@ def test_a_raising_certificate_fails_the_integrality_row(monkeypatch,
     # criterion 7 reads the failing rows and names them
     assert checks.row("acceptance.7.invariant_suites", 0) == (
         "acceptance.7.invariant_suites", False,
-        "witt+asw suites, pairing bound exhaustive q'<=16; failing: "
+        "witt+asw suites; failing: "
         "['asw.cyclic_discriminants_match_break_formula', "
         "'asw.quotient_jump_integrality_asserted']")
 

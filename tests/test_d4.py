@@ -18,10 +18,8 @@ from ramcount.errors import (
     BudgetExceededError,
     MixedFieldsError,
     NonPrimeError,
-    NotASubfieldError,
     NotTotallyRamifiedError,
 )
-from ramcount.witt import WittVector
 
 F2 = gf.make_field(2, 1)
 F4 = gf.make_field(2, 2)
@@ -535,8 +533,8 @@ def test_minimal_lift_bound_by_reduction_jump():
 
 
 def test_nonintegral_or_even_jumps_are_minimal():
-    # across totally ramified fibers, a lift whose jump is even or fractional
-    # must attain the fiber minimum
+    # across totally ramified fibers, a lift whose jump is even must attain
+    # the fiber minimum; jumps are integers, so none is fractional
     pool = ramified_pool(F2, (1, 3, 5))
     for a in pool:
         for c in pool:
@@ -547,7 +545,7 @@ def test_nonintegral_or_even_jumps_are_minimal():
             tally = d4.enumerated_lift_distribution(a, c, 6)
             fiber_min = min(tally)
             for jump in tally:
-                if jump.denominator > 1 or (jump % 2 == 0 and jump > 0):
+                if jump % 2 == 0 and jump > 0:
                     assert jump == fiber_min
 
 
@@ -664,113 +662,3 @@ def test_count_d4_exact_values():
 def test_count_d4_exact_polynomial_identity_at_jump_one():
     for q in (2, 4, 8, 9, 16, 2 ** 10):
         assert counts._d4_exact(q, 1) == q * (2 * q - 1) - 1
-
-
-# ---------------------------------------------------------------------------
-# pairing and the correction bound
-# ---------------------------------------------------------------------------
-
-def test_pairing_on_standard_basis():
-    x = (F2.one, F2.zero)
-    y = (F2.zero, F2.one)
-    assert d4.commutator_pairing(x, y) == F2.one
-    assert not d4.commutator_pairing(x, x)
-
-
-def test_pairing_over_f4():
-    x = (F4.gen, F4.zero)
-    y = (F4.zero, F4.gen)
-    assert d4.commutator_pairing(x, y) == F4.gen * F4.gen
-
-
-def test_pairing_is_bilinear_and_alternating():
-    elems = list(F4.iter_elements())
-    for x1 in elems:
-        for x2 in elems:
-            assert not d4.commutator_pairing((x1, x2), (x1, x2))
-            for y1 in elems:
-                for y2 in elems:
-                    lhs = d4.commutator_pairing((x1 + y1, x2 + y2), (y1, y2))
-                    rhs = (d4.commutator_pairing((x1, x2), (y1, y2))
-                           + d4.commutator_pairing((y1, y2), (y1, y2)))
-                    assert lhs == rhs
-
-
-def _rank2_cocycle(field, entries):
-    shape = counts.GroupShape(2, (1, 1))
-    return asw.ReducedCocycle(shape, field, {
-        n: (WittVector(field, (x,)), WittVector(field, (y,)))
-        for n, (x, y) in entries.items()})
-
-
-def test_epsilon_report_zero_source():
-    m = _rank2_cocycle(F2, {})
-    report = d4.epsilon_bound_report(m, (F4.zero, F4.gen))
-    assert report.source_jump == 0 and report.epsilon_jump == 0
-    assert report.bounded
-
-
-def test_epsilon_report_example():
-    m = _rank2_cocycle(F2, {1: (F2.one, F2.zero)})
-    report = d4.epsilon_bound_report(m, (F4.zero, F4.gen))
-    assert report.source_jump == 1 and report.epsilon_jump == 1
-    assert report.bounded
-    (part,) = report.epsilon.support[1]
-    assert part.components[0] == F4.gen
-
-
-def test_epsilon_report_zero_pairing_vector():
-    m = _rank2_cocycle(F2, {1: (F2.one, F2.one), 3: (F2.zero, F2.one)})
-    report = d4.epsilon_bound_report(m, (F4.zero, F4.zero))
-    assert report.epsilon_jump == 0 and report.bounded
-
-
-@pytest.mark.parametrize("source,big", [((3, 1), (2, 2)), ((2, 2), (2, 3))])
-def test_epsilon_report_rejects_a_source_that_does_not_embed(source, big):
-    src, dst = gf.make_field(*source), gf.make_field(*big)
-    shape = counts.GroupShape(src.p, (1, 1))
-    zero = asw.ReducedCocycle(shape, src, {})
-    one = WittVector(src, (src.one,))
-    nonzero = asw.ReducedCocycle(shape, src, {1: (one, one)})
-    for m in (zero, nonzero):
-        with pytest.raises(NotASubfieldError, match="does not embed into"):
-            d4.epsilon_bound_report(m, (dst.zero, dst.gen))
-
-
-def test_epsilon_bound_exhaustive_small():
-    fields = [F2, F4, gf.make_field(2, 4)]
-    sources = []
-    for x1 in F2.iter_elements():
-        for x2 in F2.iter_elements():
-            for y1 in F2.iter_elements():
-                for y2 in F2.iter_elements():
-                    entries = {}
-                    if x1 or x2:
-                        entries[1] = (x1, x2)
-                    if y1 or y2:
-                        entries[3] = (y1, y2)
-                    sources.append(_rank2_cocycle(F2, entries))
-    for big in fields:
-        for m in sources:
-            for g1 in big.iter_elements():
-                for g2 in big.iter_elements():
-                    assert d4.epsilon_bound_report(m, (g1, g2)).bounded
-
-
-def test_epsilon_report_takes_the_source_jump_once(monkeypatch):
-    # a caller pairs one source with many g_delta; the source's last jump is
-    # computed once, and each report still carries it
-    m = _rank2_cocycle(F2, {1: (F2.one, F2.zero), 3: (F2.zero, F2.one)})
-    calls = []
-    last_jump = asw.last_jump
-
-    def counted(datum):
-        calls.append(datum)
-        return last_jump(datum)
-
-    monkeypatch.setattr(asw, "last_jump", counted)
-    reports = [d4.epsilon_bound_report(m, (g1, g2))
-               for g1 in F4.iter_elements() for g2 in F4.iter_elements()]
-    assert {r.source_jump for r in reports} == {3}
-    assert sum(datum is m for datum in calls) == 1
-    assert len(calls) == 1 + len(reports)  # and one per epsilon datum

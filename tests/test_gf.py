@@ -1,4 +1,4 @@
-"""Finite field arithmetic, Frobenius, Artin-Schreier cosets, embeddings."""
+"""Finite field arithmetic, Frobenius, Artin-Schreier cosets."""
 
 import functools
 import random
@@ -12,7 +12,6 @@ from ramcount.errors import (
     BudgetExceededError,
     MixedFieldsError,
     NonPrimeError,
-    NotASubfieldError,
     PrimalityRangeError,
 )
 
@@ -325,79 +324,6 @@ def test_newton_power_sums_are_the_traces_of_the_basis():
             assert trace.coeffs[1:] == (0,) * (n - 1), field
             traces.append(trace.coeffs[0])
         assert gf._power_sums(field.modulus, p) == traces, field
-
-
-def test_embedding_of_prime_field_is_unital():
-    f2, f4 = gf.make_field(2, 1), gf.make_field(2, 2)
-    assert gf.embed(f2.one, f4) == f4.one
-    assert gf.embed(f2.zero, f4) == f4.zero
-
-
-def test_embedded_f4_generator_has_order_three():
-    f4, f16 = gf.make_field(2, 2), gf.make_field(2, 4)
-    img = gf.embed(f4.gen, f16)
-    assert img != f16.one
-    assert img ** 3 == f16.one
-
-
-def test_embedding_rejects_non_subfields():
-    with pytest.raises(NotASubfieldError):
-        gf.embed(gf.make_field(2, 2).one, gf.make_field(2, 3))
-    with pytest.raises(NotASubfieldError):
-        gf.embed(gf.make_field(2, 1).one, gf.make_field(3, 1))
-
-
-@pytest.mark.parametrize("src,dst", [((2, 1), (2, 2)), ((2, 2), (2, 4)),
-                                     ((3, 1), (3, 2)), ((2, 1), (2, 24))])
-def test_embedding_is_injective_multiplicative_and_frobenius_compatible(src, dst):
-    source, target = gf.make_field(*src), gf.make_field(*dst)
-    images = {}
-    for a in source.iter_elements():
-        images[a] = gf.embed(a, target)
-    assert len(set(images.values())) == source.q
-    for a in source.iter_elements():
-        for b in source.iter_elements():
-            assert gf.embed(a * b, target) == images[a] * images[b]
-            assert gf.embed(a + b, target) == images[a] + images[b]
-        assert gf.embed(a.frobenius(), target) == images[a].frobenius()
-        assert gf.embed(a.artin_schreier(), target) == images[a].artin_schreier()
-
-
-def _first_root_of_modulus(source, target):
-    for cand in target.iter_elements():
-        acc = target.zero
-        for c in reversed(source.modulus):
-            acc = acc * cand + target.from_prime(c)
-        if not acc:
-            return cand
-    raise AssertionError(f"no root of the modulus of {source} in {target}")
-
-
-@pytest.mark.parametrize("src,dst", [((2, 1), (2, 4)), ((2, 2), (2, 4)),
-                                     ((3, 1), (3, 2))])
-def test_memoised_embedding_is_the_combination_of_generator_powers(src, dst):
-    source, target = gf.make_field(*src), gf.make_field(*dst)
-    root = _first_root_of_modulus(source, target)
-    for _ in range(2):  # the second pass reads the memo
-        for a in source.iter_elements():
-            expected, power = target.zero, target.one
-            for c in a.coeffs:
-                expected = expected + target.from_prime(c) * power
-                power = power * root
-            assert gf.embed(a, target) == expected
-    _, memo = gf._EMBEDDINGS[(source, target)]
-    assert len(memo) == source.q
-
-
-def test_one_element_embeds_into_each_target_field():
-    f4, f16, f64 = (gf.make_field(2, n) for n in (2, 4, 6))
-    for a in f4.iter_elements():
-        img16, img64 = gf.embed(a, f16), gf.embed(a, f64)
-        assert img16.field is f16 and img64.field is f64
-        assert gf.embed(a, f16) is img16
-        assert img16 ** 4 == img16 and img64 ** 4 == img64
-    with pytest.raises(NotASubfieldError, match=r"GF\(2\^2\) does not embed"):
-        gf.embed(f4.zero, gf.make_field(2, 3))
 
 
 @given(st.integers(0, 63), st.integers(0, 63), st.integers(0, 63))

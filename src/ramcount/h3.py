@@ -23,10 +23,6 @@ from itertools import combinations_with_replacement
 from .counts import GroupShape, _refuse_over_budget, prime_power
 from .errors import InternalInconsistencyError, OddPrimeRequiredError
 
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 
 def _check_setting(p: int, q: int, r: int) -> None:
     if p == 2:
@@ -126,19 +122,9 @@ def counterexample_report(p: int, q: int) -> CounterexampleReport:
     from fractions import Fraction
     local = local_heisenberg_count(p, q)
     glob = global_heisenberg_count(p, q)
-    ratio = Fraction(glob.total, local.total)
-    expected = discrepancy_ratio_formula(p)
-    if ratio != expected:
-        raise InternalInconsistencyError(
-            f"ratio {ratio} differs from (p^2+p+1)/(p+2) = {expected}")
     return CounterexampleReport(p, q, local.total, glob.total,
-                                local.breakdown, glob.breakdown, ratio)
-
-
-def discrepancy_ratio_formula(p: int) -> Fraction:
-    """(p^2 + p + 1)/(p + 2); greater than 1 for every p >= 2."""
-    from fractions import Fraction
-    return Fraction(p ** 2 + p + 1, p + 2)
+                                local.breakdown, glob.breakdown,
+                                Fraction(glob.total, local.total))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,200 @@
+"""Planted faults, one per `verify` row: each must make its row read "fail".
+
+    python tests/mutants.py
+
+Each entry of MUTANTS is (row, file, old, new, reason): the text `old`,
+which must occur exactly once in `src/ramcount/<file>`, is replaced by
+`new` in a copy of `src` in a temporary directory, and `ramcount verify
+--seed 0` runs on the copy.  The run exits 1 when a named row does not read
+"fail", and before any mutant runs it checks that the table names every row
+of `checks.SUITES` exactly once.  pytest does not collect this file; it
+takes about 0.6 s a mutant.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+MUTANTS = (
+    # gf
+    ("gf.frobenius_is_ring_hom", "gf.py",
+     "return self ** self.field.p", "return self * self",
+     "Frobenius squares, which is additive only in characteristic 2"),
+    ("gf.artin_schreier_kernel_and_image", "gf.py",
+     "return self.frobenius() - self", "return self.frobenius() + self",
+     "x^p + x, whose kernel is not F_p in odd characteristic"),
+    ("gf.transversal_is_complete_and_contains_zero", "gf.py",
+     "j = max(i for i, s in enumerate(_power_sums(field.modulus, p)) if s)",
+     "j = 0",
+     "the constants, which have trace 0 in GF(p^n) when p divides n"),
+    # witt
+    ("witt.ring_axioms", "witt.py",
+     "return _mul_mod(a, b, self._xpow, self.mod)",
+     "return _mul_mod(a, b, self._xpow, self.field.p)",
+     "a product reduced mod p, not mod p^L"),
+    ("witt.artin_schreier_kernel_is_prime_subring", "witt.py",
+     "tuple(c.frobenius() for c in gen)", "tuple(c for c in gen)",
+     "sigma built from the generator's components, not their p-th powers"),
+    ("witt.mul_by_p_matches_repeated_addition", "witt.py",
+     "tuple(a * k % mod for a in self.coeffs)",
+     "tuple(a * min(k, 2) % mod for a in self.coeffs)",
+     "an integer multiple ignores k >= 3"),
+    ("witt.teichmueller_multiplicative", "witt.py",
+     "return _vector(ring, ring.lift(x))", "return _vector(ring, x.coeffs)",
+     "the plain integer lift of x's coefficients for tau(x)"),
+    ("witt.frobenius_commutes_with_addition", "witt.py",
+     "return tuple(v % mod for v in out)", "return tuple(out)",
+     "sigma leaves its coefficients unreduced mod p^L"),
+    # asw
+    ("asw.elementary_jumps_avoid_multiples_of_p", "asw.py",
+     "jump = n * (_additive_order(value) // p)",
+     "jump = n * _additive_order(value)",
+     "the jump at index n is n times the order, not n p^(e-1)"),
+    ("asw.ultrametric_inequality", "asw.py",
+     "support[n] = value if s is None else tuple(\n"
+     "            a + b for a, b in zip(s, value))",
+     "support[n] = value if s is None else s",
+     "a sum keeps m1's coefficient at a shared index"),
+    ("asw.quotient_jumps_are_monotone", "asw.py",
+     "best = max(best, n * (mod // gcd(mod, *coeffs) // p))",
+     "best = max(best, n * (mod // gcd(mod, *coeffs)))",
+     "a character jump without the division by p"),
+    ("asw.homomorphism_count_is_order_times_types", "counts.py",
+     'unram = shape.order if mode == "homomorphisms" else 1',
+     'unram = shape.order * 2 if mode == "homomorphisms" else 1',
+     "twice the unramified twists of the index-0 coefficient"),
+    ("asw.rank_one_counts_match_closed_form", "counts.py",
+     "e = mu(t + 1, n, shape.p)", "e = mu(t, n, shape.p)",
+     "the torsion exponent counts n p^k < t, not <= t"),
+    ("asw.cyclic_discriminants_match_break_formula", "asw.py",
+     "classes.append((a, k - k // p))", "classes.append((a, k - 1))",
+     "a class of order k > p weighted k - 1, not phi(k)"),
+    # d4
+    ("d4.min_lift_dominates_reduction_jump", "d4.py",
+     "entries[n] = (", "entries[3 * n] = (",
+     "the abelian datum of (a, c) puts index n at 3n"),
+    ("d4.bruteforce_minimum_matches_formula", "d4.py",
+     "jump = main if main > floor else floor", "jump = main",
+     "the lift tally drops the floor w(a) + w(c)"),
+    ("d4.even_jumps_are_minimal", "d4.py",
+     "main = 2 * (((deriv ^ packed).bit_length() - 1) // n) + 1",
+     "main = 2 * (((deriv ^ packed).bit_length() - 1) // n) + 2",
+     "the lift tally's top exponent is even"),
+    ("d4.central_twists_move_jump_to_max", "d4.py",
+     "return max(main, a.pole_order() + c.pole_order())",
+     "return min(main, a.pole_order() + c.pole_order())",
+     "the jump formula takes the min"),
+    ("d4.min_lift_count_closed_form_equals_enumeration", "d4.py",
+     "return sum(hist[w] * hist[v - w] for w in range(v + 1))",
+     "return sum(hist[w] * hist[v - w] for w in range(v))",
+     "the min-lift oracle drops the split w = v"),
+    ("d4.twist_invariance_on_regression_corpus", "d4.py",
+     "counts.append((v, _kernel_homs_up_to(q, v)))",
+     "counts.append((v, _kernel_homs_exactly(q, v)))",
+     "the closed lift distribution counts exact jumps at the minimum"),
+    # h3
+    ("h3.line_inertia_bruteforce_matches_closed_form", "h3.py",
+     "return p ** r * (q ** p - 1)", "return p ** r * (q ** p - 2)",
+     "the line-inertia closed form q^p - 2"),
+    ("h3.discrepancy_ratio_exceeds_one", "h3.py",
+     'return _heisenberg_count(p, q, p, p ** 2 + p + 1, "global")',
+     'return _heisenberg_count(p, q, 1, p ** 2 + p + 1, "global")',
+     "one global central twist per reduction, not p"),
+    # euler
+    ("euler.census_zeta_identity", "euler.py",
+     "pi += 1  # the infinite place has degree 1", "pass",
+     "the census forgets the place at infinity"),
+    ("euler.series_matches_convolution_oracle", "euler.py",
+     "c[d * k] += d * pi * lam[k]", "c[d * k] += pi * lam[k]",
+     "the log of a degree-d place's factor without its factor d"),
+    ("euler.coefficients_nonnegative_and_monotone_in_q", "counts.py",
+     "return _d4_le(q, v) - _d4_le(q, v - 1)",
+     "return _d4_le(q, v - 1) - _d4_le(q, v)",
+     "the exact dihedral count differenced backwards, so negative"),
+    # acceptance
+    ("acceptance.1.local_distribution_closed_forms", "counts.py",
+     "q ** m * (m * (q - 1) - 1)", "q ** m * (m * (q - 1) + 1)",
+     "the dihedral count's bracket adds the empty reduction, not drops it"),
+    ("acceptance.2.min_lift_bruteforce_oracle", "d4.py",
+     "return min(_jump_tally(a, c, b_bound))",
+     "return max(_jump_tally(a, c, b_bound))",
+     "the brute force takes the largest jump over the lifts"),
+    ("acceptance.3.unramified_twist_invariance", "d4.py",
+     "per_derivative = field.p", "per_derivative = field.q",
+     "each derivative stands for q lifts, not p"),
+    ("acceptance.4.heisenberg_counterexample_numbers", "h3.py",
+     "return shape.order * count", "return count",
+     "the brute force forgets the classes of the index-0 coefficient"),
+    ("acceptance.5.euler_product_matches_oracle", "euler.py",
+     "c[d * k] += d * pi * lam[k]", "c[d * k] += pi * lam[k]",
+     "the log of a degree-d place's factor without its factor d"),
+    ("acceptance.6.growth_ratio_stabilises", "counts.py",
+     "return q ** k * (2 * q ** k", "return q ** m * (2 * q ** k",
+     "the dihedral count's lift factor q^floor(v/2), not q^ceil(v/2)"),
+    ("acceptance.7.invariant_suites", "asw.py",
+     "o = mod // gcd(mod, *part.coeffs)", "o = mod // gcd(mod, part.coeffs[0])",
+     "a coefficient's order read off its constant coefficient alone"),
+    ("acceptance.8.discriminant_gate", "asw.py",
+     "total += group_order - index", "total += group_order - index + 1",
+     "the ramification integral one too large per interval"),
+)
+
+
+def check_table() -> None:
+    """Every row named once, and every `old` found exactly once."""
+    sys.path.insert(0, str(SRC))
+    from ramcount import checks
+    rows = [name for suite in checks.SUITES.values() for name, _ in suite]
+    named = [row for row, *_ in MUTANTS]
+    if sorted(named) != sorted(rows):
+        raise SystemExit(f"the table's rows {sorted(set(named) ^ set(rows))} "
+                         "do not match checks.SUITES once each")
+    for row, file, old, _, _ in MUTANTS:
+        found = (SRC / "ramcount" / file).read_text().count(old)
+        if found != 1:
+            raise SystemExit(f"{row}: {old!r} occurs {found} times in {file}")
+
+
+def row_status(file: str, old: str, new: str, row: str) -> str:
+    """The status `row` prints under the mutant, or what went wrong."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(SRC, src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / "ramcount" / file
+        target.write_text(target.read_text().replace(old, new))
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run(
+            [sys.executable, "-m", "ramcount.cli", "verify", "--seed", "0"],
+            env=env, capture_output=True, text=True, timeout=300)
+    try:
+        rows = json.loads(done.stdout)["result"]["rows"]
+    except (ValueError, KeyError):
+        return f"no report (exit {done.returncode}): {done.stderr.strip()[-200:]}"
+    return next((r["status"] for r in rows if r["check"] == row), "missing")
+
+
+def main() -> int:
+    check_table()
+    survivors = 0
+    for row, file, old, new, reason in MUTANTS:
+        status = row_status(file, old, new, row)
+        if status != "fail":
+            survivors += 1
+        print(f"{'ok' if status == 'fail' else 'SURVIVED':8} {row}: {reason}"
+              + ("" if status == "fail" else f" [{status}]"), flush=True)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} rows fail their mutant")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -176,7 +177,7 @@ def test_verify_output_is_deterministic(capsys):
     assert out1 == out2
 
 
-# the memoised helpers: the Z/4 data three asw rows share, and the slices of
+# the memoised helpers: the Z/4 data two asw rows share, and the slices of
 # a row's work that an acceptance criterion needs and no row prints; one
 # `verify` computes each once per argument
 HELPER_MISSES = {checks._z4_data: 1, checks._line_inertia_bruteforce: 1,
@@ -212,7 +213,7 @@ def test_verify_output_is_pinned_and_runs_shared_checks_once(
     assert status == 0
     assert out == (GOLDEN / "verify_seed0.json").read_text()
     assert sorted(bruteforce) == [(3, 3, 1), (3, 3, 2)]
-    assert checks.row.cache_info().misses == 35
+    assert checks.row.cache_info().misses == 33
 
 
 def test_verify_seed_one_is_pinned_and_runs_seedless_checks_once(
@@ -221,14 +222,14 @@ def test_verify_seed_one_is_pinned_and_runs_seedless_checks_once(
     status, out, _ = run(capsys, "verify", "--seed", "1")
     assert status == 0
     assert out == (GOLDEN / "verify_seed1.json").read_text()
-    assert checks.row.cache_info().misses == 35
+    assert checks.row.cache_info().misses == 33
     for helper, misses in HELPER_MISSES.items():
         assert helper.cache_info().misses == misses, helper.__name__
 
 
 @pytest.mark.parametrize("criterion, rows_read", [
     ("acceptance.1.local_distribution_closed_forms", 1),
-    ("acceptance.7.invariant_suites", 5 + 7),  # witt, asw
+    ("acceptance.7.invariant_suites", 5 + 6),  # witt, asw
     ("acceptance.8.discriminant_gate", 1),
 ])
 def test_a_criterion_reads_the_rows_it_restates(cold_check_memos, criterion,
@@ -298,21 +299,62 @@ def test_ring_axioms_read_fail_on_a_faulty_product(monkeypatch, cold_check_memos
                                                  "triples=5609")
 
 
-def test_a_raising_certificate_fails_the_integrality_row(monkeypatch,
-                                                         cold_check_memos):
+def test_a_raising_certificate_fails_the_monotone_row(monkeypatch,
+                                                      cold_check_memos):
     def raising(m):
         raise InternalInconsistencyError("planted certificate failure")
 
-    monkeypatch.setattr(asw, "discriminant_exponent", raising)
-    assert checks.row("asw.quotient_jump_integrality_asserted", 0) == (
-        "asw.quotient_jump_integrality_asserted", False,
+    monkeypatch.setattr(asw, "character_jumps", raising)
+    assert checks.row("asw.quotient_jumps_are_monotone", 0) == (
+        "asw.quotient_jumps_are_monotone", False,
         "planted certificate failure")
     # criterion 7 reads the failing rows and names them
     assert checks.row("acceptance.7.invariant_suites", 0) == (
         "acceptance.7.invariant_suites", False,
         "witt+asw suites; failing: "
-        "['asw.cyclic_discriminants_match_break_formula', "
-        "'asw.quotient_jump_integrality_asserted']")
+        "['asw.quotient_jumps_are_monotone', "
+        "'asw.cyclic_discriminants_match_break_formula']")
+
+
+def test_local_distribution_reads_fail_on_a_planted_d4_count(monkeypatch,
+                                                            cold_check_memos):
+    # one more eighth-count of dihedral data of jump <= v for v > 6, where
+    # the min-lift row, whose counts stop at v = 5, does not look
+    true_le = counts._d4_le
+    monkeypatch.setattr(counts, "_d4_le",
+                        lambda q, v: true_le(q, v) + (v > 6))
+    assert checks.row("acceptance.1.local_distribution_closed_forms", 0) == (
+        "acceptance.1.local_distribution_closed_forms", False,
+        "q in {2,4}, v <= 8, exact")
+
+
+@pytest.fixture
+def cold_character_classes():
+    classes = asw.character_classes  # the memo, whatever a test patches in
+    classes.cache_clear()
+    yield
+    classes.cache_clear()
+
+
+def test_cyclic_discriminants_read_fail_on_a_planted_class_weight(
+        monkeypatch, cold_check_memos, cold_character_classes):
+    # a class of order k > p weighted k - 1, not phi(k) = k - k // p; the
+    # classes of order p, the only ones over Z/p, keep their weight
+    true_classes = asw.character_classes
+
+    def planted(shape):
+        moduli = shape.moduli()
+        out = []
+        for a, weight in true_classes(shape):
+            k = max((mod // gcd(mod, a_i) for a_i, mod in zip(a, moduli)),
+                    default=1)
+            out.append((a, k - 1 if k > shape.p else weight))
+        return tuple(out)
+
+    monkeypatch.setattr(asw, "character_classes", planted)
+    assert checks.row("asw.cyclic_discriminants_match_break_formula", 0) == (
+        "asw.cyclic_discriminants_match_break_formula", False,
+        "evaluations=30")
 
 
 def test_acceptance_suite_alone_prints_the_golden_rows():
@@ -349,8 +391,7 @@ def run_with_planted_jump_fault(*argv):
 # the asw rows that evaluate a character sum on a datum of jump 3, whose
 # certificate then fires
 RAISING_ASW_ROWS = ("asw.quotient_jumps_are_monotone",
-                    "asw.cyclic_discriminants_match_break_formula",
-                    "asw.quotient_jump_integrality_asserted")
+                    "asw.cyclic_discriminants_match_break_formula")
 
 
 def test_a_fired_certificate_in_verify_is_one_failing_row():

@@ -73,9 +73,9 @@ def test_counterexample_report():
     assert report.discrepancy_ratio != 1
 
 
-def test_discrepancy_ratio_formula_exceeds_one():
-    for p in (2, 3, 5, 7, 11, 13):
-        assert h3.discrepancy_ratio_formula(p) > 1
+def test_discrepancy_ratio_exceeds_one():
+    for p in (3, 5, 7, 11, 13):
+        assert h3.counterexample_report(p, p).discrepancy_ratio > 1
 
 
 def test_smallest_wild_discriminant_values():

@@ -18,7 +18,8 @@ brute-force oracle compares it against the closed-form answer w(a) + w(c)
 for the smallest lift jump.
 
 The oracle enumerates the lift space with each derivative b' packed into
-one integer, so that adding a*c' is an XOR.
+one integer, so that adding a*c' is an XOR; `_lift_pool_size` counts that
+space, and the lift distribution is its first difference.
 
 Only `pair_to_cocycle` builds abelian data, so only it imports `asw` and
 `witt`.  The counts of dihedral data by last jump are closed forms in q, in
@@ -252,37 +253,22 @@ class LiftDistribution(namedtuple("LiftDistribution", "minlift counts")):
     __slots__ = ()
 
 
-def _kernel_homs_up_to(q: int, v: int) -> int:
-    """#{order-2 central characters with jump <= v} = 2 q^ceil(v/2)."""
-    return 2 * q ** ((v + 1) // 2)
-
-
-def _kernel_homs_exactly(q: int, v: int) -> int:
-    if v == 0:
-        return 2
-    if v % 2 == 0:
-        return 0
-    return 2 * (q - 1) * q ** ((v - 1) // 2)
-
-
 def lift_jump_distribution(a: SparseTPoly, c: SparseTPoly,
                            v_max: int) -> LiftDistribution:
     """Counts of lifts of (a, c) by last jump, for jumps up to v_max.
 
-    Zero below the minimal lift jump; all central twists of bounded jump at
-    the minimum; twists of exact jump above it.
+    Every lift is the minimal lift, of jump m, twisted by a central
+    character, and the twist by a character of jump w has jump max(m, w):
+    for v >= m there are `_lift_pool_size(field, v)` lifts of jump <= v,
+    one per canonical b, and below m there are none.
     """
     _check_jump(v_max)
-    q = a.field.q
     m = min_lift_jump(a, c)
-    counts = []
+    counts, below = [], 0
     for v in range(v_max + 1):
-        if v < m:
-            counts.append((v, 0))
-        elif v == m:
-            counts.append((v, _kernel_homs_up_to(q, v)))
-        else:
-            counts.append((v, _kernel_homs_exactly(q, v)))
+        at_most = _lift_pool_size(a.field, v) if v >= m else 0
+        counts.append((v, at_most - below))
+        below = at_most
     return LiftDistribution(m, tuple(counts))
 
 

@@ -9,14 +9,14 @@ addition is coefficientwise, a product is one polynomial product mod F
 multiple scales every coefficient.
 
 Components meet the ring only at the edges: the constructor, `components`,
-`repr`, `teichmueller` and `iter_witt_vectors`.  The Teichmueller lift is
-tau(b) = C^(p^(L-1)) for any lift C of b^(p^-(L-1)), and the vector
-(a_0, .., a_(L-1)) is sum_i p^i tau(a_i^(p^-i)).  Going back, c = x mod p
-gives a_i = c^(p^i), then x <- (x - tau(c)) / p.  That division must be
-exact; a remainder raises InternalInconsistencyError, which makes it the
-integrality certificate of this module.  The Witt Frobenius, componentwise
-x -> x^p, is the ring automorphism sigma: sigma(x) is found once per ring by
-way of the components, and sigma of any element is sum_j c_j sigma(x)^j.
+`frobenius`, `repr`, `teichmueller` and `iter_witt_vectors`.  The
+Teichmueller lift is tau(b) = C^(p^(L-1)) for any lift C of
+b^(p^-(L-1)), and the vector (a_0, .., a_(L-1)) is sum_i p^i
+tau(a_i^(p^-i)).  Going back, c = x mod p gives a_i = c^(p^i), then
+x <- (x - tau(c)) / p.  That division must be exact; a remainder raises
+InternalInconsistencyError, which makes it the integrality certificate of
+this module.  The Witt Frobenius is componentwise x -> x^p, and
+`frobenius` computes it so: to the components, their p-th powers, and back.
 
 Each ring is built once per (field, L) and cached for the process lifetime,
 with its Teichmueller lifts memoised per element.  Every cached value is a
@@ -35,7 +35,7 @@ from .gf import FieldDescriptor, FieldElement, _fold_rows, _mul_mod, _pow_mod
 class _GaloisRing:
     """GR(p^L, n): coefficient tuples mod p^L, multiplied modulo F."""
 
-    __slots__ = ("field", "length", "mod", "one", "_xpow", "_lifts", "_sigma")
+    __slots__ = ("field", "length", "mod", "one", "_xpow", "_lifts")
 
     def __init__(self, field: FieldDescriptor, length: int):
         n = field.n
@@ -45,7 +45,6 @@ class _GaloisRing:
         self.one = (1,) + (0,) * (n - 1)
         self._xpow = _fold_rows(field.modulus, mod)
         self._lifts: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._sigma: tuple[tuple[int, ...], ...] | None = None
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return _mul_mod(a, b, self._xpow, self.mod)
@@ -111,23 +110,9 @@ class _GaloisRing:
         return tuple(out)
 
     def frobenius(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        n, mod = self.field.n, self.mod
-        if n == 1:
-            return x
-        rows = self._sigma
-        if rows is None:
-            gen = self.components((0, 1) + (0,) * (n - 2))
-            image = self.from_components(tuple(c.frobenius() for c in gen))
-            rows = [self.one]
-            for _ in range(1, n):
-                rows.append(self.mul(rows[-1], image))
-            self._sigma = rows = tuple(rows)
-        out = [0] * n
-        for c, row in zip(x, rows):
-            if c:
-                for i, r in enumerate(row):
-                    out[i] += c * r
-        return tuple(v % mod for v in out)
+        """a_i -> a_i^p on the components (Serre, *Local Fields*, II 6)."""
+        return self.from_components(
+            tuple(c.frobenius() for c in self.components(x)))
 
 
 @lru_cache(maxsize=None)

@@ -41,8 +41,9 @@ MUTANTS = (
      "return _mul_mod(a, b, self._xpow, self.field.p)",
      "a product reduced mod p, not mod p^L"),
     ("witt.artin_schreier_kernel_is_prime_subring", "witt.py",
-     "tuple(c.frobenius() for c in gen)", "tuple(c for c in gen)",
-     "sigma built from the generator's components, not their p-th powers"),
+     "c.frobenius() for c in self.components(x)",
+     "c for c in self.components(x)",
+     "Frobenius keeps the components, not their p-th powers"),
     ("witt.mul_by_p_matches_repeated_addition", "witt.py",
      "tuple(a * k % mod for a in self.coeffs)",
      "tuple(a * min(k, 2) % mod for a in self.coeffs)",
@@ -51,8 +52,10 @@ MUTANTS = (
      "return _vector(ring, ring.lift(x))", "return _vector(ring, x.coeffs)",
      "the plain integer lift of x's coefficients for tau(x)"),
     ("witt.frobenius_commutes_with_addition", "witt.py",
-     "return tuple(v % mod for v in out)", "return tuple(out)",
-     "sigma leaves its coefficients unreduced mod p^L"),
+     "tuple(c.frobenius() for c in self.components(x))",
+     "tuple(c.frobenius() if i == 0 else c"
+     " for i, c in enumerate(self.components(x)))",
+     "Frobenius raises the first component alone to the p-th power"),
     # asw
     ("asw.elementary_jumps_avoid_multiples_of_p", "asw.py",
      "jump = n * (_additive_order(value) // p)",
@@ -97,9 +100,9 @@ MUTANTS = (
      "return sum(hist[w] * hist[v - w] for w in range(v))",
      "the min-lift oracle drops the split w = v"),
     ("d4.twist_invariance_on_regression_corpus", "d4.py",
-     "counts.append((v, _kernel_homs_up_to(q, v)))",
-     "counts.append((v, _kernel_homs_exactly(q, v)))",
-     "the closed lift distribution counts exact jumps at the minimum"),
+     "_lift_pool_size(a.field, v) if v >= m else 0",
+     "_lift_pool_size(a.field, v) if v > m else 0",
+     "the closed lift distribution has no mass at the minimal lift jump"),
     # h3
     ("h3.line_inertia_bruteforce_matches_closed_form", "h3.py",
      "return p ** r * (q ** p - 1)", "return p ** r * (q ** p - 2)",
@@ -115,10 +118,10 @@ MUTANTS = (
     ("euler.series_matches_convolution_oracle", "euler.py",
      "c[d * k] += d * pi * lam[k]", "c[d * k] += pi * lam[k]",
      "the log of a degree-d place's factor without its factor d"),
-    ("euler.coefficients_nonnegative_and_monotone_in_q", "counts.py",
-     "return _d4_le(q, v) - _d4_le(q, v - 1)",
-     "return _d4_le(q, v - 1) - _d4_le(q, v)",
-     "the exact dihedral count differenced backwards, so negative"),
+    ("euler.coefficients_nonnegative_and_monotone_in_q", "euler.py",
+     "return global_series(q, truncation, _d4_exact)",
+     "return global_series(2, truncation, _d4_exact)",
+     "the dihedral series over F_2 for every q"),
     # acceptance
     ("acceptance.1.local_distribution_closed_forms", "counts.py",
      "q ** m * (m * (q - 1) - 1)", "q ** m * (m * (q - 1) + 1)",

@@ -106,6 +106,15 @@ def test_heaviest_urtwist_check_output_is_pinned(capsys):
     assert out == (GOLDEN / "urtwist_q4_vmax11.json").read_text()
 
 
+def test_large_lift_distribution_output_is_pinned(capsys):
+    # a totally ramified pair over F_16 whose counts reach 5 * 10^14
+    status, out, _ = run(capsys, "lift-dist", "--q", "16",
+                         "--a", "1:1000,5:0110", "--c", "3:0101,7:1001",
+                         "--v-max", "24")
+    assert status == 0
+    assert out == (GOLDEN / "lift_dist_q16_vmax24.json").read_text()
+
+
 def test_counterexample_numbers(capsys):
     doc = run_json(capsys, "counterexample", "--p", "3", "--q", "3")
     assert doc["result"]["local_count"] == 3510
@@ -314,6 +323,55 @@ def test_a_raising_certificate_fails_the_monotone_row(monkeypatch,
         "witt+asw suites; failing: "
         "['asw.quotient_jumps_are_monotone', "
         "'asw.cyclic_discriminants_match_break_formula']")
+
+
+def test_monotone_row_reads_fail_on_a_series_that_ignores_q(monkeypatch,
+                                                            cold_check_memos):
+    # the q = 2 series for every q is nonnegative and monotone, not strictly
+    monkeypatch.setattr(euler, "d4_global_series",
+                        lambda q, x: euler.global_series(2, x, counts._d4_exact))
+    assert checks.row("euler.coefficients_nonnegative_and_monotone_in_q", 0) == (
+        "euler.coefficients_nonnegative_and_monotone_in_q", False, "X <= 8")
+
+
+def test_growth_reads_fail_on_a_halved_count(monkeypatch, cold_check_memos):
+    # halving every N(X) halves every ratio, so the relative changes, and
+    # the detail, stay as they were
+    table = euler.growth_table
+
+    def halved(q, x_max):
+        true = table(q, x_max)
+        return true._replace(rows=tuple(
+            r._replace(count=r.count // 2, ratio=r.ratio / 2)
+            for r in true.rows))
+
+    golden = json.loads((GOLDEN / "verify_seed0.json").read_text())
+    detail = next(r["detail"] for r in golden["result"]["rows"]
+                  if r["check"] == "acceptance.6.growth_ratio_stabilises")
+    monkeypatch.setattr(euler, "growth_table", halved)
+    assert checks.row("acceptance.6.growth_ratio_stabilises", 0) == (
+        "acceptance.6.growth_ratio_stabilises", False, detail)
+
+
+# no lift of the planted minimal jump max(w(a), w(c)) exists
+PLANTED_MIN_LIFT_FAULT = """
+import sys
+from ramcount import cli, d4
+d4.min_lift_jump = lambda a, c: max(a.pole_order(), c.pole_order())
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_central_twists_read_fail_when_no_lift_has_the_minimal_jump():
+    done = subprocess.run(
+        [sys.executable, "-c", PLANTED_MIN_LIFT_FAULT, "verify", "--suite", "d4"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    rows = json.loads(done.stdout)["result"]["rows"]
+    assert next(r["status"] for r in rows
+                if r["check"] == "d4.central_twists_move_jump_to_max") == "fail"
 
 
 def test_local_distribution_reads_fail_on_a_planted_d4_count(monkeypatch,
@@ -776,9 +834,11 @@ def test_over_budget_twist_report_is_refused_up_front(capsys, monkeypatch):
 
 
 def test_urtwist_check_exits_one_on_a_wrong_closed_form(capsys, monkeypatch):
-    exactly = d4._kernel_homs_exactly
-    monkeypatch.setattr(d4, "_kernel_homs_exactly",
-                        lambda q, v: exactly(q, v) + 1)
+    # one lift too many of jump <= v: the closed form gains one at the
+    # minimum, where the enumerated tally does not
+    pool = d4._lift_pool_size
+    monkeypatch.setattr(d4, "_lift_pool_size",
+                        lambda field, v: pool(field, v) + 1)
     status, out, _ = run(capsys, "urtwist-check", "--q", "2", "--a", "1:1",
                          "--c", "3:1", "--v-max", "6")
     assert status == 1

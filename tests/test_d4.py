@@ -487,11 +487,12 @@ def test_twist_report_enumerates_once(monkeypatch):
 
 
 def test_twist_report_catches_a_wrong_closed_form(monkeypatch):
-    # the closed form of every twist uses the same count, so only the
-    # comparison with the enumerated tally can see the extra lift
-    exactly = d4._kernel_homs_exactly
-    monkeypatch.setattr(d4, "_kernel_homs_exactly",
-                        lambda q, v: exactly(q, v) + 1)
+    # one lift too many of jump <= v, so one more at the minimum; the closed
+    # form of every twist uses the same count, so only the comparison with
+    # the enumerated tally can see the extra lift
+    pool = d4._lift_pool_size
+    monkeypatch.setattr(d4, "_lift_pool_size",
+                        lambda field, v: pool(field, v) + 1)
     report = d4.unramified_twist_report(poly(F2, 1), poly(F2, 3), 6)
     assert not report.all_equal
     assert all(cmp.closed_form_equal for cmp in report.comparisons)

@@ -104,6 +104,7 @@ def test_galois_ring_matches_ghost_laws(p, n, length):
         assert (va - vb).components == witt_oracle.add(a, witt_oracle.neg(b))
         assert (va * vb).components == witt_oracle.mul(a, b)
         assert va.frobenius().components == witt_oracle.frobenius(a)
+        assert (va * vb).frobenius() == va.frobenius() * vb.frobenius()
 
 
 # ---------------------------------------------------------------------------

@@ -323,7 +323,8 @@ def _min_lift_dominates_reduction_jump(_seed: int) -> tuple[bool, str]:
 
 @functools.cache
 def _bruteforce_minimum_matches(q: int, bound: int) -> tuple[bool, int]:
-    """(all agree, fibers) over the totally ramified pairs, w(a) + w(c) <= bound."""
+    """(all agree, fibers) over the totally ramified pairs, w(a) + w(c) <= bound,
+    where an empty enumerated lift distribution disagrees."""
     pool = [(a, a.pole_order())
             for a in _pool_with_constants(gf.field_for_order(q), (1, 3, 5))]
     ok, fibers = True, 0
@@ -334,7 +335,8 @@ def _bruteforce_minimum_matches(q: int, bound: int) -> tuple[bool, int]:
             if not d4.is_totally_ramified(a, c):
                 continue
             fibers += 1
-            if d4.min_lift_jump_bruteforce(a, c, bound) != d4.min_lift_jump(a, c):
+            tally = d4.enumerated_lift_distribution(a, c, bound)
+            if min(tally, default=None) != d4.min_lift_jump(a, c):
                 ok = False
     return ok, fibers
 

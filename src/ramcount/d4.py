@@ -17,9 +17,11 @@ the last jump only when (a, c) is totally ramified, which is where the
 brute-force oracle compares it against the closed-form answer w(a) + w(c)
 for the smallest lift jump.
 
-The oracle enumerates the lift space with each derivative b' packed into
-one integer, so that adding a*c' is an XOR; `_lift_pool_size` counts that
-space, and the lift distribution is its first difference.
+The oracle, `enumerated_lift_distribution`, enumerates the lift space with
+each derivative b' packed into one integer, so that adding a*c' is an XOR;
+the minimum of its tally is the brute-force smallest lift jump.
+`_lift_pool_size` counts that space, and the lift distribution is its first
+difference.
 
 Only `pair_to_cocycle` builds abelian data, so only it imports `asw` and
 `witt`.  The counts of dihedral data by last jump are closed forms in q, in
@@ -127,10 +129,6 @@ class SparseTPoly:
                     terms[e] = scaled
         return SparseTPoly(self.field, terms)
 
-    def ramified_part(self) -> "SparseTPoly":
-        return SparseTPoly(self.field,
-                           {e: c for e, c in self.terms.items() if e >= 1})
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -156,34 +154,36 @@ def _validate_datum_poly(x: SparseTPoly) -> None:
             raise ValueError(f"support exponent {e} must be 0 or odd")
 
 
+def _check_pair(a: SparseTPoly, c: SparseTPoly) -> None:
+    """A reduction (a, c): both supported on {0} and odd exponents, over
+    one field."""
+    _validate_datum_poly(a)
+    _validate_datum_poly(c)
+    a._check(c)
+
+
 def d4_last_jump(a: SparseTPoly, c: SparseTPoly, b: SparseTPoly) -> int:
     """The dihedral jump formula, max(w(b' + a*c'), w(a) + w(c)), which
     holds on reduced data: a, c, b supported on {0} and odd exponents."""
-    for x in (a, c, b):
-        _validate_datum_poly(x)
+    _check_pair(a, c)
+    _validate_datum_poly(b)
     main = (b.t_derivative() + a * c.t_derivative()).pole_order()
     return max(main, a.pole_order() + c.pole_order())
 
 
 def min_lift_jump(a: SparseTPoly, c: SparseTPoly) -> int:
     """Smallest last jump among all lifts of the reduction (a, c)."""
-    _validate_datum_poly(a)
-    _validate_datum_poly(c)
+    _check_pair(a, c)
     return a.pole_order() + c.pole_order()
 
 
 def is_totally_ramified(a: SparseTPoly, c: SparseTPoly) -> bool:
-    """Full inertia image: a, c and a + c all have nonzero ramified part."""
-    ra, rc = a.ramified_part(), c.ramified_part()
+    """Full inertia image: a, c and a + c all have nonzero ramified part,
+    the terms of positive exponent."""
+    _check_pair(a, c)
+    ra = {e: x for e, x in a.terms.items() if e}
+    rc = {e: x for e, x in c.terms.items() if e}
     return bool(ra) and bool(rc) and ra != rc
-
-
-def _require_lift_space(a: SparseTPoly, c: SparseTPoly) -> None:
-    _validate_datum_poly(a)
-    _validate_datum_poly(c)
-    if not is_totally_ramified(a, c):
-        raise NotTotallyRamifiedError(
-            "the lift parametrisation needs a full inertia image")
 
 
 def _lift_pool_size(field: FieldDescriptor, bound: int) -> int:
@@ -225,21 +225,6 @@ def _jump_tally(a: SparseTPoly, c: SparseTPoly, bound: int) -> dict[int, int]:
     return tally
 
 
-def min_lift_jump_bruteforce(a: SparseTPoly, c: SparseTPoly,
-                             b_bound: int) -> int:
-    """Minimum of the jump formula over canonical b with w(b) <= b_bound.
-
-    Only meaningful for totally ramified reductions, where the b-space
-    parametrises all lifts; pole orders beyond the bound cannot shrink the
-    minimum because they dominate the formula.
-    """
-    _require_lift_space(a, c)
-    if b_bound < min_lift_jump(a, c):
-        raise ValueError("bound must cover the expected minimum")
-    _refuse_over_budget(_lift_pool_size(a.field, b_bound))
-    return min(_jump_tally(a, c, b_bound))
-
-
 # ---------------------------------------------------------------------------
 # lift distributions and unramified-twist invariance
 # ---------------------------------------------------------------------------
@@ -274,8 +259,17 @@ def lift_jump_distribution(a: SparseTPoly, c: SparseTPoly,
 
 def enumerated_lift_distribution(a: SparseTPoly, c: SparseTPoly,
                                  v_max: int) -> dict[int, int]:
-    """Jump tallies over the explicit b-parametrisation (totally ramified only)."""
-    _require_lift_space(a, c)
+    """Counts of lifts of (a, c) by last jump, for jumps up to v_max, from
+    the jump formula on every canonical b with w(b) <= v_max.
+
+    The oracle for `lift_jump_distribution` and, through its minimum, for
+    `min_lift_jump`.  Only a totally ramified pair has its lifts
+    parametrised by b, and a b with w(b) > w(a) + w(c) gives jump w(b), so
+    these b carry every lift of jump <= v_max.
+    """
+    if not is_totally_ramified(a, c):
+        raise NotTotallyRamifiedError(
+            "the lift parametrisation needs a full inertia image")
     _check_jump(v_max)
     _refuse_over_budget(_lift_pool_size(a.field, v_max))
     return {jump: count for jump, count in _jump_tally(a, c, v_max).items()
@@ -291,7 +285,7 @@ class TwistComparison(namedtuple(
 
 
 class TwistInvarianceReport(namedtuple(
-        "TwistInvarianceReport", "base_distribution comparisons all_equal")):
+        "TwistInvarianceReport", "comparisons all_equal")):
     __slots__ = ()
 
 
@@ -335,7 +329,7 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
             closed_eq = min_lift_jump(ta, tc) == base.minlift
             all_equal = all_equal and closed_eq
             comparisons.append(TwistComparison(alpha, gamma, closed_eq, enum_eq))
-    return TwistInvarianceReport(base, tuple(comparisons), all_equal)
+    return TwistInvarianceReport(tuple(comparisons), all_equal)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +364,7 @@ def count_min_lift_enumerated(q: int, v: int) -> int:
 def pair_to_cocycle(a: SparseTPoly, c: SparseTPoly) -> ReducedCocycle:
     """The rank-2 elementary abelian datum carried by the pair (a, c)."""
     from . import asw, witt
-    _validate_datum_poly(a)
-    _validate_datum_poly(c)
+    _check_pair(a, c)
     field = a.field
     entries = {}
     for n in sorted(set(a.terms) | set(c.terms)):

@@ -7,8 +7,9 @@ which must occur exactly once in `src/ramcount/<file>`, is replaced by
 `new` in a copy of `src` in a temporary directory, and `ramcount verify
 --seed 0` runs on the copy.  The run exits 1 when a named row does not read
 "fail", and before any mutant runs it checks that the table names every row
-of `checks.SUITES` exactly once.  pytest does not collect this file; it
-takes about 0.6 s a mutant.
+of `checks.SUITES` exactly once.  pytest does not collect this file, but
+`tests/test_acceptance.py` runs `check_table`; the mutants take about 0.6 s
+each.
 """
 
 from __future__ import annotations
@@ -127,9 +128,9 @@ MUTANTS = (
      "q ** m * (m * (q - 1) - 1)", "q ** m * (m * (q - 1) + 1)",
      "the dihedral count's bracket adds the empty reduction, not drops it"),
     ("acceptance.2.min_lift_bruteforce_oracle", "d4.py",
-     "return min(_jump_tally(a, c, b_bound))",
-     "return max(_jump_tally(a, c, b_bound))",
-     "the brute force takes the largest jump over the lifts"),
+     "    return a.pole_order() + c.pole_order()",
+     "    return max(a.pole_order(), c.pole_order())",
+     "the closed-form minimal lift jump max(w(a), w(c)), not w(a) + w(c)"),
     ("acceptance.3.unramified_twist_invariance", "d4.py",
      "per_derivative = field.p", "per_derivative = field.q",
      "each derivative stands for q lifts, not p"),

@@ -287,6 +287,19 @@ def test_even_jumps_read_fail_on_a_planted_non_minimal_lift(monkeypatch,
         "d4.even_jumps_are_minimal", False, "lifts=238")
 
 
+def test_minimum_rows_read_fail_on_an_empty_lift_distribution(monkeypatch,
+                                                            cold_check_memos):
+    # both rows take the least jump of the enumerated distribution; an empty
+    # one has none, and fails the rows instead of raising
+    monkeypatch.setattr(d4, "enumerated_lift_distribution",
+                        lambda a, c, v_max: {})
+    assert checks.row("d4.bruteforce_minimum_matches_formula", 0) == (
+        "d4.bruteforce_minimum_matches_formula", False, "fibers=368")
+    assert checks.row("acceptance.2.min_lift_bruteforce_oracle", 0) == (
+        "acceptance.2.min_lift_bruteforce_oracle", False,
+        "q=2, totally ramified fibers=56, exact")
+
+
 @pytest.mark.parametrize("fault", ["constant_plus_one", "unreduced"])
 def test_ring_axioms_read_fail_on_a_faulty_product(monkeypatch, cold_check_memos,
                                                    fault):

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
 from pathlib import Path
@@ -226,7 +227,6 @@ from ramcount import d4, gf
 f = gf.make_field(2, 1)
 a, c = d4.SparseTPoly.monomial(f, 1), d4.SparseTPoly.monomial(f, 3)
 jumps = (d4.d4_last_jump(a, c, d4.SparseTPoly(f, {})),
-         d4.min_lift_jump_bruteforce(a, c, 6),
          *d4.enumerated_lift_distribution(a, c, 6))
 print(sorted({type(j).__name__ for j in jumps}), "fractions" in sys.modules)
 """
@@ -266,13 +266,28 @@ def test_total_ramification_detection():
     assert d4.is_totally_ramified(poly(F4, 1), two_gen)
 
 
+def test_pair_functions_refuse_a_pair_over_two_fields():
+    # a = T^-1 over F_2 and c = T^-3 over F_4, either way round
+    for a, c in [(poly(F2, 1), poly(F4, 3)), (poly(F4, 1), poly(F2, 3))]:
+        for fn, rest in [(d4.min_lift_jump, ()), (d4.is_totally_ramified, ()),
+                         (d4.lift_jump_distribution, (6,)),
+                         (d4.enumerated_lift_distribution, (6,)),
+                         (d4.unramified_twist_report, (6,)),
+                         (d4.d4_last_jump, (SparseTPoly(a.field, {}),)),
+                         (d4.pair_to_cocycle, ())]:
+            with pytest.raises(MixedFieldsError,
+                               match="^polynomials over different fields$"):
+                fn(a, c, *rest)
+
+
 def test_bruteforce_matches_closed_minimum():
-    got = d4.min_lift_jump_bruteforce(poly(F2, 1), poly(F2, 3), 6)
+    # the brute-force minimum is the least jump of the enumerated distribution
+    got = min(d4.enumerated_lift_distribution(poly(F2, 1), poly(F2, 3), 6))
     assert got == 4
-    got = d4.min_lift_jump_bruteforce(poly(F2, 1), poly(F2, 1, 3), 6)
+    got = min(d4.enumerated_lift_distribution(poly(F2, 1), poly(F2, 1, 3), 6))
     assert got == 4
     with pytest.raises(NotTotallyRamifiedError):
-        d4.min_lift_jump_bruteforce(poly(F2, 1), poly(F2, 1), 6)
+        d4.enumerated_lift_distribution(poly(F2, 1), poly(F2, 1), 6)
 
 
 def test_bruteforce_refuses_over_budget_before_enumerating(monkeypatch):
@@ -284,7 +299,7 @@ def test_bruteforce_refuses_over_budget_before_enumerating(monkeypatch):
     # 2 * 16^6 canonical b with w(b) <= 11
     with pytest.raises(BudgetExceededError,
                        match="33554432 candidates exceed 5000000"):
-        d4.min_lift_jump_bruteforce(poly(f16, 1), poly(f16, 3), 11)
+        d4.enumerated_lift_distribution(poly(f16, 1), poly(f16, 3), 11)
 
 
 @pytest.mark.parametrize("q,wmax", [(2, 6), (4, 4)])
@@ -299,7 +314,7 @@ def test_bruteforce_equals_formula_on_all_totally_ramified_pairs(q, wmax):
                 continue
             seen += 1
             expected = d4.min_lift_jump(a, c)
-            assert d4.min_lift_jump_bruteforce(a, c, wmax) == expected
+            assert min(d4.enumerated_lift_distribution(a, c, wmax)) == expected
     assert seen > 0
 
 
@@ -376,9 +391,6 @@ def test_packed_enumeration_matches_explicit_lifts(q):
                         if w <= v_max and jump <= v_max:
                             tally[jump] = tally.get(jump, 0) + 1
                     assert d4.enumerated_lift_distribution(ta, tc, v_max) == tally
-                    if v_max >= d4.min_lift_jump(ta, tc):
-                        lowest = min(j for w, j in jumps if w <= v_max)
-                        assert d4.min_lift_jump_bruteforce(ta, tc, v_max) == lowest
 
 
 def test_enumeration_rejects_data_outside_characteristic_two():
@@ -434,6 +446,30 @@ def test_lift_distributions_match_the_conductor_oracle(q):
         assert tally == {v: n for v, n in closed if n}, (a, c)
         assert tally == d4.enumerated_lift_distribution(a, c, v_max), (a, c)
     assert checked == {2: 128, 4: 1312}[q]
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_twist_invariance_from_the_conductor_oracle(q):
+    # the jumps the oracle derives for the canonical lifts with
+    # w(b) <= w(a) + w(c) + 1, tallied for each constant twist (alpha, gamma)
+    # of the pair, built on the term dicts; every tally is the untwisted one
+    field = gf.field_for_order(q)
+    elements = list(field.iter_elements())
+    for a, c in ORACLE_CORPUS[q]:
+        bound = a.pole_order() + c.pole_order() + 1
+        lifts = [b.terms for b in canonical_lifts(field, bound)]
+        tallies = {}
+        for alpha in elements:
+            ta = dict(a.terms)
+            d4_conductor_oracle._add(ta, 0, alpha)
+            for gamma in elements:
+                tc = dict(c.terms)
+                d4_conductor_oracle._add(tc, 0, gamma)
+                tallies[alpha, gamma] = Counter(
+                    d4_conductor_oracle.last_jump(ta, tc, b) for b in lifts)
+        untwisted = tallies[field.zero, field.zero]
+        for twist, tally in tallies.items():
+            assert tally == untwisted, (a, c, twist)
 
 
 def test_twist_invariance_over_f4():

@@ -11,8 +11,9 @@ imports only the closed forms of `counts` and `errors`, and each handler
 imports the library modules it computes with.  So `count-abelian`,
 `count-d4`, `local-a` and `count-minlift` load no other library module,
 `counterexample` adds `h3`, `census`, `global-series` and `growth` add
-`euler`, the dihedral datum commands and `count-minlift --mode enumeration`
-add `gf` and `d4`, and only `disc` and `verify` load `witt` and `asw`.
+`euler`, the dihedral datum commands add `gf` and `d4`, `count-minlift
+--mode enumeration` adds `d4` alone, and only `disc` and `verify` load
+`witt` and `asw`.
 `lj` reads the last jump off the digits of its terms, so it too loads only
 `counts` and `errors`.  `main` builds the subparser of the command it runs
 and no other.  Run as the process, it freezes the heap at exit, so that the
@@ -190,9 +191,9 @@ def cmd_minlift(args):
 def cmd_lift_dist(args):
     from . import d4
     _, a, c = _dihedral_pair(args)
-    dist = d4.lift_jump_distribution(a, c, args.v_max)
-    rows = [{"jump": v, "count": n} for v, n in dist.counts]
-    return {"min_lift_jump": dist.minlift, "rows": rows}, 0
+    rows = [{"jump": v, "count": n}
+            for v, n in d4.lift_jump_distribution(a, c, args.v_max)]
+    return {"min_lift_jump": d4.min_lift_jump(a, c), "rows": rows}, 0
 
 
 def cmd_urtwist_check(args):
@@ -231,8 +232,8 @@ def cmd_local_a(args):
 
 def cmd_census(args):
     from . import euler
-    census = euler.place_census(args.q, args.max_degree)
-    rows = [{"degree": d, "places": n} for d, n in census.counts]
+    rows = [{"degree": d, "places": n}
+            for d, n in euler.place_census(args.q, args.max_degree)]
     return {"q": args.q, "rows": rows}, 0
 
 
@@ -244,8 +245,7 @@ def cmd_global_series(args):
     else:
         counts.prime_power(args.q, args.p)
         series = euler.d4_global_series(args.q, args.x_max)
-    rows = [{"x": x, "coefficient": c}
-            for x, c in enumerate(series.coefficients)]
+    rows = [{"x": x, "coefficient": c} for x, c in enumerate(series)]
     return {"q": args.q, "rows": rows}, 0
 
 
@@ -253,7 +253,7 @@ def cmd_growth(args):
     from . import euler
     table = euler.growth_table(args.q, args.x_max)
     rows = []
-    for row in table.rows:
+    for row in table:
         rows.append({
             "x": row.x,
             "count": row.count,

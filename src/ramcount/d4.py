@@ -39,11 +39,11 @@ from .counts import (
     prime_power,
 )
 from .errors import MixedFieldsError, NotTotallyRamifiedError
-from .gf import FieldDescriptor, FieldElement
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .asw import ReducedCocycle
+    from .gf import FieldDescriptor, FieldElement
 
 # the Klein four-group (Z/2)^2 of a reduction
 _KLEIN = GroupShape(2, (1, 1))
@@ -229,18 +229,10 @@ def _jump_tally(a: SparseTPoly, c: SparseTPoly, bound: int) -> dict[int, int]:
 # lift distributions and unramified-twist invariance
 # ---------------------------------------------------------------------------
 
-class LiftDistribution(namedtuple("LiftDistribution", "minlift counts")):
-    """Lift counts by last jump; no mass below the minimal lift jump.
-
-    counts: ((jump, count), ...) in ascending jump.
-    """
-
-    __slots__ = ()
-
-
 def lift_jump_distribution(a: SparseTPoly, c: SparseTPoly,
-                           v_max: int) -> LiftDistribution:
-    """Counts of lifts of (a, c) by last jump, for jumps up to v_max.
+                           v_max: int) -> tuple[tuple[int, int], ...]:
+    """Counts of lifts of (a, c) by last jump, for jumps up to v_max:
+    ((jump, count), ...) in ascending jump.
 
     Every lift is the minimal lift, of jump m, twisted by a central
     character, and the twist by a character of jump w has jump max(m, w):
@@ -254,7 +246,7 @@ def lift_jump_distribution(a: SparseTPoly, c: SparseTPoly,
         at_most = _lift_pool_size(a.field, v) if v >= m else 0
         counts.append((v, at_most - below))
         below = at_most
-    return LiftDistribution(m, tuple(counts))
+    return tuple(counts)
 
 
 def enumerated_lift_distribution(a: SparseTPoly, c: SparseTPoly,
@@ -312,12 +304,14 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
     closed-form rows exceeds the budget.
     """
     field = a.field
-    base = lift_jump_distribution(a, c, v_max)
+    _check_jump(v_max)
+    m = min_lift_jump(a, c)
     enum_eq = None
     if is_totally_ramified(a, c):
         _refuse_over_budget(max(_lift_pool_size(field, v_max), field.q ** 2))
         enum_eq = (enumerated_lift_distribution(a, c, v_max)
-                   == {v: n for v, n in base.counts if n})
+                   == {v: n for v, n in lift_jump_distribution(a, c, v_max)
+                       if n})
     else:
         _refuse_over_budget(field.q ** 2)
     elements = tuple(field.iter_elements())
@@ -326,7 +320,7 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
     for alpha in elements:
         for gamma in elements:
             ta, tc = a.add_constant(alpha), c.add_constant(gamma)
-            closed_eq = min_lift_jump(ta, tc) == base.minlift
+            closed_eq = min_lift_jump(ta, tc) == m
             all_equal = all_equal and closed_eq
             comparisons.append(TwistComparison(alpha, gamma, closed_eq, enum_eq))
     return TwistInvarianceReport(tuple(comparisons), all_equal)

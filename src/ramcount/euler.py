@@ -53,16 +53,9 @@ def mobius(n: int) -> int:
     return result
 
 
-class PlaceCensus(namedtuple("PlaceCensus", "q max_degree counts")):
-    """Number of places of F_q(T) by degree (monic irreducibles plus infinity).
-
-    counts: ((degree, places), ...) in ascending degree.
-    """
-
-    __slots__ = ()
-
-
-def place_census(q: int, max_degree: int) -> PlaceCensus:
+def place_census(q: int, max_degree: int) -> tuple[tuple[int, int], ...]:
+    """Number of places of F_q(T) by degree (monic irreducibles plus
+    infinity): ((degree, places), ...) in ascending degree."""
     prime_power(q)
     if max_degree < 0:
         raise ValueError(f"census degree {max_degree} must be nonnegative")
@@ -85,32 +78,16 @@ def place_census(q: int, max_degree: int) -> PlaceCensus:
         if acc != q ** m + 1:
             raise InternalInconsistencyError(
                 "place census failed its zeta identity")
-    return PlaceCensus(q, max_degree, tuple(sorted(counts.items())))
-
-
-class CountSeries(namedtuple("CountSeries", "truncation coefficients")):
-    """A power series truncated at degree `truncation`, integer coefficients;
-    the validated result of `global_series`."""
-
-    __slots__ = ()
-
-    def __new__(cls, truncation: int, coefficients: tuple[int, ...]):
-        if len(coefficients) != truncation + 1:
-            raise ValueError(f"a series truncated at {truncation} needs "
-                             f"{truncation + 1} coefficients")
-        return super().__new__(cls, truncation, coefficients)
-
-    def coefficient(self, k: int) -> int:
-        return self.coefficients[k]
+    return tuple(sorted(counts.items()))
 
 
 def global_series(q: int, truncation: int,
-                  coefficient: LocalCoefficient) -> CountSeries:
-    """The Euler product, truncated exactly, by the module's exp-log."""
+                  coefficient: LocalCoefficient) -> tuple[int, ...]:
+    """The Euler product's coefficients of t^0 .. t^truncation, exactly, by
+    the module's exp-log."""
     _check_jump(truncation)  # [t^X] reads the degree-1 local count at jump X
-    census = place_census(q, max(truncation, 1))
     c = [0] * (truncation + 1)
-    for d, pi in census.counts:
+    for d, pi in place_census(q, max(truncation, 1)):
         if d > truncation:
             break
         top = truncation // d
@@ -131,10 +108,10 @@ def global_series(q: int, truncation: int,
     if any(x < 0 for x in h):
         raise InternalInconsistencyError(
             "Euler product needs nonnegative coefficients")
-    return CountSeries(truncation, tuple(h))
+    return tuple(h)
 
 
-def d4_global_series(q: int, truncation: int) -> CountSeries:
+def d4_global_series(q: int, truncation: int) -> tuple[int, ...]:
     """Euler product with the dihedral local counts; q must be a power of 2,
     and so then is every residue cardinality q^d."""
     prime_power(q, p=2)
@@ -142,7 +119,7 @@ def d4_global_series(q: int, truncation: int) -> CountSeries:
 
 
 def abelian_global_series(shape: GroupShape, q: int,
-                          truncation: int) -> CountSeries:
+                          truncation: int) -> tuple[int, ...]:
     """Euler product with the closed-form abelian local counts; q must be a
     power of the group's prime, checked first as in `d4_global_series`."""
     prime_power(q, p=shape.p)
@@ -165,9 +142,9 @@ def convolution_oracle(q: int, total: int, coefficient: LocalCoefficient) -> int
     """
     census = place_census(q, total)
     _refuse_over_budget(sum(pi * (total // d + 1) * (total + 1)
-                            for d, pi in census.counts))
+                            for d, pi in census))
     product = [1] + [0] * total
-    for d, pi in census.counts:
+    for d, pi in census:
         local = [coefficient(q ** d, v) for v in range(total // d + 1)]
         for _ in range(pi):
             for m in range(total, -1, -1):  # product[m - dv] not yet updated
@@ -187,22 +164,15 @@ class GrowthRow(namedtuple("GrowthRow", "x count ratio relative_change")):
     __slots__ = ()
 
 
-class GrowthTable(namedtuple("GrowthTable", "q rows")):
-    __slots__ = ()
-
-    def changes(self) -> list[Fraction]:
-        return [row.relative_change for row in self.rows
-                if row.relative_change is not None]
-
-
-def growth_table(q: int, x_max: int) -> GrowthTable:
-    """Exact ratios N(X)/(q^(3X) X) and their successive relative changes."""
+def growth_table(q: int, x_max: int) -> tuple[GrowthRow, ...]:
+    """Exact ratios N(X)/(q^(3X) X) and their successive relative changes,
+    one row for each X in 1 .. x_max."""
     from fractions import Fraction
     series = d4_global_series(q, x_max)
     rows = []
     prev: Fraction | None = None
     for x in range(1, x_max + 1):
-        count = 8 * series.coefficient(x)
+        count = 8 * series[x]
         if count <= 0:
             raise InternalInconsistencyError(
                 f"growth count at X = {x} is not positive")
@@ -210,12 +180,12 @@ def growth_table(q: int, x_max: int) -> GrowthTable:
         change = None if prev is None else abs(ratio - prev) / ratio
         rows.append(GrowthRow(x, count, ratio, change))
         prev = ratio
-    return GrowthTable(q, tuple(rows))
+    return tuple(rows)
 
 
-def growth_stabilises(table: GrowthTable) -> bool:
-    """The last three relative changes do not increase and the last is
-    under 1/10."""
-    tail = table.changes()[-3:]
+def growth_stabilises(rows: tuple[GrowthRow, ...]) -> bool:
+    """The last three relative changes (the first row has none) do not
+    increase and the last is under 1/10."""
+    tail = [row.relative_change for row in rows[1:][-3:]]
     return (len(tail) == 3 and tail[0] >= tail[1] >= tail[2]
             and tail[2] * 10 < 1)

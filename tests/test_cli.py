@@ -287,10 +287,10 @@ def test_even_jumps_read_fail_on_a_planted_non_minimal_lift(monkeypatch,
         "d4.even_jumps_are_minimal", False, "lifts=238")
 
 
-def test_minimum_rows_read_fail_on_an_empty_lift_distribution(monkeypatch,
-                                                            cold_check_memos):
-    # both rows take the least jump of the enumerated distribution; an empty
-    # one has none, and fails the rows instead of raising
+def test_minimum_rows_read_fail_on_an_empty_lift_distribution(
+        capsys, monkeypatch, cold_check_memos):
+    # three rows take the least jump of the enumerated distribution; an
+    # empty one has none, and fails the rows instead of raising
     monkeypatch.setattr(d4, "enumerated_lift_distribution",
                         lambda a, c, v_max: {})
     assert checks.row("d4.bruteforce_minimum_matches_formula", 0) == (
@@ -298,6 +298,13 @@ def test_minimum_rows_read_fail_on_an_empty_lift_distribution(monkeypatch,
     assert checks.row("acceptance.2.min_lift_bruteforce_oracle", 0) == (
         "acceptance.2.min_lift_bruteforce_oracle", False,
         "q=2, totally ramified fibers=56, exact")
+    assert checks.row("d4.even_jumps_are_minimal", 0) == (
+        "d4.even_jumps_are_minimal", False, "lifts=0")
+    status, out, err = run(capsys, "verify", "--suite", "d4")
+    assert (status, err) == (1, "")
+    rows = json.loads(out)["result"]["rows"]
+    assert {"check": "d4.even_jumps_are_minimal", "status": "fail",
+            "detail": "lifts=0"} in rows
 
 
 @pytest.mark.parametrize("fault", ["constant_plus_one", "unreduced"])
@@ -353,10 +360,8 @@ def test_growth_reads_fail_on_a_halved_count(monkeypatch, cold_check_memos):
     table = euler.growth_table
 
     def halved(q, x_max):
-        true = table(q, x_max)
-        return true._replace(rows=tuple(
-            r._replace(count=r.count // 2, ratio=r.ratio / 2)
-            for r in true.rows))
+        return tuple(r._replace(count=r.count // 2, ratio=r.ratio / 2)
+                     for r in table(q, x_max))
 
     golden = json.loads((GOLDEN / "verify_seed0.json").read_text())
     detail = next(r["detail"] for r in golden["result"]["rows"]
@@ -1163,7 +1168,7 @@ def test_records_are_slotted_namedtuples():
                for cls in vars(module).values()
                if isinstance(cls, type) and issubclass(cls, tuple)
                and cls.__module__ == module.__name__]
-    assert {"GroupShape", "CountSeries", "CheckResult"} <= {
+    assert {"GroupShape", "GrowthRow", "CheckResult"} <= {
         cls.__name__ for cls in records}
     for cls in records:
         assert vars(cls).get("__slots__") == (), cls.__name__
@@ -1252,7 +1257,7 @@ QUERY_MODULES = {
     "lift-dist": CLOSED_FORMS | {"d4", "gf"},
     "urtwist-check": CLOSED_FORMS | {"d4", "gf"},
     "count-minlift": CLOSED_FORMS,
-    "count-minlift-enumeration": CLOSED_FORMS | {"d4", "gf"},
+    "count-minlift-enumeration": CLOSED_FORMS | {"d4"},
     "count-d4": CLOSED_FORMS,
     "local-a": CLOSED_FORMS,
     "census": CLOSED_FORMS | {"euler"},

@@ -14,21 +14,20 @@ Z2 = counts.GroupShape(2, (1,))
 
 
 def test_census_small_degrees_at_q2():
-    census = euler.place_census(2, 4)
-    assert dict(census.counts)[1] == 3
-    assert dict(census.counts)[2] == 1
-    assert dict(census.counts)[3] == 2
-    assert dict(census.counts)[4] == 3
+    census = dict(euler.place_census(2, 4))
+    assert census[1] == 3
+    assert census[2] == 1
+    assert census[3] == 2
+    assert census[4] == 3
 
 
 def test_census_includes_infinite_place():
-    assert dict(euler.place_census(5, 1).counts)[1] == 6
+    assert dict(euler.place_census(5, 1))[1] == 6
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_census_zeta_identity(q):
-    census = euler.place_census(q, 8)
-    table = dict(census.counts)
+    table = dict(euler.place_census(q, 8))
     for m in range(1, 9):
         assert sum(d * pi for d, pi in table.items() if m % d == 0) == q ** m + 1
 
@@ -38,7 +37,7 @@ CENSUS_2237 = "^5004169 bits compared by the census to degree 2237 exceed 500000
 
 def test_census_degree_cap():
     # the census obeys the one budget, at max_degree^2 ceil(log2 q) bits
-    assert len(euler.place_census(2, 33).counts) == 33
+    assert len(euler.place_census(2, 33)) == 33
     with pytest.raises(BudgetExceededError, match=CENSUS_2237):
         euler.place_census(2, 2237)
 
@@ -76,22 +75,12 @@ def test_mobius_values():
     assert values == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
 
-def test_series_is_an_immutable_value_of_the_right_length():
-    a = euler.CountSeries(2, (1, 2, 0))
-    assert repr(a) == "CountSeries(truncation=2, coefficients=(1, 2, 0))"
-    assert hash(a) == hash(euler.CountSeries(2, (1, 2, 0)))
-    with pytest.raises(AttributeError):
-        a.truncation = 3
-    with pytest.raises(ValueError, match="truncated at 3 needs 4 coefficients"):
-        euler.CountSeries(3, (1, 2, 0))
-
-
 def test_global_series_first_coefficients():
     series = euler.d4_global_series(2, 2)
-    assert series.coefficient(0) == 1
-    assert series.coefficient(1) == 15
+    assert series[0] == 1
+    assert series[1] == 15
     # 3 places at jump 2, pairs of distinct degree-1 places, one degree-2 place
-    assert series.coefficient(2) == 3 * 2 + 3 * 25 + 27
+    assert series[2] == 3 * 2 + 3 * 25 + 27
 
 
 def test_oracle_base_cases():
@@ -103,7 +92,7 @@ def test_oracle_base_cases():
 def test_oracle_truncation_cap():
     # the oracle has no truncation cap of its own, only the one budget
     assert euler.convolution_oracle(2, 9, counts._d4_exact) == \
-        euler.d4_global_series(2, 9).coefficient(9)
+        euler.d4_global_series(2, 9)[9]
 
     def unread(residue_order, v):
         raise AssertionError("a local coefficient was read before the budget")
@@ -123,16 +112,16 @@ def _z3_inertial_types(residue_order, v):
     (3, 8, _z3_inertial_types)])
 def test_oracle_multiplies_out_a_thousand_places(q, x, local):
     # over a thousand places each: too deep for one recursion level a place
-    assert sum(pi for _, pi in euler.place_census(q, x).counts) > 1000
+    assert sum(pi for _, pi in euler.place_census(q, x)) > 1000
     assert euler.convolution_oracle(q, x, local) == \
-        euler.global_series(q, x, local).coefficient(x)
+        euler.global_series(q, x, local)[x]
 
 
 @pytest.mark.parametrize("q,x_max", [(2, 6), (4, 4)])
 def test_global_series_matches_oracle(q, x_max):
     series = euler.d4_global_series(q, x_max)
     for x in range(x_max + 1):
-        assert series.coefficient(x) == euler.convolution_oracle(
+        assert series[x] == euler.convolution_oracle(
             q, x, counts.count_d4_exact)
 
 
@@ -149,7 +138,7 @@ def repeated_squaring_product(q, x, coefficient):
     """The Euler product truncated at x, as a second oracle: each degree-d
     local factor raised to its number of places by repeated squaring."""
     result = [1] + [0] * x
-    for d, pi in euler.place_census(q, max(x, 1)).counts:
+    for d, pi in euler.place_census(q, max(x, 1)):
         if d > x:
             break
         factor = [0] * (x + 1)
@@ -167,7 +156,7 @@ def repeated_squaring_product(q, x, coefficient):
 @pytest.mark.parametrize("q", [2, 4, 256])
 def test_d4_series_matches_repeated_squaring(q):
     series = euler.d4_global_series(q, 24)
-    assert list(series.coefficients) == repeated_squaring_product(
+    assert list(series) == repeated_squaring_product(
         q, 24, counts._d4_exact)
 
 
@@ -181,7 +170,7 @@ def test_abelian_series_matches_repeated_squaring(p, exponents, q):
                                          "inertial_types")
 
     series = euler.abelian_global_series(shape, q, 24)
-    assert list(series.coefficients) == repeated_squaring_product(
+    assert list(series) == repeated_squaring_product(
         q, 24, coefficient)
 
 
@@ -201,13 +190,13 @@ def test_a_bad_local_count_fails_a_certificate(planted, message):
 def test_global_series_monotone_in_q():
     s2 = euler.d4_global_series(2, 6)
     s4 = euler.d4_global_series(4, 6)
-    assert all(a <= b for a, b in zip(s2.coefficients, s4.coefficients))
+    assert all(a <= b for a, b in zip(s2, s4))
 
 
 def test_truncation_cap(monkeypatch):
     # [t^X] reads the local count at jump X, so X obeys the jump range,
     # checked before the census
-    assert len(euler.d4_global_series(2, counts.MAX_JUMP).coefficients) == 65
+    assert len(euler.d4_global_series(2, counts.MAX_JUMP)) == 65
 
     def unreachable(q, max_degree):
         raise AssertionError("census taken")
@@ -225,10 +214,10 @@ def test_truncation_cap(monkeypatch):
 
 def test_abelian_series_first_coefficients():
     series = euler.abelian_global_series(Z2, 2, 3)
-    assert series.coefficient(0) == 1
-    assert series.coefficient(1) == 3
+    assert series[0] == 1
+    assert series[1] == 3
     # pairs of distinct degree-1 places plus the degree-2 place
-    assert series.coefficient(2) == 3 + 3
+    assert series[2] == 3 + 3
 
 
 def test_abelian_series_matches_oracle():
@@ -243,8 +232,7 @@ def test_abelian_series_matches_oracle():
 
     series = euler.abelian_global_series(Z2, 2, 8)
     for x in range(9):
-        assert series.coefficient(x) == euler.convolution_oracle(
-            2, x, coefficient)
+        assert series[x] == euler.convolution_oracle(2, x, coefficient)
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +241,16 @@ def test_abelian_series_matches_oracle():
 
 def test_growth_first_row():
     table = euler.growth_table(2, 3)
-    first = table.rows[0]
+    first = table[0]
     assert first.count == 120
     assert first.ratio == 15
     assert first.relative_change is None
-    assert all(row.ratio > 0 for row in table.rows)
+    assert all(row.ratio > 0 for row in table)
 
 
 def test_growth_counts_divisible_by_eight():
     table = euler.growth_table(2, 8)
-    assert all(row.count % 8 == 0 for row in table.rows)
+    assert all(row.count % 8 == 0 for row in table)
 
 
 @pytest.mark.parametrize("last, stabilises", [
@@ -271,11 +259,12 @@ def test_growth_stabilises_needs_the_last_change_under_a_tenth(last, stabilises)
     changes = [None, Fraction(1, 5), Fraction(1, 8), last]
     rows = tuple(euler.GrowthRow(x, 8, Fraction(1), change)
                  for x, change in enumerate(changes, 1))
-    assert euler.growth_stabilises(euler.GrowthTable(2, rows)) is stabilises
+    assert euler.growth_stabilises(rows) is stabilises
 
 
 def test_growth_stabilises_at_q2():
     table = euler.growth_table(2, 16)
     assert euler.growth_stabilises(table)
-    changes = table.changes()
-    assert changes[-1] < Fraction(1, 10)
+    assert table[-1].relative_change < Fraction(1, 10)
+    # three rows have two relative changes, one short of the three it reads
+    assert not euler.growth_stabilises(euler.growth_table(2, 3))

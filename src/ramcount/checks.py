@@ -548,11 +548,11 @@ def _acc_invariant_suites(seed: int) -> tuple[bool, str]:
 
 
 def _acc_discriminant_gate(seed: int) -> tuple[bool, str]:
-    # `smallest_wild_discriminant` certifies its value, 2 p^2 (p - 1)
+    # `smallest_wild_discriminant` certifies its value, 2 p^2 (p - 1), its
+    # minimality and the abelian cross-check, and raises if one fails
     ok = row("asw.cyclic_discriminants_match_break_formula", seed).passed
     for p in (2, 3, 5):
-        if not h3.smallest_wild_discriminant(p).is_smallest_positive:
-            ok = False
+        h3.smallest_wild_discriminant(p)
     return ok, "p in {2,3,5}, L <= 7, and the degree-p configuration"
 
 

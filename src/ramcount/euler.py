@@ -87,9 +87,7 @@ def global_series(q: int, truncation: int,
     the module's exp-log."""
     _check_jump(truncation)  # [t^X] reads the degree-1 local count at jump X
     c = [0] * (truncation + 1)
-    for d, pi in place_census(q, max(truncation, 1)):
-        if d > truncation:
-            break
+    for d, pi in place_census(q, truncation):
         top = truncation // d
         e = [coefficient(q ** d, v) for v in range(top + 1)]
         if e[0] != 1:

@@ -131,23 +131,17 @@ def counterexample_report(p: int, q: int) -> CounterexampleReport:
 # the discriminant gate
 # ---------------------------------------------------------------------------
 
-class DiscriminantGateReport(namedtuple(
-        "DiscriminantGateReport",
-        "p value is_smallest_positive out_of_setting")):
-    __slots__ = ()
-
-
-def smallest_wild_discriminant(p: int) -> DiscriminantGateReport:
+def smallest_wild_discriminant(p: int) -> int:
     """The smallest positive discriminant exponent for an order-p^3 image.
 
     Inertia of size p with last jump 1 gives 2 p^2 (p - 1) through the
     ramification integral (two unit intervals, image size p on both).  Any
     other ramified profile is strictly larger: image sizes are powers of p,
-    at least p on [(-1, 0]] and on every interval up to the last jump.
-    p = 2 evaluates fine but lies outside the odd-prime setting and is
-    flagged as such.
+    at least p on [(-1, 0]] and on every interval up to the last jump, and
+    a smaller profile raises.  p = 2 evaluates fine but lies outside the
+    odd-prime setting.
 
-    For odd p an abelian datum with group (Z/p)^3 cross-checks the value;
+    For every p an abelian datum with group (Z/p)^3 cross-checks the value;
     that group must obey the one cap on every shape, p^3 <= MAX_GROUP_ORDER,
     so the gate answers up to p = 13 and p >= 17 raises GroupTooLargeError.
     """
@@ -157,18 +151,16 @@ def smallest_wild_discriminant(p: int) -> DiscriminantGateReport:
     if value != 2 * p ** 2 * (p - 1):
         raise InternalInconsistencyError(
             f"ramification integral gives {value}, expected 2 p^2 (p - 1)")
-    smallest = True
     for jump in range(1, 4):
         # each nonincreasing profile of sizes in {p^3, p^2, p}, once
         for profile in combinations_with_replacement((p ** 3, p ** 2, p),
                                                      jump + 1):
             candidate = asw.ramification_integral(order, list(profile))
             if candidate < value:
-                smallest = False
-    report = DiscriminantGateReport(p, value, smallest, p == 2)
-    if p != 2:
-        _cross_check_via_abelian_datum(p, value)
-    return report
+                raise InternalInconsistencyError(
+                    f"image sizes {profile} give {candidate}, below {value}")
+    _cross_check_via_abelian_datum(p, value)
+    return value
 
 
 def _cross_check_via_abelian_datum(p: int, expected: int) -> None:

@@ -50,7 +50,7 @@ class _GaloisRing:
         return _mul_mod(a, b, self._xpow, self.mod)
 
     def lift(self, b: FieldElement) -> tuple[int, ...]:
-        """The Teichmueller lift tau(b), memoised; tau(0) = 0 needs no power.
+        """The Teichmueller lift tau(b), memoised.
 
         tau(b) = C^(p^(L-1)) for any lift C of c = b^(p^-(L-1)): C is
         congruent to tau(c) mod p, so their p^(L-1)-th powers agree mod p^L,
@@ -59,11 +59,9 @@ class _GaloisRing:
         """
         t = self._lifts.get(b.coeffs)
         if t is None:
-            t = b.coeffs
-            if any(t):
-                p, k = self.field.p, self.length - 1
-                c = b ** p ** (-k % self.field.n)
-                t = _pow_mod(c.coeffs, p ** k, self._xpow, self.mod)
+            p, k = self.field.p, self.length - 1
+            c = b ** p ** (-k % self.field.n)
+            t = _pow_mod(c.coeffs, p ** k, self._xpow, self.mod)
             self._lifts[b.coeffs] = t
         return t
 
@@ -84,13 +82,8 @@ class _GaloisRing:
         return acc
 
     def components(self, x: tuple[int, ...]) -> tuple[FieldElement, ...]:
-        """a_i = c^(p^i) for c = x mod p, then x <- (x - tau(c)) / p.
-
-        At length 1 the ring is the field and x is already reduced mod p.
-        """
+        """a_i = c^(p^i) for c = x mod p, then x <- (x - tau(c)) / p."""
         field = self.field
-        if self.length == 1:
-            return (FieldElement(field, x),)
         p, n = field.p, field.n
         out = []
         for i in range(self.length):

@@ -490,6 +490,29 @@ def test_a_fired_certificate_in_verify_is_one_failing_row():
                                                  "rows": expected}
 
 
+def test_the_discriminant_gate_row_fails_with_its_minimality_certificate(
+        capsys, monkeypatch, cold_check_memos):
+    # a profile on three intervals below 2 p^2 (p - 1) fires the gate's
+    # certificate at p = 2, and only the gate's row fails, with its message
+    ramification_integral = asw.ramification_integral
+
+    def three_intervals_give_zero(order, sizes):
+        return 0 if len(sizes) == 3 else ramification_integral(order, sizes)
+
+    monkeypatch.setattr(asw, "ramification_integral", three_intervals_give_zero)
+    status, out, err = run(capsys, "verify", "--suite", "acceptance")
+    assert (status, err) == (1, "")
+    golden = json.loads((GOLDEN / "verify_seed0.json").read_text())
+    expected = []
+    for row in golden["result"]["rows"]:
+        if row["check"] == "acceptance.8.discriminant_gate":
+            row = {**row, "status": "fail",
+                   "detail": "image sizes (8, 8, 8) give 0, below 8"}
+        if row["check"].startswith("acceptance."):
+            expected.append(row)
+    assert json.loads(out)["result"] == {"all_passed": False, "rows": expected}
+
+
 def test_a_fired_certificate_in_a_query_exits_three():
     done = run_with_planted_jump_fault("disc", "--p", "2", "--q", "2",
                                        "--group", "1", "--terms", "3:1")

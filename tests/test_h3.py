@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from ramcount import h3
+from ramcount import asw, h3
 from ramcount.errors import (
     BudgetExceededError,
     GroupTooLargeError,
+    InternalInconsistencyError,
     NonPrimeError,
     OddPrimeRequiredError,
 )
@@ -79,24 +80,43 @@ def test_discrepancy_ratio_exceeds_one():
 
 
 def test_smallest_wild_discriminant_values():
-    assert h3.smallest_wild_discriminant(3).value == 36
-    assert h3.smallest_wild_discriminant(5).value == 200
-    report = h3.smallest_wild_discriminant(2)
-    assert report.value == 8
-    assert report.out_of_setting
+    assert h3.smallest_wild_discriminant(3) == 36
+    assert h3.smallest_wild_discriminant(5) == 200
+    # p = 2 lies outside the odd-prime setting but evaluates, cross-checked
+    assert h3.smallest_wild_discriminant(2) == 8
 
 
-def test_smallest_wild_discriminant_is_minimal():
+def test_smallest_wild_discriminant_is_minimal(monkeypatch):
+    # minimality is a certificate: a profile below 2 p^2 (p - 1) raises
+    ramification_integral = asw.ramification_integral
+
+    def three_intervals_give_zero(order, sizes):
+        return 0 if len(sizes) == 3 else ramification_integral(order, sizes)
+
+    monkeypatch.setattr(asw, "ramification_integral", three_intervals_give_zero)
     for p in (2, 3, 5):
-        assert h3.smallest_wild_discriminant(p).is_smallest_positive
+        with pytest.raises(InternalInconsistencyError,
+                           match=rf"image sizes \({p ** 3}, {p ** 3}, {p ** 3}\) "
+                                 rf"give 0, below {2 * p ** 2 * (p - 1)}$"):
+            h3.smallest_wild_discriminant(p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_smallest_wild_discriminant_cross_checks_every_p(monkeypatch, p):
+    # the abelian (Z/p)^3 datum cross-checks the value at p = 2 as well
+    monkeypatch.setattr(asw, "discriminant_exponent", lambda datum: 9)
+    expected = 2 * p ** 2 * (p - 1)
+    with pytest.raises(InternalInconsistencyError,
+                       match=f"abelian cross-check gives 9, expected {expected}$"):
+        h3.smallest_wild_discriminant(p)
 
 
 def test_smallest_wild_discriminant_needs_p_at_most_thirteen():
     # the abelian cross-check sums over the characters of (Z/p)^3, which
     # obeys the one cap on every shape, p^3 <= 4096, so p <= 13
-    assert h3.smallest_wild_discriminant(7).value == 588
-    assert h3.smallest_wild_discriminant(11).value == 2420
-    assert h3.smallest_wild_discriminant(13).value == 4056
+    assert h3.smallest_wild_discriminant(7) == 588
+    assert h3.smallest_wild_discriminant(11) == 2420
+    assert h3.smallest_wild_discriminant(13) == 4056
     with pytest.raises(GroupTooLargeError, match="group order 4913 exceeds 4096"):
         h3.smallest_wild_discriminant(17)
 

@@ -231,11 +231,12 @@ def _ring_power(ring, x, e):
     return result
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 128])
 def test_teichmueller_lift_is_the_power_of_any_lift(q):
     # the oracle is the definition tau(b) = B^(q^(L-1)), B the coefficients
     # of b read in the Galois ring; the library powers a lift of
-    # b^(p^-(L-1)) instead
+    # b^(p^-(L-1)) instead, zero and length 1 included, with log tables up
+    # to q = 64 and by polynomials at q = 128
     field = gf.field_for_order(q)
     for length in range(1, 5):
         ring = witt._galois_ring(field, length)
@@ -244,13 +245,17 @@ def test_teichmueller_lift_is_the_power_of_any_lift(q):
                 ring, b.coeffs, q ** (length - 1)), (b, length)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 128])
 def test_vectors_with_zero_leading_component_round_trip(q):
     # from_components starts from the lift of a_0 and skips identity
-    # powers; the oracle sums p^i tau(a_i^(p^-i)) from the lifts alone
+    # powers; the oracle sums p^i tau(a_i^(p^-i)) from the lifts alone.
+    # Length 1 and the zero element take the general components loop and
+    # the Teichmueller power, as every other length and element do.
+    # GF(2^7) lies above gf._LOG_TABLE_CAP and multiplies polynomials; up
+    # to length 2 it takes 129 vectors, where length 3 would take 16512
     field = gf.field_for_order(q)
     p, n = field.p, field.n
-    for length in range(1, 4):
+    for length in range(1, 3 if q > gf._LOG_TABLE_CAP else 4):
         for tail in itertools.product(field.iter_elements(), repeat=length - 1):
             comps = (field.zero,) + tail
             v = WittVector(field, comps)

@@ -41,9 +41,10 @@ def _ramified_pool(field, exponents) -> list[SparseTPoly]:
 
 
 def _pool_with_constants(field, exponents) -> list[SparseTPoly]:
-    constants = gf.wp_transversal(field)
-    return [base.add_constant(c0) for base in _ramified_pool(field, exponents)
-            for c0 in constants]
+    constants = [SparseTPoly.from_terms(field, {0: c0})
+                 for c0 in gf.wp_transversal(field)]
+    return [base + k for base in _ramified_pool(field, exponents)
+            for k in constants]
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +320,26 @@ def _min_lift_dominates_reduction_jump(_seed: int) -> tuple[bool, str]:
     return ok, f"pairs={pairs}"
 
 
+def _fibers(pool, bound):
+    """(a, c, enumerated lift distribution up to bound) for each totally
+    ramified pair of the pool with w(a) + w(c) <= bound."""
+    pool = [(a, a.pole_order()) for a in pool]
+    for a, wa in pool:
+        for c, wc in pool:
+            if wa + wc <= bound and d4.is_totally_ramified(a, c):
+                yield a, c, d4.enumerated_lift_distribution(a, c, bound)
+
+
 @functools.cache
 def _bruteforce_minimum_matches(q: int, bound: int) -> tuple[bool, int]:
     """(all agree, fibers) over the totally ramified pairs, w(a) + w(c) <= bound,
     where an empty enumerated lift distribution disagrees."""
-    pool = [(a, a.pole_order())
-            for a in _pool_with_constants(gf.field_for_order(q), (1, 3, 5))]
+    pool = _pool_with_constants(gf.field_for_order(q), (1, 3, 5))
     ok, fibers = True, 0
-    for a, wa in pool:
-        for c, wc in pool:
-            if wa + wc > bound:
-                continue
-            if not d4.is_totally_ramified(a, c):
-                continue
-            fibers += 1
-            tally = d4.enumerated_lift_distribution(a, c, bound)
-            if min(tally, default=None) != d4.min_lift_jump(a, c):
-                ok = False
+    for a, c, tally in _fibers(pool, bound):
+        fibers += 1
+        if min(tally, default=None) != d4.min_lift_jump(a, c):
+            ok = False
     return ok, fibers
 
 
@@ -348,19 +352,13 @@ def _bruteforce_minimum(_seed: int) -> tuple[bool, str]:
 def _even_jumps_are_minimal(_seed: int) -> tuple[bool, str]:
     pool = _ramified_pool(gf.make_field(2, 1), (1, 3, 5))
     ok, lifts = True, 0
-    for a in pool:
-        for c in pool:
-            if not d4.is_totally_ramified(a, c):
-                continue
-            if a.pole_order() + c.pole_order() > 6:
-                continue
-            tally = d4.enumerated_lift_distribution(a, c, 6)
-            fiber_min = min(tally, default=None)
-            ok = ok and fiber_min is not None
-            for jump, n in tally.items():
-                lifts += n
-                if jump > 0 and jump % 2 == 0 and jump != fiber_min:
-                    ok = False
+    for _a, _c, tally in _fibers(pool, 6):
+        fiber_min = min(tally, default=None)
+        ok = ok and fiber_min is not None
+        for jump, n in tally.items():
+            lifts += n
+            if jump > 0 and jump % 2 == 0 and jump != fiber_min:
+                ok = False
     return ok, f"lifts={lifts}"
 
 

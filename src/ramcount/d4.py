@@ -105,14 +105,6 @@ class SparseTPoly:
                 _accumulate(terms, e1 + e2, c1 * c2)
         return SparseTPoly(self.field, terms)
 
-    def add_constant(self, c: FieldElement) -> "SparseTPoly":
-        """self + c, touching only the constant term."""
-        if c.field is not self.field:
-            raise MixedFieldsError("coefficient from a different field")
-        terms = dict(self.terms)
-        _accumulate(terms, 0, c)
-        return SparseTPoly(self.field, terms)
-
     def pole_order(self) -> int:
         """w(x) = max(0, -v_T(x)): the largest exponent in the support."""
         return max(self.terms, default=0)
@@ -314,13 +306,13 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
                        if n})
     else:
         _refuse_over_budget(field.q ** 2)
-    elements = tuple(field.iter_elements())
+    constants = [(x, SparseTPoly.from_terms(field, {0: x}))
+                 for x in field.iter_elements()]
     comparisons = []
     all_equal = enum_eq is not False
-    for alpha in elements:
-        for gamma in elements:
-            ta, tc = a.add_constant(alpha), c.add_constant(gamma)
-            closed_eq = min_lift_jump(ta, tc) == m
+    for alpha, k_alpha in constants:
+        for gamma, k_gamma in constants:
+            closed_eq = min_lift_jump(a + k_alpha, c + k_gamma) == m
             all_equal = all_equal and closed_eq
             comparisons.append(TwistComparison(alpha, gamma, closed_eq, enum_eq))
     return TwistInvarianceReport(tuple(comparisons), all_equal)

@@ -106,6 +106,15 @@ def test_heaviest_urtwist_check_output_is_pinned(capsys):
     assert out == (GOLDEN / "urtwist_q4_vmax11.json").read_text()
 
 
+def test_urtwist_check_with_an_unramified_sum_is_pinned(capsys):
+    # a + c is unramified, so the pair is not totally ramified and no twist
+    # has an enumerated distribution: every row reads "n/a"
+    status, out, _ = run(capsys, "urtwist-check", "--q", "4",
+                         "--a", "0:10,3:11", "--c", "0:01,3:11", "--v-max", "8")
+    assert status == 0
+    assert out == (GOLDEN / "urtwist_q4_vmax8_unramified_sum.json").read_text()
+
+
 def test_large_lift_distribution_output_is_pinned(capsys):
     # a totally ramified pair over F_16 whose counts reach 5 * 10^14
     status, out, _ = run(capsys, "lift-dist", "--q", "16",

@@ -43,15 +43,19 @@ def ramified_pool(field, exponents):
 # pole order and derivative
 # ---------------------------------------------------------------------------
 
-def test_add_constant_is_adding_a_constant_polynomial():
+def test_a_constant_twist_is_adding_a_constant_polynomial():
+    # a twist by c keeps the ramified part and moves the constant to old + c,
+    # storing no zero constant
     for base in ramified_pool(F4, (0, 1, 3)):
+        ramified = {e: x for e, x in base.terms.items() if e}
         for c in F4.iter_elements():
-            expected = base + SparseTPoly.from_terms(F4, {0: c})
-            shifted = base.add_constant(c)
-            assert shifted == expected and shifted.terms == expected.terms
-            assert 0 not in shifted.terms or shifted.terms[0]
+            shifted = base + SparseTPoly.from_terms(F4, {0: c})
+            constant = base.terms.get(0, F4.zero) + c
+            assert {e: x for e, x in shifted.terms.items() if e} == ramified
+            assert shifted.terms.get(0, F4.zero) == constant
+            assert (0 in shifted.terms) == bool(constant)
     with pytest.raises(MixedFieldsError, match="coefficient from a different field"):
-        poly(F4, 1).add_constant(F2.one)
+        SparseTPoly.from_terms(F4, {0: F2.one})
 
 
 def test_sums_and_products_store_no_zero_coefficient():
@@ -351,7 +355,8 @@ def test_enumerated_distribution_confirms_four_minimal_lifts():
 
 def canonical_lifts(field, bound):
     """Every canonical third coordinate b with w(b) <= bound."""
-    return [b.add_constant(c0) for c0 in gf.wp_transversal(field)
+    return [b + SparseTPoly.from_terms(field, {0: c0})
+            for c0 in gf.wp_transversal(field)
             for b in ramified_pool(field, range(1, bound + 1, 2))]
 
 
@@ -379,7 +384,8 @@ def test_packed_enumeration_matches_explicit_lifts(q):
     for a, c in ORACLE_CORPUS[q]:
         for alpha in field.iter_elements():
             for gamma in field.iter_elements():
-                ta, tc = a.add_constant(alpha), c.add_constant(gamma)
+                ta = a + SparseTPoly.from_terms(field, {0: alpha})
+                tc = c + SparseTPoly.from_terms(field, {0: gamma})
                 jumps = [(b.pole_order(), d4.d4_last_jump(ta, tc, b))
                          for b in lifts]
                 for v_max in range(7):
@@ -543,7 +549,7 @@ def test_unramified_twist_report_refuses_too_many_rows(monkeypatch):
     def no_twists(*args):
         raise AssertionError("twisted before the budget check")
 
-    monkeypatch.setattr(SparseTPoly, "add_constant", no_twists)
+    monkeypatch.setattr(SparseTPoly, "__add__", no_twists)
     f4096 = gf.make_field(2, 12)
     a = c = SparseTPoly.from_terms(f4096, {1: f4096.one})
     assert not d4.is_totally_ramified(a, c)

@@ -9,18 +9,18 @@ The index-0 coefficient matters only modulo the Artin-Schreier image, whose
 cokernel has |G| elements (the unramified homomorphisms); it enters none of
 those invariants, so the counts take it as a factor |G|.
 
-The module computes the last ramification jump of a datum, the discriminant
-exponent by the conductor-discriminant formula over the characters of G,
-the inertia image as the common kernel of the characters that stay
-unramified, and counts data by last jump by exhausting them: the oracle for
-the closed form `count_by_last_jump`, which lives in `ramcount.counts`.
+The module computes the last ramification jump of a datum; the orders
+|G| / |K_u|, K_u the characters of jump <= u, each by one elimination over
+Z/p^N, and from them the discriminant exponent (conductor-discriminant
+formula) and the inertia image; and counts data by last jump by exhausting
+them: the oracle for `count_by_last_jump`, which lives in `ramcount.counts`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from math import gcd
+from operator import mul
 
 from .counts import (
     GroupShape,
@@ -29,6 +29,7 @@ from .counts import (
     _refuse_over_budget,
     check_support_index,
     count_by_last_jump,  # the closed form that the enumeration checks
+    mu,
 )
 from .errors import InternalInconsistencyError, MixedRingsError
 from .gf import FieldDescriptor, field_for_order
@@ -128,7 +129,7 @@ def last_jump(m: ReducedCocycle) -> int:
 
 
 # ---------------------------------------------------------------------------
-# characters: discriminant exponent and inertia image
+# the ramification filtration: discriminant exponent and inertia image
 # ---------------------------------------------------------------------------
 
 def ramification_integral(group_order: int, image_sizes: list[int]) -> int:
@@ -143,97 +144,88 @@ def ramification_integral(group_order: int, image_sizes: list[int]) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def character_classes(shape: GroupShape) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """One character a per cyclic subgroup of the dual of G, with the number
-    phi(k) = k - k // p of characters generating that subgroup, k the order
-    of a: the largest mod_i // gcd(mod_i, a_i), as in `last_jump`.
-
-    chi_a(x) = sum_i a_i p^(N - n_i) x_i in Z/p^N, N the largest exponent.
-    chi_a and chi_(ua), u a unit mod k, share kernel and image, so they
-    share the jump of any datum.  Scaling by u moves the unit part of the
-    first coordinate of order k freely, and the representative is the a
-    whose such coordinate is mod_i // k.
-
-    The scan visits the |G| tuples a once, so the only bound is the one
-    every shape obeys: `GroupShape` refuses an order above MAX_GROUP_ORDER.
-    """
-    p = shape.p
-    moduli = shape.moduli()
-    classes = []
-    for a in product(*(range(mod) for mod in moduli)):
-        orders = [mod // gcd(mod, a_i) for a_i, mod in zip(a, moduli)]
-        k = max(orders, default=1)
-        if k == 1:
-            classes.append((a, 1))
-            continue
-        i = orders.index(k)
-        if a[i] == moduli[i] // k:
-            classes.append((a, k - k // p))
-    return tuple(classes)
+def _columns(m: ReducedCocycle, u: int) -> list[list[int]]:
+    """One column per cyclic factor i: the Galois-ring coefficients of each
+    ramified x_(n,i) times p^(N - n_i) p^t, t = mu(u + 1, n, p), p^N the
+    largest modulus.  Character a sends the datum to sum_i a_i column_i
+    mod p^N at u = 0 (p^(N - n_i) kills the ambiguity of lifting x_(n,i)
+    to W_N), and p^t kills exactly the coefficients of jump <= u at index n,
+    as in `counts`.  So K_u, the characters a with chi_a o m of jump <= u,
+    is the kernel of a -> sum_i a_i column_i, and |G| / |K_u| is the order
+    of the columns' span."""
+    p, moduli = m.shape.p, m.shape.moduli()
+    top = moduli[0] if moduli else 1
+    scaled = [(p ** mu(u + 1, n, p), m.support[n]) for n in m.ramified_indices()]
+    return [[top // mod * scale * c for scale, parts in scaled
+             for c in parts[i].coeffs] for i, mod in enumerate(moduli)]
 
 
-def character_jumps(m: ReducedCocycle) -> dict[tuple[int, ...], int]:
-    """The last jump of chi_a o m for each character a of `character_classes`.
+def _span_order(columns: list[list[int]], mod: int) -> int:
+    """The order of the span of the columns in (Z/mod)^M, mod a power of p:
+    an entry of least valuation p^v makes its column a cyclic summand of
+    order mod / p^v, and clearing its row from the others leaves the rest."""
+    columns = [[x % mod for x in col] for col in columns]
+    order = 1
+    while entries := [(gcd(x, mod), j, k) for j, col in enumerate(columns)
+                      for k, x in enumerate(col) if x]:
+        g, j, k = min(entries)
+        pivot = columns.pop(j)
+        order *= mod // g
+        unit = pow(pivot[k] // g, -1, mod)
+        for col in columns:
+            f = col[k] // g * unit
+            col[:] = [(x - f * y) % mod for x, y in zip(col, pivot)]
+    return order
 
-    chi_a sends the part x_i in W_(n_i) of a coefficient to a_i p^(N - n_i)
-    times a lift of x_i to W_N, which is well defined because p^(N - n_i)
-    kills the lifting ambiguity: on Galois-ring coefficients it is the
-    coefficients of x_i times a_i p^(N - n_i), mod p^N.  As in `last_jump`,
-    an image of order p^N // gcd(p^N, coefficients) at index n has jump
-    n * (order // p), and the jump of chi_a o m is the largest of these.
-    Certificate: the characters detect the order of every coefficient, so
-    the largest character jump is the last jump of m.
-    """
-    p = m.shape.p
-    moduli = m.shape.moduli()
-    mod = moduli[0] if moduli else 1
-    weights = [mod // mod_i for mod_i in moduli]  # p^(N - n_i)
-    ramified = [(n, m.support[n]) for n in m.ramified_indices()]
-    jumps = {}
-    for a, _ in character_classes(m.shape):
-        best = 0
-        for n, parts in ramified:
-            coeffs = [0] * m.field.n
-            for a_i, w, part in zip(a, weights, parts):
-                if a_i:
-                    coeffs = [s + a_i * w * c for s, c in zip(coeffs, part.coeffs)]
-            best = max(best, n * (mod // gcd(mod, *coeffs) // p))
-        jumps[a] = best
+
+def ramification_steps(m: ReducedCocycle) -> list[tuple[int, int]]:
+    """(u, |G| / |K_u|) at u = 0, at the last jump J and at each u < J where
+    K_u may move, that is where mu(u + 1, n, p) < N does: u = n p^k, k < N.
+    Certificate: K_(J - 1) is not every character."""
+    p, depth = m.shape.p, max(m.shape.exponents, default=0)
     top = last_jump(m)
-    if max(jumps.values()) != top:
+    cuts = {n * p ** k for n in m.ramified_indices() for k in range(depth)}
+    steps = [(u, _span_order(_columns(m, u), p ** depth))
+             for u in sorted({0, top} | {u for u in cuts if u < top})]
+    if top and steps[-2][1] == 1:
         raise InternalInconsistencyError(
-            f"largest character jump {max(jumps.values())} differs from "
-            f"the last jump {top}")
-    return jumps
+            f"every character has jump at most {top - 1}, below the last "
+            f"jump {top}")
+    return steps
 
 
 def discriminant_exponent(m: ReducedCocycle) -> int:
     """Valuation of the discriminant of the etale algebra attached to m.
 
     Conductor-discriminant formula (Serre, Local Fields, VI.3): the sum over
-    the |G| characters chi of the conductor of chi o m, which is its last
-    jump + 1 when chi o m is ramified and 0 otherwise.
+    the characters chi of the conductor of chi o m, its last jump + 1 when
+    ramified and 0 otherwise.  A character of jump j lies outside K_u for
+    u < j, so the sum is (|G| - |K_0|) + sum_(0 <= u < J) (|G| - |K_u|),
+    summed over the intervals of `ramification_steps`.
     """
-    jumps = character_jumps(m)
-    return sum(count * (jumps[a] + 1)
-               for a, count in character_classes(m.shape) if jumps[a])
+    order = m.shape.order
+    steps = ramification_steps(m)
+    total = order - order // steps[0][1]
+    for (lo, size), (hi, _) in zip(steps, steps[1:]):
+        b = order - order // size
+        total += (hi - lo) * b
+    return total
 
 
 def inertia_image(m: ReducedCocycle) -> frozenset[tuple[int, ...]]:
     """Elements of the inertia image: the smallest H with unramified quotient.
 
-    By duality it is the common kernel of the characters chi_a for which
-    chi_a o m is unramified.
-    """
-    unramified = [a for a, t in character_jumps(m).items() if not t]
+    By duality it is the common kernel of the characters in K_0, which a scan
+    of the dual reads from the columns at u = 0."""
     moduli = m.shape.moduli()
     top = moduli[0] if moduli else 1
     weights = [top // mod for mod in moduli]  # p^(N - n_i)
-    return frozenset(
-        x for x in product(*(range(mod) for mod in moduli))
-        if all(sum(a_i * w * x_i for a_i, w, x_i in zip(a, weights, x)) % top == 0
-               for a in unramified))
+    rows = list(zip(*_columns(m, 0)))
+    group = list(product(*(range(mod) for mod in moduli)))
+    unramified = [list(map(mul, a, weights)) for a in group
+                  if not any(sum(map(mul, a, row)) % top for row in rows)]
+    return frozenset(x for x in group if not any(
+        sum(map(mul, a, x)) % top for a in unramified))
 
 
 # ---------------------------------------------------------------------------

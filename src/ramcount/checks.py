@@ -240,11 +240,16 @@ def _ultrametric_inequality(_seed: int) -> tuple[bool, str]:
 
 
 def _quotient_jumps_are_monotone(_seed: int) -> tuple[bool, str]:
-    # one character per cyclic quotient: the three quotients of Z/4 are the
-    # images of the characters a = 0, 2, 1, whose kernels are Z/4, 2Z/4, 0;
-    # `character_jumps` certifies that none exceeds the last jump
-    scans = sum(len(asw.character_jumps(m)) for m in _z4_data())
-    return True, f"quotients={scans}"
+    # the quotients of Z/4 by 0, 2Z/4 and Z/4 have 4, 2 and 1 characters: the
+    # jump of each is the least u with |G| / |K_u| <= 1, 2, 4 (None if none)
+    ok, count = True, 0
+    for m in _z4_data():
+        steps = asw.ramification_steps(m)
+        jumps = [next((u for u, size in steps if size <= b), None) for b in (1, 2, 4)]
+        count += len(jumps)
+        ok = ok and (None not in jumps and jumps[0] == asw.last_jump(m)
+                     and jumps == sorted(jumps, reverse=True) and jumps[-1] == 0)
+    return ok, f"quotients={count}"
 
 
 def _homs_are_order_times_types(_seed: int) -> tuple[bool, str]:

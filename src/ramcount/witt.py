@@ -25,7 +25,7 @@ function of its key, so the module is safe to use concurrently.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from itertools import product
 
 from .errors import InternalInconsistencyError, MixedFieldsError, MixedRingsError
@@ -108,7 +108,7 @@ class _GaloisRing:
             tuple(c.frobenius() for c in self.components(x)))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _galois_ring(field: FieldDescriptor, length: int) -> _GaloisRing:
     if length < 1:
         raise ValueError("Witt length must be positive")

@@ -1,19 +1,24 @@
-"""Planted faults, one per `verify` row: each must make its row read "fail".
+"""Planted faults: one per `verify` row, each of which must make its row
+read "fail", and faults keyed by module that no row sees, each of which
+must fail the Tier-1 tests it names.
 
     python tests/mutants.py
 
-Each entry of MUTANTS is (row, file, old, new, reason): the text `old`,
+Each entry of MUTANTS is (row, file, old, new, reason), and each entry of
+MODULE_MUTANTS is (module, file, old, new, reason, tests): the text `old`,
 which must occur exactly once in `src/ramcount/<file>`, is replaced by
-`new` in a copy of `src` in a temporary directory, and `ramcount verify
---seed 0` runs on the copy.  The run exits 1 when a named row does not read
-"fail", and before any mutant runs it checks that the table names every row
-of `checks.SUITES` exactly once.  pytest does not collect this file, but
-`tests/test_acceptance.py` runs `check_table`; the mutants take about 0.6 s
-each.
+`new` in a copy of `src` in a temporary directory.  For a row, `ramcount
+verify --seed 0` runs on the copy; for a module, pytest runs the named
+tests on it.  The run exits 1 when a named row does not read "fail" or a
+named test passes, and before any mutant runs it checks that the table
+names every row of `checks.SUITES` exactly once.  pytest does not collect
+this file, but `tests/test_acceptance.py` runs `check_table`; the mutants
+take about 0.6 s each.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
@@ -22,7 +27,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 MUTANTS = (
     # gf
@@ -68,9 +74,8 @@ MUTANTS = (
      "support[n] = value if s is None else s",
      "a sum keeps m1's coefficient at a shared index"),
     ("asw.quotient_jumps_are_monotone", "asw.py",
-     "best = max(best, n * (mod // gcd(mod, *coeffs) // p))",
-     "best = max(best, n * (mod // gcd(mod, *coeffs)))",
-     "a character jump without the division by p"),
+     "p ** mu(u + 1, n, p)", "p ** mu(u, n, p)",
+     "K_u read as K_(u - 1): p^t counts n p^k < u, not <= u"),
     ("asw.homomorphism_count_is_order_times_types", "counts.py",
      'unram = shape.order if mode == "homomorphisms" else 1',
      'unram = shape.order * 2 if mode == "homomorphisms" else 1',
@@ -79,8 +84,8 @@ MUTANTS = (
      "e = mu(t + 1, n, shape.p)", "e = mu(t, n, shape.p)",
      "the torsion exponent counts n p^k < t, not <= t"),
     ("asw.cyclic_discriminants_match_break_formula", "asw.py",
-     "classes.append((a, k - k // p))", "classes.append((a, k - 1))",
-     "a class of order k > p weighted k - 1, not phi(k)"),
+     "total += (hi - lo) * b", "total += (hi - lo + 1) * b",
+     "each interval of the filtration one unit too long"),
     # d4
     ("d4.min_lift_dominates_reduction_jump", "d4.py",
      "entries[n] = (", "entries[3 * n] = (",
@@ -152,6 +157,19 @@ MUTANTS = (
 )
 
 
+# faults that `verify` cannot see: a constant twist changes no jump, so a
+# twist that does nothing leaves every row and golden as it was
+MODULE_MUTANTS = (
+    ("d4", "d4.py",
+     "for e, c in other.terms.items():\n            _accumulate(terms, e, c)",
+     "for e, c in other.terms.items():\n            if e:\n"
+     "                _accumulate(terms, e, c)",
+     "a sum drops the right operand's constant, so a constant twist does nothing",
+     ("tests/test_d4.py::test_a_constant_twist_is_adding_a_constant_polynomial",
+      "tests/test_d4.py::test_sums_and_products_store_no_zero_coefficient")),
+)
+
+
 def check_table() -> None:
     """Every row named once, and every `old` found exactly once."""
     sys.path.insert(0, str(SRC))
@@ -161,22 +179,28 @@ def check_table() -> None:
     if sorted(named) != sorted(rows):
         raise SystemExit(f"the table's rows {sorted(set(named) ^ set(rows))} "
                          "do not match checks.SUITES once each")
-    for row, file, old, _, _ in MUTANTS:
+    for key, file, old, *_ in MUTANTS + MODULE_MUTANTS:
         found = (SRC / "ramcount" / file).read_text().count(old)
         if found != 1:
-            raise SystemExit(f"{row}: {old!r} occurs {found} times in {file}")
+            raise SystemExit(f"{key}: {old!r} occurs {found} times in {file}")
 
 
-def row_status(file: str, old: str, new: str, row: str) -> str:
-    """The status `row` prints under the mutant, or what went wrong."""
+@contextlib.contextmanager
+def mutated_env(file: str, old: str, new: str):
+    """The environment that imports a copy of `src` with the fault planted."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src,
                         ignore=shutil.ignore_patterns("__pycache__"))
         target = src / "ramcount" / file
         target.write_text(target.read_text().replace(old, new))
-        env = {**os.environ, "PYTHONPATH": str(src),
+        yield {**os.environ, "PYTHONPATH": str(src),
                "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def row_status(file: str, old: str, new: str, row: str) -> str:
+    """The status `row` prints under the mutant, or what went wrong."""
+    with mutated_env(file, old, new) as env:
         done = subprocess.run(
             [sys.executable, "-m", "ramcount.cli", "verify", "--seed", "0"],
             env=env, capture_output=True, text=True, timeout=300)
@@ -185,6 +209,18 @@ def row_status(file: str, old: str, new: str, row: str) -> str:
     except (ValueError, KeyError):
         return f"no report (exit {done.returncode}): {done.stderr.strip()[-200:]}"
     return next((r["status"] for r in rows if r["check"] == row), "missing")
+
+
+def passing_tests(file: str, old: str, new: str, tests: tuple[str, ...]) -> list[str]:
+    """The named tests that do not fail under the mutant."""
+    with mutated_env(file, old, new) as env:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+             *tests], cwd=ROOT, env=env, capture_output=True, text=True,
+            timeout=300)
+    failed = {line.split()[1] for line in done.stdout.splitlines()
+              if line.startswith("FAILED ")}
+    return [test for test in tests if test not in failed]
 
 
 def main() -> int:
@@ -197,6 +233,11 @@ def main() -> int:
         print(f"{'ok' if status == 'fail' else 'SURVIVED':8} {row}: {reason}"
               + ("" if status == "fail" else f" [{status}]"), flush=True)
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} rows fail their mutant")
+    for module, file, old, new, reason, tests in MODULE_MUTANTS:
+        passing = passing_tests(file, old, new, tests)
+        survivors += bool(passing)
+        print(f"{'SURVIVED' if passing else 'ok':8} module {module}: {reason}"
+              + (f" [not failing: {passing}]" if passing else ""), flush=True)
     return 1 if survivors else 0
 
 

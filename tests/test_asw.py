@@ -1,7 +1,9 @@
-"""Reduced data, last jumps, character jumps, discriminant exponents, counts."""
+"""Reduced data, last jumps, the ramification filtration, discriminant
+exponents, counts."""
 
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -338,11 +340,7 @@ def test_discriminant_and_inertia_match_subgroup_oracle(p):
             coeffs = list(asw.iter_module_elements(shape, field))
             if len(coeffs) > 64:
                 continue
-            subgroups = _subgroups(shape)
-            classes = asw.character_classes(shape)
-            assert sum(count for _, count in classes) == shape.order
-            assert len(classes) == sum(1 for _, gens in subgroups if len(gens) <= 1)
-            lattice = _lattice(shape, field, subgroups)
+            lattice = _lattice(shape, field, _subgroups(shape))
             rng = random.Random(f"{shape}/{q}")
             indices = [n for n in range(8) if n % p or n == 0]
             for size in (0, 1, 1, 2, 3, 3):
@@ -355,38 +353,44 @@ def test_discriminant_and_inertia_match_subgroup_oracle(p):
     assert cases >= 36
 
 
+def _character_sum(m):
+    """The conductor-discriminant sum over every character a of G, each
+    counted once: at index n, chi_a o m has the coefficient
+    sum_i a_i p^(N - n_i) x_(n,i) of W_N, read off the Galois-ring
+    coefficients, and a coefficient of order k has jump n * (k // p)."""
+    p, moduli = m.shape.p, m.shape.moduli()
+    top = moduli[0] if moduli else 1
+    ramified = [(n, [[top // mod * c for c in part.coeffs]
+                     for mod, part in zip(moduli, m.support[n])])
+                for n in m.ramified_indices()]
+    total = 0
+    for a in itertools.product(*(range(mod) for mod in moduli)):
+        jump = max((n * (top // math.gcd(top, *(
+            sum(a_i * col[k] for a_i, col in zip(a, cols))
+            for k in range(m.field.n))) // p) for n, cols in ramified), default=0)
+        if jump:
+            total += jump + 1
+    return total
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_character_classes_on_every_shape_up_to_the_cap(p):
-    # one character per cyclic subgroup of the dual, weighted by its number
-    # phi(k) of generators, on every shape up to order 1024 and, up to the
-    # one cap on every shape, those of rank <= 3 and the elementary ones:
-    # all 133 2-group shapes of order 2048 and 4096 would add about 3.7 s
-    # (2-vCPU VM)
+def test_discriminant_matches_the_character_sum_up_to_the_cap(p):
+    # every shape up to order 1024 and, up to the one cap on every shape,
+    # those of rank <= 3 and the elementary ones, over F_p, and over F_(p^2)
+    # up to order 64; one datum with one to three random coefficients each
+    indices = [n for n in range(1, 12) if n % p]
     for shape in _shapes_up_to(p, counts.MAX_GROUP_ORDER):
         if shape.order > 1024 and shape.rank > 3 and shape.exponents[0] > 1:
             continue
-        moduli = shape.moduli()
-        zero = (0,) * shape.rank
-        classes = asw.character_classes(shape)
-        assert sum(weight for _, weight in classes) == shape.order
-        subgroups = set()
-        for a, weight in classes:
-            # <a> by repeated addition
-            cyclic, x = {zero}, a
-            while x != zero:
-                cyclic.add(x)
-                x = tuple((x_i + a_i) % mod for x_i, a_i, mod in zip(x, a, moduli))
-            k = len(cyclic)
-            assert weight == k - k // p, (shape, a)
-            subgroups.add(frozenset(cyclic))
-        assert len(subgroups) == len(classes), shape
-        # p^(sum_i min(n_i, j)) elements are killed by p^j, and each cyclic
-        # subgroup of order p^j has p^j - p^(j-1) generators
-        torsion = [p ** sum(min(e, j) for e in shape.exponents)
-                   for j in range(max(shape.exponents, default=0) + 1)]
-        assert len(classes) == 1 + sum(
-            Fraction(torsion[j] - torsion[j - 1], p ** j - p ** (j - 1))
-            for j in range(1, len(torsion))), shape
+        for q in (p, p * p) if shape.order <= 64 else (p,):
+            field = gf.field_for_order(q)
+            rng = random.Random(f"{shape}/{q}")
+            m = asw.ReducedCocycle(shape, field, {
+                n: tuple(WittVector(field, tuple(
+                    field.element([rng.randrange(p) for _ in range(field.n)])
+                    for _ in range(e))) for e in shape.exponents)
+                for n in rng.sample(indices, rng.randint(1, 3))})
+            assert asw.discriminant_exponent(m) == _character_sum(m), m
 
 
 def test_cli_disc_in_w7_matches_subgroup_oracle(capsys):
@@ -403,36 +407,61 @@ def test_cli_disc_in_w7_matches_subgroup_oracle(capsys):
 
 
 # ---------------------------------------------------------------------------
-# characters
+# the ramification filtration
 # ---------------------------------------------------------------------------
 
-# the image of the character chi_a is the quotient of G by its kernel
+# |G| / |K_u| is the order of the ramification group above u, and the
+# quotient of G by a subgroup H has jump the least u where it is <= |H|
+
+def _orders(m, u_max):
+    """|G| / |K_u| for u = 0 .. u_max, read from `asw.ramification_steps`."""
+    steps = asw.ramification_steps(m)
+    return [next(size for lo, size in reversed(steps) if lo <= u)
+            for u in range(u_max + 1)]
+
 
 def test_quotient_by_trivial_subgroup_is_identity():
+    # the quotient by 0 is G, whose jump is the last jump 3
     m = cocycle(Z4, F2, {1: [(1, 0)], 3: [(0, 1)]})
-    assert asw.character_jumps(m)[(1,)] == asw.last_jump(m) == 3
+    assert asw.last_jump(m) == 3
+    assert _orders(m, 4) == [4, 2, 2, 1, 1]
 
 
 def test_quotient_by_full_group_is_zero():
     m = cocycle(Z4, F2, {1: [(1, 0)]})
-    assert asw.character_jumps(m)[(0,)] == 0
+    assert _orders(m, 0) == [4]
 
 
 def test_quotient_by_diagonal_kills_diagonal_coefficient():
+    # K_0 is {(0, 0), (1, 1)}: the characters that kill the diagonal
     m = cocycle(Z2xZ2, F2, {1: [(1,), (1,)]})
-    assert asw.character_jumps(m) == {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
+    assert _orders(m, 2) == [2, 1, 1]
 
 
 def test_quotient_of_z4_by_two_torsion():
     m = cocycle(Z4, F2, {1: [(1, 0)]})
-    assert asw.character_jumps(m) == {(0,): 0, (1,): 2, (2,): 1}
+    assert asw.ramification_steps(m) == [(0, 4), (1, 2), (2, 1)]
+    assert _orders(m, 2) == [4, 2, 1]
 
 
 def test_quotient_monotonicity():
     for entries in ({1: [(1, 0)]}, {1: [(0, 1)], 3: [(1, 1)]}, {3: [(1, 0)]}):
         m = cocycle(Z4, F2, entries)
         top = asw.last_jump(m)
-        assert max(asw.character_jumps(m).values()) == top
+        orders = _orders(m, top + 1)
+        assert orders == sorted(orders, reverse=True)
+        assert orders[top - 1] > 1 and orders[top] == 1
+
+
+def test_a_last_jump_no_character_reaches_fires_the_certificate(monkeypatch):
+    m = cocycle(Z4, F2, {3: [(1, 0)]})
+    true_jump = asw.last_jump
+    monkeypatch.setattr(asw, "last_jump", lambda datum: true_jump(datum) + 1)
+    for compute in (asw.ramification_steps, asw.discriminant_exponent):
+        with pytest.raises(InternalInconsistencyError,
+                           match="every character has jump at most 6, "
+                                 "below the last jump 7"):
+            compute(m)
 
 
 @pytest.mark.parametrize("shape", [
@@ -507,8 +536,8 @@ def test_ramification_integral_rejects_bad_sizes_under_optimisation():
 
 
 def test_discriminant_needs_scannable_group(capsys):
-    # the one cap on every shape bounds the character sum: order 2^11
-    # answers, and order 2^13 is refused before any work
+    # the one cap on every shape bounds every group: order 2^11 answers,
+    # and order 2^13 is refused before any work
     shape = counts.GroupShape(2, (11,))
     assert asw.discriminant_exponent(asw.ReducedCocycle(shape, F2, {})) == 0
     status = main(["disc", "--p", "2", "--q", "2", "--group", "13",
@@ -531,7 +560,7 @@ def _cut_jump(p, terms, k):
 
 def _digit_conductor_sum(p, exponents, terms):
     """The conductor-discriminant sum read from the coefficient digits,
-    with neither `asw.character_classes` nor the Galois ring.  `terms` maps
+    with neither the library's filtration nor the Galois ring.  `terms` maps
     a ramified index to one part per factor, a part to its Witt components,
     a component to its base-p digits.  On (Z/p)^r the character a sees the
     F_p-combination sum_i a_i c_i of the digit vectors, ramified up to the

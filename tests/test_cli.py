@@ -10,7 +10,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 
 import pytest
@@ -342,7 +341,7 @@ def test_a_raising_certificate_fails_the_monotone_row(monkeypatch,
     def raising(m):
         raise InternalInconsistencyError("planted certificate failure")
 
-    monkeypatch.setattr(asw, "character_jumps", raising)
+    monkeypatch.setattr(asw, "ramification_steps", raising)
     assert checks.row("asw.quotient_jumps_are_monotone", 0) == (
         "asw.quotient_jumps_are_monotone", False,
         "planted certificate failure")
@@ -413,30 +412,18 @@ def test_local_distribution_reads_fail_on_a_planted_d4_count(monkeypatch,
         "q in {2,4}, v <= 8, exact")
 
 
-@pytest.fixture
-def cold_character_classes():
-    classes = asw.character_classes  # the memo, whatever a test patches in
-    classes.cache_clear()
-    yield
-    classes.cache_clear()
+def test_cyclic_discriminants_read_fail_on_a_planted_filtration(
+        monkeypatch, cold_check_memos):
+    # a ramification group of order k > p read as order k // p; over Z/p,
+    # where no group is larger than p, the filtration keeps its orders
+    true_steps = asw.ramification_steps
 
+    def planted(m):
+        p = m.shape.p
+        return [(u, size // p if size > p else size)
+                for u, size in true_steps(m)]
 
-def test_cyclic_discriminants_read_fail_on_a_planted_class_weight(
-        monkeypatch, cold_check_memos, cold_character_classes):
-    # a class of order k > p weighted k - 1, not phi(k) = k - k // p; the
-    # classes of order p, the only ones over Z/p, keep their weight
-    true_classes = asw.character_classes
-
-    def planted(shape):
-        moduli = shape.moduli()
-        out = []
-        for a, weight in true_classes(shape):
-            k = max((mod // gcd(mod, a_i) for a_i, mod in zip(a, moduli)),
-                    default=1)
-            out.append((a, k - 1 if k > shape.p else weight))
-        return tuple(out)
-
-    monkeypatch.setattr(asw, "character_classes", planted)
+    monkeypatch.setattr(asw, "ramification_steps", planted)
     assert checks.row("asw.cyclic_discriminants_match_break_formula", 0) == (
         "asw.cyclic_discriminants_match_break_formula", False,
         "evaluations=30")
@@ -455,7 +442,7 @@ def test_acceptance_suite_alone_prints_the_golden_rows():
     assert json.loads(done.stdout)["result"]["rows"] == expected
 
 
-# last_jump off by one at jump 3, which the character sums certify
+# last_jump off by one at jump 3, which the filtration certifies
 PLANTED_JUMP_FAULT = """
 import sys
 from ramcount import asw, cli
@@ -463,7 +450,7 @@ last_jump = asw.last_jump
 asw.last_jump = lambda m: last_jump(m) + (last_jump(m) == 3)
 sys.exit(cli.main(sys.argv[1:]))
 """
-PLANTED_FAULT_MESSAGE = "largest character jump 3 differs from the last jump 4"
+PLANTED_FAULT_MESSAGE = "every character has jump at most 3, below the last jump 4"
 
 
 def run_with_planted_jump_fault(*argv):
@@ -473,7 +460,7 @@ def run_with_planted_jump_fault(*argv):
         capture_output=True, text=True, timeout=120)
 
 
-# the asw rows that evaluate a character sum on a datum of jump 3, whose
+# the asw rows that read the filtration of a datum of jump 3, whose
 # certificate then fires
 RAISING_ASW_ROWS = ("asw.quotient_jumps_are_monotone",
                     "asw.cyclic_discriminants_match_break_formula")

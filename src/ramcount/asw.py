@@ -4,7 +4,7 @@ A homomorphism to G = prod Z/p^(n_i) is recorded by its reduced datum: a
 finitely supported map from indices n (n = 0 or n coprime to p) to nonzero
 elements of G tensor W(F_q).  Such a coefficient is a plain tuple with one
 Witt vector in W_(n_i)(F_q) per cyclic factor.  The ramified coefficients
-(n >= 1) determine the last jump, the discriminant and the inertia image.
+(n >= 1) determine the last jump, the discriminant and the inertia group.
 The index-0 coefficient matters only modulo the Artin-Schreier image, whose
 cokernel has |G| elements (the unramified homomorphisms); it enters none of
 those invariants, so the counts take it as a factor |G|.
@@ -12,15 +12,15 @@ those invariants, so the counts take it as a factor |G|.
 The module computes the last ramification jump of a datum; the orders
 |G| / |K_u|, K_u the characters of jump <= u, each by one elimination over
 Z/p^N, and from them the discriminant exponent (conductor-discriminant
-formula) and the inertia image; and counts data by last jump by exhausting
-them: the oracle for `count_by_last_jump`, which lives in `ramcount.counts`.
+formula) as one ramification integral; and counts data by last jump by
+exhausting them: the oracle for `count_by_last_jump`, which lives in
+`ramcount.counts`.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from math import gcd
-from operator import mul
 
 from .counts import (
     GroupShape,
@@ -129,18 +129,19 @@ def last_jump(m: ReducedCocycle) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the ramification filtration: discriminant exponent and inertia image
+# the ramification filtration and the discriminant exponent
 # ---------------------------------------------------------------------------
 
-def ramification_integral(group_order: int, image_sizes: list[int]) -> int:
-    """group_order * sum(1 - 1/s) over unit intervals with image size s,
-    summed as sum(group_order - group_order / s)."""
+def ramification_integral(group_order: int,
+                          profile: list[tuple[int, int]]) -> int:
+    """group_order * sum w (1 - 1/s) over (s, w) pairs, an interval of width
+    w with image size s, summed as sum w (group_order - group_order / s)."""
     total = 0
-    for s in image_sizes:
+    for s, width in profile:
         index, rest = divmod(group_order, s)
         if rest:
             raise InternalInconsistencyError("image sizes must divide the group order")
-        total += group_order - index
+        total += width * (group_order - index)
     return total
 
 
@@ -200,32 +201,13 @@ def discriminant_exponent(m: ReducedCocycle) -> int:
     Conductor-discriminant formula (Serre, Local Fields, VI.3): the sum over
     the characters chi of the conductor of chi o m, its last jump + 1 when
     ramified and 0 otherwise.  A character of jump j lies outside K_u for
-    u < j, so the sum is (|G| - |K_0|) + sum_(0 <= u < J) (|G| - |K_u|),
-    summed over the intervals of `ramification_steps`.
+    u < j, so the sum is (|G| - |K_0|) + sum_(0 <= u < J) (|G| - |K_u|):
+    the ramification integral over (-1, 0] and the intervals of
+    `ramification_steps`.
     """
-    order = m.shape.order
     steps = ramification_steps(m)
-    total = order - order // steps[0][1]
-    for (lo, size), (hi, _) in zip(steps, steps[1:]):
-        b = order - order // size
-        total += (hi - lo) * b
-    return total
-
-
-def inertia_image(m: ReducedCocycle) -> frozenset[tuple[int, ...]]:
-    """Elements of the inertia image: the smallest H with unramified quotient.
-
-    By duality it is the common kernel of the characters in K_0, which a scan
-    of the dual reads from the columns at u = 0."""
-    moduli = m.shape.moduli()
-    top = moduli[0] if moduli else 1
-    weights = [top // mod for mod in moduli]  # p^(N - n_i)
-    rows = list(zip(*_columns(m, 0)))
-    group = list(product(*(range(mod) for mod in moduli)))
-    unramified = [list(map(mul, a, weights)) for a in group
-                  if not any(sum(map(mul, a, row)) % top for row in rows)]
-    return frozenset(x for x in group if not any(
-        sum(map(mul, a, x)) % top for a in unramified))
+    return ramification_integral(m.shape.order, [(steps[0][1], 1)] + [
+        (size, hi - lo) for (lo, size), (hi, _) in zip(steps, steps[1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +219,8 @@ def count_by_last_jump_enumerated(shape: GroupShape, q: int, v: int,
     """`count_by_last_jump` by exhausting all data: its oracle."""
     _check_count_args(shape, q, v, mode)
     indices = _ramified_indices(shape.p, v)
-    unram = shape.order if mode == "homomorphisms" else 1
-    _refuse_over_budget(unram * (q ** sum(shape.exponents)) ** len(indices))
+    # the coefficient tuples are the candidates: |G| multiplies afterwards
+    _refuse_over_budget((q ** sum(shape.exponents)) ** len(indices))
     # GF(q) is built only when there is an index to fill (v >= 1), and then
     # the module has no more elements than the candidates counted above
     coeffs = (list(iter_module_elements(shape, field_for_order(q, p=shape.p)))
@@ -247,4 +229,4 @@ def count_by_last_jump_enumerated(shape: GroupShape, q: int, v: int,
     # per index, the jump each coefficient contributes (0 for the zero one)
     jumps = [[n * order for order in orders] for n in indices]
     count = sum(1 for choice in product(*jumps) if max(choice, default=0) == v)
-    return unram * count
+    return (shape.order if mode == "homomorphisms" else 1) * count

@@ -8,7 +8,8 @@ here case by case: inertia inside the centre first, then inertia over each
 of the p+1 lines of the Klein-type quotient.  Every case factor reduces to
 counts of elementary abelian data with last jump 1 and prescribed inertia,
 which has both a closed form and a brute-force evaluation through the
-abelian machinery.  Only that brute force and the discriminant gate build
+abelian machinery, reading inertia as the smallest subgroup with
+unramified quotient.  Only that brute force and the discriminant gate build
 a field or a datum, so only they import `asw`, `gf` and `witt`.
 
 The per-case assembly must reproduce the closed-form totals exactly; a
@@ -44,22 +45,25 @@ def count_line_inertia(p: int, q: int, r: int) -> int:
 
 def count_line_inertia_bruteforce(p: int, q: int, r: int) -> int:
     """`count_line_inertia` by enumerating the index-1 coefficients over the
-    residue field, filtering on jump and inertia image, and multiplying by
-    the p^r classes of the index-0 coefficient, which enters neither."""
+    residue field, filtering on jump and inertia, and multiplying by the p^r
+    classes of the index-0 coefficient, which enters neither.  Inertia is
+    the smallest subgroup with unramified quotient, and the fixed one, the
+    first coordinate axis, has prime order: a datum of jump 1 has inertia
+    the axis exactly when its image in G / axis, the datum of the other
+    r - 1 coordinates, is unramified."""
     from . import asw
     from .gf import field_for_order
     _check_setting(p, q, r)
     residue_order = q ** p
     _refuse_over_budget(residue_order ** r)
     shape = GroupShape(p, (1,) * r)
+    quotient = GroupShape(p, (1,) * (r - 1))
     residue = field_for_order(residue_order, p=p)
-    # fix the subgroup spanned by the first coordinate axis
-    axis = frozenset(tuple(k if i == 0 else 0 for i in range(r))
-                     for k in range(p))
     count = 0
     for m1 in asw.iter_module_elements(shape, residue):
-        datum = asw.ReducedCocycle(shape, residue, {1: m1})
-        if asw.last_jump(datum) == 1 and asw.inertia_image(datum) == axis:
+        if (asw.last_jump(asw.ReducedCocycle(shape, residue, {1: m1})) == 1
+                and asw.last_jump(asw.ReducedCocycle(
+                    quotient, residue, {1: m1[1:]})) == 0):
             count += 1
     return shape.order * count
 
@@ -147,7 +151,7 @@ def smallest_wild_discriminant(p: int) -> int:
     """
     from . import asw
     order = p ** 3
-    value = asw.ramification_integral(order, [p, p])
+    value = asw.ramification_integral(order, [(p, 2)])
     if value != 2 * p ** 2 * (p - 1):
         raise InternalInconsistencyError(
             f"ramification integral gives {value}, expected 2 p^2 (p - 1)")
@@ -155,7 +159,8 @@ def smallest_wild_discriminant(p: int) -> int:
         # each nonincreasing profile of sizes in {p^3, p^2, p}, once
         for profile in combinations_with_replacement((p ** 3, p ** 2, p),
                                                      jump + 1):
-            candidate = asw.ramification_integral(order, list(profile))
+            candidate = asw.ramification_integral(
+                order, [(s, 1) for s in profile])
             if candidate < value:
                 raise InternalInconsistencyError(
                     f"image sizes {profile} give {candidate}, below {value}")

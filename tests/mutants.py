@@ -84,7 +84,7 @@ MUTANTS = (
      "e = mu(t + 1, n, shape.p)", "e = mu(t, n, shape.p)",
      "the torsion exponent counts n p^k < t, not <= t"),
     ("asw.cyclic_discriminants_match_break_formula", "asw.py",
-     "total += (hi - lo) * b", "total += (hi - lo + 1) * b",
+     "(size, hi - lo)", "(size, hi - lo + 1)",
      "each interval of the filtration one unit too long"),
     # d4
     ("d4.min_lift_dominates_reduction_jump", "d4.py",
@@ -152,13 +152,16 @@ MUTANTS = (
      "o = mod // gcd(mod, *part.coeffs)", "o = mod // gcd(mod, part.coeffs[0])",
      "a coefficient's order read off its constant coefficient alone"),
     ("acceptance.8.discriminant_gate", "asw.py",
-     "total += group_order - index", "total += group_order - index + 1",
-     "the ramification integral one too large per interval"),
+     "total += width * (group_order - index)",
+     "total += width * (group_order - index + 1)",
+     "the ramification integral one too large per unit interval"),
 )
 
 
 # faults that `verify` cannot see: a constant twist changes no jump, so a
-# twist that does nothing leaves every row and golden as it was
+# twist that does nothing leaves every row and golden as it was; and at the
+# ranks `verify` runs, the Heisenberg brute force's quotient by the axis is
+# unchanged when it reads only x_1
 MODULE_MUTANTS = (
     ("d4", "d4.py",
      "for e, c in other.terms.items():\n            _accumulate(terms, e, c)",
@@ -167,6 +170,10 @@ MODULE_MUTANTS = (
      "a sum drops the right operand's constant, so a constant twist does nothing",
      ("tests/test_d4.py::test_a_constant_twist_is_adding_a_constant_polynomial",
       "tests/test_d4.py::test_sums_and_products_store_no_zero_coefficient")),
+    ("h3", "h3.py",
+     "{1: m1[1:]}", "{1: m1[1:2] * (r - 1)}",
+     "the quotient by the axis reads x_1 in every coordinate",
+     ("tests/test_h3.py::test_line_inertia_bruteforce_matches_closed_form",)),
 )
 
 

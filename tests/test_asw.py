@@ -348,7 +348,8 @@ def test_discriminant_and_inertia_match_subgroup_oracle(p):
                     n: rng.choice(coeffs) for n in rng.sample(indices, size)})
                 disc, inertia = _oracle(m, lattice)
                 assert asw.discriminant_exponent(m) == disc, m
-                assert asw.inertia_image(m) == inertia, m
+                # |G| / |K_0| is the order of inertia
+                assert asw.ramification_steps(m)[0][1] == len(inertia), m
                 cases += 1
     assert cases >= 36
 
@@ -470,7 +471,7 @@ def test_a_last_jump_no_character_reaches_fires_the_certificate(monkeypatch):
     counts.GroupShape(2, (3, 1))])
 def test_quotient_map_kernel_is_exactly_the_subgroup(shape):
     # a datum whose ramified coefficients lift generators of H has inertia
-    # image H: the common kernel of the characters killing them is H
+    # H, so the characters killing them, K_0, have index |H|
     field = gf.make_field(shape.p, 1)
 
     def lift(x):
@@ -481,7 +482,7 @@ def test_quotient_map_kernel_is_exactly_the_subgroup(shape):
     for elems, gens in _subgroups(shape):
         m = asw.ReducedCocycle(shape, field, {
             n: lift(g) for n, g in zip(indices, gens)})
-        assert asw.inertia_image(m) == elems
+        assert asw.ramification_steps(m)[0][1] == len(elems)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +513,7 @@ def test_discriminant_of_z4_datum():
 
 def test_ramification_integral_rejects_bad_sizes():
     with pytest.raises(InternalInconsistencyError):
-        asw.ramification_integral(4, [3])
+        asw.ramification_integral(4, [(3, 1)])
 
 
 def test_ramification_integral_rejects_bad_sizes_under_optimisation():
@@ -523,7 +524,7 @@ def test_ramification_integral_rejects_bad_sizes_under_optimisation():
             "from ramcount.errors import InternalInconsistencyError\n"
             "f2 = gf.make_field(2, 1)\n"
             "witt._galois_ring(f2, 2)._lifts[f2.one.coeffs] = (2,)\n"
-            "for check in (lambda: asw.ramification_integral(4, [3]),\n"
+            "for check in (lambda: asw.ramification_integral(4, [(3, 1)]),\n"
             "              lambda: witt.WittVector.one(f2, 2).components):\n"
             "    try:\n"
             "        check()\n"
@@ -615,12 +616,13 @@ def test_discriminant_of_rank_three_datum_over_f7():
 
 
 def test_inertia_image():
+    # the order of inertia is |G| / |K_0|
     m = cocycle(Z2xZ2, F2, {1: [(1,), (0,)]})
-    assert asw.inertia_image(m) == frozenset([(0, 0), (1, 0)])
+    assert asw.ramification_steps(m)[0][1] == 2
     full = cocycle(Z2xZ2, F2, {1: [(1,), (0,)], 3: [(0,), (1,)]})
-    assert len(asw.inertia_image(full)) == 4
+    assert asw.ramification_steps(full)[0][1] == 4
     unram = cocycle(Z2xZ2, F2, {0: [(1,), (1,)]})
-    assert asw.inertia_image(unram) == frozenset([(0, 0)])
+    assert asw.ramification_steps(unram)[0][1] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +673,21 @@ def test_count_budget(monkeypatch):
     with pytest.raises(BudgetExceededError,
                        match="^1099511627776 candidates exceed 5000000$"):
         asw.count_by_last_jump_enumerated(Z2xZ2, 1024, 3, "inertial_types")
+
+
+def test_count_budget_sizes_the_listed_tuples_alone(monkeypatch):
+    # Z/2 over F_2 at v = 5 lists 2^3 coefficient tuples at the indices 1,
+    # 3 and 5; the factor |G| of the homomorphisms is multiplied in after
+    # the listing, so it does not count against the budget
+    monkeypatch.setattr(counts, "DEFAULT_BUDGET", 8)
+    types = asw.count_by_last_jump_enumerated(Z2, 2, 5, "inertial_types")
+    homs = asw.count_by_last_jump_enumerated(Z2, 2, 5, "homomorphisms")
+    assert homs == Z2.order * types == 2 * 4
+    monkeypatch.setattr(counts, "DEFAULT_BUDGET", 7)
+    for mode in ("inertial_types", "homomorphisms"):
+        with pytest.raises(BudgetExceededError,
+                           match="^8 candidates exceed 7$"):
+            asw.count_by_last_jump_enumerated(Z2, 2, 5, mode)
 
 
 @pytest.mark.parametrize("shape", [Z2, Z4, Z2xZ2, Z3])

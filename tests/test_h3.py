@@ -23,6 +23,9 @@ def test_line_inertia_closed_form_values():
 def test_line_inertia_bruteforce_matches_closed_form():
     assert h3.count_line_inertia_bruteforce(3, 3, 1) == 78
     assert h3.count_line_inertia_bruteforce(3, 3, 2) == 234
+    # a rank-2 quotient by the axis, and the trivial one
+    assert h3.count_line_inertia_bruteforce(3, 3, 3) == 702
+    assert h3.count_line_inertia_bruteforce(5, 5, 1) == 15620
 
 
 def test_even_characteristic_is_rejected():
@@ -87,14 +90,18 @@ def test_smallest_wild_discriminant_values():
 
 
 def test_smallest_wild_discriminant_is_minimal(monkeypatch):
-    # minimality is a certificate: a profile below 2 p^2 (p - 1) raises
+    # minimality is a certificate: a profile below 2 p^2 (p - 1) raises; the
+    # plant keys on the gate's order p^3, since every discriminant sums
+    # through the same integral
     ramification_integral = asw.ramification_integral
-
-    def three_intervals_give_zero(order, sizes):
-        return 0 if len(sizes) == 3 else ramification_integral(order, sizes)
-
-    monkeypatch.setattr(asw, "ramification_integral", three_intervals_give_zero)
     for p in (2, 3, 5):
+        def three_intervals_give_zero(order, profile, gate=p ** 3):
+            if (order, len(profile)) == (gate, 3):
+                return 0
+            return ramification_integral(order, profile)
+
+        monkeypatch.setattr(asw, "ramification_integral",
+                            three_intervals_give_zero)
         with pytest.raises(InternalInconsistencyError,
                            match=rf"image sizes \({p ** 3}, {p ** 3}, {p ** 3}\) "
                                  rf"give 0, below {2 * p ** 2 * (p - 1)}$"):

@@ -27,6 +27,7 @@ from .counts import (
     _check_count_args,
     _ramified_indices,
     _refuse_over_budget,
+    _refuse_to_print,
     check_support_index,
     count_by_last_jump,  # the closed form that the enumeration checks
     mu,
@@ -195,6 +196,25 @@ def ramification_steps(m: ReducedCocycle) -> list[tuple[int, int]]:
     return steps
 
 
+def refuse_discriminant(shape: GroupShape, field: FieldDescriptor,
+                        terms: int) -> None:
+    """Refuse over the budget, before any coefficient is lifted, the
+    discriminant of a datum of `terms` terms, in coefficient products (about
+    a second at the budget here): each of its terms * sum(n_i) components
+    costs 64 to read and (n + N) log2(p) n^2 to lift, N the largest exponent
+    and n the field degree, and each of the terms * N + 2 steps of
+    `ramification_steps` makes min(r, M) + 1 passes over r columns of M =
+    terms * n entries.  Then its answer, below |G| p^N times an index."""
+    p, n, depth = field.p, field.n, max(shape.exponents, default=0)
+    steps, entries, rank = terms * depth + 2, terms * n, shape.rank
+    _refuse_over_budget(
+        terms * sum(shape.exponents) * (n * n * (n + depth) * p.bit_length() + 64)
+        + steps * (terms * depth + rank * entries * (min(rank, entries) + 1)),
+        what="coefficient products to read the filtration")
+    _refuse_to_print(1, (sum(shape.exponents) + depth) * p.bit_length() + 64,
+                     "the discriminant")
+
+
 def discriminant_exponent(m: ReducedCocycle) -> int:
     """Valuation of the discriminant of the etale algebra attached to m.
 
@@ -220,7 +240,7 @@ def count_by_last_jump_enumerated(shape: GroupShape, q: int, v: int,
     _check_count_args(shape, q, v, mode)
     indices = _ramified_indices(shape.p, v)
     # the coefficient tuples are the candidates: |G| multiplies afterwards
-    _refuse_over_budget((q ** sum(shape.exponents)) ** len(indices))
+    _refuse_over_budget(q, exponent=sum(shape.exponents) * len(indices))
     # GF(q) is built only when there is an index to fill (v >= 1), and then
     # the module has no more elements than the candidates counted above
     coeffs = (list(iter_module_elements(shape, field_for_order(q, p=shape.p)))

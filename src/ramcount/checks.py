@@ -56,34 +56,24 @@ _SMALL_FIELDS = [(2, 1), (2, 2), (3, 1), (2, 3), (5, 1), (3, 2), (2, 4), (7, 1),
 
 
 def _frobenius_is_ring_hom(seed: int) -> tuple[bool, str]:
+    """Every pair of each small field, then 500 sampled pairs of GF(64)."""
     rng = random.Random(seed)
-    ok, pairs = True, 0
-    for p, n in _SMALL_FIELDS:
-        field = gf.make_field(p, n)
-        for a in field.iter_elements():
-            for b in field.iter_elements():
-                pairs += 1
-                if ((a * b).frobenius() != a.frobenius() * b.frobenius()
-                        or (a + b).frobenius() != a.frobenius() + b.frobenius()):
-                    ok = False
-    big = gf.make_field(2, 6)
-    elems = tuple(big.iter_elements())
-    for _ in range(500):
-        a, b = rng.choice(elems), rng.choice(elems)
-        pairs += 1
-        if ((a * b).frobenius() != a.frobenius() * b.frobenius()
-                or (a + b).frobenius() != a.frobenius() + b.frobenius()):
-            ok = False
-    return ok, f"pairs={pairs}"
+    fields = [gf.make_field(p, n) for p, n in _SMALL_FIELDS]
+    pairs = [(a, b) for field in fields
+             for a in field.iter_elements() for b in field.iter_elements()]
+    elems = tuple(gf.make_field(2, 6).iter_elements())
+    pairs += [(rng.choice(elems), rng.choice(elems)) for _ in range(500)]
+    ok = all((a * b).frobenius() == a.frobenius() * b.frobenius()
+             and (a + b).frobenius() == a.frobenius() + b.frobenius()
+             for a, b in pairs)
+    return ok, f"pairs={len(pairs)}"
 
 
 def _gf_artin_schreier_kernel_and_image(_seed: int) -> tuple[bool, str]:
-    ok = True
-    for p, n in _SMALL_FIELDS:
-        field = gf.make_field(p, n)
-        kernel = sum(1 for a in field.iter_elements() if not a.artin_schreier())
-        image = len({a.artin_schreier() for a in field.iter_elements()})
-        ok = ok and kernel == p and image == field.q // p
+    fields = [gf.make_field(p, n) for p, n in _SMALL_FIELDS]
+    ok = all(sum(1 for a in f.iter_elements() if not a.artin_schreier()) == f.p
+             and len({a.artin_schreier() for a in f.iter_elements()}) == f.q // f.p
+             for f in fields)
     return ok, f"fields={len(_SMALL_FIELDS)}"
 
 
@@ -153,19 +143,12 @@ def _ring_axioms(seed: int) -> tuple[bool, str]:
 
 
 def _witt_artin_schreier_kernel(_seed: int) -> tuple[bool, str]:
-    ok, rings = True, 0
-    for p, deg in _SMALL_FIELDS:
-        field = gf.make_field(p, deg)
-        for n in (1, 2):
-            rings += 1
-            kernel = sum(1 for v in iter_witt_vectors(field, n)
-                         if not v.artin_schreier())
-            ok = ok and kernel == p ** n
-            prime_ring_killed = all(
-                not WittVector.from_int(field, n, k).artin_schreier()
-                for k in range(p ** n))
-            ok = ok and prime_ring_killed
-    return ok, f"rings={rings}"
+    # the kernel is W_n(F_p) = Z/p^n, the images of the integers
+    rings = [(gf.make_field(p, deg), n) for p, deg in _SMALL_FIELDS for n in (1, 2)]
+    ok = all({v for v in iter_witt_vectors(f, n) if not v.artin_schreier()}
+             == {WittVector.from_int(f, n, k) for k in range(f.p ** n)}
+             for f, n in rings)
+    return ok, f"rings={len(rings)}"
 
 
 def _mul_by_p_is_repeated_addition(_seed: int) -> tuple[bool, str]:
@@ -177,13 +160,10 @@ def _mul_by_p_is_repeated_addition(_seed: int) -> tuple[bool, str]:
 
 
 def _teichmueller_multiplicative(_seed: int) -> tuple[bool, str]:
-    ok = True
-    for key in ((2, 1), (2, 2), (2, 4), (3, 1)):
-        field = gf.make_field(*key)
-        for x in field.iter_elements():
-            for y in field.iter_elements():
-                if teichmueller(x, 2) * teichmueller(y, 2) != teichmueller(x * y, 2):
-                    ok = False
+    fields = [gf.make_field(*key) for key in ((2, 1), (2, 2), (2, 4), (3, 1))]
+    ok = all(teichmueller(x, 2) * teichmueller(y, 2) == teichmueller(x * y, 2)
+             for field in fields
+             for x in field.iter_elements() for y in field.iter_elements())
     return ok, "fields=4"
 
 
@@ -229,13 +209,11 @@ def _z4_data() -> tuple[asw.ReducedCocycle, ...]:
 
 def _ultrametric_inequality(_seed: int) -> tuple[bool, str]:
     data = _z4_data()
-    jumps = [asw.last_jump(m) for m in data]
-    ok = True
-    for m1, j1 in zip(data, jumps):
-        for m2, j2 in zip(data, jumps):
-            s = asw.last_jump(asw.cocycle_add(m1, m2))
-            if s > max(j1, j2) or (j1 != j2 and s != max(j1, j2)):
-                ok = False
+    jumps = list(zip(data, map(asw.last_jump, data)))
+    # the jump of a sum is at most the larger one, and equal if they differ
+    ok = all((s := asw.last_jump(asw.cocycle_add(m1, m2))) <= max(j1, j2)
+             and (j1 == j2 or s == max(j1, j2))
+             for m1, j1 in jumps for m2, j2 in jumps)
     return ok, f"pairs={len(data) ** 2}"
 
 
@@ -314,15 +292,11 @@ def _twist_corpus(field, size) -> list[tuple[SparseTPoly, SparseTPoly]]:
 
 
 def _min_lift_dominates_reduction_jump(_seed: int) -> tuple[bool, str]:
-    ok, pairs = True, 0
-    for q in (2, 4):
-        pool = _ramified_pool(gf.field_for_order(q), (1, 3, 5))
-        for a in pool:
-            for c in pool:
-                pairs += 1
-                if d4.min_lift_jump(a, c) < asw.last_jump(d4.pair_to_cocycle(a, c)):
-                    ok = False
-    return ok, f"pairs={pairs}"
+    pools = [_ramified_pool(gf.field_for_order(q), (1, 3, 5)) for q in (2, 4)]
+    pairs = [(a, c) for pool in pools for a in pool for c in pool]
+    ok = all(d4.min_lift_jump(a, c) >= asw.last_jump(d4.pair_to_cocycle(a, c))
+             for a, c in pairs)
+    return ok, f"pairs={len(pairs)}"
 
 
 def _fibers(pool, bound):
@@ -398,13 +372,11 @@ def _min_lift_closed_form(_seed: int) -> tuple[bool, str]:
 
 
 def _twist_invariance_on_corpus(_seed: int) -> tuple[bool, str]:
-    ok, reports = True, 0
-    for q, v_max in ((2, 6), (4, 4)):
-        for a, c in _twist_corpus(gf.field_for_order(q), 24):
-            reports += 1
-            if not d4.unramified_twist_report(a, c, v_max).all_equal:
-                ok = False
-    return ok, f"reports={reports}"
+    cases = [(a, c, v_max) for q, v_max in ((2, 6), (4, 4))
+             for a, c in _twist_corpus(gf.field_for_order(q), 24)]
+    ok = all(d4.unramified_twist_report(a, c, v_max).all_equal
+             for a, c, v_max in cases)
+    return ok, f"reports={len(cases)}"
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +430,8 @@ def _series_matches_oracle(_seed: int) -> tuple[bool, str]:
         return asw.count_by_last_jump_enumerated(
             z2, residue_order, v, "inertial_types")
 
-    for x in range(9):
-        if series[x] != euler.convolution_oracle(2, x, z2_coefficient):
-            ok = False
+    ok = ok and all(series[x] == euler.convolution_oracle(2, x, z2_coefficient)
+                    for x in range(9))
     return ok, "dihedral X<=6 (q in {2,4}), rank-1 X<=8"
 
 
@@ -499,15 +470,10 @@ def _acc_min_lift_oracle(_seed: int) -> tuple[bool, str]:
 
 
 def _acc_twist_invariance(_seed: int) -> tuple[bool, str]:
-    ok, reports = True, 0
-    for q in (2, 4):
-        pool = _ramified_pool(gf.field_for_order(q), (1, 3))
-        for a in pool:
-            for c in pool:
-                reports += 1
-                if not d4.unramified_twist_report(a, c, 6).all_equal:
-                    ok = False
-    return ok, f"exhaustive pairs with w<=3, q in {{2,4}}, reports={reports}"
+    pools = [_ramified_pool(gf.field_for_order(q), (1, 3)) for q in (2, 4)]
+    pairs = [(a, c) for pool in pools for a in pool for c in pool]
+    ok = all(d4.unramified_twist_report(a, c, 6).all_equal for a, c in pairs)
+    return ok, f"exhaustive pairs with w<=3, q in {{2,4}}, reports={len(pairs)}"
 
 
 def _acc_heisenberg_numbers(_seed: int) -> tuple[bool, str]:

@@ -153,9 +153,12 @@ def cmd_lj(args):
     part whose first nonzero component is x_i is V^i of a unit, of additive
     order p^(e - i), and the jump at index n is n * (order // p).  The
     support-index rule is checked once every term is read, as the datum's
-    constructor does after `parse_cocycle`."""
+    constructor does after `parse_cocycle`.  The answer, below an index
+    times p^(N - 1) for N the largest exponent, is sized before any term."""
     shape = parse_group(args.group, args.p)
     p, n = counts.prime_power(args.q, args.p)
+    counts._refuse_to_print(1, max(shape.exponents, default=0) * p.bit_length()
+                            + 64, "the last jump")
     terms = list(_abelian_terms(args.terms, shape, n))
     for index, _ in terms:
         counts.check_support_index(index, p)
@@ -172,7 +175,9 @@ def cmd_disc(args):
     from . import asw
     from .gf import field_for_order
     shape = parse_group(args.group, args.p)
-    m = parse_cocycle(args.terms, shape, field_for_order(args.q, p=args.p))
+    field = field_for_order(args.q, p=args.p)
+    asw.refuse_discriminant(shape, field, args.terms.count(",") + 1)
+    m = parse_cocycle(args.terms, shape, field)
     return {"discriminant_exponent": asw.discriminant_exponent(m)}, 0
 
 
@@ -200,15 +205,11 @@ def cmd_urtwist_check(args):
     from . import d4
     field, a, c = _dihedral_pair(args)
     report = d4.unramified_twist_report(a, c, args.v_max)
-    rows = []
-    for cmp in report.comparisons:
-        rows.append({
-            "alpha": field.digits(cmp.alpha),
-            "gamma": field.digits(cmp.gamma),
-            "closed_form_equal": cmp.closed_form_equal,
-            "enumerated_equal": ("n/a" if cmp.enumerated_equal is None
-                                 else cmp.enumerated_equal),
-        })
+    rows = [{"alpha": field.digits(cmp.alpha), "gamma": field.digits(cmp.gamma),
+             "closed_form_equal": cmp.closed_form_equal,
+             "enumerated_equal": ("n/a" if cmp.enumerated_equal is None
+                                  else cmp.enumerated_equal)}
+            for cmp in report.comparisons]
     return ({"all_equal": report.all_equal, "rows": rows},
             0 if report.all_equal else 1)
 
@@ -252,15 +253,10 @@ def cmd_global_series(args):
 def cmd_growth(args):
     from . import euler
     table = euler.growth_table(args.q, args.x_max)
-    rows = []
-    for row in table:
-        rows.append({
-            "x": row.x,
-            "count": row.count,
-            "ratio": _fraction_str(row.ratio),
-            "relative_change": ("n/a" if row.relative_change is None
-                                else _fraction_str(row.relative_change)),
-        })
+    rows = [{"x": row.x, "count": row.count, "ratio": _fraction_str(row.ratio),
+             "relative_change": ("n/a" if row.relative_change is None
+                                 else _fraction_str(row.relative_change))}
+            for row in table]
     return {"stabilises": euler.growth_stabilises(table), "rows": rows}, 0
 
 

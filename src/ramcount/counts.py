@@ -2,37 +2,52 @@
 
 The abelian count by last jump and the dihedral counts by last jump are
 polynomials in the residue cardinality q, so evaluating one needs only the
-prime-power check on q and the group shape; this module holds those, the
-bounds every module shares and the two rules of the datum grammar, base-p
-digits and support indices.  It imports nothing of the library but
-`errors`, so a query that prints a closed form, or `lj`, compiles no finite
-field, Witt vector or datum code.
+prime-power check on q and the group shape, of any order.  This module
+holds those, the jump range, the one budget by which every path sizes its
+work and its printed answer before it starts, and the two rules of the
+datum grammar, base-p digits and support indices.  It imports nothing of
+the library but `errors`, so a query that prints a closed form, or `lj`,
+compiles no finite field, Witt vector or datum code.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from math import isqrt
+from operator import neg
 
 from .errors import (
     BudgetExceededError,
-    GroupTooLargeError,
     MixedFieldsError,
     NonPrimeError,
     PrimalityRangeError,
 )
 
-MAX_GROUP_ORDER = 1 << 12
 MAX_JUMP = 64
 DEFAULT_BUDGET = 5_000_000
 _TRIAL_BITS = 10  # trial division tries every divisor up to 2^10
 
 
-def _refuse_over_budget(size: int, what: str = "candidates") -> None:
-    """The one refusal over DEFAULT_BUDGET, made before any work: `size` counts
-    the candidates an oracle would build, or else the work named by `what`."""
-    if size > DEFAULT_BUDGET:
-        raise BudgetExceededError(f"{size} {what} exceed {DEFAULT_BUDGET}")
+def _refuse_over_budget(size: int, what: str = "candidates",
+                        exponent: int = 1) -> None:
+    """The one refusal over DEFAULT_BUDGET, made before any work: size **
+    exponent counts the candidates an oracle would build, or else the work
+    named by `what`.  A count that its bit length puts at 2^64 or more is
+    stated by that bound, not built and printed in full."""
+    bits = (size.bit_length() - 1) * exponent  # size ** exponent >= 2 ** bits
+    if bits >= 64 or size ** exponent > DEFAULT_BUDGET:
+        stated = f"at least 2^{bits}" if bits >= 64 else size ** exponent
+        raise BudgetExceededError(f"{stated} {what} exceed {DEFAULT_BUDGET}")
+
+
+def _refuse_to_print(count: int, bits: int, what: str) -> None:
+    """Refuse over the budget an answer of `count` integers of at most `bits`
+    bits.  Python 3.10 and 3.11 print an integer in time quadratic in its
+    length, so each counts ceil(bits / 256)^2 products of 256-bit words: at
+    the budget, one of 572,000 bits prints in about half a second here."""
+    _refuse_over_budget(count * ((bits + 255) // 256) ** 2,
+                        what=f"word products to print {what}")
 
 
 def _check_jump(v: int) -> None:
@@ -174,11 +189,7 @@ class GroupShape(namedtuple("GroupShape", "p exponents")):
             raise ValueError("exponents must be positive")
         if any(a < b for a, b in zip(exponents, exponents[1:])):
             raise ValueError("exponents must be nonincreasing")
-        self = super().__new__(cls, p, exponents)
-        if self.order > MAX_GROUP_ORDER:
-            raise GroupTooLargeError(
-                f"group order {self.order} exceeds {MAX_GROUP_ORDER}")
-        return self
+        return super().__new__(cls, p, exponents)
 
     @property
     def rank(self) -> int:
@@ -217,19 +228,19 @@ def _check_count_args(shape: GroupShape, q: int, v: int, mode: str) -> None:
     prime_power(q, p=shape.p)
 
 
-def _count_jump_at_most(shape: GroupShape, q: int, t: int) -> int:
-    """Ramified coefficient tuples on indices <= t with last jump <= t.
+def _jump_exponent(shape: GroupShape, t: int) -> int:
+    """log_q of the number of ramified coefficient tuples on indices <= t
+    with last jump <= t.
 
     At index n the jump is n * p^(e - 1) for a coefficient of order p^e, so
     jump <= t means order <= p^(e_n(t)) with e_n(t) = #{k >= 0 : n p^k <= t};
     those coefficients form the p^(e_n(t))-torsion of G tensor W(F_q), which
-    has q^(sum_i min(n_i, e_n(t))) elements.
+    has q^(sum_i min(n_i, e_n(t))) elements.  The sum counts the n_i >= j
+    for each j <= e_n(t), by bisection, so a large rank costs its logarithm.
     """
-    exponent = 0
-    for n in _ramified_indices(shape.p, t):
-        e = mu(t + 1, n, shape.p)
-        exponent += sum(min(n_i, e) for n_i in shape.exponents)
-    return q ** exponent
+    return sum(bisect_right(shape.exponents, -j, key=neg)
+               for n in _ramified_indices(shape.p, t)
+               for j in range(1, mu(t + 1, n, shape.p) + 1))
 
 
 def count_by_last_jump(shape: GroupShape, q: int, v: int, mode: str) -> int:
@@ -242,11 +253,14 @@ def count_by_last_jump(shape: GroupShape, q: int, v: int, mode: str) -> int:
     a difference of two products of torsion sizes; no field is built.
     """
     _check_count_args(shape, q, v, mode)
-    unram = shape.order if mode == "homomorphisms" else 1
+    # log_p of the unramified factor, |G| or 1
+    unram = sum(shape.exponents) if mode == "homomorphisms" else 0
+    top = _jump_exponent(shape, v)
+    _refuse_to_print(1, unram * shape.p.bit_length() + top * q.bit_length(),
+                     "the count")
     if v == 0:
-        return unram  # exactly the unramified data
-    return unram * (_count_jump_at_most(shape, q, v)
-                    - _count_jump_at_most(shape, q, v - 1))
+        return shape.p ** unram  # exactly the unramified data
+    return shape.p ** unram * (q ** top - q ** _jump_exponent(shape, v - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -333,7 +333,7 @@ def count_min_lift_enumerated(q: int, v: int) -> int:
     prime_power(q, p=2)
     _check_jump(v)
     odd = range(1, v + 1, 2)
-    _refuse_over_budget(q ** len(odd))
+    _refuse_over_budget(q, exponent=len(odd))
     supports = iter([()])  # streamed, where product() would copy range(q)
     for _ in odd:
         supports = (s + (x,) for s in supports for x in range(q))

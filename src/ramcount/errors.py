@@ -21,10 +21,6 @@ class MixedRingsError(RamcountError):
     """Operands belong to different Witt rings."""
 
 
-class GroupTooLargeError(RamcountError):
-    """Group order exceeds the supported bound."""
-
-
 class BudgetExceededError(RamcountError):
     """An exhaustive enumeration would exceed the configured budget."""
 

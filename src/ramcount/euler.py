@@ -27,6 +27,7 @@ from .counts import (
     _d4_exact,
     _least_divisor,
     _refuse_over_budget,
+    _refuse_to_print,
     count_by_last_jump,
     prime_power,
 )
@@ -119,8 +120,15 @@ def d4_global_series(q: int, truncation: int) -> tuple[int, ...]:
 def abelian_global_series(shape: GroupShape, q: int,
                           truncation: int) -> tuple[int, ...]:
     """Euler product with the closed-form abelian local counts; q must be a
-    power of the group's prime, checked first as in `d4_global_series`."""
+    power of the group's prime, checked first as in `d4_global_series`.
+    A local count at jump v is at most Q^(r v), r the rank, so [t^x] is at
+    most that of the zeta function of F_q(T) at q^r t, below 2 q^((r + 1) x),
+    and the printed series is sized by that bound before any work."""
     prime_power(q, p=shape.p)
+    _check_jump(truncation)
+    _refuse_to_print(truncation + 1,
+                     (shape.rank + 1) * truncation * q.bit_length() + 1,
+                     "the series")
 
     def coefficient(residue_order: int, v: int) -> int:
         return count_by_last_jump(shape, residue_order, v, "inertial_types")

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations_with_replacement
 
-from .counts import GroupShape, _refuse_over_budget, prime_power
+from .counts import GroupShape, _refuse_over_budget, _refuse_to_print, prime_power
 from .errors import InternalInconsistencyError, OddPrimeRequiredError
 
 
@@ -29,7 +29,6 @@ def _check_setting(p: int, q: int, r: int) -> None:
     if p == 2:
         raise OddPrimeRequiredError("the construction needs an odd prime")
     prime_power(q, p)  # q is a power of p
-    GroupShape(p, (1, 1, 1))  # the Heisenberg group's order p^3 obeys the cap
     if r < 1:
         raise ValueError("rank must be positive")
 
@@ -54,8 +53,8 @@ def count_line_inertia_bruteforce(p: int, q: int, r: int) -> int:
     from . import asw
     from .gf import field_for_order
     _check_setting(p, q, r)
+    _refuse_over_budget(q, exponent=p * r)  # (q^p)^r coefficients
     residue_order = q ** p
-    _refuse_over_budget(residue_order ** r)
     shape = GroupShape(p, (1,) * r)
     quotient = GroupShape(p, (1,) * (r - 1))
     residue = field_for_order(residue_order, p=p)
@@ -80,9 +79,13 @@ def _heisenberg_count(p: int, q: int, twists: int, factor: int,
     p (q^p - 1) central characters of jump 1.  Inertia over a line: p
     order-p subgroups above each of the p+1 lines, each with the rank-2
     count with that inertia, times `twists` central twists per reduction.
-    The total must equal the caller's closed form p^3 * factor * (q^p - 1).
+    The total must equal the caller's closed form p^3 * factor * (q^p - 1);
+    its p + 3 integers, each below p^5 q^p, are sized before any is taken.
     """
-    rank1 = count_line_inertia(p, q, 1)  # validates p and q first
+    _check_setting(p, q, 1)
+    _refuse_to_print(p + 3, p * q.bit_length() + 5 * p.bit_length(),
+                     f"the {scope} count")
+    rank1 = count_line_inertia(p, q, 1)
     rank2 = count_line_inertia(p, q, 2)
     # the p+1 lines of F_p^2 in a fixed order: [1:0], then [s:1]
     lines = ["line(1:0)"] + [f"line({s}:1)" for s in range(p)]
@@ -143,11 +146,8 @@ def smallest_wild_discriminant(p: int) -> int:
     other ramified profile is strictly larger: image sizes are powers of p,
     at least p on [(-1, 0]] and on every interval up to the last jump, and
     a smaller profile raises.  p = 2 evaluates fine but lies outside the
-    odd-prime setting.
-
-    For every p an abelian datum with group (Z/p)^3 cross-checks the value;
-    that group must obey the one cap on every shape, p^3 <= MAX_GROUP_ORDER,
-    so the gate answers up to p = 13 and p >= 17 raises GroupTooLargeError.
+    odd-prime setting.  For every p an abelian datum with group (Z/p)^3,
+    built over GF(p), cross-checks the value.
     """
     from . import asw
     order = p ** 3

@@ -77,11 +77,11 @@ MUTANTS = (
      "p ** mu(u + 1, n, p)", "p ** mu(u, n, p)",
      "K_u read as K_(u - 1): p^t counts n p^k < u, not <= u"),
     ("asw.homomorphism_count_is_order_times_types", "counts.py",
-     'unram = shape.order if mode == "homomorphisms" else 1',
-     'unram = shape.order * 2 if mode == "homomorphisms" else 1',
-     "twice the unramified twists of the index-0 coefficient"),
+     'unram = sum(shape.exponents) if mode == "homomorphisms" else 0',
+     'unram = sum(shape.exponents) + 1 if mode == "homomorphisms" else 0',
+     "p times the unramified twists of the index-0 coefficient"),
     ("asw.rank_one_counts_match_closed_form", "counts.py",
-     "e = mu(t + 1, n, shape.p)", "e = mu(t, n, shape.p)",
+     "mu(t + 1, n, shape.p)", "mu(t, n, shape.p)",
      "the torsion exponent counts n p^k < t, not <= t"),
     ("asw.cyclic_discriminants_match_break_formula", "asw.py",
      "(size, hi - lo)", "(size, hi - lo + 1)",

@@ -18,7 +18,6 @@ from ramcount import asw, counts, gf
 from ramcount.cli import main, parse_cocycle
 from ramcount.errors import (
     BudgetExceededError,
-    GroupTooLargeError,
     InternalInconsistencyError,
     MixedFieldsError,
     MixedRingsError,
@@ -56,8 +55,9 @@ def test_shape_validation():
         counts.GroupShape(2, (1, 2))
     with pytest.raises(ValueError, match="exponents must be positive"):
         counts.GroupShape(2, (0,))
-    with pytest.raises(GroupTooLargeError, match="group order 8192 exceeds 4096"):
-        counts.GroupShape(2, (13,))
+    # no order is refused: the work each path does is sized instead
+    assert counts.GroupShape(2, (13,)).order == 8192
+    assert counts.GroupShape(2, (1,) * 100000).rank == 100000
     assert counts.GroupShape(2, ()).order == 1
 
 
@@ -376,11 +376,11 @@ def _character_sum(m):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_discriminant_matches_the_character_sum_up_to_the_cap(p):
-    # every shape up to order 1024 and, up to the one cap on every shape,
+    # every shape up to order 1024 and, up to order 4096,
     # those of rank <= 3 and the elementary ones, over F_p, and over F_(p^2)
     # up to order 64; one datum with one to three random coefficients each
     indices = [n for n in range(1, 12) if n % p]
-    for shape in _shapes_up_to(p, counts.MAX_GROUP_ORDER):
+    for shape in _shapes_up_to(p, 4096):
         if shape.order > 1024 and shape.rank > 3 and shape.exponents[0] > 1:
             continue
         for q in (p, p * p) if shape.order <= 64 else (p,):
@@ -536,15 +536,37 @@ def test_ramification_integral_rejects_bad_sizes_under_optimisation():
     assert done.stdout.split() == ["raised", "raised"], done.stderr
 
 
-def test_discriminant_needs_scannable_group(capsys):
-    # the one cap on every shape bounds every group: order 2^11 answers,
-    # and order 2^13 is refused before any work
-    shape = counts.GroupShape(2, (11,))
-    assert asw.discriminant_exponent(asw.ReducedCocycle(shape, F2, {})) == 0
-    status = main(["disc", "--p", "2", "--q", "2", "--group", "13",
-                   "--terms", "1:" + ";".join("1" + "0" * 12)])
-    assert (status, capsys.readouterr().err) == (
-        2, "error: group order 8192 exceeds 4096\n")
+def test_discriminant_is_sized_by_its_work_not_its_group_order(capsys,
+                                                              monkeypatch):
+    # order 2^13 answers, as the sum over its 8192 characters says, and so
+    # does (Z/2)^40, whose 2^39 characters of odd weight have conductor 2;
+    # Z/2^2000 with five terms is refused on its filtration's coefficient
+    # products, and (Z/M61)^20000 on its printed answer, each before any
+    # coefficient is lifted
+    terms = "1:" + ";".join("1" + "0" * 12)
+    assert main(["disc", "--p", "2", "--q", "2", "--group", "13",
+                 "--terms", terms]) == 0
+    shape = counts.GroupShape(2, (13,))
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        "discriminant_exponent": _character_sum(parse_cocycle(terms, shape, F2))}
+    assert main(["disc", "--p", "2", "--q", "2", "--group", ",".join("1" * 40),
+                 "--terms", "1:" + "|".join("1" * 40), "--format", "tsv"]) == 0
+    assert capsys.readouterr().out == f"discriminant_exponent\t{2 ** 40}\n"
+
+    def no_lift(*args):
+        raise AssertionError("lifted a coefficient")
+
+    monkeypatch.setattr("ramcount.witt.WittVector.__init__", no_lift)
+    terms = ",".join(f"{n}:1" + ";0" * 1999 for n in (1, 3, 5, 7, 9))
+    m61 = 2 ** 61 - 1
+    for argv, message in [
+            (("--p", "2", "--q", "2", "--group", "2000", "--terms", terms),
+             "140780020 coefficient products to read the filtration"),
+            (("--p", str(m61), "--q", str(m61), "--group", ",".join("1" * 20000),
+              "--terms", ""),
+             "22724289 word products to print the discriminant")]:
+        assert main(["disc", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message} exceed 5000000\n"
 
 
 def _cut_jump(p, terms, k):
@@ -673,6 +695,12 @@ def test_count_budget(monkeypatch):
     with pytest.raises(BudgetExceededError,
                        match="^1099511627776 candidates exceed 5000000$"):
         asw.count_by_last_jump_enumerated(Z2xZ2, 1024, 3, "inertial_types")
+    # 2^(100 * 32) tuples for (Z/2)^100 at v = 63: stated by the exponent,
+    # never built
+    with pytest.raises(BudgetExceededError,
+                       match=r"^at least 2\^3200 candidates exceed 5000000$"):
+        asw.count_by_last_jump_enumerated(counts.GroupShape(2, (1,) * 100), 2,
+                                          63, "inertial_types")
 
 
 def test_count_budget_sizes_the_listed_tuples_alone(monkeypatch):

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -547,13 +548,13 @@ M61 = 2 ** 61 - 1
     # counterexample builds no field, so q = 3^25 needs no Ben-Or search
     (("counterexample", "--p", "3", "--q", str(3 ** 25)), 0,
      f"p\t3\nq\t{3 ** 25}\n", ""),
-    # q is a power of 251, then the order-p^3 group is refused
-    (("counterexample", "--p", "251", "--q", str(251 ** 4)), 2, "",
-     "error: group order 15813251 exceeds 4096\n"),
-    (("counterexample", "--p", "17", "--q", "17"), 2, "",
-     "error: group order 4913 exceeds 4096\n"),
+    # the order-p^3 group is no longer refused: 506 counts of 8000 bits
+    (("counterexample", "--p", "251", "--q", str(251 ** 4)), 0,
+     f"p\t251\nq\t{251 ** 4}\nlocal_count\t", ""),
+    (("counterexample", "--p", "17", "--q", "17"), 0,
+     "p\t17\nq\t17\nlocal_count\t", ""),
     (("lj", "--p", str(M61), "--q", str(M61 ** 2), "--group", "1",
-      "--terms", ""), 2, "", f"error: group order {M61} exceeds 4096\n"),
+      "--terms", ""), 0, "last_jump\t0\n", ""),
     # lj builds no field: it reads the jump off the digits
     (("lj", "--p", "2", "--q", str(2 ** 30), "--group", "1",
       "--terms", "3:1" + "0" * 29), 0, "last_jump\t3\n", ""),
@@ -579,14 +580,52 @@ def test_a_large_field_is_built_in_bounded_time(argv, status, stdout_head,
         assert done.stdout.startswith(stdout_head)
 
 
-def test_lj_refuses_the_group_before_building_the_field(capsys, monkeypatch):
+def test_lj_reads_a_large_group_without_building_the_field(capsys,
+                                                          monkeypatch):
     def unreachable(q, p=None):
-        raise AssertionError("GF(q) built for a refused group")
+        raise AssertionError("GF(q) built")
 
     monkeypatch.setattr(gf, "field_for_order", unreachable)
     status, out, err = run(capsys, "lj", "--p", str(M61), "--q", str(M61 ** 24),
-                           "--group", "1", "--terms", "")
-    assert (status, out, err) == (2, "", f"error: group order {M61} exceeds 4096\n")
+                           "--group", "1", "--terms", "", "--format", "tsv")
+    assert (status, out, err) == (0, "last_jump\t0\n", "")
+
+
+def test_a_refused_size_is_stated_by_its_bit_length():
+    # (2^60000)^32 candidates: the oracle compares 1,920,000 bits with the
+    # budget before it builds the power, and never writes its 578,000 digits;
+    # Decimal writes q past the int-to-str digit limit of this process
+    done = subprocess.run(
+        [sys.executable, "-m", "ramcount.cli", "count-minlift",
+         "--q", str(Decimal(2 ** 60000)), "--v", "64", "--mode", "enumeration"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=5)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: at least 2^1920000 candidates exceed 5000000\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a jump of up to 1.2 million bits, refused before its terms are read
+    (("lj", "--p", str(M61), "--q", str(M61), "--group", "20000",
+      "--terms", "1:1" + ";0" * 19999),
+     "22714756 word products to print the last jump"),
+    # 2^(10^12) is never built: the printed size is refused first
+    (("count-abelian", "--p", "2", "--q", "2", "--group", str(10 ** 12),
+      "--v", "63"), "at least 2^65 word products to print the count"),
+    (("count-abelian", "--p", "2", "--q", "2", "--group", "3000000",
+      "--v", "63"), "549339844 word products to print the count"),
+    (("global-series", "--q", "2", "--x-max", "24", "--p", "2",
+      "--group", ",".join("1" * 30000)),
+     "791296900 word products to print the series"),
+])
+def test_answers_that_grow_with_the_shape_are_refused_before_any_work(
+        capsys, monkeypatch, argv, message):
+    def no_work(*args):
+        raise AssertionError("worked before the budget check")
+
+    monkeypatch.setattr(euler, "global_series", no_work)
+    monkeypatch.setattr(cli, "_abelian_terms", no_work)
+    assert run(capsys, *argv) == (2, "", f"error: {message} exceed 5000000\n")
 
 
 def field_path_lj(p, q, group, terms):

@@ -7,7 +7,6 @@ import pytest
 from ramcount import asw, h3
 from ramcount.errors import (
     BudgetExceededError,
-    GroupTooLargeError,
     InternalInconsistencyError,
     NonPrimeError,
     OddPrimeRequiredError,
@@ -118,27 +117,46 @@ def test_smallest_wild_discriminant_cross_checks_every_p(monkeypatch, p):
         h3.smallest_wild_discriminant(p)
 
 
-def test_smallest_wild_discriminant_needs_p_at_most_thirteen():
-    # the abelian cross-check sums over the characters of (Z/p)^3, which
-    # obeys the one cap on every shape, p^3 <= 4096, so p <= 13
+def test_smallest_wild_discriminant_past_thirteen(monkeypatch):
+    # the gate's abelian cross-check builds only GF(p), so no p is refused;
+    # at p = 17 it cross-checks against a datum of (Z/17)^3, of order 4913
     assert h3.smallest_wild_discriminant(7) == 588
     assert h3.smallest_wild_discriminant(11) == 2420
     assert h3.smallest_wild_discriminant(13) == 4056
-    with pytest.raises(GroupTooLargeError, match="group order 4913 exceeds 4096"):
-        h3.smallest_wild_discriminant(17)
+    discriminant_exponent, shapes = asw.discriminant_exponent, []
+
+    def recorded(datum):
+        shapes.append(datum.shape)
+        return discriminant_exponent(datum)
+
+    monkeypatch.setattr(asw, "discriminant_exponent", recorded)
+    assert h3.smallest_wild_discriminant(17) == 9248 == 2 * 17 ** 2 * 16
+    assert [(shape.p, shape.exponents, shape.order) for shape in shapes] == [
+        (17, (1, 1, 1), 4913)]
 
 
-def test_heisenberg_counts_obey_the_one_group_cap():
-    # the Heisenberg group has order p^3, so p = 17 is refused before any
-    # count, even though every count it would print has a closed form
+def test_heisenberg_counts_are_sized_by_what_they_print(monkeypatch):
+    # p = 17 answers with the closed forms; p = 3001 prints 3004 integers
+    # of 36,000 bits in each count, refused before any count is taken
+    p = q = 17
+    assert h3.local_heisenberg_count(p, q).total == (
+        p ** 3 * (p + 2) * (q ** p - 1))
+    assert h3.global_heisenberg_count(p, q).total == (
+        p ** 3 * (p ** 2 + p + 1) * (q ** p - 1))
     assert h3.counterexample_report(13, 13).discrepancy_ratio == Fraction(183, 15)
-    for count in (lambda: h3.counterexample_report(17, 17),
-                  lambda: h3.count_line_inertia(17, 17, 1),
-                  lambda: h3.count_line_inertia_bruteforce(17, 17 ** 2, 2)):
-        with pytest.raises(GroupTooLargeError,
-                           match="^group order 4913 exceeds 4096$"):
-            count()
+    # the brute force states its (17^2)^34 candidates by their bit length
+    with pytest.raises(BudgetExceededError,
+                       match=r"^at least 2\^272 candidates exceed 5000000$"):
+        h3.count_line_inertia_bruteforce(17, 17 ** 2, 2)
+
+    def no_count(*args):
+        raise AssertionError("counted before the budget check")
+
+    monkeypatch.setattr(h3, "count_line_inertia", no_count)
+    with pytest.raises(BudgetExceededError,
+                       match="^59722524 word products to print the local "
+                             "count exceed 5000000$"):
+        h3.counterexample_report(3001, 3001)
     # q is validated first, with the message it always had
     with pytest.raises(NonPrimeError, match="^9 is not prime$"):
         h3.counterexample_report(9, 9)
-

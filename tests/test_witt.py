@@ -54,8 +54,8 @@ def test_product_polys_mod_2():
 def test_law_length_cap():
     with pytest.raises(ValueError):
         witt_oracle.sum_laws(2, witt_oracle.MAX_LENGTH + 1)
-    # W_12(F_2) = Z/4096 holds the longest cyclic factor of a group within
-    # counts.MAX_GROUP_ORDER
+    # in W_12(F_2) = Z/4096 a vector round-trips through its components,
+    # and k has additive order 4096 / gcd(k, 4096)
     for k in (1, 2, 3, 1000, 2048, 4095):
         v = WittVector.from_int(F2, 12, k)
         assert WittVector(F2, v.components) == v
@@ -63,9 +63,9 @@ def test_law_length_cap():
         assert not v.scale(order) and v.scale(order // 2)
 
 
-def test_length_is_bounded_only_through_the_group_cap():
-    # W_13(F_2) = Z/8192 is past every group within the cap, but the ring
-    # itself has no length cap of its own
+def test_length_has_no_cap_of_its_own():
+    # W_13(F_2) = Z/8192: the ring takes any length, and `disc` sizes the
+    # length it lifts to by the one budget
     bits = (1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1)
     components = tuple(F2.element((b,)) for b in bits)
     v = WittVector(F2, components)

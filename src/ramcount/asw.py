@@ -25,7 +25,6 @@ from math import gcd
 from .counts import (
     GroupShape,
     _check_count_args,
-    _ramified_indices,
     _refuse_over_budget,
     _refuse_to_print,
     check_support_index,
@@ -74,10 +73,6 @@ class ReducedCocycle:
 
     def ramified_indices(self) -> list[int]:
         return sorted(n for n in self.support if n >= 1)
-
-    def __repr__(self):
-        items = ", ".join(f"{n}: {v!r}" for n, v in sorted(self.support.items()))
-        return f"Cocycle({{{items}}})"
 
 
 def cocycle_add(m1: ReducedCocycle, m2: ReducedCocycle) -> ReducedCocycle:
@@ -238,9 +233,10 @@ def count_by_last_jump_enumerated(shape: GroupShape, q: int, v: int,
                                   mode: str) -> int:
     """`count_by_last_jump` by exhausting all data: its oracle."""
     _check_count_args(shape, q, v, mode)
-    indices = _ramified_indices(shape.p, v)
-    # the coefficient tuples are the candidates: |G| multiplies afterwards
-    _refuse_over_budget(q, exponent=sum(shape.exponents) * len(indices))
+    # the coefficient tuples on the v - v // p ramified indices are the
+    # candidates, counted before they are listed: |G| multiplies afterwards
+    _refuse_over_budget(q, exponent=sum(shape.exponents) * (v - v // shape.p))
+    indices = [n for n in range(1, v + 1) if n % shape.p]
     # GF(q) is built only when there is an index to fill (v >= 1), and then
     # the module has no more elements than the candidates counted above
     coeffs = (list(iter_module_elements(shape, field_for_order(q, p=shape.p)))

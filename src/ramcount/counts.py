@@ -2,20 +2,18 @@
 
 The abelian count by last jump and the dihedral counts by last jump are
 polynomials in the residue cardinality q, so evaluating one needs only the
-prime-power check on q and the group shape, of any order.  This module
-holds those, the jump range, the one budget by which every path sizes its
-work and its printed answer before it starts, and the two rules of the
-datum grammar, base-p digits and support indices.  It imports nothing of
+prime-power check on q and the group shape, of any order, at any jump.  This
+module holds those, the jump range v >= 0, the one budget by which every path
+sizes its work and its printed answer before it starts, and the two rules of
+the datum grammar, base-p digits and support indices.  It imports nothing of
 the library but `errors`, so a query that prints a closed form, or `lj`,
 compiles no finite field, Witt vector or datum code.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import namedtuple
 from math import isqrt
-from operator import neg
 
 from .errors import (
     BudgetExceededError,
@@ -24,7 +22,6 @@ from .errors import (
     PrimalityRangeError,
 )
 
-MAX_JUMP = 64
 DEFAULT_BUDGET = 5_000_000
 _TRIAL_BITS = 10  # trial division tries every divisor up to 2^10
 
@@ -51,11 +48,9 @@ def _refuse_to_print(count: int, bits: int, what: str) -> None:
 
 
 def _check_jump(v: int) -> None:
-    """The one statement of the jump range 0 <= v <= MAX_JUMP."""
+    """The one statement of the jump range v >= 0."""
     if v < 0:
         raise ValueError("jump must be nonnegative")
-    if v > MAX_JUMP:
-        raise ValueError(f"jump {v} exceeds {MAX_JUMP}")
 
 
 def base_p_digits(text: str, p: int, n: int) -> tuple[int, ...]:
@@ -217,10 +212,6 @@ def mu(v: int, n: int, p: int) -> int:
 # abelian data by last jump
 # ---------------------------------------------------------------------------
 
-def _ramified_indices(p: int, v: int) -> list[int]:
-    return [n for n in range(1, v + 1) if n % p]
-
-
 def _check_count_args(shape: GroupShape, q: int, v: int, mode: str) -> None:
     if mode not in ("homomorphisms", "inertial_types"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -235,12 +226,12 @@ def _jump_exponent(shape: GroupShape, t: int) -> int:
     At index n the jump is n * p^(e - 1) for a coefficient of order p^e, so
     jump <= t means order <= p^(e_n(t)) with e_n(t) = #{k >= 0 : n p^k <= t};
     those coefficients form the p^(e_n(t))-torsion of G tensor W(F_q), which
-    has q^(sum_i min(n_i, e_n(t))) elements.  The sum counts the n_i >= j
-    for each j <= e_n(t), by bisection, so a large rank costs its logarithm.
+    has q^(sum_i min(n_i, e_n(t))) elements.  Over the ramified n <= t the
+    sum counts the (n, k) with k < n_i and n p^k <= t, one per m <= t not
+    divisible by p^(n_i): t - floor(t / p^(n_i)), building no p^(n_i) > 2^t.
     """
-    return sum(bisect_right(shape.exponents, -j, key=neg)
-               for n in _ramified_indices(shape.p, t)
-               for j in range(1, mu(t + 1, n, shape.p) + 1))
+    p, bits = shape.p, t.bit_length()
+    return sum(t - (t // p ** e if e < bits else 0) for e in shape.exponents)
 
 
 def count_by_last_jump(shape: GroupShape, q: int, v: int, mode: str) -> int:
@@ -272,6 +263,9 @@ def count_min_lift(q: int, v: int) -> int:
     q must be a power of 2.  Its oracle is `d4.count_min_lift_enumerated`."""
     prime_power(q, p=2)
     _check_jump(v)
+    # below 2 q^(k + 1) at v = 2k + 1 and k q^(k + 1) at v = 2k
+    _refuse_to_print(1, (v // 2 + 1) * q.bit_length() + v.bit_length(),
+                     "the count")
     if v == 0:
         return 1
     if v % 2:
@@ -282,14 +276,17 @@ def count_min_lift(q: int, v: int) -> int:
 def _d4_le(q: int, v: int) -> int:
     """q^k (2q^k + q^m (m(q - 1) - 1)), k = ceil(v/2), m = floor(v/2); the
     bracket sums the min-lift counts over w <= v: 1 at w = 0, 2q^k - 2 at odd w,
-    and (q - 1)^2 sum_{0<j<=m} j q^(j-1) = m q^(m+1) - (m+1) q^m + 1 at w = 2j."""
+    and (q - 1)^2 sum_{0<j<=m} j q^(j-1) = m q^(m+1) - (m+1) q^m + 1 at w = 2j.
+    As k <= m + 1 it is below (m + 2) q^(v + 1), which sizes it first."""
+    _check_jump(v)
+    _refuse_to_print(1, (v + 1) * q.bit_length() + v.bit_length() + 2,
+                     "the count")
     k, m = (v + 1) // 2, v // 2
     return q ** k * (2 * q ** k + q ** m * (m * (q - 1) - 1))
 
 
 def _d4_exact(q: int, v: int) -> int:
     """`count_d4_exact` as a polynomial in q, which is not validated."""
-    _check_jump(v)
     if v == 0:
         return 1
     return _d4_le(q, v) - _d4_le(q, v - 1)
@@ -299,7 +296,6 @@ def count_d4_le(q: int, v: int) -> int:
     """One-eighth of the number of dihedral data with last jump <= v; q must
     be a power of 2."""
     prime_power(q, p=2)
-    _check_jump(v)
     return _d4_le(q, v)
 
 

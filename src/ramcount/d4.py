@@ -20,7 +20,7 @@ for the smallest lift jump.
 The oracle, `enumerated_lift_distribution`, enumerates the lift space with
 each derivative b' packed into one integer, so that adding a*c' is an XOR;
 the minimum of its tally is the brute-force smallest lift jump.
-`_lift_pool_size` counts that space, and the lift distribution is its first
+`_lift_pool_exponent` counts that space, and the lift distribution is its first
 difference.
 
 Only `pair_to_cocycle` builds abelian data, so only it imports `asw` and
@@ -36,6 +36,7 @@ from .counts import (
     GroupShape,
     _check_jump,
     _refuse_over_budget,
+    _refuse_to_print,
     prime_power,
 )
 from .errors import MixedFieldsError, NotTotallyRamifiedError
@@ -128,15 +129,6 @@ class SparseTPoly:
         return (isinstance(other, SparseTPoly)
                 and self.field is other.field and self.terms == other.terms)
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.field.digits(self.terms[e])
-            bits.append(f"{c}*T^-{e}" if e else c)
-        return " + ".join(bits)
-
 
 def _validate_datum_poly(x: SparseTPoly) -> None:
     if x.field.p != 2:
@@ -178,11 +170,11 @@ def is_totally_ramified(a: SparseTPoly, c: SparseTPoly) -> bool:
     return bool(ra) and bool(rc) and ra != rc
 
 
-def _lift_pool_size(field: FieldDescriptor, bound: int) -> int:
-    """Number of canonical b with w(b) <= bound: one of the p constants of the
-    Artin-Schreier transversal and any coefficient at each odd exponent up
-    to the bound."""
-    return field.p * field.q ** ((bound + 1) // 2)
+def _lift_pool_exponent(field: FieldDescriptor, bound: int) -> int:
+    """log_p of the number of canonical b with w(b) <= bound: one of the p
+    constants of the Artin-Schreier transversal and any coefficient at each
+    odd exponent up to the bound."""
+    return 1 + field.n * ((bound + 1) // 2)
 
 
 def _jump_tally(a: SparseTPoly, c: SparseTPoly, bound: int) -> dict[int, int]:
@@ -228,14 +220,18 @@ def lift_jump_distribution(a: SparseTPoly, c: SparseTPoly,
 
     Every lift is the minimal lift, of jump m, twisted by a central
     character, and the twist by a character of jump w has jump max(m, w):
-    for v >= m there are `_lift_pool_size(field, v)` lifts of jump <= v,
-    one per canonical b, and below m there are none.
+    for v >= m there are p^e lifts of jump <= v, e = `_lift_pool_exponent`,
+    one per canonical b, and below m there are none.  The v_max + 1 counts,
+    each at most the pool at v_max, of e + 1 bits, are sized before any is
+    formed.
     """
     _check_jump(v_max)
     m = min_lift_jump(a, c)
+    _refuse_to_print(v_max + 1, _lift_pool_exponent(a.field, v_max) + 1,
+                     "the distribution")
     counts, below = [], 0
     for v in range(v_max + 1):
-        at_most = _lift_pool_size(a.field, v) if v >= m else 0
+        at_most = a.field.p ** _lift_pool_exponent(a.field, v) if v >= m else 0
         counts.append((v, at_most - below))
         below = at_most
     return tuple(counts)
@@ -255,7 +251,7 @@ def enumerated_lift_distribution(a: SparseTPoly, c: SparseTPoly,
         raise NotTotallyRamifiedError(
             "the lift parametrisation needs a full inertia image")
     _check_jump(v_max)
-    _refuse_over_budget(_lift_pool_size(a.field, v_max))
+    _refuse_over_budget(a.field.p, exponent=_lift_pool_exponent(a.field, v_max))
     return {jump: count for jump, count in _jump_tally(a, c, v_max).items()
             if jump <= v_max}
 
@@ -292,20 +288,18 @@ def unramified_twist_report(a: SparseTPoly, c: SparseTPoly,
     w(c) <= v_max that XORs one fixed X < q^k into the packed a*c', and
     b' -> b' ^ X permutes range(q^k), so the tally does not change; when
     w(c) > v_max every jump exceeds v_max and both tallies are empty.
-    The job is refused up front when the larger of the pool and the q^2
-    closed-form rows exceeds the budget.
+    The q^2 closed-form rows, and then the pool, are refused over the budget
+    before any is formed.
     """
     field = a.field
     _check_jump(v_max)
     m = min_lift_jump(a, c)
+    _refuse_over_budget(field.q ** 2)
     enum_eq = None
     if is_totally_ramified(a, c):
-        _refuse_over_budget(max(_lift_pool_size(field, v_max), field.q ** 2))
         enum_eq = (enumerated_lift_distribution(a, c, v_max)
                    == {v: n for v, n in lift_jump_distribution(a, c, v_max)
                        if n})
-    else:
-        _refuse_over_budget(field.q ** 2)
     constants = [(x, SparseTPoly.from_terms(field, {0: x}))
                  for x in field.iter_elements()]
     comparisons = []

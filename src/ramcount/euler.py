@@ -10,24 +10,24 @@ coefficients of G.  They are integers, so each division by m is exact: a
 remainder, or a local e_0 other than 1, raises InternalInconsistencyError,
 an integrality certificate.  Its oracle, `convolution_oracle`, multiplies
 the local series out one place at a time, with no logarithm and no division,
-and refuses over the one enumeration budget.  The series has no cap of its
-own: [t^X] reads the local count at jump X of a degree-1 place, so X obeys
-the jump range of `counts._check_jump`; the census refuses over the budget
-at the bits its zeta self-check compares.  Everything is exact (integers,
-and Fractions for growth ratios), and every local coefficient is a closed
-form of `ramcount.counts`, so the module imports no field or datum code.
+and refuses over the one enumeration budget.  No truncation is capped: each
+series states a bound on the bits of [t^X], sizes its work by it before the
+census, and the census refuses at the bits its zeta self-check compares.
+Everything is exact (integers, and Fractions for growth ratios), and every
+local coefficient is a closed form of `ramcount.counts`, so the module
+imports no field or datum code.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from math import isqrt
 
 from .counts import (
     _check_jump,
     _d4_exact,
     _least_divisor,
     _refuse_over_budget,
-    _refuse_to_print,
     count_by_last_jump,
     prime_power,
 )
@@ -82,11 +82,27 @@ def place_census(q: int, max_degree: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
+def _refuse_series(truncation: int, bits: int) -> None:
+    """Refuse over the budget, before the census, a series to t^X whose
+    coefficients have at most `bits` bits, W words of 256 bits, in word
+    products.  Printing its X + 1 coefficients counts (X + 1) W^2, as
+    `counts._refuse_to_print` does.  Its exp-log makes about 4 (X + 1)^2 / 3
+    products of operands with at most W words between them, mostly far
+    fewer, and CPython multiplies large ones by Karatsuba, so each counts
+    W^1.5 / 8 (fitted on a 2-vCPU Xeon VM) and at least 1."""
+    _check_jump(truncation)  # [t^X] reads the degree-1 local count at jump X
+    words = (bits + 255) // 256
+    products = 4 * (truncation + 1) ** 2 // 3
+    _refuse_over_budget(
+        products * max(1, words * isqrt(words) // 8)
+        + (truncation + 1) * words ** 2,
+        what=f"word products to take the series to t^{truncation}")
+
+
 def global_series(q: int, truncation: int,
                   coefficient: LocalCoefficient) -> tuple[int, ...]:
     """The Euler product's coefficients of t^0 .. t^truncation, exactly, by
     the module's exp-log."""
-    _check_jump(truncation)  # [t^X] reads the degree-1 local count at jump X
     c = [0] * (truncation + 1)
     for d, pi in place_census(q, truncation):
         top = truncation // d
@@ -112,8 +128,11 @@ def global_series(q: int, truncation: int,
 
 def d4_global_series(q: int, truncation: int) -> tuple[int, ...]:
     """Euler product with the dihedral local counts; q must be a power of 2,
-    and so then is every residue cardinality q^d."""
+    and so then is every residue cardinality q^d.  A local count at jump
+    v >= 1 is at most (v/2 + 2) Q^(v + 1) <= (4 Q^2)^v, so [t^x] is at most
+    that of the zeta function of F_q(T) at 4 q^2 t, below 2^(2x + 1) q^(3x)."""
     prime_power(q, p=2)
+    _refuse_series(truncation, (3 * (q - 1).bit_length() + 2) * truncation + 2)
     return global_series(q, truncation, _d4_exact)
 
 
@@ -122,13 +141,10 @@ def abelian_global_series(shape: GroupShape, q: int,
     """Euler product with the closed-form abelian local counts; q must be a
     power of the group's prime, checked first as in `d4_global_series`.
     A local count at jump v is at most Q^(r v), r the rank, so [t^x] is at
-    most that of the zeta function of F_q(T) at q^r t, below 2 q^((r + 1) x),
-    and the printed series is sized by that bound before any work."""
+    most that of the zeta function of F_q(T) at q^r t, below 2 q^((r + 1) x)."""
     prime_power(q, p=shape.p)
-    _check_jump(truncation)
-    _refuse_to_print(truncation + 1,
-                     (shape.rank + 1) * truncation * q.bit_length() + 1,
-                     "the series")
+    _refuse_series(truncation,
+                   (shape.rank + 1) * truncation * (q - 1).bit_length() + 1)
 
     def coefficient(residue_order: int, v: int) -> int:
         return count_by_last_jump(shape, residue_order, v, "inertial_types")

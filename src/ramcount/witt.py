@@ -207,10 +207,6 @@ class WittVector:
     def __hash__(self):
         return hash((self.coeffs, self.field.p, self.field.n, self.length))
 
-    def __repr__(self):
-        inner = ", ".join(repr(c.coeffs) for c in self.components)
-        return f"W({inner})"
-
 
 def teichmueller(x: FieldElement, length: int) -> WittVector:
     """The multiplicative lift x -> (x, 0, ..., 0)."""

@@ -81,8 +81,8 @@ MUTANTS = (
      'unram = sum(shape.exponents) + 1 if mode == "homomorphisms" else 0',
      "p times the unramified twists of the index-0 coefficient"),
     ("asw.rank_one_counts_match_closed_form", "counts.py",
-     "mu(t + 1, n, shape.p)", "mu(t, n, shape.p)",
-     "the torsion exponent counts n p^k < t, not <= t"),
+     "t // p ** e if e < bits", "(t - 1) // p ** e if e < bits",
+     "the torsion exponent drops the multiples of p^(n_i) below t, not up to t"),
     ("asw.cyclic_discriminants_match_break_formula", "asw.py",
      "(size, hi - lo)", "(size, hi - lo + 1)",
      "each interval of the filtration one unit too long"),
@@ -106,8 +106,8 @@ MUTANTS = (
      "return sum(hist[w] * hist[v - w] for w in range(v))",
      "the min-lift oracle drops the split w = v"),
     ("d4.twist_invariance_on_regression_corpus", "d4.py",
-     "_lift_pool_size(a.field, v) if v >= m else 0",
-     "_lift_pool_size(a.field, v) if v > m else 0",
+     "_lift_pool_exponent(a.field, v) if v >= m else 0",
+     "_lift_pool_exponent(a.field, v) if v > m else 0",
      "the closed lift distribution has no mass at the minimal lift jump"),
     # h3
     ("h3.line_inertia_bruteforce_matches_closed_form", "h3.py",
@@ -174,6 +174,12 @@ MODULE_MUTANTS = (
      "{1: m1[1:]}", "{1: m1[1:2] * (r - 1)}",
      "the quotient by the axis reads x_1 in every coordinate",
      ("tests/test_h3.py::test_line_inertia_bruteforce_matches_closed_form",)),
+    ("counts", "counts.py",
+     "    _refuse_to_print(1, (v + 1) * q.bit_length() + v.bit_length() + 2,\n"
+     "                     \"the count\")\n", "",
+     "the dihedral counts print an answer of any size, which verify never asks",
+     ("tests/test_d4.py::"
+      "test_dihedral_closed_forms_are_sized_before_they_are_computed",)),
 )
 
 

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -703,6 +704,44 @@ def test_count_budget(monkeypatch):
                                           63, "inertial_types")
 
 
+def test_count_budget_comes_before_the_index_list():
+    # v = 10^6 has 500000 ramified indices over Z/2; they are counted as
+    # v - floor(v / p), and the list of them is never made
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError,
+                           match=r"^at least 2\^500000 candidates exceed 5000000$"):
+            asw.count_by_last_jump_enumerated(Z2, 2, 10 ** 6, "inertial_types")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def _jump_exponent_by_definition(shape, t):
+    """sum over the ramified n <= t and each factor of min(n_i, e_n(t)),
+    e_n(t) = #{k >= 0 : n p^k <= t}, as the torsion sizes define it."""
+    return sum(min(e, counts.mu(t + 1, n, shape.p))
+               for n in range(1, t + 1) if n % shape.p
+               for e in shape.exponents)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_jump_exponent_counts_the_torsion_by_definition(p):
+    for exponents in [(), (1,), (2,), (3,), (1, 1), (2, 1), (3, 3, 1),
+                      (4, 2, 2, 1), (9,)]:
+        shape = counts.GroupShape(p, exponents)
+        for t in range(60):
+            assert (counts._jump_exponent(shape, t)
+                    == _jump_exponent_by_definition(shape, t)), (shape, t)
+
+
+def test_jump_exponent_builds_no_power_past_the_jump():
+    # Z/2^(10^12): p^(n_i) would have 10^12 bits, and exceeds every t here
+    shape = counts.GroupShape(2, (10 ** 12, 1))
+    assert counts._jump_exponent(shape, 10 ** 9) == 10 ** 9 + 10 ** 9 // 2
+
+
 def test_count_budget_sizes_the_listed_tuples_alone(monkeypatch):
     # Z/2 over F_2 at v = 5 lists 2^3 coefficient tuples at the indices 1,
     # 3 and 5; the factor |G| of the homomorphisms is multiplied in after
@@ -734,7 +773,7 @@ def test_count_enumeration_builds_no_field_at_jump_zero(monkeypatch, shape):
 
 def test_count_rejects_bad_input():
     for q, v, mode, error in [(2, -1, "inertial_types", ValueError),
-                              (2, 65, "inertial_types", ValueError),
+                              (2, 10 ** 9, "inertial_types", BudgetExceededError),
                               (2, 1, "types", ValueError),
                               (6, 1, "inertial_types", NonPrimeError),
                               (9, 1, "inertial_types", MixedFieldsError)]:

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -616,7 +617,7 @@ def test_a_refused_size_is_stated_by_its_bit_length():
       "--v", "63"), "549339844 word products to print the count"),
     (("global-series", "--q", "2", "--x-max", "24", "--p", "2",
       "--group", ",".join("1" * 30000)),
-     "791296900 word products to print the series"),
+     "213348013 word products to take the series to t^24"),
 ])
 def test_answers_that_grow_with_the_shape_are_refused_before_any_work(
         capsys, monkeypatch, argv, message):
@@ -821,10 +822,11 @@ def test_removed_enumeration_flags_are_usage_errors(capsys):
 
 
 def test_abelian_series_reaches_max_truncation(capsys):
-    doc = run_json(capsys, "global-series", "--q", "2", "--x-max",
-                   str(counts.MAX_JUMP), "--group", "1,1", "--p", "2")
+    # X = 64, where a former cap on every jump stopped the series
+    doc = run_json(capsys, "global-series", "--q", "2", "--x-max", "64",
+                   "--group", "1,1", "--p", "2")
     coeffs = [row["coefficient"] for row in doc["result"]["rows"]]
-    assert len(coeffs) == counts.MAX_JUMP + 1
+    assert len(coeffs) == 65
     shape = counts.GroupShape(2, (1, 1))
 
     def local(residue_order, v):
@@ -865,11 +867,12 @@ def test_series_and_growth_print_their_goldens(capsys, name):
                                   if name.startswith("global_series_")
                                   and name.endswith("_x24")])
 def test_a_series_to_the_jump_range_extends_its_golden(capsys, name):
+    # X = 64, where a former cap on every jump stopped the series
     argv = list(SERIES_GOLDENS[name])
-    argv[argv.index("--x-max") + 1] = str(counts.MAX_JUMP)
+    argv[argv.index("--x-max") + 1] = "64"
     doc = run_json(capsys, *argv)
     rows = doc["result"]["rows"]
-    assert len(rows) == counts.MAX_JUMP + 1
+    assert len(rows) == 65
     golden = json.loads((GOLDEN / f"{name}.json").read_text())
     assert rows[:25] == golden["result"]["rows"]
 
@@ -914,10 +917,10 @@ def test_over_budget_twist_report_is_refused_up_front(capsys, monkeypatch):
 
 
 def test_urtwist_check_exits_one_on_a_wrong_closed_form(capsys, monkeypatch):
-    # one lift too many of jump <= v: the closed form gains one at the
-    # minimum, where the enumerated tally does not
-    pool = d4._lift_pool_size
-    monkeypatch.setattr(d4, "_lift_pool_size",
+    # twice the lifts of jump <= v: the closed form doubles every count,
+    # where the enumerated tally does not
+    pool = d4._lift_pool_exponent
+    monkeypatch.setattr(d4, "_lift_pool_exponent",
                         lambda field, v: pool(field, v) + 1)
     status, out, _ = run(capsys, "urtwist-check", "--q", "2", "--a", "1:1",
                          "--c", "3:1", "--v-max", "6")
@@ -1032,14 +1035,19 @@ def test_negative_dihedral_jump_is_rejected(capsys, command):
      "term '1:1' needs 2 factor part(s)"),
     (("lj", "--p", "2", "--q", "2", "--group", "2", "--terms", "1:1"),
      "part '1' needs 2 Witt component(s)"),
-    (("lift-dist", "--q", "2", "--a", "1:1", "--c", "3:1", "--v-max", "65"),
-     "jump 65 exceeds 64"),
-    (("count-d4", "--q", "2", "--v", "65"), "jump 65 exceeds 64"),
+    # no jump is refused for its size, only for the work it makes: the lift
+    # counts, the closed forms and the series are sized by the one budget
+    (("lift-dist", "--q", "2", "--a", "1:1", "--c", "3:1", "--v-max", "10749"),
+     "5203000 word products to print the distribution exceed 5000000"),
+    (("count-d4", "--q", "2", "--v", "286197"),
+     "5004169 word products to print the count exceed 5000000"),
     (("count-minlift", "--q", "2", "--v", "-1"), "jump must be nonnegative"),
-    (("count-minlift", "--q", "2", "--v", "30000"), "jump 30000 exceeds 64"),
+    (("count-minlift", "--q", "2", "--v", "572396"),
+     "5004169 word products to print the count exceed 5000000"),
     (("count-minlift", "--q", "4", "--v", "23", "--mode", "enumeration"),
      "16777216 candidates exceed 5000000"),
-    (("growth", "--q", "2", "--x-max", "65"), "jump 65 exceeds 64"),
+    (("growth", "--q", "2", "--x-max", "768"),
+     "6504712 word products to take the series to t^768 exceed 5000000"),
     # two faults: the first one reached is reported
     (("lj", "--p", "2", "--q", "2", "--group", "1,1", "--terms", "1:1|1|1,1:1|0"),
      "term '1:1|1|1' needs 2 factor part(s)"),
@@ -1066,9 +1074,10 @@ def test_negative_dihedral_jump_is_rejected(capsys, command):
      "bad term ''"),
     (("lj", "--p", "2", "--q", "2", "--group", "1", "--terms", "x:1"),
      "bad term 'x:1'"),
-    # the abelian counts state the jump range through the same rule
-    (("count-abelian", "--p", "2", "--q", "2", "--group", "1", "--v", "65"),
-     "jump 65 exceeds 64"),
+    # the abelian counts state the jump range through the same rule, and
+    # size a jump by the same budget
+    (("count-abelian", "--p", "2", "--q", "2", "--group", "1", "--v", "572415"),
+     "5004169 word products to print the count exceed 5000000"),
     (("count-abelian", "--p", "2", "--q", "2", "--group", "1", "--v", "-1"),
      "jump must be nonnegative"),
     # a digit is ASCII 0-9: a superscript or an Arabic-Indic two is refused
@@ -1110,6 +1119,59 @@ def test_out_of_range_input_is_a_one_line_error(capsys, argv, message):
     status, out, err = run(capsys, *argv)
     assert (status, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+JUMP = str(10 ** 9)
+SERIES_WORK = ((euler, "place_census"), (euler, "global_series"))
+LIFT_PAIR = ("--q", "2", "--a", "1:1", "--c", "3:1")
+
+
+@pytest.mark.parametrize("argv, message, workers", [
+    (("count-abelian", "--p", "2", "--q", "2", "--group", "1", "--v", JUMP),
+     "15258796875001 word products to print the count", ()),
+    (("count-d4", "--q", "2", "--v", JUMP),
+     "61035171875001 word products to print the count", ()),
+    (("local-a", "--q", "2", "--v", JUMP),
+     "61035171875001 word products to print the count", ()),
+    (("count-minlift", "--q", "2", "--v", JUMP),
+     "15258796875001 word products to print the count", ()),
+    (("count-minlift", "--q", "2", "--v", JUMP, "--mode", "enumeration"),
+     "at least 2^500000000 candidates", ()),
+    (("lift-dist", *LIFT_PAIR, "--v-max", JUMP),
+     "at least 2^71 word products to print the distribution", ()),
+    (("urtwist-check", *LIFT_PAIR, "--v-max", JUMP),
+     "at least 2^500000001 candidates",
+     ((d4, "_jump_tally"), (d4, "lift_jump_distribution"))),
+    (("global-series", "--q", "2", "--x-max", JUMP),
+     f"at least 2^93 word products to take the series to t^{JUMP}",
+     SERIES_WORK),
+    (("global-series", "--q", "2", "--x-max", JUMP, "--group", "1"),
+     f"at least 2^91 word products to take the series to t^{JUMP}",
+     SERIES_WORK),
+    (("growth", "--q", "2", "--x-max", JUMP),
+     f"at least 2^93 word products to take the series to t^{JUMP}",
+     SERIES_WORK),
+], ids=("count-abelian", "count-d4", "local-a", "count-minlift",
+        "count-minlift-enumeration", "lift-dist", "urtwist-check",
+        "global-series", "global-series-group", "growth"))
+def test_every_path_that_reads_a_jump_refuses_it_before_any_work(
+        capsys, monkeypatch, argv, message, workers):
+    # at a jump of 10^9 an answer has about 10^9 bits: each path refuses in
+    # the unit it counts, before its worker runs and before it holds a
+    # megabyte
+    def no_work(*args):
+        raise AssertionError("worked before the budget check")
+
+    for module, name in workers:
+        monkeypatch.setattr(module, name, no_work)
+    tracemalloc.start()
+    try:
+        got = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (2, "", f"error: {message} exceed 5000000\n")
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("option, argv", [

@@ -526,11 +526,11 @@ def test_twist_report_enumerates_once(monkeypatch):
 
 
 def test_twist_report_catches_a_wrong_closed_form(monkeypatch):
-    # one lift too many of jump <= v, so one more at the minimum; the closed
-    # form of every twist uses the same count, so only the comparison with
-    # the enumerated tally can see the extra lift
-    pool = d4._lift_pool_size
-    monkeypatch.setattr(d4, "_lift_pool_size",
+    # twice the lifts of jump <= v; the closed form of every twist uses the
+    # same count, so only the comparison with the enumerated tally can see
+    # the extra lifts
+    pool = d4._lift_pool_exponent
+    monkeypatch.setattr(d4, "_lift_pool_exponent",
                         lambda field, v: pool(field, v) + 1)
     report = d4.unramified_twist_report(poly(F2, 1), poly(F2, 3), 6)
     assert not report.all_equal
@@ -684,6 +684,39 @@ def test_count_min_lift_budget_caps_the_pool(monkeypatch):
     monkeypatch.setattr(counts, "DEFAULT_BUDGET", 63)
     with pytest.raises(BudgetExceededError):
         d4.count_min_lift_enumerated(4, 5)
+
+
+def test_dihedral_closed_forms_are_sized_before_they_are_computed(monkeypatch):
+    # each closed form is below the bits it is sized by
+    for q in (2, 4, 1024):
+        for v in range(0, 300, 7):
+            assert (counts.count_d4_le(q, v).bit_length()
+                    <= (v + 1) * q.bit_length() + v.bit_length() + 2)
+            assert (counts.count_min_lift(q, v).bit_length()
+                    <= (v // 2 + 1) * q.bit_length() + v.bit_length())
+    # and is refused in the word products of printing it: at a budget of
+    # 8, two 256-bit words (at most 512 bits) answer and three do not
+    monkeypatch.setattr(counts, "DEFAULT_BUDGET", 8)
+    assert counts.count_d4_le(2, 250) > 0
+    assert counts.count_min_lift(2, 500) > 0
+    for count, v in [(counts.count_d4_le, 251), (counts.count_d4_exact, 251),
+                     (counts.count_min_lift, 502)]:
+        with pytest.raises(BudgetExceededError,
+                           match="^9 word products to print the count exceed 8$"):
+            count(2, v)
+
+
+def test_lift_distribution_is_sized_by_its_printed_counts(monkeypatch):
+    # v_max + 1 counts, each at most the pool 2^(1 + n k) at v_max, k the
+    # odd exponents <= v_max: over F_4 at v_max = 9, 10 counts of 12 bits
+    a, c = poly(F4, 1), poly(F4, 3)
+    rows = d4.lift_jump_distribution(a, c, 9)
+    assert max(n for _, n in rows) < 2 ** 12
+    monkeypatch.setattr(counts, "DEFAULT_BUDGET", 9)
+    with pytest.raises(BudgetExceededError,
+                       match="^10 word products to print the distribution "
+                             "exceed 9$"):
+        d4.lift_jump_distribution(a, c, 9)
 
 
 def test_count_d4_le_values():

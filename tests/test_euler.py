@@ -194,18 +194,66 @@ def test_global_series_monotone_in_q():
 
 
 def test_truncation_cap(monkeypatch):
-    # [t^X] reads the local count at jump X, so X obeys the jump range,
-    # checked before the census
-    assert len(euler.d4_global_series(2, counts.MAX_JUMP)) == 65
+    # no truncation is refused for its size: X = 64, where a former cap on
+    # every jump stopped the series, answers, and the one budget refuses a
+    # series in the word products it would make, before the census
+    assert len(euler.d4_global_series(2, 64)) == 65
 
     def unreachable(q, max_degree):
         raise AssertionError("census taken")
 
     monkeypatch.setattr(euler, "place_census", unreachable)
-    with pytest.raises(ValueError, match="^jump 65 exceeds 64$"):
-        euler.d4_global_series(2, 65)
+    with pytest.raises(BudgetExceededError,
+                       match="^6504712 word products to take the series to "
+                             "t\\^768 exceed 5000000$"):
+        euler.d4_global_series(2, 768)
+    with pytest.raises(BudgetExceededError,
+                       match="^5000403 word products to take the series to "
+                             "t\\^1107 exceed 5000000$"):
+        euler.abelian_global_series(Z2, 2, 1107)
+    for series in (lambda: euler.d4_global_series(2, 767),
+                   lambda: euler.abelian_global_series(Z2, 2, 1106)):
+        with pytest.raises(AssertionError, match="census taken"):
+            series()
     with pytest.raises(ValueError, match="^jump must be nonnegative$"):
         euler.abelian_global_series(Z2, 2, -1)
+
+
+def test_series_bounds_hold_past_the_former_cap():
+    # the bits that size each series bound its coefficients: below
+    # 2^(2x + 1) q^(3x) for D4 and 2 q^((r + 1) x) for an abelian group
+    for q in (2, 4, 16):
+        for x, coefficient in enumerate(euler.d4_global_series(q, 80)):
+            assert coefficient < 2 ** (2 * x + 1) * q ** (3 * x)
+    shape = counts.GroupShape(3, (2, 1))
+    for x, coefficient in enumerate(euler.abelian_global_series(shape, 9, 80)):
+        assert coefficient < 2 * 9 ** (3 * x)
+
+
+def test_census_fails_a_count_that_is_not_a_positive_integer(monkeypatch):
+    # mu = 1 everywhere: 2 + 2^3 places of degree 3 is not divisible by 3
+    monkeypatch.setattr(euler, "mobius", lambda n: 1)
+    with pytest.raises(InternalInconsistencyError,
+                       match="^place census has no positive integral count "
+                             "at degree 3$"):
+        euler.place_census(2, 3)
+
+
+def test_census_fails_its_zeta_identity(monkeypatch):
+    # mu(1) = 1 and 0 elsewhere: 3 and 2 places of degrees 1 and 2 are
+    # integral, but 3 + 2 * 2 is not 2^2 + 1
+    monkeypatch.setattr(euler, "mobius", lambda n: int(n == 1))
+    with pytest.raises(InternalInconsistencyError,
+                       match="^place census failed its zeta identity$"):
+        euler.place_census(2, 2)
+
+
+def test_growth_fails_a_count_that_is_not_positive(monkeypatch):
+    monkeypatch.setattr(euler, "d4_global_series",
+                        lambda q, x: (1,) + (0,) * x)
+    with pytest.raises(InternalInconsistencyError,
+                       match="^growth count at X = 1 is not positive$"):
+        euler.growth_table(2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,17 @@ import contextlib
 import io
 import json
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "queries.json"
 
 M61 = 2 ** 61 - 1
+JUMP = str(10 ** 9)
 
-# exit-2 refusals: each one line on stderr, each in milliseconds
+# exit-2 refusals: each one line on stderr, each in milliseconds; the
+# entries past jump 64, which a former cap on every jump refused, answer
 REFUSALS = [
     ("count-minlift", "--q", "6", "--v", "3"),
     ("local-a", "--q", "6", "--v", "3"),
@@ -78,6 +81,19 @@ REFUSALS = [
     ("lj", "--p", "3", "--q", "3", "--group", "1", "--terms", "-1:1"),
     ("lj", "--p", "2", "--q", "2", "--group", "1", "--terms", "1_1:1"),
     ("lj", "--p", "2", "--q", "2", "--group", "1", "--terms", "+3:1"),
+    # every path that reads a jump sizes it by the budget: at 10^9, and
+    # the dihedral count over F_(2^60000) that printed 1.17 MB
+    ("count-abelian", "--p", "2", "--q", "2", "--group", "1", "--v", JUMP),
+    ("count-d4", "--q", "2", "--v", JUMP),
+    ("count-d4", "--q", str(Decimal(2 ** 60000)), "--v", "64"),
+    ("local-a", "--q", "2", "--v", JUMP),
+    ("count-minlift", "--q", "2", "--v", JUMP),
+    ("count-minlift", "--q", "2", "--v", JUMP, "--mode", "enumeration"),
+    ("lift-dist", "--q", "2", "--a", "1:1", "--c", "3:1", "--v-max", JUMP),
+    ("urtwist-check", "--q", "2", "--a", "1:1", "--c", "3:1", "--v-max", JUMP),
+    ("global-series", "--q", "2", "--x-max", JUMP),
+    ("global-series", "--q", "2", "--x-max", JUMP, "--group", "1"),
+    ("growth", "--q", "2", "--x-max", JUMP),
 ]
 
 # groups past 4096, which a former cap on the group order refused
